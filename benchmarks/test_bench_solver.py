@@ -10,7 +10,11 @@ ever compares *equivalent* runs.
 Each run appends one entry per backend to ``BENCH_solver.json`` at the
 repository root; the optional-deps CI job installs ``python-sat`` and
 re-runs this file, so the trajectory records the PySAT backend's
-numbers whenever the wheel is available.
+numbers whenever the wheel is available.  Besides wall times, every
+entry records the single-key attack's exact counters (decisions,
+conflicts, propagations, and the miter's encoded variables/clauses):
+deterministic for a given backend and code, so a trajectory can gate
+on them instead of on noisy wall-clock ratios.
 """
 
 from __future__ import annotations
@@ -72,6 +76,11 @@ def test_solver_backends(benchmark):
                 "key_size": _KEY_SIZE,
                 "gates": locked.netlist.num_gates,
                 "dips": single.num_dips,
+                "decisions": single.solver_stats.get("decisions"),
+                "conflicts": single.solver_stats.get("conflicts"),
+                "propagations": single.solver_stats.get("propagations"),
+                "encode_vars": single.encode_stats["vars"],
+                "encode_clauses": single.encode_stats["clauses"],
                 "single_key_s": round(single_seconds, 4),
                 "sharded_s": (
                     round(multi_seconds, 4)

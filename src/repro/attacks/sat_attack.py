@@ -38,6 +38,11 @@ Implementation notes (all standard, all load-bearing for speed):
 * Per-DIP constraint copies are built from a single-pattern simulation:
   nets outside the key cone are substituted as constants, so each DIP
   adds only O(cone) clauses.
+* One fold, two copies: the two halves of a DIP fold identically under
+  the key1 -> key2 renaming, so the cone is folded once on ``key1``
+  (recording its variable allocations and clauses) and ``key2``'s copy
+  replays that record, renamed, in the same order — the same variables
+  and clauses as folding each half, at half the fold work.
 * One incremental solver carries learned clauses across iterations;
   the miter assertion hangs off an activation literal so the final
   key-extraction call can drop it.
@@ -321,7 +326,10 @@ def build_miter_encoding(
 
 
 def _encode_copy_gate(
-    solver: Solver, gtype: GateType, ins: list[int], true_var: int
+    solver: Solver | _CopyRecorder,
+    gtype: GateType,
+    ins: list[int],
+    true_var: int,
 ) -> int:
     """Encode one gate of a per-DIP constraint copy, folding constants.
 
@@ -396,6 +404,90 @@ def _encode_copy_gate(
     return out
 
 
+class _CopyRecorder:
+    """Solver stand-in that forwards one copy's encoding and records it.
+
+    Variable allocations land in :attr:`ops` as ``int``s and clauses as
+    ``list``s, in call order, so :func:`_add_dip_copies` can replay the
+    copy renamed onto the other key vector.
+    """
+
+    __slots__ = ("solver", "ops")
+
+    def __init__(self, solver: Solver) -> None:
+        self.solver = solver
+        self.ops: list[int | list[int]] = []
+
+    def new_var(self) -> int:
+        var = self.solver.new_var()
+        self.ops.append(var)
+        return var
+
+    def add_clauses(self, clauses: list[list[int]]) -> bool:
+        self.ops.extend(clauses)
+        return self.solver.add_clauses(clauses)
+
+
+def _add_dip_copies(
+    enc: MiterEncoding,
+    values: Sequence[int],
+    response: Mapping[str, int],
+    guard: int | None,
+) -> None:
+    """Constrain both key vectors to reproduce ``response`` on one DIP.
+
+    ``values`` are the simulated slot values under the DIP (key-
+    independent slots become constants).  The key cone is folded once
+    on ``key1``; ``key2``'s copy replays the recorded allocations and
+    clauses renamed key1 -> key2 (fresh variables map to the replay's
+    own fresh variables), which reproduces folding the second half
+    variable for variable and clause for clause.
+    """
+    solver = enc.solver
+    compiled = enc.compiled
+    gate_types = compiled.gate_types
+    gate_out = compiled.gate_output_slots
+    gate_fanins = compiled.gate_fanin_slots
+    key1, key2 = enc.key1, enc.key2
+    true_var = enc.true_var
+    consts = (-true_var, true_var)
+
+    record = _CopyRecorder(solver)
+    copy_lits = [0] * compiled.num_slots
+    for i in enc.cone_idx:
+        ins = []
+        for s in gate_fanins[i]:
+            # Key-independent fanins substitute the simulated constant.
+            ins.append(copy_lits[s] or key1[s] or consts[values[s]])
+        copy_lits[gate_out[i]] = _encode_copy_gate(
+            record, gate_types[i], ins, true_var
+        )
+    po_lits = [
+        copy_lits[slot] if response[po] else -copy_lits[slot]
+        for po, slot in enc.controlled_pos
+    ]
+    add_clause = solver.add_clause
+    for lit in po_lits:
+        add_clause([lit] if guard is None else [-guard, lit])
+
+    rename = {true_var: true_var, -true_var: -true_var}
+    for net in enc.key_inputs:
+        slot = compiled.slot_of[net]
+        rename[key1[slot]] = key2[slot]
+        rename[-key1[slot]] = -key2[slot]
+    new_var = solver.new_var
+    for op in record.ops:
+        if op.__class__ is int:
+            var = new_var()
+            rename[op] = var
+            rename[-op] = -var
+        else:
+            add_clause([rename[lit] for lit in op])
+    for lit in po_lits:
+        lit = rename[lit]
+        add_clause([lit] if guard is None else [-guard, lit])
+
+
 def run_dip_loop(
     enc: MiterEncoding,
     oracle: Oracle,
@@ -446,14 +538,7 @@ def run_dip_loop(
     pin = dict(pin or {})
     solver = enc.solver
     compiled = enc.compiled
-    num_slots = compiled.num_slots
     input_vars = enc.input_vars
-    cone_idx = enc.cone_idx
-    controlled_pos = enc.controlled_pos
-    gate_types = compiled.gate_types
-    gate_out = compiled.gate_output_slots
-    gate_fanins = compiled.gate_fanin_slots
-    true_var = enc.true_var
     input_names = compiled.inputs
 
     base_assume = list(assume)
@@ -488,27 +573,7 @@ def run_dip_loop(
         # Values of all key-independent slots under this DIP (key = 0).
         words = [dip.get(name, 0) for name in input_names]
         values = compiled.eval_words(words, 1)
-
-        for key_vars in (enc.key1, enc.key2):
-            copy_lits = [0] * num_slots
-            for i in cone_idx:
-                ins = []
-                for s in gate_fanins[i]:
-                    lit = copy_lits[s] or key_vars[s]
-                    if lit:
-                        ins.append(lit)
-                    else:  # key-independent: substitute the simulated constant
-                        ins.append(true_var if values[s] else -true_var)
-                copy_lits[gate_out[i]] = _encode_copy_gate(
-                    solver, gate_types[i], ins, true_var
-                )
-            for po, po_slot in controlled_pos:
-                out = copy_lits[po_slot]
-                lit = out if response[po] else -out
-                if guard is None:
-                    solver.add_clause([lit])
-                else:
-                    solver.add_clause([-guard, lit])
+        _add_dip_copies(enc, values, response, guard)
 
         if record_iterations:
             iterations.append(

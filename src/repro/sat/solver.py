@@ -2,8 +2,11 @@
 
 This is the MiniSAT recipe in pure Python:
 
-* two-watched-literal unit propagation,
-* VSIDS variable activities with exponential decay,
+* unit propagation over dedicated binary implication lists (a flat
+  list of implied literals per literal, no clause object) followed by
+  two-watched-literal lists for longer clauses,
+* VSIDS variable activities with exponential decay, ordered by a heap
+  that holds at most one current entry per variable,
 * phase saving,
 * Luby-sequence restarts,
 * first-UIP conflict analysis with basic clause minimization,
@@ -19,6 +22,14 @@ This is the MiniSAT recipe in pure Python:
 Internally a literal is encoded as ``2 * var`` (positive) or
 ``2 * var + 1`` (negative) so that negation is ``lit ^ 1`` and the
 variable is ``lit >> 1``.  The public API speaks DIMACS integers.
+
+A variable's *reason* is ``None`` (decision or root unit), the
+:class:`_Clause` that implied it, or — for a binary implication — the
+implying (false) literal as a plain ``int``.  Binary clauses still
+live in the clause stores as :class:`_Clause` objects, so clause
+counts, frames, exports and ``simplify`` see every clause; only
+propagation reads the flat lists, which :meth:`Solver.rollback` and
+:meth:`Solver.simplify` rebuild from the surviving clauses.
 """
 
 from __future__ import annotations
@@ -120,16 +131,26 @@ class Solver:
         self._nvars = 0
         # Indexed by internal literal.
         self._litval: list[int] = [0, 0]  # 1 true, -1 false, 0 unset
-        # Watch lists hold ``(blocker, clause)`` pairs (MiniSAT 2.2's
-        # "watcher with blocker"): the blocker is some other literal of
-        # the clause, checked before touching the clause object at all.
+        # Binary implication lists: ``_bins[lit]`` holds the literals
+        # implied when ``lit`` becomes false (one entry per binary
+        # clause per literal; no clause object on the hot path).
+        self._bins: list[list[int]] = [[], []]
+        # Watch lists of clauses with three or more literals hold
+        # ``(blocker, clause)`` pairs (MiniSAT 2.2's "watcher with
+        # blocker"): the blocker is some other literal of the clause,
+        # checked before touching the clause object at all.
         self._watches: list[list[tuple[int, _Clause]]] = [[], []]
         # Indexed by variable.
         self._level: list[int] = [0]
-        self._reason: list[_Clause | None] = [None]
+        # None (decision/root unit), the implying clause, or the
+        # implying false literal of a binary clause.
+        self._reason: list[_Clause | int | None] = [None]
         self._act: list[float] = [0.0]
         self._phase: list[bool] = [False]
         self._seen = bytearray(1)
+        # 1 while the order heap holds an entry carrying the variable's
+        # current activity (entries left behind by a bump are stale).
+        self._queued = bytearray(1)
 
         self._clauses: list[_Clause] = []
         self._learnts: list[_Clause] = []
@@ -149,7 +170,9 @@ class Solver:
         self._var_decay = 1.0 / self._var_decay_factor
         self._cla_inc = 1.0
         self._cla_decay = 1.0 / 0.999
-        self._order: list[tuple[float, int]] = []  # lazy max-heap entries
+        # Min-heap of ``(-activity, var)``: every unassigned variable
+        # has exactly one current entry; stale entries are skipped.
+        self._order: list[tuple[float, int]] = []
 
         self._ok = True
 
@@ -173,6 +196,8 @@ class Solver:
         self._nvars += 1
         v = self._nvars
         self._litval.extend((0, 0))
+        self._bins.append([])
+        self._bins.append([])
         self._watches.append([])
         self._watches.append([])
         self._level.append(0)
@@ -180,6 +205,7 @@ class Solver:
         self._act.append(0.0)
         self._phase.append(False)
         self._seen.append(0)
+        self._queued.append(1)
         heapq.heappush(self._order, (0.0, v))
         return v
 
@@ -247,9 +273,30 @@ class Solver:
 
         clause = _Clause(internal)
         self._clauses.append(clause)
-        self._watches[internal[0]].append((internal[1], clause))
-        self._watches[internal[1]].append((internal[0], clause))
+        self._attach(clause)
         return True
+
+    def _attach(self, clause: _Clause) -> None:
+        """Hand a new clause to propagation: lists if binary, else watches."""
+        a, b = clause.lits[0], clause.lits[1]
+        if len(clause.lits) == 2:
+            self._bins[a].append(b)
+            self._bins[b].append(a)
+        else:
+            self._watches[a].append((b, clause))
+            self._watches[b].append((a, clause))
+
+    def _rebuild_bins(self) -> None:
+        """Re-derive the implication lists from the live binary clauses."""
+        bins: list[list[int]] = [[] for _ in range(2 * (self._nvars + 1))]
+        for store in (self._clauses, self._learnts):
+            for clause in store:
+                lits = clause.lits
+                if len(lits) == 2 and not clause.deleted:
+                    a, b = lits
+                    bins[a].append(b)
+                    bins[b].append(a)
+        self._bins = bins
 
     def add_clauses(self, clause_iter) -> bool:
         """Add many DIMACS clauses; returns the conjunction of results."""
@@ -269,9 +316,10 @@ class Solver:
 
         Safe inside :meth:`checkpoint` frames: marks snapshot the
         clause-list *length*, so while any frame is outstanding the
-        shed clauses are flagged ``deleted`` in place (propagation and
-        export skip them lazily) instead of compacting the list; the
-        next frame-free call compacts for real.  Level-0 facts are
+        shed clauses are flagged ``deleted`` in place (the watches and
+        export skip them lazily, the implication lists are rebuilt)
+        instead of compacting the list; the next frame-free call
+        compacts for real.  Level-0 facts are
         implied by the formula itself — unit learnts are derived by
         resolution, never from assumptions, which live on decision
         levels — so shedding against them stays sound across
@@ -291,6 +339,7 @@ class Solver:
             (self._clauses, bool(self._frames)),
             (self._learnts, False),
         )
+        bins_changed = False
         for store, in_frame in stores:
             kept: list[_Clause] = []
             for clause in store:
@@ -300,8 +349,10 @@ class Solver:
                     continue
                 lits = clause.lits
                 if any(litval[lit] == 1 for lit in lits):
-                    # Satisfied at root: watch lists skip it lazily.
+                    # Satisfied at root: watch lists skip it lazily,
+                    # the implication lists are rebuilt below.
                     clause.deleted = True
+                    bins_changed |= len(lits) == 2
                     if clause.learnt:
                         self.stats.removed += 1
                     if in_frame:
@@ -313,10 +364,20 @@ class Solver:
                     # falsified tail literals keeps lits[0]/lits[1] —
                     # and with them the watch invariants — intact.
                     stripped = [lit for lit in lits if litval[lit] != -1]
+                    if len(stripped) == 2:
+                        # Now binary: move it to the implication lists.
+                        for lit in stripped:
+                            self._watches[lit] = [
+                                entry for entry in self._watches[lit]
+                                if entry[1] is not clause
+                            ]
+                        bins_changed = True
                     if len(stripped) >= 2:
                         clause.lits = stripped
                 kept.append(clause)
             store[:] = kept
+        if bins_changed:
+            self._rebuild_bins()
         return True
 
     # ------------------------------------------------------------------
@@ -349,7 +410,9 @@ class Solver:
         resolved away via other post-checkpoint clauses, and Tseitin
         definitions of fresh variables are conservative extensions), so
         they remain implied by the surviving formula.  Root-level
-        assignments of surviving variables are also kept.
+        assignments of surviving variables are also kept.  The binary
+        implication lists and the order heap are rebuilt from what
+        survives.
         """
         nvars, nclauses = mark
         if nvars > self._nvars or nclauses > len(self._clauses):
@@ -380,9 +443,10 @@ class Solver:
         del self._act[nvars + 1:]
         del self._phase[nvars + 1:]
         del self._seen[nvars + 1:]
-        self._order = [entry for entry in self._order if entry[1] <= nvars]
-        heapq.heapify(self._order)
+        del self._queued[nvars + 1:]
         self._nvars = nvars
+        self._rebuild_order()
+        self._rebuild_bins()
 
     # ------------------------------------------------------------------
     # Warm-start clause exchange
@@ -471,15 +535,14 @@ class Solver:
             clause.lbd = len(internal)  # pessimistic glue for imports
             clause.act = self._cla_inc
             self._learnts.append(clause)
-            self._watches[internal[0]].append((internal[1], clause))
-            self._watches[internal[1]].append((internal[0], clause))
+            self._attach(clause)
             imported += 1
         return imported
 
     # ------------------------------------------------------------------
     # Assignment trail
     # ------------------------------------------------------------------
-    def _enqueue(self, lit: int, reason: _Clause | None) -> None:
+    def _enqueue(self, lit: int, reason: _Clause | int | None) -> None:
         var = lit >> 1
         self._litval[lit] = 1
         self._litval[lit ^ 1] = -1
@@ -492,33 +555,92 @@ class Solver:
         if len(self._trail_lim) <= level:
             return
         bound = self._trail_lim[level]
-        order = self._order
+        litval = self._litval
+        reason = self._reason
+        queued = self._queued
         act = self._act
-        for i in range(len(self._trail) - 1, bound - 1, -1):
-            lit = self._trail[i]
+        trail = self._trail
+        batch: list[tuple[float, int]] = []
+        for i in range(bound, len(trail)):
+            lit = trail[i]
             var = lit >> 1
-            self._litval[lit] = 0
-            self._litval[lit ^ 1] = 0
-            self._reason[var] = None
-            heapq.heappush(order, (-act[var], var))
-        del self._trail[bound:]
+            litval[lit] = 0
+            litval[lit ^ 1] = 0
+            reason[var] = None
+            # Variables that kept their current heap entry while
+            # assigned need none; only popped or bumped ones go back.
+            if not queued[var]:
+                queued[var] = 1
+                batch.append((-act[var], var))
+        del trail[bound:]
         del self._trail_lim[level:]
         self._qhead = bound
+        order = self._order
+        if len(order) > 4 * self._nvars + 1024:
+            self._rebuild_order()  # shed accumulated stale entries
+        elif len(batch) * 8 > len(order):
+            order.extend(batch)
+            heapq.heapify(order)
+        else:
+            push = heapq.heappush
+            for entry in batch:
+                push(order, entry)
+
+    def _rebuild_order(self) -> None:
+        """One current heap entry per unassigned variable, none stale."""
+        act = self._act
+        litval = self._litval
+        queued = self._queued
+        order = []
+        for v in range(1, self._nvars + 1):
+            if litval[2 * v] == 0:
+                queued[v] = 1
+                order.append((-act[v], v))
+            else:
+                queued[v] = 0
+        heapq.heapify(order)
+        self._order = order
 
     # ------------------------------------------------------------------
     # Propagation
     # ------------------------------------------------------------------
     def _propagate(self) -> _Clause | None:
-        """Unit-propagate until fixpoint; return a conflict clause or None."""
+        """Unit-propagate until fixpoint; return a conflict clause or None.
+
+        Each dequeued literal first walks its binary implication list,
+        then the long-clause watches.  A binary conflict materialises a
+        fresh two-literal clause for :meth:`_analyze`.
+        """
         litval = self._litval
+        bins = self._bins
         watches = self._watches
         trail = self._trail
+        level = self._level
+        reason = self._reason
+        phase = self._phase
+        cur_level = len(self._trail_lim)
+        qhead = start = self._qhead
         confl: _Clause | None = None
-        while self._qhead < len(trail):
-            p = trail[self._qhead]
-            self._qhead += 1
-            self.stats.propagations += 1
+        while qhead < len(trail):
+            p = trail[qhead]
+            qhead += 1
             false_lit = p ^ 1
+            for q in bins[false_lit]:
+                val = litval[q]
+                if val == 1:
+                    continue
+                if val == -1:
+                    confl = _Clause([q, false_lit])
+                    break
+                var = q >> 1
+                litval[q] = 1
+                litval[q ^ 1] = -1
+                level[var] = cur_level
+                reason[var] = false_lit
+                phase[var] = not (q & 1)
+                trail.append(q)
+            if confl is not None:
+                break
             ws = watches[false_lit]
             if not ws:
                 continue
@@ -572,20 +694,23 @@ class Solver:
                 var = first >> 1
                 litval[first] = 1
                 litval[first ^ 1] = -1
-                self._level[var] = len(self._trail_lim)
-                self._reason[var] = c
-                self._phase[var] = not (first & 1)
+                level[var] = cur_level
+                reason[var] = c
+                phase[var] = not (first & 1)
                 trail.append(first)
             watches[false_lit] = new_ws
             if confl is not None:
-                self._qhead = len(trail)
-                return confl
-        return None
+                break
+        self.stats.propagations += qhead - start
+        self._qhead = len(trail) if confl is not None else qhead
+        return confl
 
     # ------------------------------------------------------------------
     # Conflict analysis
     # ------------------------------------------------------------------
     def _bump_var(self, var: int) -> None:
+        """Bump an *assigned* variable (conflict analysis bumps only
+        variables of the conflict's clauses, all of them assigned)."""
         act = self._act
         act[var] += self._var_inc
         if act[var] > 1e100:
@@ -593,11 +718,11 @@ class Solver:
             for v in range(1, self._nvars + 1):
                 act[v] *= inv
             self._var_inc *= inv
-            # All heap entries are now stale; rebuild lazily.
-            self._order = [(-act[v], v) for v in range(1, self._nvars + 1)]
-            heapq.heapify(self._order)
+            self._rebuild_order()  # every entry is stale now
         else:
-            heapq.heappush(self._order, (-act[var], var))
+            # Any entry it has is stale now; the backtrack that
+            # unassigns it re-queues it at the new activity.
+            self._queued[var] = 0
 
     def _bump_clause(self, clause: _Clause) -> None:
         clause.act += self._cla_inc
@@ -623,12 +748,16 @@ class Solver:
         index = len(trail) - 1
         cleanup: list[int] = []
 
-        c: _Clause | None = confl
+        c: _Clause | int | None = confl
         while True:
             assert c is not None
-            if c.learnt:
-                self._bump_clause(c)
-            for q in c.lits:
+            if c.__class__ is int:
+                lits = (c,)  # binary reason: the implying literal
+            else:
+                if c.learnt:
+                    self._bump_clause(c)
+                lits = c.lits
+            for q in lits:
                 if q == p:
                     continue
                 v = q >> 1
@@ -663,7 +792,7 @@ class Solver:
             if reason is None:
                 minimized.append(q)
                 continue
-            for r in reason.lits:
+            for r in (reason,) if reason.__class__ is int else reason.lits:
                 rv = r >> 1
                 if rv != (q >> 1) and not seen[rv] and level[rv] > 0:
                     minimized.append(q)
@@ -691,13 +820,21 @@ class Solver:
     # ------------------------------------------------------------------
     def _pick_branch_var(self) -> int:
         """Return an unassigned decision literal, or -1 if none remain."""
+        if len(self._trail) == self._nvars:
+            # Complete assignment: leave the heap intact rather than
+            # draining it, so the next backtrack has little to re-queue.
+            return -1
         order = self._order
         litval = self._litval
         act = self._act
+        queued = self._queued
+        pop = heapq.heappop
         while order:
-            neg_act, var = heapq.heappop(order)
-            # Entries are lazy: skip ones that are assigned or stale.
-            if litval[var * 2] == 0 and -neg_act == act[var]:
+            neg_act, var = pop(order)
+            if -neg_act != act[var]:
+                continue  # stale: the variable's current entry is elsewhere
+            queued[var] = 0
+            if litval[var * 2] == 0:
                 return var * 2 + (0 if self._phase[var] else 1)
         return -1
 
@@ -709,6 +846,8 @@ class Solver:
         return self._reason[first_var] is clause
 
     def _reduce_db(self) -> None:
+        # Binary learnts have LBD <= 2, so they are always kept: the
+        # implication lists never hold a reduced clause.
         learnts = self._learnts
         learnts.sort(key=lambda c: (c.lbd, -c.act))
         keep_count = len(learnts) // 2
@@ -789,10 +928,12 @@ class Solver:
                     clause.lbd = lbd
                     clause.act = self._cla_inc
                     self._learnts.append(clause)
-                    self._watches[learnt[0]].append((learnt[1], clause))
-                    self._watches[learnt[1]].append((learnt[0], clause))
+                    self._attach(clause)
                     self.stats.learned += 1
-                    self._enqueue(learnt[0], clause)
+                    # A binary learnt's reason is its other (false) literal.
+                    self._enqueue(
+                        learnt[0], learnt[1] if len(learnt) == 2 else clause
+                    )
                 self._var_inc *= self._var_decay
                 self._cla_inc *= self._cla_decay
                 if (

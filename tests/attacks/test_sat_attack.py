@@ -11,6 +11,7 @@ from repro.locking.lut_lock import LutModuleSpec, lut_lock
 from repro.locking.sarlock import sarlock_lock
 from repro.locking.xor_lock import xor_lock
 from repro.oracle.oracle import Oracle
+from repro.sat.solver import Solver
 
 
 class TestRecovery:
@@ -218,3 +219,120 @@ class TestBruteForce:
         locked = xor_lock(original, 12, seed=0)
         with pytest.raises(ValueError):
             brute_force_keys(locked, Oracle(original))
+
+
+# ----------------------------------------------------------------------
+# Per-DIP copy parity: one fold replayed for key2 == folding each half
+# ----------------------------------------------------------------------
+def _sat_attack_module():
+    import importlib
+
+    # The package re-exports the function under the module's name.
+    return importlib.import_module("repro.attacks.sat_attack")
+
+
+def _reference_dip_copies(enc, values, response, guard):
+    """The fold-each-half per-DIP copy: both key vectors folded anew."""
+    encode_copy_gate = _sat_attack_module()._encode_copy_gate
+    solver = enc.solver
+    compiled = enc.compiled
+    true_var = enc.true_var
+    for key_vars in (enc.key1, enc.key2):
+        copy_lits = [0] * compiled.num_slots
+        for i in enc.cone_idx:
+            ins = []
+            for s in compiled.gate_fanin_slots[i]:
+                lit = copy_lits[s] or key_vars[s]
+                if lit:
+                    ins.append(lit)
+                else:
+                    ins.append(true_var if values[s] else -true_var)
+            copy_lits[compiled.gate_output_slots[i]] = encode_copy_gate(
+                solver, compiled.gate_types[i], ins, true_var
+            )
+        for po, po_slot in enc.controlled_pos:
+            out = copy_lits[po_slot]
+            lit = out if response[po] else -out
+            if guard is None:
+                solver.add_clause([lit])
+            else:
+                solver.add_clause([-guard, lit])
+
+
+class _RecordingSolver(Solver):
+    """Python backend that logs every allocation and added clause."""
+
+    def __init__(self):
+        super().__init__()
+        self.log = []
+
+    def new_var(self):
+        var = super().new_var()
+        self.log.append(var)
+        return var
+
+    def add_clause(self, lits):
+        self.log.append(tuple(lits))
+        return super().add_clause(lits)
+
+
+#: scheme -> ((inputs, gates, seed) of the carrier, lock function).
+_PARITY_LOCKS = {
+    "sarlock": ((8, 50, 7), lambda net: sarlock_lock(net, 5, seed=1)),
+    "antisat": ((7, 40, 9), lambda net: antisat_lock(net, 4, seed=2)),
+    "xor": ((7, 50, 3), lambda net: xor_lock(net, 6, seed=3)),
+    "lut": ((8, 60, 11), lambda net: lut_lock(net, LutModuleSpec.tiny(), seed=3)),
+}
+
+
+def _parity_lock(scheme):
+    (inputs, gates, seed), lock = _PARITY_LOCKS[scheme]
+    original = random_netlist(inputs, gates, seed=seed)
+    return original, lock(original)
+
+
+class TestDipCopyParity:
+    """The replayed key2 copy allocates the same variables and adds the
+    same clauses, in the same order, as folding the second half."""
+
+    @pytest.mark.parametrize("scheme", sorted(_PARITY_LOCKS))
+    def test_single_attack_log_identical(self, scheme, monkeypatch):
+        original, locked = _parity_lock(scheme)
+        module = _sat_attack_module()
+
+        def run():
+            solver = _RecordingSolver()
+            result = sat_attack(locked, Oracle(original), solver=solver)
+            return solver.log, result
+
+        new_log, new = run()
+        monkeypatch.setattr(module, "_add_dip_copies", _reference_dip_copies)
+        ref_log, ref = run()
+        assert new.num_dips == ref.num_dips > 0
+        assert new.key == ref.key
+        assert new.solver_stats == ref.solver_stats
+        assert new_log == ref_log
+        assert locked.verify_key(original, new.key).equivalent
+
+    @pytest.mark.parametrize("scheme", sorted(_PARITY_LOCKS))
+    def test_guarded_shard_log_identical(self, scheme, monkeypatch):
+        from repro.core.sharded import ShardEngine
+
+        original, locked = _parity_lock(scheme)
+        module = _sat_attack_module()
+        monkeypatch.setattr(module, "create_solver", lambda name: _RecordingSolver())
+        splitting = list(original.inputs[:2])
+
+        def run():
+            engine = ShardEngine(locked, Oracle(original), splitting)
+            shards = [engine.run_shard(index) for index in range(4)]
+            return engine.enc.solver.log, shards
+
+        new_log, new = run()
+        monkeypatch.setattr(module, "_add_dip_copies", _reference_dip_copies)
+        ref_log, ref = run()
+        assert sum(s.num_dips for s in new) > 0
+        assert [(s.num_dips, s.key) for s in new] == [
+            (s.num_dips, s.key) for s in ref
+        ]
+        assert new_log == ref_log

@@ -75,3 +75,148 @@ def test_incremental_equals_monolithic(seed):
     for clause in cnf.clauses[half:]:
         solver.add_clause(clause)
     assert solver.solve() == brute_force_satisfiable(cnf)
+
+
+# ----------------------------------------------------------------------
+# Binary-heavy formulas through frames, simplify and clause exchange
+# ----------------------------------------------------------------------
+_BASE_VARS = 8
+
+
+def _binary_heavy(seed: int) -> CNF:
+    """2-SAT clauses mixed with 3-SAT ones over ``_BASE_VARS`` variables."""
+    cnf = random_ksat(_BASE_VARS, 8, k=2, seed=seed)
+    cnf.extend(random_ksat(_BASE_VARS, 20, k=3, seed=seed + 1))
+    return cnf
+
+
+def _verdict(num_vars: int, clauses, assumptions=()) -> bool:
+    cnf = CNF(num_vars)
+    cnf.add_clauses(clauses)
+    cnf.add_clauses([lit] for lit in assumptions)
+    return brute_force_satisfiable(cnf)
+
+
+def _random_lit(rng, num_vars: int) -> int:
+    var = rng.randint(1, num_vars)
+    return var if rng.random() < 0.5 else -var
+
+
+@given(seed=st.integers(0, 10_000))
+def test_frames_simplify_and_assumptions_agree_with_brute_force(seed):
+    """Random checkpoint/add/solve/simplify/rollback sequences.
+
+    Frame clauses always carry the frame's guard literal (the contract
+    the sharded engine keeps), base clauses are only added frame-free,
+    and every verdict is checked against enumeration of the formula
+    that survives at that point.
+    """
+    import random
+
+    rng = random.Random(seed)
+    base = _binary_heavy(seed)
+    solver = base.to_solver()
+    base_clauses = [list(c) for c in base.clauses]
+    # Open frames, oldest first: (mark, guard, clauses added in it).
+    frames: list[tuple[tuple[int, int], int, list[list[int]]]] = []
+
+    def formula():
+        return base_clauses + [c for _, _, added in frames for c in added]
+
+    for _ in range(14):
+        op = rng.choice(
+            ["open", "open", "add", "add", "add", "solve", "solve",
+             "simplify", "close", "base"]
+        )
+        if op == "open" and len(frames) < 2:
+            mark = solver.checkpoint()
+            frames.append((mark, solver.new_var(), []))
+        elif op == "add" and frames:
+            _, guard, added = frames[-1]
+            clause = [-guard] + [
+                _random_lit(rng, _BASE_VARS) for _ in range(rng.randint(1, 2))
+            ]
+            solver.add_clause(clause)
+            added.append(clause)
+        elif op == "base" and not frames:
+            clause = [
+                _random_lit(rng, _BASE_VARS) for _ in range(rng.randint(1, 2))
+            ]
+            solver.add_clause(clause)
+            base_clauses.append(clause)
+        elif op == "simplify":
+            if not solver.simplify():
+                assert not _verdict(solver.num_vars, formula())
+        elif op == "close" and frames:
+            mark, _, _ = frames.pop()
+            solver.rollback(mark)
+            assert solver.num_vars == mark[0]
+        elif op == "solve":
+            assumptions = [guard for _, guard, _ in frames] + [
+                _random_lit(rng, _BASE_VARS) for _ in range(rng.randint(0, 2))
+            ]
+            got = solver.solve(assumptions=assumptions)
+            assert got == _verdict(solver.num_vars, formula(), assumptions)
+            if got:
+                model = {abs(lit): lit > 0 for lit in solver.model()}
+                assert all(model[abs(a)] == (a > 0) for a in assumptions)
+                assert all(
+                    any(model[abs(lit)] == (lit > 0) for lit in clause)
+                    for clause in formula()
+                )
+    while frames:
+        solver.rollback(frames.pop()[0])
+    assert solver.num_vars == _BASE_VARS
+    assert solver.solve() == _verdict(_BASE_VARS, base_clauses)
+
+
+@given(seed=st.integers(0, 10_000), flip=st.integers(1, _BASE_VARS))
+def test_export_import_binary_heavy(seed, flip):
+    """Learnts (binary ones included) move soundly to a fresh solver."""
+    cnf = _binary_heavy(seed)
+    donor = cnf.to_solver()
+    donor.solve()
+    donor.solve(assumptions=[flip])
+    exported = donor.export_learnts()
+    for clause in exported:
+        # Every exported clause is implied: formula AND NOT clause is UNSAT.
+        assert not _verdict(_BASE_VARS, cnf.clauses, [-lit for lit in clause])
+    receiver = cnf.to_solver()
+    receiver.import_learnts(exported)
+    expected = brute_force_satisfiable(cnf)
+    assert receiver.solve() == expected
+    assert receiver.solve(assumptions=[-flip]) == _verdict(
+        _BASE_VARS, cnf.clauses, [-flip]
+    )
+
+
+def test_binary_conflict_learns_implied_clause():
+    """A conflict on a binary clause is analysed like any other.
+
+    Deciding x1=false (the first decision: all activities tie and the
+    saved phase is false) implies x2 and x3 through binary clauses and
+    falsifies the binary clause (-x2 | -x3).  The learnt unit x1 lands
+    on the root trail, where export_learnts reads it.
+    """
+    from repro.sat.solver import Solver
+
+    clauses = [[1, 2], [1, 3], [-2, -3], [-1, 4, 5], [-4, -5]]
+    solver = Solver()
+    solver.add_clauses(clauses)
+    assert solver.solve()
+    assert solver.stats.conflicts == 1
+    assert solver.model_value(1) is True
+    exported = solver.export_learnts()
+    assert [1] in exported
+    for clause in exported:
+        assert not _verdict(5, clauses, [-lit for lit in clause])
+
+
+@given(seed=st.integers(0, 10_000))
+def test_pure_2sat_learnts_are_implied(seed):
+    """Every conflict in pure 2-SAT is binary; what it learns is implied."""
+    cnf = random_ksat(10, 14, k=2, seed=seed)
+    solver = cnf.to_solver()
+    assert solver.solve() == brute_force_satisfiable(cnf)
+    for clause in solver.export_learnts():
+        assert not _verdict(10, cnf.clauses, [-lit for lit in clause])
