@@ -9,10 +9,13 @@ are asserted, parity first in both cases:
 * ``build_miter_encoding`` under ``opt="full"`` must shrink the
   solver's combined variable+clause count by >=20% versus ``opt="off"``
   (measured headroom is ~34%).
-* An end-to-end :func:`sat_attack` must be >=1.2x faster opt-on than
-  opt-off (measured ~1.4x), recovering a key the oracle verifies, with
-  the same DIP count — optimization changes encoding size, never the
-  attack's trajectory through the key space.
+* An end-to-end :func:`sat_attack` opt-on must recover a key the
+  oracle verifies with the same DIP count as opt-off — optimization
+  changes encoding size, never the attack's trajectory through the key
+  space — and must do it with fewer miter clauses and fewer solver
+  propagations.  Those are exact counters, so the floors hold on a
+  noisy shared runner where a wall-clock ratio does not; the speedup
+  is still recorded.
 
 A corpus tier records the reduction on the genuine-format ``real_*``
 circuits without enforcing a floor — file-born netlists arrive at
@@ -112,12 +115,21 @@ def test_miter_encoding_reduction(benchmark):
     )
 
 
+#: Exact-counter ceilings for opt="full" over opt="off".  Measured
+#: ratios: clauses 7,477/11,673 = 0.641 and propagations
+#: 772,997/1,032,282 = 0.749 on the default plane; 0.616 and 0.709 on
+#: the REPRO_FULL plane.  Re-pin when the encoding or the solver changes.
+_CLAUSE_RATIO_CEILING = 0.65
+_PROPAGATION_RATIO_CEILING = 0.75
+
+
 def test_sat_attack_speedup(benchmark):
-    """End-to-end: the attack must be >=1.2x faster with opt on.
+    """End-to-end: opt on must cut the attack's clauses and propagations.
 
     Parity comes first: both runs must finish ``ok``, agree on the DIP
-    count, and recover keys the oracle verifies — only then is the
-    wall-clock ratio allowed to count.
+    count, and recover keys the oracle verifies — only then do the
+    counter ratios count.  The wall-clock speedup is recorded, not
+    gated: it swings with host load (1.11x-1.87x observed).
     """
     carrier, locked = _locked_plane()
 
@@ -138,6 +150,13 @@ def test_sat_attack_speedup(benchmark):
         lambda: sat_attack(locked, Oracle(carrier, opt="full"), opt="full")
     )
     speedup = off_s / on_s
+    clause_ratio = (
+        result_on.encode_stats["clauses"] / result_off.encode_stats["clauses"]
+    )
+    propagation_ratio = (
+        result_on.solver_stats["propagations"]
+        / result_off.solver_stats["propagations"]
+    )
 
     benchmark.pedantic(
         lambda: sat_attack(locked, Oracle(carrier, opt="full"), opt="full"),
@@ -146,6 +165,8 @@ def test_sat_attack_speedup(benchmark):
     )
     benchmark.extra_info["speedup"] = round(speedup, 2)
     benchmark.extra_info["dips"] = result_on.num_dips
+    benchmark.extra_info["clause_ratio"] = round(clause_ratio, 3)
+    benchmark.extra_info["propagation_ratio"] = round(propagation_ratio, 3)
 
     append_trajectory(
         "opt",
@@ -159,14 +180,20 @@ def test_sat_attack_speedup(benchmark):
                 "off_s": round(off_s, 3),
                 "on_s": round(on_s, 3),
                 "speedup": round(speedup, 2),
+                "clause_ratio": round(clause_ratio, 3),
+                "propagation_ratio": round(propagation_ratio, 3),
                 "encode": result_on.encode_stats,
             }
         ],
     )
 
-    assert speedup >= 1.2, (
-        f"sat_attack only {speedup:.2f}x faster with opt on "
-        f"({off_s:.2f}s -> {on_s:.2f}s; floor is 1.2x)"
+    assert clause_ratio <= _CLAUSE_RATIO_CEILING, (
+        f"opt on keeps {clause_ratio:.3f} of the miter clauses "
+        f"(ceiling {_CLAUSE_RATIO_CEILING})"
+    )
+    assert propagation_ratio <= _PROPAGATION_RATIO_CEILING, (
+        f"opt on keeps {propagation_ratio:.3f} of the solver propagations "
+        f"(ceiling {_PROPAGATION_RATIO_CEILING})"
     )
 
 

@@ -48,7 +48,7 @@ def test_solver_pigeonhole(benchmark):
 
 
 def test_synthesis_pipeline(benchmark):
-    """Constant-prop + rewrite + strash + DCE on a multiplier."""
+    """Pinned synthesis (the full circuit.opt pipeline) on a multiplier."""
     netlist = iscas85_like("c6288", 0.4)
     pin = {net: (i % 2 == 0) for i, net in enumerate(netlist.inputs[:6])}
 

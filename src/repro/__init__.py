@@ -5,8 +5,8 @@ The package provides, from the ground up:
 * :mod:`repro.sat` — a CDCL SAT solver (MiniSAT substitute),
 * :mod:`repro.circuit` — gate-level netlists, simulation, `.bench` I/O
   and SAT-based equivalence checking,
-* :mod:`repro.synth` — the logic-synthesis passes used to shrink
-  conditional netlists (Design Compiler substitute),
+* :mod:`repro.synth` — pinned synthesis of conditional netlists on
+  ``circuit.opt`` (Design Compiler substitute) and a cell library,
 * :mod:`repro.locking` — SARLock, LUT-based insertion, XOR locking and
   Anti-SAT,
 * :mod:`repro.oracle` — the black-box "working chip" oracle,

@@ -13,7 +13,9 @@ sorts.
 The division of labour with :class:`Netlist` is deliberate:
 
 * ``Netlist`` stays the **mutable construction IR** — locking schemes
-  and synthesis passes splice, fold and rebuild it freely.
+  splice key gates into it freely; folding happens in
+  :mod:`repro.circuit.opt`, which rebuilds a ``Netlist`` from its
+  result.
 * ``CompiledCircuit`` is the **immutable evaluation IR** — content-
   hashable (so it can key result caches) and safe to share across
   consumers.  ``netlist.compile()`` is the single seam between the

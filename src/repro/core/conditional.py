@@ -48,7 +48,6 @@ def generate_conditional_netlist(
     locked: LockedCircuit,
     assignment: Mapping[str, bool],
     run_synthesis: bool = True,
-    effort: int = 2,
 ) -> ConditionalNetlist:
     """Specialize ``locked`` to the input constants in ``assignment``.
 
@@ -65,7 +64,7 @@ def generate_conditional_netlist(
             locked=locked, assignment=assignment, synthesis=None
         )
 
-    result = synthesize(locked.netlist, pin=assignment, effort=effort)
+    result = synthesize(locked.netlist, pin=assignment)
     specialized = LockedCircuit(
         netlist=result.netlist,
         key_inputs=list(locked.key_inputs),

@@ -228,7 +228,6 @@ def _run_subtask(payload: tuple) -> SubTaskResult:
         index,
         assignment,
         run_synthesis,
-        synthesis_effort,
         time_limit,
         max_dips,
         attack,
@@ -238,7 +237,7 @@ def _run_subtask(payload: tuple) -> SubTaskResult:
         opt,
     ) = payload
     conditional = generate_conditional_netlist(
-        locked, assignment, run_synthesis=run_synthesis, effort=synthesis_effort
+        locked, assignment, run_synthesis=run_synthesis
     )
     oracle = Oracle(original, opt=opt)
     outcome = run_attack(
@@ -278,7 +277,6 @@ def multikey_attack(
     effort: int,
     selection: str = "fanout",
     run_synthesis: bool = True,
-    synthesis_effort: int = 2,
     parallel: bool = False,
     processes: int | None = None,
     time_limit_per_task: float | None = None,
@@ -388,7 +386,6 @@ def multikey_attack(
             index,
             assignment,
             run_synthesis,
-            synthesis_effort,
             time_limit_per_task,
             max_dips_per_task,
             attack,

@@ -13,9 +13,8 @@ from dataclasses import dataclass, field
 from collections.abc import Mapping, Sequence
 
 from repro.circuit.equivalence import EquivalenceResult, check_equivalence
+from repro.circuit.gates import GateType
 from repro.circuit.netlist import Netlist
-from repro.synth.cleanup import remove_dead_gates
-from repro.synth.simplify import propagate_constants
 
 
 class LockingError(Exception):
@@ -96,19 +95,19 @@ class LockedCircuit:
         return {net: bool(bit) for net, bit in zip(self.key_inputs, key)}
 
     def apply_key(self, key: int | Sequence[int] | Mapping[str, bool]) -> Netlist:
-        """The unlocked netlist under ``key``: key ports folded away.
+        """The unlocked netlist under ``key``: key ports tied off.
 
-        The result has exactly the original circuit's interface, so it
-        can be equivalence-checked against the original directly.
+        Each key port leaves the input list and its net is driven by a
+        CONST gate under the port's own name; no logic is folded.  The
+        result has exactly the original circuit's interface, so it can
+        be equivalence-checked against the original directly.
         """
         pins = self.key_assignment(key)
-        folded = propagate_constants(self.netlist, pins)
-        folded.inputs = [
-            net for net in folded.inputs if net not in set(self.key_inputs)
-        ]
-        folded = remove_dead_gates(folded)
-        folded.name = f"{self.netlist.name}@key"
-        return folded
+        keyed = self.netlist.copy(name=f"{self.netlist.name}@key")
+        keyed.inputs = [net for net in keyed.inputs if net not in pins]
+        for net, value in pins.items():
+            keyed.add_gate(net, GateType.CONST1 if value else GateType.CONST0, [])
+        return keyed
 
     def verify_key(
         self, original: Netlist, key: int | Sequence[int] | Mapping[str, bool]

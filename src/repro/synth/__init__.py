@@ -1,29 +1,21 @@
-"""Logic-synthesis passes.
+"""Pinned synthesis and a cell library.
 
 The paper synthesizes each conditional netlist with Synopsys Design
 Compiler to "remove any redundant logic" (Algorithm 1, line 4).  This
-package provides the equivalent reduction pipeline:
+package provides:
 
-* constant propagation with alias/inversion tracking,
-* local Boolean rewriting (identities, duplicate/complement fanins),
-* structural hashing (common-subexpression elimination),
-* dead-gate elimination,
+* :func:`synthesize` — pinned synthesis on :mod:`repro.circuit.opt`,
+  the repository's one optimizer: pinned inputs are tied to constants
+  and the full fold/strash/cone pipeline runs to a fixpoint;
 * decomposition to bounded-arity gates and a Nangate-45nm-flavoured
   cell library for area/delay estimation.
 """
 
-from repro.synth.cleanup import remove_dead_gates
 from repro.synth.library import CellLibrary, NANGATE45ish, estimate_area, estimate_delay
 from repro.synth.mapping import decompose_to_max_arity
 from repro.synth.optimize import SynthesisResult, synthesize
-from repro.synth.simplify import propagate_constants, rewrite
-from repro.synth.strash import structural_hash
 
 __all__ = [
-    "propagate_constants",
-    "rewrite",
-    "structural_hash",
-    "remove_dead_gates",
     "decompose_to_max_arity",
     "synthesize",
     "SynthesisResult",

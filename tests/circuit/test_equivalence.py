@@ -8,7 +8,7 @@ from repro.circuit.gates import GateType
 from repro.circuit.netlist import Gate, Netlist, NetlistError
 from repro.circuit.random_circuits import random_netlist
 from repro.circuit.simulator import evaluate, truth_table
-from repro.synth.simplify import rewrite
+from repro.synth.optimize import synthesize
 
 
 def _with_flipped_gate(netlist: Netlist) -> Netlist:
@@ -35,7 +35,9 @@ class TestCheckEquivalence:
         assert check_equivalence(small_circuit, small_circuit.copy()).equivalent
 
     def test_rewritten_circuit_still_equivalent(self, small_circuit):
-        assert check_equivalence(small_circuit, rewrite(small_circuit)).equivalent
+        # synthesize() rebuilds the netlist from optimize_compiled(..., "full").
+        restructured = synthesize(small_circuit).netlist
+        assert check_equivalence(small_circuit, restructured).equivalent
 
     def test_flipped_gate_not_equivalent(self, small_circuit):
         other = _with_flipped_gate(small_circuit)

@@ -231,10 +231,28 @@ class TestPassTargets:
         image2 = result.slot_image(compiled.slot_of["and2"])
         assert image1 == image2
 
+    def test_strash_keeps_mux_fanin_order(self):
+        """MUX fanins are ordered (sel, d1, d0): no commutative merge."""
+        netlist = Netlist("mux_pair")
+        netlist.add_inputs(["s", "a", "b"])
+        netlist.add_gate("x", GateType.MUX, ["s", "a", "b"])
+        netlist.add_gate("y", GateType.MUX, ["s", "b", "a"])
+        netlist.set_outputs(["x", "y"])
+        result = optimize_compiled(netlist.compile(), "full")
+        assert result.stats["strash"] == 0
+        assert result.compiled.num_gates == 2
+
     def test_coi_drops_dangling_cone(self):
         compiled = _redundant_netlist().compile()
         result = run_pass(compiled, "coi")
         assert result.slot_image(compiled.slot_of["dangle"]) == ("dropped",)
+
+    def test_coi_keeps_unread_inputs(self):
+        """Pruning never reshapes the port list, even for a dead input."""
+        compiled = _redundant_netlist().compile()  # "c" only feeds dangle
+        result = optimize_compiled(compiled, "full")
+        assert result.compiled.inputs == ("a", "b", "c")
+        assert result.compiled.outputs == compiled.outputs
 
     def test_full_pipeline_compounds(self):
         compiled = _redundant_netlist().compile()

@@ -4,6 +4,8 @@ import pytest
 
 from repro.circuit.gates import GateType
 from repro.circuit.netlist import Netlist
+from repro.circuit.random_circuits import random_netlist
+from repro.circuit.simulator import truth_table
 from repro.locking.base import (
     LockedCircuit,
     LockingError,
@@ -12,6 +14,7 @@ from repro.locking.base import (
     key_to_int,
     random_key,
 )
+from repro.locking.sarlock import sarlock_lock
 from repro.locking.xor_lock import xor_lock
 
 
@@ -67,6 +70,33 @@ class TestLockedCircuit:
         keyed = lk.apply_key(lk.correct_key)
         assert keyed.inputs == small_circuit.inputs
         assert keyed.outputs == small_circuit.outputs
+
+    @pytest.mark.parametrize("lock", [sarlock_lock, xor_lock])
+    def test_apply_key_is_locked_table_sliced_at_key(self, lock):
+        original = random_netlist(5, 24, seed=3)
+        lk = lock(original, 4, seed=1)
+        locked_tt = truth_table(lk.netlist)
+        pos = {net: j for j, net in enumerate(lk.netlist.inputs)}
+        for key in range(1 << lk.key_size):
+            keyed = lk.apply_key(key)
+            assert keyed.inputs == original.inputs
+            assert keyed.outputs == original.outputs
+            keyed_tt = truth_table(keyed)
+            key_bits = sum(
+                1 << pos[net]
+                for net, bit in lk.key_assignment(key).items()
+                if bit
+            )
+            for pattern in range(1 << len(keyed.inputs)):
+                locked_pattern = key_bits | sum(
+                    1 << pos[net]
+                    for j, net in enumerate(keyed.inputs)
+                    if (pattern >> j) & 1
+                )
+                for out in keyed.outputs:
+                    assert (keyed_tt[out] >> pattern) & 1 == (
+                        locked_tt[out] >> locked_pattern
+                    ) & 1
 
     def test_verify_correct_key(self, small_circuit):
         lk = self._locked(small_circuit)

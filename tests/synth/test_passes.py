@@ -1,4 +1,4 @@
-"""Structural hashing, dead-code removal, decomposition, pipeline."""
+"""Sharing and dead-logic sweeps through ``synthesize``, decomposition."""
 
 import pytest
 from hypothesis import given, strategies as st
@@ -7,10 +7,12 @@ from repro.circuit.gates import GateType
 from repro.circuit.netlist import Netlist
 from repro.circuit.random_circuits import random_netlist
 from repro.circuit.simulator import truth_table
-from repro.synth.cleanup import remove_dead_gates
 from repro.synth.mapping import decompose_to_max_arity
 from repro.synth.optimize import synthesize
-from repro.synth.strash import structural_hash
+
+
+def _synth(netlist: Netlist) -> Netlist:
+    return synthesize(netlist).netlist
 
 
 class TestStrash:
@@ -21,8 +23,8 @@ class TestStrash:
         n.add_gate("y", GateType.AND, ["a", "b"])
         n.add_gate("z", GateType.OR, ["x", "y"])
         n.set_outputs(["z"])
-        s = structural_hash(n)
-        assert s.num_gates == 2  # one AND survives; OR(x,x) still OR
+        s = _synth(n)
+        assert s.num_gates == 2  # one AND survives; OR(x, x) is a BUF of it
 
     def test_commutative_inputs_merge(self):
         n = Netlist()
@@ -30,20 +32,11 @@ class TestStrash:
         n.add_gate("x", GateType.AND, ["a", "b"])
         n.add_gate("y", GateType.AND, ["b", "a"])
         n.set_outputs(["x", "y"])
-        s = structural_hash(n)
+        s = _synth(n)
         # Both outputs survive by name; one is a BUF of the other.
         assert truth_table(s)["x"] == truth_table(s)["y"]
         kinds = {s.gates["x"].gtype, s.gates["y"].gtype}
         assert GateType.BUF in kinds
-
-    def test_mux_input_order_not_commutative(self):
-        n = Netlist()
-        n.add_inputs(["s", "a", "b"])
-        n.add_gate("x", GateType.MUX, ["s", "a", "b"])
-        n.add_gate("y", GateType.MUX, ["s", "b", "a"])
-        n.set_outputs(["x", "y"])
-        s = structural_hash(n)
-        assert s.num_gates == 2
 
     def test_cascading_merges_single_pass(self):
         n = Netlist()
@@ -53,7 +46,7 @@ class TestStrash:
         n.add_gate("y1", GateType.NOT, ["x1"])
         n.add_gate("y2", GateType.NOT, ["x2"])
         n.set_outputs(["y1", "y2"])
-        s = structural_hash(n)
+        s = _synth(n)
         real_gates = [
             g for g in s.gates.values() if g.gtype is not GateType.BUF
         ]
@@ -65,19 +58,12 @@ class TestDeadGateRemoval:
         n = small_circuit.copy()
         n.add_gate("dead1", GateType.NOT, ["pi0"])
         n.add_gate("dead2", GateType.AND, ["dead1", "pi1"])
-        cleaned = remove_dead_gates(n)
+        cleaned = _synth(n)
         assert "dead1" not in cleaned.gates
         assert "dead2" not in cleaned.gates
 
-    def test_keeps_interface(self, small_circuit):
-        n = small_circuit.copy()
-        n.add_gate("dead", GateType.NOT, ["pi0"])
-        cleaned = remove_dead_gates(n)
-        assert cleaned.inputs == n.inputs
-        assert cleaned.outputs == n.outputs
-
     def test_function_unchanged(self, small_circuit):
-        cleaned = remove_dead_gates(small_circuit)
+        cleaned = _synth(small_circuit)
         tt_a, tt_b = truth_table(small_circuit), truth_table(cleaned)
         assert all(tt_a[o] == tt_b[o] for o in small_circuit.outputs)
 
@@ -114,10 +100,6 @@ class TestSynthesizePipeline:
         assert result.gates_after == result.netlist.num_gates
         assert 0.0 <= result.reduction <= 1.0
         assert result.elapsed_seconds >= 0
-
-    def test_effort_zero_still_constant_propagates(self, small_circuit):
-        result = synthesize(small_circuit, {"pi0": True}, effort=0)
-        assert result.netlist.num_gates <= small_circuit.num_gates
 
     @given(seed=st.integers(0, 5_000))
     def test_full_pipeline_preserves_function(self, seed):

@@ -1,4 +1,10 @@
-"""Constant-propagation / rewriting tests, including equivalence properties."""
+"""Pinned-synthesis tests: folding rules, pinning, equivalence properties.
+
+``synthesize`` is pinned synthesis on ``repro.circuit.opt``; these
+tests check the rebuilt :class:`Netlist` it hands back (output driver
+names and types, interface), where ``tests/circuit/test_opt.py``
+checks the compiled passes themselves.
+"""
 
 import pytest
 from hypothesis import given, strategies as st
@@ -7,13 +13,18 @@ from repro.circuit.gates import GateType
 from repro.circuit.netlist import Netlist
 from repro.circuit.random_circuits import random_netlist
 from repro.circuit.simulator import truth_table
-from repro.synth.simplify import propagate_constants, rewrite, simplify
+from repro.synth.optimize import synthesize
 
 
 def _net(*inputs: str) -> Netlist:
     n = Netlist("t")
     n.add_inputs(list(inputs))
     return n
+
+
+def rewrite(netlist: Netlist) -> Netlist:
+    """Synthesis with no pins: the folding rules alone."""
+    return synthesize(netlist).netlist
 
 
 class TestIdentities:
@@ -86,15 +97,6 @@ class TestIdentities:
         n.set_outputs(["y"])
         assert rewrite(n).gates["y"].gtype is GateType.NOT
 
-    def test_xnor_parity_folding(self):
-        n = _net("a", "b")
-        n.add_gate("na", GateType.NOT, ["a"])
-        n.add_gate("y", GateType.XNOR, ["na", "b"])  # = XOR(a, b)
-        n.set_outputs(["y"])
-        s = rewrite(n)
-        assert s.gates["y"].gtype is GateType.XOR
-        assert set(s.gates["y"].inputs) == {"a", "b"}
-
 
 class TestMux:
     def test_const_select(self):
@@ -142,26 +144,27 @@ class TestMux:
 
 class TestPinning:
     def test_pin_keeps_interface(self, small_circuit):
-        s = propagate_constants(small_circuit, {"pi0": True})
+        s = synthesize(small_circuit, {"pi0": True}).netlist
         assert s.inputs == small_circuit.inputs
         assert s.outputs == small_circuit.outputs
 
     def test_pin_reduces_gates(self, small_circuit):
-        s = propagate_constants(
+        s = synthesize(
             small_circuit, {"pi0": True, "pi1": False, "pi2": True}
-        )
+        ).netlist
         assert s.num_gates < small_circuit.num_gates
 
     def test_pin_unknown_input_rejected(self, small_circuit):
         with pytest.raises(ValueError):
-            propagate_constants(small_circuit, {"nope": True})
+            synthesize(small_circuit, {"nope": True})
 
     def test_pinned_output_becomes_const(self):
         n = _net("a", "b")
         n.add_gate("y", GateType.AND, ["a", "b"])
         n.set_outputs(["y"])
-        s = propagate_constants(n, {"a": False})
+        s = synthesize(n, {"a": False}).netlist
         assert s.gates["y"].gtype is GateType.CONST0
+        assert s.inputs == ["a", "b"]
 
 
 @given(seed=st.integers(0, 10_000), allow_const=st.booleans())
@@ -177,8 +180,9 @@ def test_rewrite_preserves_function(seed, allow_const):
 def test_pinning_preserves_consistent_patterns(seed, pins):
     n = random_netlist(5, 30, seed=seed)
     pin = {f"pi{j}": bool((pins >> j) & 1) for j in range(3)}
-    s = simplify(n, pin)
+    s = synthesize(n, pin).netlist
     s.validate()
+    assert s.inputs == n.inputs
     tt_a, tt_b = truth_table(n), truth_table(s)
     for pattern in range(32):
         if any(((pattern >> j) & 1) != int(pin[f"pi{j}"]) for j in range(3)):

@@ -13,10 +13,12 @@ import repro.core.sharded
 import repro.metrics.engine
 import repro.oracle.oracle
 import repro.rng
+import repro.synth.optimize
 
 _DOCTEST_MODULES = (
     repro.circuit.compiled,
     repro.circuit.opt,
+    repro.synth.optimize,
     repro.oracle.oracle,
     repro.core.sharded,
     repro.metrics.engine,
