@@ -49,7 +49,7 @@ def _bench_spec() -> ScenarioSpec:
     )
 
 
-def test_sampled_sweep_throughput(benchmark):
+def test_sampled_sweep_throughput(benchmark, monkeypatch):
     """Raw engine rate on the sampled path, parity-checked first."""
     original = resolve_circuit("c880", _SCALE)
     locked = lock_circuit("sarlock", original, key_size=6, seed=0)
@@ -62,15 +62,15 @@ def test_sampled_sweep_throughput(benchmark):
 
     # Parity before timing: the preferred backend must produce the
     # python backend's exact bits, else the numbers mean nothing.
-    reference = evaluate_corruption(locked, original, lanes="python", **kwargs)
+    monkeypatch.setenv("REPRO_LANES", "python")
+    reference = evaluate_corruption(locked, original, **kwargs)
     preferred = "numpy" if numpy_available() else "python"
-    check = evaluate_corruption(locked, original, lanes=preferred, **kwargs)
+    monkeypatch.setenv("REPRO_LANES", preferred)
+    check = evaluate_corruption(locked, original, **kwargs)
     assert check.metrics == reference.metrics
 
     report = benchmark.pedantic(
-        lambda: evaluate_corruption(
-            locked, original, lanes=preferred, **kwargs
-        ),
+        lambda: evaluate_corruption(locked, original, **kwargs),
         rounds=3,
         iterations=1,
     )

@@ -690,7 +690,6 @@ def verify_key_against_oracle(
     num_samples: int = 64,
     seed: int = 0,
     pin: Mapping[str, bool] | None = None,
-    lanes: str | None = None,
 ) -> bool:
     """Attacker-side sanity check: keyed circuit vs oracle on random inputs.
 
@@ -698,9 +697,7 @@ def verify_key_against_oracle(
     them; random differential testing against the oracle is the
     realistic check.  ``pin`` restricts sampled patterns to a sub-space.
     All ``num_samples`` patterns run as ONE bit-parallel sweep on each
-    side (the oracle still counts ``num_samples`` queries); ``lanes``
-    picks the attacker-side evaluation backend (the oracle side uses
-    its own lever) without affecting the RNG stream or the result.
+    side (the oracle still counts ``num_samples`` queries).
     """
     import random
 
@@ -714,7 +711,7 @@ def verify_key_against_oracle(
     got = dict(
         zip(
             compiled.outputs,
-            compiled.eval_outputs_wide(words, num_samples, lanes=lanes),
+            compiled.eval_outputs_wide(words, num_samples),
         )
     )
     expected = oracle.query_vector(stimuli, num_samples)

@@ -29,11 +29,9 @@ from repro.circuit.netlist import Gate, Netlist, NetlistError
 from repro.circuit.opt import (
     OPT_LEVELS,
     OptimizedCircuit,
-    default_opt,
     optimize_compiled,
     resolve_opt,
     run_pass,
-    set_default_opt,
 )
 from repro.circuit.simulator import (
     evaluate,
@@ -75,8 +73,6 @@ __all__ = [
     "OptimizedCircuit",
     "optimize_compiled",
     "run_pass",
-    "default_opt",
-    "set_default_opt",
     "resolve_opt",
     "format_verilog",
     "write_verilog_file",

@@ -76,15 +76,15 @@ def build_miter(a: Netlist, b: Netlist, miter_output: str = "miter_out") -> Netl
 
 
 def _presimulate(
-    a: Netlist, b: Netlist, width: int, lanes: str | None, seed: int
+    a: Netlist, b: Netlist, width: int, seed: int
 ) -> EquivalenceResult | None:
     """Random-simulation counterexample search; ``None`` = no mismatch."""
     ca, cb = a.compile(), b.compile()
     stimuli = random_stimuli_words(ca.inputs, width, random.Random(seed))
     words_a = [stimuli[net] for net in ca.inputs]
     words_b = [stimuli[net] for net in cb.inputs]
-    out_a = dict(zip(ca.outputs, ca.eval_outputs_wide(words_a, width, lanes)))
-    out_b = dict(zip(cb.outputs, cb.eval_outputs_wide(words_b, width, lanes)))
+    out_a = dict(zip(ca.outputs, ca.eval_outputs_wide(words_a, width)))
+    out_b = dict(zip(cb.outputs, cb.eval_outputs_wide(words_b, width)))
     lane = None
     for net in ca.outputs:
         diff = out_a[net] ^ out_b[net]
@@ -107,7 +107,6 @@ def check_equivalence(
     a: Netlist,
     b: Netlist,
     presim_width: int = 0,
-    lanes: str | None = None,
     presim_seed: int = 0,
 ) -> EquivalenceResult:
     """Prove or refute functional equivalence of two netlists.
@@ -120,7 +119,7 @@ def check_equivalence(
     """
     _check_interfaces(a, b)
     if presim_width > 0:
-        refuted = _presimulate(a, b, presim_width, lanes, presim_seed)
+        refuted = _presimulate(a, b, presim_width, presim_seed)
         if refuted is not None:
             return refuted
     cnf = CNF()

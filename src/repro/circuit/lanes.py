@@ -39,22 +39,23 @@ dispatch (``num_gates / stages >= AUTO_MIN_STAGE_OPS``), and the
 sweep is narrow enough that gather traffic stays cache-resident
 (``width <= AUTO_MAX_LANES``).  Unknown shape means python, the
 backend that is never a regression.  The process default ("auto") can
-be overridden with the ``REPRO_LANES`` environment variable or
-:func:`set_default_lanes` — the CLI's ``--lanes`` flag sets both so
+be overridden with the ``REPRO_LANES`` environment variable (declared
+in :mod:`repro.levers`), which the CLI's ``--lanes`` flag sets so
 runner worker processes inherit the choice.
 
 Parity is contractual, not aspirational: a :class:`LaneProgram`
 computes bit-for-bit the same values as ``eval_words``, property-tested
 in ``tests/circuit/test_lanes.py`` and asserted before every timed
 benchmark comparison.  Backends therefore never affect result-cache
-identity — ``lanes`` rides in task *context*, never in hashed params.
+identity — ``lanes`` is part of no task, hashed or not.
 """
 
 from __future__ import annotations
 
-import os
 from collections.abc import Sequence
 from typing import TYPE_CHECKING
+
+from repro.levers import LANES
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.circuit.compiled import CompiledCircuit
@@ -84,8 +85,6 @@ AUTO_MAX_LANES = 256
 #: past ~1k lanes its stage gathers fall out of cache.
 PREFERRED_CHUNK_LANES = {"python": 4096, "numpy": 1024}
 
-_VALID = ("auto", "python", "numpy")
-
 _numpy = None
 _numpy_probed = False
 
@@ -113,24 +112,9 @@ def available_lane_backends() -> tuple[str, ...]:
     return ("python", "numpy") if numpy_available() else ("python",)
 
 
-_default_lanes: str | None = None
-
-
 def default_lanes() -> str:
     """The process-wide lane lever: ``REPRO_LANES`` or ``"auto"``."""
-    if _default_lanes is not None:
-        return _default_lanes
-    return os.environ.get("REPRO_LANES", "auto") or "auto"
-
-
-def set_default_lanes(lanes: str | None) -> None:
-    """Set (or with ``None`` reset) the process-wide lane lever."""
-    global _default_lanes
-    if lanes is not None and lanes not in _VALID:
-        raise ValueError(
-            f"unknown lane backend {lanes!r} (choose from {_VALID})"
-        )
-    _default_lanes = lanes
+    return LANES.current()
 
 
 def resolve_lanes(
@@ -154,12 +138,7 @@ def resolve_lanes(
     :class:`ModuleNotFoundError` when the import fails — silent
     degradation is reserved for ``"auto"``.
     """
-    if lanes is None:
-        lanes = default_lanes()
-    if lanes not in _VALID:
-        raise ValueError(
-            f"unknown lane backend {lanes!r} (choose from {_VALID})"
-        )
+    lanes = LANES.resolve(lanes)
     if lanes == "numpy":
         if not numpy_available():
             raise ModuleNotFoundError(

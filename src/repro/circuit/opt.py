@@ -57,22 +57,21 @@ fixpoint, which is also what makes it idempotent:
 The ``opt`` lever
 -----------------
 
-Like the ``lanes`` lever (:mod:`repro.circuit.lanes`) there is one
-process-wide knob resolved through :func:`resolve_opt`::
+One process-wide lever (declared in :mod:`repro.levers`, like
+``lanes``) resolved through :func:`resolve_opt`::
 
     opt="off"    # identity: byte-identical to the unoptimized path
     opt="light"  # linear passes only: sweep + chains + coi
     opt="full"   # light + structural hashing
     opt="auto"   # the default: currently resolves to "full"
 
-``None`` means the process default (:func:`default_opt`), which reads
-the ``REPRO_OPT`` environment variable and can be overridden with
-:func:`set_default_opt`; the CLI's ``--opt`` flag sets both so runner
-worker processes inherit the choice.  Unlike ``lanes`` — pure
-wall-clock, never cache identity — ``opt`` *is* part of result-cache
-identity: optimized artifacts report different structural counts, so
-scenario cells and shard chunks hash the resolved level, and encoding
-caches key on the **optimized** circuit's content hash.
+``None`` means the process default, the ``REPRO_OPT`` environment
+variable (which the CLI's ``--opt`` flag sets, so runner worker
+processes inherit the choice).  Unlike ``lanes`` — pure wall-clock,
+never cache identity — ``opt`` *is* part of result-cache identity:
+optimized artifacts report different structural counts, so scenario
+cells and shard chunks hash the resolved level, and encoding caches
+key on the **optimized** circuit's content hash.
 
 >>> from repro.circuit.netlist import Netlist
 >>> from repro.circuit.gates import GateType
@@ -96,11 +95,11 @@ True
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.circuit.gates import GateType
+from repro.levers import OPT
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.circuit.compiled import CompiledCircuit
@@ -110,8 +109,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: accepted everywhere the lever is and resolves through
 #: :func:`resolve_opt`.
 OPT_LEVELS = ("off", "light", "full")
-
-_VALID = ("auto",) + OPT_LEVELS
 
 #: Pass sequence per concrete level.
 _PIPELINES = {
@@ -125,45 +122,21 @@ _PIPELINES = {
 #: a hypothetical pathological circuit.
 _MAX_ROUNDS = 8
 
-_default_opt: str | None = None
-
-
-def default_opt() -> str:
-    """The process-wide opt lever: ``REPRO_OPT`` or ``"auto"``."""
-    if _default_opt is not None:
-        return _default_opt
-    return os.environ.get("REPRO_OPT", "auto") or "auto"
-
-
-def set_default_opt(opt: str | None) -> None:
-    """Set (or with ``None`` reset) the process-wide opt lever."""
-    global _default_opt
-    if opt is not None and opt not in _VALID:
-        raise ValueError(f"unknown opt level {opt!r} (choose from {_VALID})")
-    _default_opt = opt
-
 
 def resolve_opt(opt: str | None = None) -> str:
     """Resolve an opt lever value to a concrete level.
 
-    ``None`` means the process default (:func:`default_opt`);
-    ``"auto"`` resolves to ``"full"`` — the pipeline is linear-time and
-    parity-contractual, so there is no shape where it loses the way a
-    wrong lane backend can.  The indirection exists so the policy can
-    become shape-aware without touching any caller.
+    ``None`` means the process default (``REPRO_OPT``, else
+    ``"auto"``); ``"auto"`` resolves to ``"full"`` (the lever's alias
+    in :data:`repro.levers.OPT`).  The indirection exists so the policy
+    can become shape-aware without touching any caller.
 
     >>> resolve_opt("off")
     'off'
     >>> resolve_opt("auto")
     'full'
     """
-    if opt is None:
-        opt = default_opt()
-    if opt not in _VALID:
-        raise ValueError(f"unknown opt level {opt!r} (choose from {_VALID})")
-    if opt == "auto":
-        return "full"
-    return opt
+    return OPT.resolve(opt)
 
 
 # ----------------------------------------------------------------------

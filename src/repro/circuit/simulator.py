@@ -11,8 +11,8 @@ many gates share its level.  On wide, shallow circuits — PLA planes,
 match/decode fabrics, parity networks with thousands of same-opcode
 gates per level — that constant dominates, and the regime belongs to
 the optional numpy backend in :mod:`repro.circuit.lanes`, selected via
-the ``lanes="auto"|"python"|"numpy"`` lever threaded through
-``Oracle``/``CompiledCircuit``/``check_equivalence``.  ``auto`` picks
+the ``lanes="auto"|"python"|"numpy"`` lever (``REPRO_LANES``, or
+``lanes=`` on ``CompiledCircuit``'s wide evaluators).  ``auto`` picks
 numpy only when it is importable *and* the sweep shape wins: a big
 circuit (``AUTO_MIN_GATES``), wide levels (``num_gates / stages >=
 AUTO_MIN_STAGE_OPS``) and a narrow sweep (``width <=

@@ -50,18 +50,21 @@ re-solving anything.
 Anywhere a circuit name is accepted, genuine ``.bench`` corpus
 circuits (``real_c432``/``real_c499``/``real_c880``, plus any file
 registered via ``repro.bench_circuits.register_corpus_file``) work
-exactly like the stand-ins; ``--lanes`` picks the simulation backend
-for wide sweeps (``auto`` uses numpy when installed and worthwhile —
-the choice never changes results, only wall-clock).  ``--opt`` picks
-the structural optimization level applied before simulation and CNF
-encoding (constant sweeping, chain collapse, structural hashing, cone
-pruning — parity-preserving, so recovered keys are identical).
+exactly like the stand-ins.
+
+The lever flags ``--opt``, ``--lanes``, ``--solver`` and
+``--cache-backend`` come from the table in :mod:`repro.levers`: each
+is exported to its ``REPRO_*`` environment variable, so every layer
+and every runner worker process resolves the same value.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
+
+from repro.levers import CACHE_BACKEND, LEVERS
 
 
 def _parse_int_list(text: str) -> list[int]:
@@ -84,11 +87,6 @@ def _add_runner_args(parser: argparse.ArgumentParser) -> None:
              "or ~/.cache/repro-lock)",
     )
     group.add_argument(
-        "--cache-backend", default=None,
-        help="cache storage backend: directory | sharded | memory "
-             "(default: $REPRO_CACHE_BACKEND or directory)",
-    )
-    group.add_argument(
         "--no-cache", action="store_true",
         help="neither read nor write the result cache",
     )
@@ -96,17 +94,17 @@ def _add_runner_args(parser: argparse.ArgumentParser) -> None:
         "--quiet", action="store_true",
         help="suppress per-task progress lines on stderr",
     )
-    group.add_argument(
-        "--lanes", choices=("auto", "python", "numpy"), default=None,
-        help="simulation lane backend for wide sweeps (default: auto — "
-             "numpy when installed and the sweep is large enough)",
-    )
-    group.add_argument(
-        "--opt", choices=("auto", "off", "light", "full"), default=None,
-        help="structural optimization of circuits before simulation and "
-             "CNF encoding (default: auto — recovered keys are identical, "
-             "only size and wall-clock change)",
-    )
+    _add_lever_args(group, LEVERS)
+
+
+def _add_lever_args(parser, levers) -> None:
+    """One flag per lever; :func:`main` exports what was given."""
+    for lever in levers:
+        parser.add_argument(
+            lever.flag, default=None,
+            help=f"{lever.help} ({' | '.join(lever.roster())}; "
+                 f"default: ${lever.env} or {lever.default})",
+        )
 
 
 def _add_envelope_arg(
@@ -119,11 +117,11 @@ def _add_envelope_arg(
     )
 
 
-def _open_cache(cache_dir: str, backend: str | None = None):
+def _open_cache(cache_dir: str):
     from repro.runner import ResultCache
 
     try:
-        cache = ResultCache(cache_dir or None, backend=backend)
+        cache = ResultCache(cache_dir or None)
     except ValueError as error:  # unknown backend name, with the roster
         raise SystemExit(f"repro-lock: error: {error}")
     if cache.root is not None and cache.root.exists() and not cache.root.is_dir():
@@ -138,11 +136,7 @@ def _make_service(args: argparse.Namespace, inner_parallel: bool = False):
     """The one place CLI runner flags become an execution Service."""
     from repro.service import Service
 
-    cache = (
-        None
-        if args.no_cache
-        else _open_cache(args.cache_dir, getattr(args, "cache_backend", None))
-    )
+    cache = None if args.no_cache else _open_cache(args.cache_dir)
     return Service(
         jobs=max(1, args.jobs),
         cache=cache,
@@ -287,8 +281,6 @@ def _cmd_attack(args: argparse.Namespace) -> int:
             effort=args.effort,
             scale=args.scale,
             seed=args.seed,
-            solver=args.solver,
-            opt=args.opt,
             time_limit_per_task=args.time_limit,
             parallel=args.parallel,
         )
@@ -387,8 +379,6 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
             scale=args.scale,
             efforts=_parse_int_list(args.efforts),
             seeds=_parse_int_list(args.seeds),
-            solver=args.solver,
-            opt=args.opt,
             time_limit_per_task=args.time_limit,
             max_dips_per_task=args.max_dips,
             include_baseline=args.baseline,
@@ -436,7 +426,6 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
             metrics_seed=args.metrics_seed,
             effort=args.effort,
             scale=args.scale,
-            opt=args.opt,
         )
     except ValueError as error:
         raise SystemExit(f"repro-lock: error: {error}")
@@ -533,7 +522,7 @@ def _cmd_cache(args: argparse.Namespace) -> int:
     # Everything below goes through the backend-agnostic ResultCache
     # surface (kinds/entry_count/clear), so `cache info` prints the
     # same text for the same contents whatever backend stores them.
-    cache = _open_cache(args.cache_dir, args.cache_backend)
+    cache = _open_cache(args.cache_dir)
     where = cache.root if cache.root is not None else cache.describe()
     if args.action == "clear":
         removed = cache.clear(kind=args.kind or None)
@@ -634,11 +623,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="multi-key engine (default: sharded)",
     )
     p.add_argument(
-        "--solver", default=None,
-        help="registered SAT backend (see matrix --list-solvers; "
-        "default: REPRO_SOLVER or 'python')",
-    )
-    p.add_argument(
         "--sharded", action="store_true",
         help="shorthand for --engine sharded",
     )
@@ -673,11 +657,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--lut-spec", choices=("tiny", "small", "paper"), default="tiny",
         help="LUT module preset for the 'lut' scheme (default: tiny)",
-    )
-    p.add_argument(
-        "--solver", default=None,
-        help="registered SAT backend for every cell (see --list-solvers; "
-        "default: REPRO_SOLVER or 'python')",
     )
     p.add_argument("--time-limit", type=float, default=None)
     p.add_argument("--max-dips", type=int, default=None)
@@ -827,11 +806,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("action", choices=("info", "clear"))
     p.add_argument("--kind", default="", help="limit clear to one task kind")
     p.add_argument("--cache-dir", default="")
-    p.add_argument(
-        "--cache-backend", default=None,
-        help="cache storage backend: directory | sharded | memory "
-             "(default: $REPRO_CACHE_BACKEND or directory)",
-    )
+    _add_lever_args(p, (CACHE_BACKEND,))
     p.set_defaults(func=_cmd_cache)
 
     return parser
@@ -839,26 +814,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "lanes", None):
-        # Process default plus REPRO_LANES so spawned workers inherit
-        # the lever under any start method; results are identical on
-        # every backend — this only moves wall-clock.
-        import os
-
-        from repro.circuit.lanes import set_default_lanes
-
-        set_default_lanes(args.lanes)
-        os.environ["REPRO_LANES"] = args.lanes
-    if getattr(args, "opt", None):
-        # Same propagation shape as --lanes: process default plus
-        # REPRO_OPT for spawned workers.  Optimization preserves every
-        # circuit's truth table — the lever moves size and wall-clock.
-        import os
-
-        from repro.circuit.opt import set_default_opt
-
-        set_default_opt(args.opt)
-        os.environ["REPRO_OPT"] = args.opt
+    for lever in LEVERS:
+        value = getattr(args, lever.name, None)
+        if value:
+            # Exported, not passed: every layer, and every worker process
+            # a runner spawns, resolves the lever from its env var.
+            try:
+                os.environ[lever.env] = lever.check(value)
+            except ValueError as error:
+                raise SystemExit(f"repro-lock: error: {error}")
     return args.func(args)
 
 

@@ -309,7 +309,6 @@ def build_sweep(
     seed: int = 0,
     effort: int = 0,
     opt: str | None = None,
-    lanes: str | None = None,
     input_samples: int = DEFAULT_INPUT_SAMPLES,
 ) -> tuple[SampleSweep, int]:
     """The shared :class:`SampleSweep` plus the oracle query count."""
@@ -331,7 +330,7 @@ def build_sweep(
         )
     mask = (1 << width) - 1
 
-    oracle = Oracle(original, lanes=lanes, opt=opt)
+    oracle = Oracle(original, opt=opt)
     golden = oracle.query_vector(words, width)
     output_names = oracle.output_names
 
@@ -362,7 +361,7 @@ def build_sweep(
             for name in compiled.inputs
         ]
         outs = dict(
-            zip(compiled.outputs, compiled.eval_outputs_wide(stimuli, width, lanes=lanes))
+            zip(compiled.outputs, compiled.eval_outputs_wide(stimuli, width))
         )
         diffs = [(golden[name] ^ outs[name]) & mask for name in output_names]
         any_word = 0
@@ -398,7 +397,6 @@ def evaluate_corruption(
     seed: int = 0,
     effort: int = 0,
     opt: str | None = None,
-    lanes: str | None = None,
     input_samples: int = DEFAULT_INPUT_SAMPLES,
 ) -> CorruptionReport:
     """Compute the requested registered metrics for one locked circuit.
@@ -408,11 +406,10 @@ def evaluate_corruption(
     value at least the wrong-key count does too).  ``effort`` is the
     splitting effort ``N`` — the ``subspace`` metric reports one rate
     per ``2^N`` sub-space, other metrics ignore it.  ``opt`` changes
-    the evaluated structure (hashed into cell identity upstream);
-    ``lanes`` is execution-only.  Values are deterministic in
-    ``(locked, original, metrics, key_samples, seed, effort, opt,
-    input_samples)`` and independent of ``lanes`` by the lane-parity
-    contract.
+    the evaluated structure (hashed into cell identity upstream).
+    Values are deterministic in ``(locked, original, metrics,
+    key_samples, seed, effort, opt, input_samples)`` and independent of
+    the lane backend (``REPRO_LANES``) by the lane-parity contract.
     """
     names: list[str] = []
     for name in metrics:
@@ -429,7 +426,6 @@ def evaluate_corruption(
         seed=seed,
         effort=effort,
         opt=opt,
-        lanes=lanes,
         input_samples=input_samples,
     )
     computed = {}

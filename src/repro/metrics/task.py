@@ -9,8 +9,9 @@ contract follows ``scenario_cell``:
   a matrix cell), the resolved ``metrics_seed`` (feeds the sample
   streams), ``effort``, ``input_samples`` and the resolved ``opt``
   level — everything that determines the report's bits.
-* **Context** (unhashed): ``lanes`` — the backend changes wall-clock
-  only, never values, so python and numpy sweeps share cache entries.
+* **Not in the task at all**: the lane backend (``REPRO_LANES``) — it
+  changes wall-clock only, never values, so python and numpy sweeps
+  share cache entries.
 
 The metric list is sorted before hashing: requesting ``corruption,
 subspace`` and ``subspace,corruption`` is the same computation and
@@ -43,7 +44,6 @@ def _corruption_cell_worker(params: dict) -> dict:
         seed=params["metrics_seed"],
         effort=params["effort"],
         opt=params["opt"],
-        lanes=params.get("lanes"),
         input_samples=params.get("input_samples", 256),
     )
     return report.to_payload()
@@ -60,7 +60,6 @@ def corruption_cell_task(
     key_samples: int = 64,
     metrics_seed: int | None = None,
     opt: str | None = None,
-    lanes: str | None = None,
     input_samples: int = 256,
 ) -> TaskSpec:
     """The :class:`TaskSpec` for one corruption cell.
@@ -90,6 +89,5 @@ def corruption_cell_task(
             "opt": resolve_opt(opt),
             "input_samples": int(input_samples),
         },
-        context={"lanes": lanes},
         label=f"metrics {scheme} {circuit} N={effort}",
     )

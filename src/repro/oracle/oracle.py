@@ -39,27 +39,21 @@ from repro.circuit.opt import resolve_opt
 class Oracle:
     """Query-only wrapper around the original circuit.
 
-    ``lanes`` picks the evaluation backend for bit-parallel queries
-    (``None`` -> the process default, normally ``"auto"``); results
-    are backend-independent by the lane-parity contract.  ``opt`` runs
-    the structural optimizer (:mod:`repro.circuit.opt`) on the
-    compiled circuit once at construction — fewer gates shrink both
-    the big-int sweep and the numpy stage matrices; responses are
-    identical by the optimizer's parity contract.
+    Bit-parallel queries evaluate on the process lane backend
+    (``REPRO_LANES``); results are backend-independent by the
+    lane-parity contract.  ``opt`` runs the structural optimizer
+    (:mod:`repro.circuit.opt`) on the compiled circuit once at
+    construction — fewer gates shrink both the big-int sweep and the
+    numpy stage matrices; responses are identical by the optimizer's
+    parity contract.
     """
 
-    def __init__(
-        self,
-        original: Netlist,
-        lanes: str | None = None,
-        opt: str | None = None,
-    ):
+    def __init__(self, original: Netlist, opt: str | None = None):
         self._netlist = original
         self._compiled = original.compile()
         level = resolve_opt(opt)
         if level != "off":
             self._compiled = self._compiled.optimized(level).compiled
-        self._lanes = lanes
         self.query_count = 0
 
     @property
@@ -109,7 +103,6 @@ class Oracle:
         self.query_count += len(patterns)
         compiled = self._compiled
         backend = resolve_lanes(
-            self._lanes,
             num_gates=compiled.num_gates,
             width=len(patterns),
             stages=compiled.lane_stage_hint()[1],
@@ -144,5 +137,5 @@ class Oracle:
             raise KeyError(
                 f"missing value for primary input {exc.args[0]!r}"
             ) from None
-        outputs = compiled.eval_outputs_wide(words, width, lanes=self._lanes)
+        outputs = compiled.eval_outputs_wide(words, width)
         return dict(zip(compiled.outputs, outputs))

@@ -17,13 +17,10 @@ Typical use::
 """
 
 from repro.runner.backends import (
-    CACHE_BACKEND_ENV,
-    DEFAULT_CACHE_BACKEND,
     CacheBackend,
     CacheBackendInfo,
     cache_backend_info,
     create_cache_backend,
-    default_cache_backend_name,
     register_cache_backend,
     registered_cache_backends,
     resolve_cache_backend_name,
@@ -47,10 +44,8 @@ from repro.runner.task import (
 )
 
 __all__ = [
-    "CACHE_BACKEND_ENV",
     "CACHE_DIR_ENV",
     "CACHE_FORMAT_VERSION",
-    "DEFAULT_CACHE_BACKEND",
     "CacheBackend",
     "CacheBackendInfo",
     "ResultCache",
@@ -61,7 +56,6 @@ __all__ = [
     "canonical_json",
     "chunk_evenly",
     "create_cache_backend",
-    "default_cache_backend_name",
     "default_cache_dir",
     "map_parallel",
     "print_progress",

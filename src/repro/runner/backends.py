@@ -34,9 +34,9 @@ file.  Unreadable or truncated artifacts are treated as misses and
 overwritten, never raised.
 
 The default backend is ``directory`` (compatible with every existing
-on-disk cache); set the ``REPRO_CACHE_BACKEND`` environment variable
-to change the process default without threading a flag through every
-call site.
+on-disk cache); the ``cache_backend`` lever (:mod:`repro.levers`, env
+``REPRO_CACHE_BACKEND``) changes the process default without threading
+a flag through every call site.
 """
 
 from __future__ import annotations
@@ -51,11 +51,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Protocol, runtime_checkable
 
-#: The always-available default backend (the classic flat layout).
-DEFAULT_CACHE_BACKEND = "directory"
-
-#: Environment variable naming the default backend for this process.
-CACHE_BACKEND_ENV = "REPRO_CACHE_BACKEND"
+from repro.levers import CACHE_BACKEND
 
 
 @runtime_checkable
@@ -146,13 +142,7 @@ def register_cache_backend(
 
 def cache_backend_info(name: str) -> CacheBackendInfo:
     """Resolve a backend name; unknown names raise with the roster."""
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        known = ", ".join(sorted(_REGISTRY))
-        raise ValueError(
-            f"unknown cache backend {name!r} (registered: {known})"
-        ) from None
+    return _REGISTRY[CACHE_BACKEND.check(name)]
 
 
 def registered_cache_backends() -> list[str]:
@@ -160,16 +150,9 @@ def registered_cache_backends() -> list[str]:
     return sorted(_REGISTRY)
 
 
-def default_cache_backend_name() -> str:
-    """The process-wide default (``REPRO_CACHE_BACKEND`` or directory)."""
-    return os.environ.get(CACHE_BACKEND_ENV) or DEFAULT_CACHE_BACKEND
-
-
 def resolve_cache_backend_name(name: str | None) -> str:
     """``name`` if given, else the process default — always validated."""
-    resolved = name or default_cache_backend_name()
-    cache_backend_info(resolved)
-    return resolved
+    return CACHE_BACKEND.resolve(name)
 
 
 def create_cache_backend(
@@ -180,7 +163,7 @@ def create_cache_backend(
     ``root`` is the store directory for persistent backends (``None``
     defers to the caller's default dir) and ignored otherwise.
     """
-    info = cache_backend_info(resolve_cache_backend_name(name))
+    info = _REGISTRY[resolve_cache_backend_name(name)]
     if info.persistent:
         return info.factory(Path(root).expanduser() if root else None)
     return info.factory(None)

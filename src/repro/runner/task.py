@@ -24,7 +24,7 @@ from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
 
 #: Bump to invalidate every existing cache entry (artifact schema change).
-CACHE_FORMAT_VERSION = 1
+CACHE_FORMAT_VERSION = 2
 
 
 def canonical_json(value: object) -> str:

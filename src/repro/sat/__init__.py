@@ -30,7 +30,6 @@ from repro.sat.registry import (
     SolverBackendInfo,
     SolverCapabilities,
     create_solver,
-    default_solver_name,
     register_solver,
     registered_solvers,
     resolve_solver_name,
@@ -46,7 +45,6 @@ __all__ = [
     "SolverBackendInfo",
     "SolverCapabilities",
     "create_solver",
-    "default_solver_name",
     "register_solver",
     "registered_solvers",
     "resolve_solver_name",

@@ -27,24 +27,18 @@ The conformance suite (``tests/sat/test_backends.py``) runs every
 registered backend against the contract, skipping exactly the parts a
 backend declares off — so a new backend either passes or says why not.
 
-The default backend is ``"python"`` (always available); set the
-``REPRO_SOLVER`` environment variable to change the default without
-threading ``solver=`` through every call site.
+The default backend is ``"python"`` (always available); the
+``solver`` lever (:mod:`repro.levers`, env ``REPRO_SOLVER``) changes
+the default without threading ``solver=`` through every call site.
 """
 
 from __future__ import annotations
 
-import os
 from collections.abc import Callable
 from dataclasses import dataclass
 
+from repro.levers import SOLVER
 from repro.sat.solver import Solver
-
-#: The always-available fallback backend.
-DEFAULT_SOLVER = "python"
-
-#: Environment variable naming the default backend for this process.
-SOLVER_ENV = "REPRO_SOLVER"
 
 
 @dataclass(frozen=True)
@@ -114,13 +108,7 @@ def register_solver(
 
 def solver_info(name: str) -> SolverBackendInfo:
     """Resolve a backend name; unknown names raise with the roster."""
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        known = ", ".join(sorted(_REGISTRY))
-        raise ValueError(
-            f"unknown solver backend {name!r} (registered: {known})"
-        ) from None
+    return _REGISTRY[SOLVER.check(name)]
 
 
 def registered_solvers() -> list[str]:
@@ -128,21 +116,14 @@ def registered_solvers() -> list[str]:
     return sorted(_REGISTRY)
 
 
-def default_solver_name() -> str:
-    """The process-wide default backend (``REPRO_SOLVER`` or python)."""
-    return os.environ.get(SOLVER_ENV) or DEFAULT_SOLVER
-
-
 def resolve_solver_name(name: str | None) -> str:
     """``name`` if given, else the process default — always validated."""
-    resolved = name or default_solver_name()
-    solver_info(resolved)
-    return resolved
+    return SOLVER.resolve(name)
 
 
 def create_solver(name: str | None = None):
     """Instantiate a backend by name (``None`` -> process default)."""
-    return solver_info(resolve_solver_name(name)).factory()
+    return _REGISTRY[SOLVER.resolve(name)].factory()
 
 
 @register_solver(

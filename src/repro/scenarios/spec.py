@@ -21,10 +21,10 @@ from dataclasses import dataclass
 from collections.abc import Mapping, Sequence
 
 from repro.attacks.registry import attack_info
-from repro.circuit.opt import resolve_opt
+from repro.levers import LEVERS
 from repro.locking.registry import scheme_info
 from repro.runner import TaskSpec
-from repro.sat.registry import resolve_solver_name, solver_info
+from repro.sat.registry import solver_info
 
 #: The recognized multi-key engines (see repro.core.multikey).
 ENGINES = ("sharded", "reference")
@@ -126,8 +126,10 @@ class ScenarioSpec:
         self.circuits = list(self.circuits)
         self.efforts = [int(n) for n in self.efforts]
         self.seeds = [int(s) for s in self.seeds]
-        self.solver = resolve_solver_name(self.solver)
-        self.opt = resolve_opt(self.opt)
+        for lever in LEVERS:
+            if lever.hashed:  # cells hash the value that actually runs
+                value = getattr(self, lever.name)
+                setattr(self, lever.name, lever.resolve(value))
         self.metrics = [str(name) for name in self.metrics]
         self.key_samples = int(self.key_samples)
         if self.metrics_seed is not None:
@@ -140,7 +142,6 @@ class ScenarioSpec:
             scheme_info(name)  # raises with the roster on a miss
         for name, _ in self.attacks:
             attack_info(name)
-        solver_info(self.solver)
         for engine in self.engines:
             if engine not in ENGINES:
                 known = ", ".join(ENGINES)

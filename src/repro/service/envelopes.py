@@ -29,6 +29,7 @@ from collections.abc import Mapping
 from dataclasses import asdict, dataclass, field, fields
 from typing import ClassVar
 
+from repro.levers import check_hashed_fields
 from repro.scenarios.spec import ENGINES, ScenarioSpec, normalize_axis
 
 #: The envelope schema generation.  Decoders reject other versions.
@@ -180,16 +181,11 @@ class AttackRequest:
 
     def __post_init__(self) -> None:
         from repro.attacks.registry import attack_info
-        from repro.circuit.opt import resolve_opt
         from repro.locking.registry import scheme_info
-        from repro.sat.registry import solver_info
 
         scheme_info(self.scheme)
         attack_info(self.attack)
-        if self.solver is not None:
-            solver_info(self.solver)  # raises with the roster on a miss
-        if self.opt is not None:
-            resolve_opt(self.opt)  # raises with the roster on a miss
+        check_hashed_fields(self)  # raises with the roster on a miss
         if self.engine not in ENGINES:
             known = ", ".join(ENGINES)
             raise EnvelopeError(
@@ -235,7 +231,6 @@ class MetricsRequest:
 
     def __post_init__(self) -> None:
         from repro.bench_circuits.corpus import circuit_names, known_circuit
-        from repro.circuit.opt import resolve_opt
         from repro.locking.registry import scheme_info
         from repro.metrics import metric_info
 
@@ -250,8 +245,7 @@ class MetricsRequest:
                 f"unknown circuit {self.circuit!r} (known: "
                 f"{', '.join(circuit_names())})"
             )
-        if self.opt is not None:
-            resolve_opt(self.opt)  # raises with the roster on a miss
+        check_hashed_fields(self)  # raises with the roster on a miss
         self.scheme_params = dict(self.scheme_params)
         self.key_samples = int(self.key_samples)
         self.seed = int(self.seed)

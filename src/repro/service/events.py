@@ -91,16 +91,18 @@ class Event:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "Event":
-        """Decode the wire shape (unknown extra keys are tolerated)."""
+        """Decode the wire shape.  Unknown extra keys and an unknown
+        ``type`` (a newer server's event) are tolerated; only the
+        emitting side, construction, enforces :data:`EVENT_TYPES`."""
+        event = cls.__new__(cls)
         try:
-            return cls(
-                type=str(payload["type"]),
-                job_id=str(payload.get("job_id", "")),
-                seq=int(payload.get("seq", 0)),
-                data=dict(payload.get("data") or {}),
-            )
+            event.type = str(payload["type"])
         except KeyError as missing:
             raise EventError(f"event payload missing {missing}") from None
+        event.job_id = str(payload.get("job_id", ""))
+        event.seq = int(payload.get("seq", 0))
+        event.data = dict(payload.get("data") or {})
+        return event
 
     @classmethod
     def from_json(cls, text: str) -> "Event":

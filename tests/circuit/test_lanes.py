@@ -24,7 +24,6 @@ from repro.circuit.lanes import (
     numpy_available,
     preferred_chunk_lanes,
     resolve_lanes,
-    set_default_lanes,
 )
 from repro.circuit.netlist import Netlist
 from repro.circuit.random_circuits import random_netlist
@@ -41,9 +40,8 @@ needs_numpy = pytest.mark.skipif(
 
 @pytest.fixture(autouse=True)
 def _clean_lever(monkeypatch):
-    """Each test sees the stock lever: no REPRO_LANES, no process default."""
+    """Each test sees the stock lever: no REPRO_LANES."""
     monkeypatch.delenv("REPRO_LANES", raising=False)
-    monkeypatch.setattr(lanes_mod, "_default_lanes", None)
 
 
 def _hide_numpy(monkeypatch):
@@ -170,14 +168,6 @@ class TestResolution:
         assert default_lanes() == "python"
         assert resolve_lanes(None) == "python"
 
-    def test_set_default_lanes(self):
-        set_default_lanes("python")
-        assert default_lanes() == "python"
-        set_default_lanes(None)
-        assert default_lanes() == "auto"
-        with pytest.raises(ValueError, match="unknown lane backend"):
-            set_default_lanes("gpu")
-
     def test_invalid_name_rejected(self):
         with pytest.raises(ValueError, match="unknown lane backend"):
             resolve_lanes("cupy")
@@ -251,18 +241,20 @@ class TestOracleChunking:
         patterns = list(range(64))
         whole = Oracle(netlist).query_batch(patterns)
         monkeypatch.setitem(lanes_mod.PREFERRED_CHUNK_LANES, "python", 5)
-        oracle = Oracle(netlist, lanes="python")
+        monkeypatch.setenv("REPRO_LANES", "python")
+        oracle = Oracle(netlist)
         assert oracle.query_batch(patterns) == whole
         # Accounting stays one query per pattern, chunking or not.
         assert oracle.query_count == len(patterns)
 
     @needs_numpy
-    def test_backends_agree_through_oracle(self):
+    def test_backends_agree_through_oracle(self, monkeypatch):
         netlist = random_netlist(6, 40, seed=12, allow_const=True)
         patterns = list(range(60))
-        assert Oracle(netlist, lanes="numpy").query_batch(
-            patterns
-        ) == Oracle(netlist, lanes="python").query_batch(patterns)
+        monkeypatch.setenv("REPRO_LANES", "numpy")
+        numpy_rows = Oracle(netlist).query_batch(patterns)
+        monkeypatch.setenv("REPRO_LANES", "python")
+        assert numpy_rows == Oracle(netlist).query_batch(patterns)
 
     def test_query_vector_missing_input_message(self):
         netlist = random_netlist(4, 10, seed=1)

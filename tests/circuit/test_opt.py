@@ -15,21 +15,19 @@ held constant.
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.circuit import opt as opt_mod
 from repro.circuit.gates import GateType
 from repro.circuit.lanes import numpy_available
 from repro.circuit.netlist import Netlist
 from repro.circuit.opt import (
     OPT_LEVELS,
     PASS_NAMES,
-    default_opt,
     optimize_compiled,
     resolve_opt,
     run_pass,
-    set_default_opt,
 )
 from repro.circuit.random_circuits import random_netlist
 from repro.circuit.simulator import random_patterns
+from repro.levers import OPT
 from repro.locking.sarlock import sarlock_lock
 from repro.locking.xor_lock import xor_lock
 
@@ -40,9 +38,8 @@ needs_numpy = pytest.mark.skipif(
 
 @pytest.fixture(autouse=True)
 def _clean_lever(monkeypatch):
-    """Each test sees the stock lever: no REPRO_OPT, no process default."""
+    """Each test sees the stock lever: no REPRO_OPT."""
     monkeypatch.delenv("REPRO_OPT", raising=False)
-    monkeypatch.setattr(opt_mod, "_default_opt", None)
 
 
 def _words_for(compiled, width: int, seed: int) -> tuple[list[int], int]:
@@ -280,7 +277,7 @@ class TestOffIdentity:
 
 class TestLever:
     def test_default_is_auto(self):
-        assert default_opt() == "auto"
+        assert OPT.current() == "auto"
         assert resolve_opt(None) == "full"
         assert resolve_opt("auto") == "full"
 
@@ -291,17 +288,8 @@ class TestLever:
 
     def test_env_override(self, monkeypatch):
         monkeypatch.setenv("REPRO_OPT", "light")
-        assert default_opt() == "light"
+        assert OPT.current() == "light"
         assert resolve_opt(None) == "light"
-
-    def test_set_default_opt(self):
-        set_default_opt("off")
-        assert default_opt() == "off"
-        assert resolve_opt(None) == "off"
-        set_default_opt(None)
-        assert default_opt() == "auto"
-        with pytest.raises(ValueError, match="unknown opt level"):
-            set_default_opt("max")
 
     def test_invalid_level_rejected(self):
         with pytest.raises(ValueError, match="unknown opt level"):

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import os
+
 import pytest
 from hypothesis import HealthCheck, settings
+
+from repro.levers import LEVERS
 
 # One moderate profile for everything: property tests here run whole
 # SAT solves / circuit sweeps per example, so keep example counts sane.
@@ -27,6 +31,17 @@ def _isolated_result_cache(tmp_path, monkeypatch):
     """Keep runner caching hermetic: no test reads or writes the user's
     real ``~/.cache/repro-lock`` (CLI subcommands cache by default)."""
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "repro-cache"))
+
+
+@pytest.fixture(autouse=True)
+def _restored_lever_env(monkeypatch):
+    """Undo lever env vars a test sets, including the ``REPRO_*``
+    exports of in-process ``repro.cli.main`` calls.  A value set by
+    the caller (e.g. ``REPRO_SOLVER=pysat``) stays visible to tests."""
+    for lever in LEVERS:
+        monkeypatch.setenv(lever.env, os.environ.get(lever.env, ""))
+        if not os.environ[lever.env]:
+            monkeypatch.delenv(lever.env)
 
 
 @pytest.fixture

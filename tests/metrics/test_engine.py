@@ -113,16 +113,17 @@ class TestLeverParity:
             locked, original, metrics=ALL_METRICS, key_samples=0, **kwargs
         ).metrics
 
-    def test_python_lanes_match_default(self, locked_pair):
-        assert self._metrics(locked_pair) == self._metrics(
-            locked_pair, lanes="python"
-        )
+    def test_python_lanes_match_default(self, locked_pair, monkeypatch):
+        default = self._metrics(locked_pair)
+        monkeypatch.setenv("REPRO_LANES", "python")
+        assert self._metrics(locked_pair) == default
 
     @needs_numpy
-    def test_numpy_lanes_match_python(self, locked_pair):
-        assert self._metrics(locked_pair, lanes="numpy") == self._metrics(
-            locked_pair, lanes="python"
-        )
+    def test_numpy_lanes_match_python(self, locked_pair, monkeypatch):
+        monkeypatch.setenv("REPRO_LANES", "numpy")
+        numpy_metrics = self._metrics(locked_pair)
+        monkeypatch.setenv("REPRO_LANES", "python")
+        assert numpy_metrics == self._metrics(locked_pair)
 
     @pytest.mark.parametrize("opt", ["light", "full"])
     def test_opt_levels_match_off(self, locked_pair, opt):
@@ -132,7 +133,7 @@ class TestLeverParity:
 
     @needs_numpy
     @pytest.mark.parametrize("effort", [0, 1, 2])
-    def test_sampled_sweep_parity_across_lanes(self, effort):
+    def test_sampled_sweep_parity_across_lanes(self, effort, monkeypatch):
         # 14 inputs > EXHAUSTIVE_INPUT_LIMIT: the stratified sampled
         # path, not the exhaustive one.
         from repro.circuit.random_circuits import random_netlist
@@ -145,8 +146,10 @@ class TestLeverParity:
             effort=effort,
             input_samples=64,
         )
-        a = evaluate_corruption(locked, original, lanes="python", **kwargs)
-        b = evaluate_corruption(locked, original, lanes="numpy", **kwargs)
+        monkeypatch.setenv("REPRO_LANES", "python")
+        a = evaluate_corruption(locked, original, **kwargs)
+        monkeypatch.setenv("REPRO_LANES", "numpy")
+        b = evaluate_corruption(locked, original, **kwargs)
         assert a.exhaustive_inputs is False
         assert a.metrics == b.metrics
 

@@ -16,8 +16,8 @@ import threading
 import pytest
 
 from repro.cli import main
+from repro.levers import CACHE_BACKEND
 from repro.runner import (
-    DEFAULT_CACHE_BACKEND,
     ResultCache,
     TaskSpec,
     cache_backend_info,
@@ -37,7 +37,7 @@ def _spec(value: int) -> TaskSpec:
 class TestRegistry:
     def test_shipped_roster(self):
         assert set(BACKENDS) <= set(registered_cache_backends())
-        assert DEFAULT_CACHE_BACKEND == "directory"
+        assert CACHE_BACKEND.default == "directory"
 
     def test_unknown_backend_fails_with_roster(self):
         with pytest.raises(ValueError, match="registered: .*sharded"):

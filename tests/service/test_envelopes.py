@@ -89,6 +89,24 @@ class TestRoundTrips:
         decoded = from_json(event.to_json())
         assert decoded == event
 
+    def test_unknown_event_type_decodes_and_renders_nothing(self):
+        from repro.service import render_event
+
+        line = json.dumps(
+            {
+                "schema_version": SCHEMA_VERSION,
+                "kind": "event",
+                "type": "heartbeat",
+                "job_id": "j1",
+                "seq": 3,
+                "data": {"elapsed_seconds": 60.0},
+            }
+        )
+        event = from_json(line)
+        assert (event.type, event.job_id, event.seq) == ("heartbeat", "j1", 3)
+        assert event.data == {"elapsed_seconds": 60.0}
+        assert render_event(event) is None
+
     def test_axis_shapes_normalize_to_one_form(self):
         # str / (name, params) / {"name": ...} all decode equal.
         a = MatrixRequest(schemes=["sarlock"])

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import build_parser, main
+from repro.levers import LEVERS
 
 
 class TestParser:
@@ -222,3 +223,54 @@ class TestServiceSurface:
         # stdout carries only the envelope (machine-clean).
         response = from_json(capsys.readouterr().out)
         assert response.status == "ok"
+
+
+class TestLeverFlags:
+    """The four lever flags come from the table in ``repro.levers``."""
+
+    def test_flags_reach_the_resolved_values(self, tmp_path, monkeypatch):
+        import dataclasses
+        import json
+
+        from repro.circuit.lanes import resolve_lanes
+        from repro.runner.backends import resolve_cache_backend_name
+        from repro.sat import registry
+
+        # A second backend, so --solver is visibly not the default.
+        twin = dataclasses.replace(registry.solver_info("python"), name="twin")
+        monkeypatch.setitem(registry._REGISTRY, "twin", twin)
+        json_path = tmp_path / "cells.json"
+        assert main([
+            "matrix", "--schemes", "xor", "--circuits", "c432",
+            "--scale", "0.12", "--key-size", "3", "--efforts", "1",
+            "--metrics", "corruption", "--key-samples", "4", "--quiet",
+            "--opt", "off", "--lanes", "python", "--solver", "twin",
+            "--cache-backend", "memory", "--json", str(json_path),
+        ]) == 0
+        cells = json.loads(json_path.read_text())["cells"]
+        assert cells
+        assert {(cell["opt"], cell["solver"]) for cell in cells} == {
+            ("off", "twin")
+        }
+        assert resolve_lanes(None) == "python"
+        assert resolve_cache_backend_name(None) == "memory"
+        # The memory backend left the on-disk cache dir untouched.
+        assert not (tmp_path / "repro-cache").exists()
+
+    @pytest.mark.parametrize(
+        "lever", LEVERS, ids=lambda lever: lever.name
+    )
+    def test_bad_value_exits_with_the_roster(self, lever):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["matrix", lever.flag, "nope", "--no-cache", "--quiet"])
+        message = str(exit_info.value.code)
+        assert f"unknown {lever.noun} 'nope'" in message
+        assert all(choice in message for choice in lever.roster())
+
+    def test_cache_subcommand_takes_only_the_backend_lever(self):
+        args = build_parser().parse_args(
+            ["cache", "info", "--cache-backend", "memory"]
+        )
+        assert args.cache_backend == "memory"
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["cache", "info", "--opt", "off"])
