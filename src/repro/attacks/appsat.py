@@ -20,12 +20,15 @@ per-sub-space strategy of the multi-key attack.
 from __future__ import annotations
 
 import time
+from functools import reduce
+from operator import or_
 from dataclasses import dataclass, field
 from collections.abc import Mapping
 
 from repro.attacks.sat_attack import sat_attack
 from repro.circuit.simulator import random_stimuli_words
 from repro.locking.base import LockedCircuit, key_to_int
+from repro.metrics.engine import key_diffs
 from repro.oracle.oracle import Oracle
 from repro.rng import make_rng
 
@@ -93,6 +96,9 @@ def appsat_attack(
     total_dips = 0
     random_queries = 0
     settled_streak = 0
+    free_inputs = [
+        net for net in locked.netlist.inputs if net not in locked.key_inputs
+    ]
 
     # Reuse the exact attack's engine through its budget interface:
     # re-running with a growing DIP cap is equivalent to pausing, since
@@ -168,19 +174,14 @@ def appsat_attack(
         # every word is random query q; the oracle still counts one
         # query per lane.  Pinned inputs hold their sub-space constant
         # in every lane, so the measured rate is a sub-space rate.
-        keyed = locked.apply_key(candidate)
-        compiled = keyed.compile()
         stimuli = random_stimuli_words(
-            compiled.inputs, queries_per_checkpoint, rng, pin
+            free_inputs, queries_per_checkpoint, rng, pin
         )
-        got = compiled.eval_mapping(stimuli, (1 << queries_per_checkpoint) - 1)
-        expected = oracle.query_vector(stimuli, queries_per_checkpoint)
+        [diffs] = key_diffs(
+            locked, oracle, [candidate], stimuli, queries_per_checkpoint, opt=opt
+        )
         random_queries += queries_per_checkpoint
-        diff = 0
-        for po in expected:
-            diff |= got[compiled.slot_of[po]] ^ expected[po]
-        errors = bin(diff).count("1")
-        rate = errors / queries_per_checkpoint
+        rate = reduce(or_, diffs, 0).bit_count() / queries_per_checkpoint
         checkpoints.append(rate)
         if rate <= error_threshold:
             settled_streak += 1

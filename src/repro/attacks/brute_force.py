@@ -1,6 +1,13 @@
 """Exhaustive key search, for cross-validating the SAT attack on
 small instances (and for enumerating *all* functionally correct keys,
-which the SAT attack does not do)."""
+which the SAT attack does not do).
+
+Every key is evaluated through :func:`repro.metrics.engine.key_diffs`:
+one exhaustive stimulus sweep over the unpinned inputs (pinned inputs
+held as constant words), one compile of the locked circuit, and each
+candidate key pinned as constant lanes.  A key is correct on the
+sub-space exactly when all of its diff words are zero.
+"""
 
 from __future__ import annotations
 
@@ -8,8 +15,9 @@ import time
 from dataclasses import dataclass, field
 from collections.abc import Mapping
 
-from repro.circuit.simulator import truth_table
+from repro.circuit.compiled import exhaustive_words
 from repro.locking.base import LockedCircuit
+from repro.metrics.engine import key_diffs
 from repro.oracle.oracle import Oracle
 
 
@@ -21,7 +29,7 @@ class BruteForceResult:
         keys: All key integers matching the oracle on every input
             consistent with :attr:`pinned`, in ascending order.
         elapsed_seconds: Wall-clock time of the enumeration.
-        oracle_queries: Oracle queries issued (one per candidate input
+        oracle_queries: Oracle queries issued (one per sub-space input
             pattern; the golden sweep is batched but still counted
             per pattern).
         key_order: Key port names fixing the bit order of each entry
@@ -55,9 +63,8 @@ def brute_force_attack(
 
     Exhaustive over both the key space and the input space; only
     sensible when ``|I| + |K|`` is small (~20 bits).  The golden
-    responses come from ONE bit-parallel :meth:`Oracle.query_batch`
-    sweep (still counted as one query per pattern); each candidate key
-    is checked against a compiled truth table of the keyed circuit.
+    responses come from ONE bit-parallel oracle sweep over the
+    ``2^(|I|-|pin|)`` sub-space patterns, counted as one query each.
     """
     start = time.perf_counter()
     queries_before = oracle.query_count
@@ -65,62 +72,18 @@ def brute_force_attack(
     if num_inputs + locked.key_size > 22:
         raise ValueError("brute force limited to ~22 total input+key bits")
     pin = dict(pin or {})
-    input_pos = {net: j for j, net in enumerate(locked.original_inputs)}
     for net in pin:
-        if net not in input_pos:
+        if net not in locked.original_inputs:
             raise ValueError(f"pinned net {net!r} is not an original input")
 
-    def consistent(pattern: int) -> bool:
-        return all(
-            ((pattern >> input_pos[net]) & 1) == int(value)
-            for net, value in pin.items()
-        )
-
-    candidate_patterns = [
-        p for p in range(1 << num_inputs) if consistent(p)
-    ]
-    # Oracle inputs may be ordered differently from the locked view;
-    # remap each packed pattern onto the oracle's own bit order.
-    oracle_pos = {net: j for j, net in enumerate(oracle.input_names)}
-    remap = [oracle_pos[net] for net in locked.original_inputs]
-    golden = oracle.query_batch(
-        [
-            sum(
-                1 << remap[j]
-                for j in range(num_inputs)
-                if (p >> j) & 1
-            )
-            for p in candidate_patterns
-        ]
-    )
-    output_order = oracle.output_names
-
-    good_keys = []
-    lanes: list[int] | None = None
-    for key in range(1 << locked.key_size):
-        keyed = locked.apply_key(key)
-        tables = truth_table(keyed)
-        if lanes is None:
-            # keyed.inputs is identical for every key (the original
-            # inputs in locked-netlist order), so the pattern -> lane
-            # mapping is computed once and reused.
-            pos = {net: j for j, net in enumerate(keyed.inputs)}
-            shift = [pos[net] for net in locked.original_inputs]
-            lanes = [
-                sum(1 << shift[j] for j in range(num_inputs) if (p >> j) & 1)
-                for p in candidate_patterns
-            ]
-        ok = True
-        for idx, lane in enumerate(lanes):
-            packed = golden[idx]
-            if any(
-                ((tables[out] >> lane) & 1) != ((packed >> k) & 1)
-                for k, out in enumerate(output_order)
-            ):
-                ok = False
-                break
-        if ok:
-            good_keys.append(key)
+    free = [net for net in locked.original_inputs if net not in pin]
+    width = 1 << len(free)
+    stimuli = dict(zip(free, exhaustive_words(len(free))))
+    for net, value in pin.items():
+        stimuli[net] = (1 << width) - 1 if value else 0
+    keys = range(1 << locked.key_size)
+    diffs = key_diffs(locked, oracle, keys, stimuli, width)
+    good_keys = [key for key, words in zip(keys, diffs) if not any(words)]
     return BruteForceResult(
         keys=good_keys,
         elapsed_seconds=time.perf_counter() - start,

@@ -62,6 +62,7 @@ from repro.circuit.gates import GateType
 from repro.circuit.opt import resolve_opt
 from repro.circuit.simulator import random_stimuli_words
 from repro.locking.base import LockedCircuit, key_to_int
+from repro.metrics.engine import key_diffs
 from repro.oracle.oracle import Oracle
 from repro.sat.registry import create_solver, resolve_solver_name
 from repro.sat.solver import Solver
@@ -704,15 +705,11 @@ def verify_key_against_oracle(
     if num_samples < 1:
         return True
     rng = random.Random(seed)
-    keyed = locked.apply_key(key)
-    compiled = keyed.compile()
-    stimuli = random_stimuli_words(compiled.inputs, num_samples, rng, pin)
-    words = [stimuli[net] for net in compiled.inputs]
-    got = dict(
-        zip(
-            compiled.outputs,
-            compiled.eval_outputs_wide(words, num_samples),
-        )
+    stimuli = random_stimuli_words(
+        [net for net in locked.netlist.inputs if net not in locked.key_inputs],
+        num_samples,
+        rng,
+        pin,
     )
-    expected = oracle.query_vector(stimuli, num_samples)
-    return all(got[po] == expected[po] for po in expected)
+    [diffs] = key_diffs(locked, oracle, [key], stimuli, num_samples)
+    return not any(diffs)

@@ -35,7 +35,6 @@ from repro.circuit.opt import (
 )
 from repro.circuit.simulator import (
     evaluate,
-    exhaustive_patterns,
     simulate,
     simulate_reference,
     truth_table,
@@ -55,7 +54,6 @@ __all__ = [
     "simulate_reference",
     "evaluate",
     "truth_table",
-    "exhaustive_patterns",
     "levelize",
     "fanin_cone",
     "fanout_cone",

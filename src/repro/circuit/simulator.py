@@ -34,7 +34,6 @@ from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
 
-from repro.circuit.compiled import exhaustive_words
 from repro.circuit.gates import eval_gate
 from repro.circuit.netlist import Netlist
 
@@ -91,16 +90,6 @@ def evaluate(
     return netlist.compile().eval_single(input_bits)
 
 
-def exhaustive_patterns(num_inputs: int) -> list[int]:
-    """Bit-parallel input stimuli covering all 2**n patterns.
-
-    Entry *j* is the value of input *j* across the 2**n lanes: lane
-    ``p`` holds bit ``j`` of the pattern index ``p``.  Input 0 is the
-    least significant bit of the pattern index.
-    """
-    return exhaustive_words(num_inputs)
-
-
 def truth_table(netlist: Netlist) -> dict[str, int]:
     """Exhaustive simulation: each output as a 2**n-bit truth table.
 
@@ -109,15 +98,6 @@ def truth_table(netlist: Netlist) -> dict[str, int]:
     """
     compiled = netlist.compile()
     return dict(zip(compiled.outputs, compiled.truth_table_words()))
-
-
-def outputs_as_int(output_values: Mapping[str, int], outputs: Sequence[str]) -> int:
-    """Pack single-bit output values into an integer (outputs[0] = LSB)."""
-    word = 0
-    for i, net in enumerate(outputs):
-        if output_values[net]:
-            word |= 1 << i
-    return word
 
 
 def random_patterns(num_inputs: int, width: int, seed: int = 0) -> list[int]:

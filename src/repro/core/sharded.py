@@ -393,7 +393,6 @@ def sharded_multikey_attack(
     seed: int = 0,
     splitting_inputs: list[str] | None = None,
     runner: Runner | None = None,
-    warm_start: bool = True,
     attack: str = "sat",
     attack_params: dict | None = None,
     solver: str | None = None,
@@ -424,9 +423,6 @@ def sharded_multikey_attack(
             callback streams each chunk's partial keys as it lands; its
             cache, when enabled, replays identical attacks).  A plain
             uncached pool is built when omitted.
-        warm_start: In parallel mode, run shard 0 in-process first and
-            prime every worker's solver with its exported learned
-            clauses.
         attack: Registered per-shard attack; must carry a ``shard_fn``
             (today: ``"sat"``).  Attacks without one are rejected —
             :func:`repro.core.multikey.multikey_attack` falls back to
@@ -503,7 +499,7 @@ def sharded_multikey_attack(
             attack_params=attack_params,
             seed=seed,
         )
-        prime = engine.export_warm_clauses() if warm_start else None
+        prime = engine.export_warm_clauses()
         encoding_hash = _encoding_identity(locked, opt)
         if runner is None:
             import multiprocessing

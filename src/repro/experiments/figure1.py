@@ -18,8 +18,8 @@ from repro.circuit.gates import GateType
 from repro.circuit.netlist import Netlist
 from repro.core.compose import compose_multikey_netlist, verify_composition
 from repro.core.multikey import multikey_attack
-from repro.locking.metrics import error_matrix, format_error_matrix
 from repro.locking.sarlock import sarlock_lock
+from repro.metrics.engine import error_matrix
 from repro.oracle.oracle import Oracle
 from repro.runner import Runner, TaskSpec, register_task
 
@@ -37,6 +37,21 @@ def paper_example_circuit() -> Netlist:
     netlist.add_gate("y", GateType.XOR, ["t0", "i2"])
     netlist.set_outputs(["y"])
     return netlist
+
+
+def format_error_matrix(matrix: list[list[bool]], key_width: int) -> str:
+    """Render an error matrix the way Fig. 1(a) does (rows = inputs).
+
+    Patterns and keys are displayed MSB-first, like the paper (bit
+    ``j`` of a pattern drives port ``j``).
+    """
+    input_width = max(1, (len(matrix) - 1).bit_length())
+    keys = [format(k, f"0{key_width}b") for k in range(len(matrix[0]))]
+    lines = ["input \\ key  " + " ".join(f"{k:>{key_width}}" for k in keys)]
+    for i, row in enumerate(matrix):
+        cells = " ".join(f"{'x' if err else '.':>{key_width}}" for err in row)
+        lines.append(f"{format(i, f'0{input_width}b'):>11}  {cells}")
+    return "\n".join(lines)
 
 
 @dataclass

@@ -17,12 +17,6 @@ from repro.locking.defense import (
     splitting_resistance,
 )
 from repro.locking.lut_lock import LutModuleSpec, lut_lock
-from repro.locking.metrics import (
-    error_matrix,
-    error_rate,
-    format_error_matrix,
-    keys_unlocking_subspace,
-)
 from repro.locking.registry import (
     SchemeInfo,
     lock_circuit,
@@ -42,10 +36,6 @@ __all__ = [
     "antisat_lock",
     "lut_lock",
     "LutModuleSpec",
-    "error_rate",
-    "error_matrix",
-    "format_error_matrix",
-    "keys_unlocking_subspace",
     "entangled_sarlock",
     "splitting_resistance",
     "SplittingResistance",

@@ -11,7 +11,10 @@ single shared sweep:
 2. The locked circuit is compiled once (and structurally optimized
    when the ``opt`` lever says so), then evaluated bit-parallel via
    :meth:`~repro.circuit.compiled.CompiledCircuit.eval_outputs_wide`
-   with each sampled wrong key pinned as constant lanes.
+   with each sampled wrong key pinned as constant lanes.  Steps 1 and
+   2 are :func:`key_diffs`, the repository's one keyed-evaluation
+   path (brute force, AppSAT checkpoints, oracle key verification and
+   Fig. 1's :func:`error_matrix` share it).
 3. Every registered metric (:mod:`repro.metrics.registry`) is pure
    popcount arithmetic over the resulting XOR diff words — which is
    why metric values are *bit-identical* across lanes backends, opt
@@ -47,8 +50,11 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import asdict, dataclass, field
-from collections.abc import Sequence
+from collections.abc import Iterable, Mapping, Sequence
+from functools import reduce
+from operator import or_
 
+from repro.circuit.compiled import exhaustive_words
 from repro.circuit.netlist import Netlist
 from repro.circuit.opt import resolve_opt
 from repro.locking.base import LockedCircuit
@@ -62,7 +68,9 @@ __all__ = [
     "DEFAULT_KEY_SAMPLES",
     "EXHAUSTIVE_INPUT_LIMIT",
     "SampleSweep",
+    "error_matrix",
     "evaluate_corruption",
+    "key_diffs",
 ]
 
 #: Wrong keys sampled per cell unless the caller says otherwise.
@@ -268,8 +276,6 @@ def _stimulus_words(
     splitting inputs and draws every other input bit from the seeded
     stream, so each sub-space receives an equal share of the lanes.
     """
-    from repro.circuit.compiled import exhaustive_words
-
     n = len(input_names)
     if n <= EXHAUSTIVE_INPUT_LIMIT:
         width = 1 << n
@@ -302,6 +308,96 @@ def _subspace_masks(
     return masks
 
 
+def key_diffs(
+    locked: LockedCircuit,
+    oracle: Oracle,
+    keys: Iterable[int | Mapping[str, bool]],
+    stimuli: Mapping[str, int],
+    width: int,
+    opt: str | None = None,
+) -> list[list[int]]:
+    """Where the locked circuit, under each key, disagrees with the oracle.
+
+    ``stimuli`` maps every oracle input to a ``width``-lane word (one
+    :meth:`~repro.oracle.Oracle.query_vector` call, counted as
+    ``width`` queries, supplies the golden outputs).  The locked
+    circuit is compiled once, optimized at ``opt``, and each key is
+    pinned as constant lanes.  ``result[k][o]`` is the lane mask where
+    output ``oracle.output_names[o]`` is wrong under ``keys[k]``; a key
+    is correct on the stimuli exactly when all its words are zero.
+
+    This is the one keyed-evaluation path: the metrics sweep, brute
+    force, AppSAT's checkpoints, oracle key verification and
+    :func:`error_matrix` all run through it, so each inherits the
+    lanes/opt parity contract.
+
+    ::
+
+        >>> from repro.bench_circuits.iscas85 import c17
+        >>> from repro.circuit.compiled import exhaustive_words
+        >>> from repro.locking.sarlock import sarlock_lock
+        >>> locked = sarlock_lock(c17(), 2, correct_key=0b10, seed=0)
+        >>> oracle = Oracle(c17())
+        >>> stimuli = dict(zip(oracle.input_names, exhaustive_words(5)))
+        >>> diffs = key_diffs(locked, oracle, range(4), stimuli, 32)
+        >>> [sum(word.bit_count() for word in per_key) for per_key in diffs]
+        [8, 8, 0, 8]
+        >>> oracle.query_count
+        32
+    """
+    mask = (1 << width) - 1
+    golden = oracle.query_vector(stimuli, width)
+    output_names = oracle.output_names
+    compiled = locked.netlist.compile()
+    level = resolve_opt(opt)
+    if level != "off":
+        compiled = compiled.optimized(level).compiled
+    key_ports = set(locked.key_inputs)
+    diffs: list[list[int]] = []
+    for key in keys:
+        assignment = locked.key_assignment(key)
+        words = [
+            (mask if assignment[name] else 0)
+            if name in key_ports
+            else stimuli[name]
+            for name in compiled.inputs
+        ]
+        outs = dict(
+            zip(compiled.outputs, compiled.eval_outputs_wide(words, width))
+        )
+        diffs.append(
+            [(golden[name] ^ outs[name]) & mask for name in output_names]
+        )
+    return diffs
+
+
+def error_matrix(locked: LockedCircuit, original: Netlist) -> list[list[bool]]:
+    """Fig. 1(a): ``matrix[i][k]`` is True iff key ``k`` errs on input ``i``.
+
+    Exhaustive over inputs and keys: bit ``j`` of ``i`` drives
+    ``locked.original_inputs[j]`` and bit ``j`` of ``k`` drives
+    ``locked.key_inputs[j]``.  Small circuits only.
+    """
+    total_bits = len(locked.netlist.inputs)
+    if total_bits > 22:
+        raise ValueError(
+            f"exhaustive analysis of {total_bits} total input bits is too large"
+        )
+    num_inputs = len(locked.original_inputs)
+    stimuli = dict(zip(locked.original_inputs, exhaustive_words(num_inputs)))
+    errs = [
+        reduce(or_, diffs, 0)
+        for diffs in key_diffs(
+            locked,
+            Oracle(original),
+            range(1 << locked.key_size),
+            stimuli,
+            1 << num_inputs,
+        )
+    ]
+    return [[bool(err >> i & 1) for err in errs] for i in range(1 << num_inputs)]
+
+
 def build_sweep(
     locked: LockedCircuit,
     original: Netlist,
@@ -328,12 +424,7 @@ def build_sweep(
             f"effort {effort} needs {1 << len(splitting)} sub-spaces but the "
             f"sweep has only {width} lanes; raise input_samples"
         )
-    mask = (1 << width) - 1
-
     oracle = Oracle(original, opt=opt)
-    golden = oracle.query_vector(words, width)
-    output_names = oracle.output_names
-
     wrong_keys = sample_wrong_keys(
         locked.key_size,
         key_samples,
@@ -345,43 +436,19 @@ def build_sweep(
     )
     exhaustive_keys = len(wrong_keys) == (1 << locked.key_size) - 1
 
-    compiled = locked.netlist.compile()
-    level = resolve_opt(opt)
-    if level != "off":
-        compiled = compiled.optimized(level).compiled
-    key_ports = set(locked.key_inputs)
-    diff_words: list[list[int]] = []
-    diff_any: list[int] = []
-    for key in wrong_keys:
-        assignment = locked.key_assignment(key)
-        stimuli = [
-            (mask if assignment[name] else 0)
-            if name in key_ports
-            else words[name]
-            for name in compiled.inputs
-        ]
-        outs = dict(
-            zip(compiled.outputs, compiled.eval_outputs_wide(stimuli, width))
-        )
-        diffs = [(golden[name] ^ outs[name]) & mask for name in output_names]
-        any_word = 0
-        for word in diffs:
-            any_word |= word
-        diff_words.append(diffs)
-        diff_any.append(any_word)
-
+    diff_words = key_diffs(locked, oracle, wrong_keys, words, width, opt=opt)
     sweep = SampleSweep(
         width=width,
-        mask=mask,
+        mask=(1 << width) - 1,
         input_names=input_names,
-        output_names=output_names,
+        output_names=oracle.output_names,
         wrong_keys=wrong_keys,
         correct_key=locked.correct_key_int,
         key_size=locked.key_size,
         splitting_inputs=splitting,
         subspace_masks=_subspace_masks(words, splitting, width),
         diff_words=diff_words,
-        diff_any=diff_any,
+        diff_any=[reduce(or_, diffs, 0) for diffs in diff_words],
         exhaustive_inputs=exhaustive_inputs,
         exhaustive_keys=exhaustive_keys,
         seed=seed,

@@ -51,10 +51,10 @@ class TestAppSat:
             seed=5,
         )
         assert result.key is not None
-        from repro.locking.metrics import error_rate
+        from repro.bdd.analysis import exact_error_rate
 
         # Point-function corruption only: at most a few patterns err.
-        rate = error_rate(locked, original, result.key, num_samples=2048)
+        rate = exact_error_rate(locked, original, result.key)
         assert rate <= 0.05
 
     def test_timeout_status(self):

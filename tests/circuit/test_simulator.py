@@ -2,12 +2,11 @@
 
 import pytest
 
+from repro.circuit.compiled import exhaustive_words
 from repro.circuit.gates import GateType
 from repro.circuit.netlist import Netlist
 from repro.circuit.simulator import (
     evaluate,
-    exhaustive_patterns,
-    outputs_as_int,
     random_patterns,
     simulate,
     truth_table,
@@ -61,21 +60,21 @@ class TestEvaluate:
 
 class TestExhaustive:
     def test_patterns_enumerate_all(self):
-        pats = exhaustive_patterns(3)
+        pats = exhaustive_words(3)
         seen = set()
         for lane in range(8):
             seen.add(tuple((p >> lane) & 1 for p in pats))
         assert len(seen) == 8
 
     def test_lane_p_encodes_p(self):
-        pats = exhaustive_patterns(4)
+        pats = exhaustive_words(4)
         for lane in range(16):
             value = sum(((pats[j] >> lane) & 1) << j for j in range(4))
             assert value == lane
 
     def test_too_wide_rejected(self):
         with pytest.raises(ValueError):
-            exhaustive_patterns(25)
+            exhaustive_words(25)
 
     def test_truth_table_xor(self):
         tt = truth_table(_xor_circuit())
@@ -95,9 +94,6 @@ class TestExhaustive:
 
 
 class TestHelpers:
-    def test_outputs_as_int(self):
-        assert outputs_as_int({"x": 1, "y": 0, "z": 1}, ["x", "y", "z"]) == 0b101
-
     def test_random_patterns_deterministic(self):
         assert random_patterns(3, 64, seed=5) == random_patterns(3, 64, seed=5)
         assert random_patterns(3, 64, seed=5) != random_patterns(3, 64, seed=6)

@@ -1,18 +1,31 @@
-"""Corruption metric tests (the Fig. 1a machinery)."""
+"""Fig. 1(a) machinery: the error matrix, its rendering, the keys that
+unlock a sub-space, and per-key error rates.
+
+The matrix is :func:`repro.metrics.engine.error_matrix` (an exhaustive
+view over ``key_diffs``), the rendering is Figure 1's
+:func:`~repro.experiments.figure1.format_error_matrix`, sub-space keys
+come from :func:`~repro.attacks.brute_force.brute_force_keys`, and
+rates from the BDD package's exact
+:func:`~repro.bdd.analysis.exact_error_rate`.
+"""
+
+import random
+from functools import reduce
+from operator import or_
 
 import pytest
 
+from repro.attacks.brute_force import brute_force_keys
+from repro.bdd.analysis import exact_error_rate
 from repro.circuit.gates import GateType
 from repro.circuit.netlist import Netlist
 from repro.circuit.random_circuits import random_netlist
-from repro.locking.metrics import (
-    error_matrix,
-    error_rate,
-    format_error_matrix,
-    keys_unlocking_subspace,
-)
+from repro.circuit.simulator import random_stimuli_words
+from repro.experiments.figure1 import format_error_matrix
 from repro.locking.sarlock import sarlock_lock
 from repro.locking.xor_lock import xor_lock
+from repro.metrics.engine import error_matrix, key_diffs
+from repro.oracle.oracle import Oracle
 
 
 def _fig1_circuit() -> Netlist:
@@ -22,6 +35,10 @@ def _fig1_circuit() -> Netlist:
     n.add_gate("y", GateType.XOR, ["t", "i2"])
     n.set_outputs(["y"])
     return n
+
+
+def _subspace_keys(locked, original, pin):
+    return brute_force_keys(locked, Oracle(original), pin=pin)
 
 
 class TestErrorMatrix:
@@ -63,26 +80,26 @@ class TestSubspaceKeys:
         )
         # Keys displayed MSB-first in the paper: 100,101,110,111 unlock
         # the MSB=0 half -> ints with bit2 set, i.e. {4,5,6,7}.
-        msb0 = keys_unlocking_subspace(locked, original, {"i2": False})
+        msb0 = _subspace_keys(locked, original, {"i2": False})
         assert set(msb0) == {4, 5, 6, 7}
-        msb1 = keys_unlocking_subspace(locked, original, {"i2": True})
+        msb1 = _subspace_keys(locked, original, {"i2": True})
         assert set(msb1) == {0, 1, 2, 3, 5}
 
     def test_empty_pin_yields_only_correct_keys(self):
         original = _fig1_circuit()
         locked = sarlock_lock(original, 3, correct_key=0b011)
-        assert keys_unlocking_subspace(locked, original, {}) == [0b011]
+        assert _subspace_keys(locked, original, {}) == [0b011]
 
     def test_unknown_pin_rejected(self):
         original = _fig1_circuit()
         locked = sarlock_lock(original, 3)
         with pytest.raises(ValueError):
-            keys_unlocking_subspace(locked, original, {"zz": True})
+            _subspace_keys(locked, original, {"zz": True})
 
     def test_subspace_set_grows_with_restriction(self, small_circuit):
         locked = sarlock_lock(small_circuit, 4, seed=1)
-        full = keys_unlocking_subspace(locked, small_circuit, {})
-        half = keys_unlocking_subspace(
+        full = _subspace_keys(locked, small_circuit, {})
+        half = _subspace_keys(
             locked, small_circuit, {small_circuit.inputs[0]: False}
         )
         assert set(full) <= set(half)
@@ -92,19 +109,24 @@ class TestSubspaceKeys:
 class TestErrorRate:
     def test_correct_key_rate_zero_exhaustive(self, small_circuit):
         locked = xor_lock(small_circuit, 4, seed=9)
-        assert error_rate(locked, small_circuit, locked.correct_key_int) == 0.0
+        assert exact_error_rate(locked, small_circuit, locked.correct_key_int) == 0.0
 
     def test_correct_key_rate_zero_sampled(self, small_circuit):
         locked = xor_lock(small_circuit, 4, seed=9)
-        rate = error_rate(
-            locked, small_circuit, locked.correct_key_int, num_samples=512
+        oracle = Oracle(small_circuit)
+        stimuli = random_stimuli_words(
+            oracle.input_names, 512, random.Random(0)
         )
+        [diffs] = key_diffs(
+            locked, oracle, [locked.correct_key_int], stimuli, 512
+        )
+        rate = reduce(or_, diffs, 0).bit_count() / 512
         assert rate == 0.0
 
     def test_sarlock_wrong_key_rate_is_pointlike(self, small_circuit):
         locked = sarlock_lock(small_circuit, 4, seed=3)
         wrong = locked.correct_key_int ^ 0b1
-        rate = error_rate(locked, small_circuit, wrong)
+        rate = exact_error_rate(locked, small_circuit, wrong)
         # exactly one of 2^4 protected patterns errs; inputs beyond the
         # protected ones don't affect the comparator.
         assert rate == pytest.approx(1 / 16)
@@ -112,4 +134,4 @@ class TestErrorRate:
     def test_xor_wrong_key_rate_large(self, small_circuit):
         locked = xor_lock(small_circuit, 4, seed=9)
         wrong = locked.correct_key_int ^ 0b1111
-        assert error_rate(locked, small_circuit, wrong) > 0.25
+        assert exact_error_rate(locked, small_circuit, wrong) > 0.25

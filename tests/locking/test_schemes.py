@@ -53,7 +53,7 @@ class TestSarlock:
 
     def test_error_law(self, small_circuit):
         """Error iff protected-input pattern == key != k*."""
-        from repro.locking.metrics import error_matrix
+        from repro.metrics.engine import error_matrix
 
         lk = sarlock_lock(small_circuit.copy(), 3, correct_key=0b010)
         matrix = error_matrix(lk, small_circuit)
@@ -70,7 +70,7 @@ class TestSarlock:
     def test_every_wrong_key_corrupts_exactly_one_pattern(self):
         original = random_netlist(4, 20, seed=8)
         lk = sarlock_lock(original, 4, correct_key=7)
-        from repro.locking.metrics import error_matrix
+        from repro.metrics.engine import error_matrix
 
         matrix = error_matrix(lk, original)
         for k in range(16):
@@ -108,7 +108,7 @@ class TestAntisat:
     def test_unequal_halves_corrupt_one_pattern(self):
         original = random_netlist(4, 20, seed=3)
         lk = antisat_lock(original, 3, seed=2)
-        from repro.locking.metrics import error_matrix
+        from repro.metrics.engine import error_matrix
 
         matrix = error_matrix(lk, original)
         for k in range(1 << 6):

@@ -2,22 +2,24 @@
 
 Ground truth comes from circuits small enough to check by hand (a
 single XOR gate; SARLock's one-error-per-key point function) and from
-:func:`repro.locking.metrics.error_rate`, the pre-existing exhaustive
-reference.  Parity is the subsystem's contract: every metric value is
+the BDD package's exact rates and key counts, an independent oracle.  Parity is the subsystem's contract: every metric value is
 bit-identical across lanes backends and opt levels, because the levers
 change how the sweep runs, never which bits it produces.
 """
 
 import pytest
 
+from repro.attacks.brute_force import brute_force_keys
+from repro.bdd.analysis import count_keys_unlocking_subspace, exact_error_rate
 from repro.bench_circuits.iscas85 import c17
 from repro.circuit.gates import GateType
 from repro.circuit.lanes import numpy_available
 from repro.circuit.netlist import Netlist
-from repro.locking.metrics import error_rate
+from repro.circuit.random_circuits import random_netlist
 from repro.locking.registry import lock_circuit
 from repro.metrics import CorruptionReport, evaluate_corruption
 from repro.metrics.engine import build_sweep
+from repro.oracle.oracle import Oracle
 
 needs_numpy = pytest.mark.skipif(
     not numpy_available(), reason="numpy lane backend not installed"
@@ -64,14 +66,25 @@ class TestExhaustiveGroundTruth:
         per_key = report.detail("corruption")["per_key"]
         assert per_key == [1 / 8] * 7
 
-    def test_per_key_rates_match_locking_metrics_error_rate(self):
-        original = c17()
-        locked = lock_circuit("sarlock", original, key_size=3, seed=2)
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("scheme", ["xor", "sarlock", "antisat", "entangled"])
+    def test_matches_bdd_oracle(self, scheme, seed):
+        # Differential check against the BDD package's exact counts:
+        # every per-key rate of an exhaustive sweep, and the size of
+        # every brute-forced key set, with and without a pinned input.
+        original = random_netlist(6, 30, seed=seed)
+        locked = lock_circuit(scheme, original, key_size=4, seed=seed)
         sweep, _ = build_sweep(locked, original, key_samples=0)
+        assert sweep.exhaustive_inputs and sweep.exhaustive_keys
         report = evaluate_corruption(locked, original, key_samples=0)
         per_key = report.detail("corruption")["per_key"]
-        for key, rate in zip(sweep.wrong_keys, per_key):
-            assert rate == error_rate(locked, original, key)
+        for key, rate in zip(sweep.wrong_keys, per_key, strict=True):
+            assert rate == exact_error_rate(locked, original, key)
+        for pin in ({}, {original.inputs[seed]: bool(seed % 2)}):
+            keys = brute_force_keys(locked, Oracle(original), pin=pin)
+            assert len(keys) == count_keys_unlocking_subspace(
+                locked, original, pin
+            )
 
     def test_sarlock_subspaces_split_the_errors(self):
         # At N=1 each wrong key's single error pattern lives in exactly
@@ -136,8 +149,6 @@ class TestLeverParity:
     def test_sampled_sweep_parity_across_lanes(self, effort, monkeypatch):
         # 14 inputs > EXHAUSTIVE_INPUT_LIMIT: the stratified sampled
         # path, not the exhaustive one.
-        from repro.circuit.random_circuits import random_netlist
-
         original = random_netlist(14, 60, seed=1)
         locked = lock_circuit("xor", original, key_size=6, seed=0)
         kwargs = dict(
