@@ -32,8 +32,9 @@ that keeps reported query columns comparable across attacks).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from collections.abc import Callable, Mapping
+from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Protocol
 
 from repro.attacks.appsat import appsat_attack
@@ -45,6 +46,7 @@ from repro.attacks.sat_attack import (
 )
 from repro.locking.base import LockedCircuit, key_to_int
 from repro.oracle.oracle import Oracle
+from repro.registry import Registry
 
 #: Statuses that count as a successful sub-space attack.  ``"ok"`` is
 #: an exact key; ``"settled"`` is AppSAT's acceptance criterion (the
@@ -153,7 +155,9 @@ class AttackInfo:
         return self.shard_fn is not None
 
 
-_REGISTRY: dict[str, AttackInfo] = {}
+_REGISTRY: Registry[AttackInfo] = Registry("attack", identity=attrgetter("fn"))
+attack_info = _REGISTRY.get
+registered_attacks = _REGISTRY.names
 
 
 def register_attack(
@@ -165,58 +169,18 @@ def register_attack(
     """Decorator registering ``fn`` as the attack called ``name``."""
 
     def decorate(fn: Callable[..., AttackOutcome]) -> Callable[..., AttackOutcome]:
-        existing = _REGISTRY.get(name)
-        if existing is not None and existing.fn is not fn:
-            raise ValueError(f"attack {name!r} already registered")
-        _REGISTRY[name] = AttackInfo(
-            name=name, fn=fn, shard_fn=shard_fn, description=description
-        )
+        _REGISTRY.register(name, AttackInfo(name, fn, shard_fn, description))
         return fn
 
     return decorate
 
 
-def attack_info(name: str) -> AttackInfo:
-    """Resolve a registered attack; ``ValueError`` lists the roster."""
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        known = ", ".join(sorted(_REGISTRY)) or "<none>"
-        raise ValueError(
-            f"unknown attack {name!r} (known: {known})"
-        ) from None
-
-
-def registered_attacks() -> list[str]:
-    """Sorted names of every registered attack."""
-    return sorted(_REGISTRY)
-
-
 def run_attack(
-    name: str,
-    locked: LockedCircuit,
-    oracle: Oracle,
-    *,
-    pin: Mapping[str, bool] | None = None,
-    time_limit: float | None = None,
-    max_dips: int | None = None,
-    seed: int = 0,
-    solver: str | None = None,
-    opt: str | None = None,
-    **params,
+    name: str, locked: LockedCircuit, oracle: Oracle, **params
 ) -> AttackOutcome:
-    """Run the registered attack ``name`` under the uniform convention."""
-    return attack_info(name).fn(
-        locked,
-        oracle,
-        pin=pin,
-        time_limit=time_limit,
-        max_dips=max_dips,
-        seed=seed,
-        solver=solver,
-        opt=opt,
-        **params,
-    )
+    """Run the registered attack ``name``; ``params`` are keywords of
+    the :class:`Attack` convention plus attack-specific knobs."""
+    return attack_info(name).fn(locked, oracle, **params)
 
 
 # ----------------------------------------------------------------------

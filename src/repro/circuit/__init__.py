@@ -39,7 +39,6 @@ from repro.circuit.simulator import (
     simulate_reference,
     truth_table,
 )
-from repro.circuit.verilog import format_verilog, write_verilog_file
 
 __all__ = [
     "GateType",
@@ -72,6 +71,4 @@ __all__ = [
     "optimize_compiled",
     "run_pass",
     "resolve_opt",
-    "format_verilog",
-    "write_verilog_file",
 ]

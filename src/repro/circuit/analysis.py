@@ -153,17 +153,3 @@ def rank_inputs_by_key_influence(
     ranked.sort(key=lambda pair: (-pair[1], order.get(pair[0], 0)))
     return ranked
 
-
-def cone_statistics(netlist: Netlist) -> dict[str, dict[str, int]]:
-    """Per-output support and cone-size statistics (reporting helper)."""
-    compiled = netlist.compile()
-    stats: dict[str, dict[str, int]] = {}
-    num_inputs = len(compiled.inputs)
-    for net, slot in zip(compiled.outputs, compiled.output_slots):
-        cone = compiled.fanin_cone_slots(slot)
-        support = sum(1 for s in cone if s < num_inputs)
-        stats[net] = {
-            "cone_gates": len(cone) - support,
-            "support": support,
-        }
-    return stats

@@ -256,10 +256,6 @@ def _cmd_defense(args: argparse.Namespace) -> int:
 def _cmd_attack(args: argparse.Namespace) -> int:
     from repro.service import AttackRequest
 
-    if args.sharded and args.engine == "reference":
-        raise SystemExit(
-            "repro-lock: error: --sharded contradicts --engine reference"
-        )
     if args.scheme == "lut":
         scheme_params = {"spec": args.lut_spec, "seed": args.seed}
     else:
@@ -277,7 +273,7 @@ def _cmd_attack(args: argparse.Namespace) -> int:
             scheme=args.scheme,
             scheme_params=scheme_params,
             attack=args.attack,
-            engine="sharded" if args.sharded else args.engine,
+            engine=args.engine,
             effort=args.effort,
             scale=args.scale,
             seed=args.seed,
@@ -621,10 +617,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--engine", choices=("sharded", "reference"), default="sharded",
         help="multi-key engine (default: sharded)",
-    )
-    p.add_argument(
-        "--sharded", action="store_true",
-        help="shorthand for --engine sharded",
     )
     _add_runner_args(p)
     _add_envelope_arg(p)

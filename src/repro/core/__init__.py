@@ -22,12 +22,6 @@ from repro.core.compose import compose_multikey_netlist, verify_composition
 from repro.core.conditional import ConditionalNetlist, generate_conditional_netlist
 from repro.core.multikey import MultiKeyResult, SubTaskResult, multikey_attack
 from repro.core.sharded import ShardEngine, sharded_multikey_attack
-from repro.core.scheduling import (
-    Schedule,
-    attack_time_on_cores,
-    lpt_schedule,
-    speedup_curve,
-)
 from repro.core.splitting import select_splitting_inputs, splitting_assignments
 
 __all__ = [
@@ -42,8 +36,4 @@ __all__ = [
     "SubTaskResult",
     "compose_multikey_netlist",
     "verify_composition",
-    "lpt_schedule",
-    "Schedule",
-    "attack_time_on_cores",
-    "speedup_curve",
 ]

@@ -8,8 +8,9 @@ implement the sub-space attacks:
 * ``engine="reference"`` (this module) follows Algorithm 1 literally:
   each sub-task synthesizes a conditional netlist
   (:mod:`repro.core.conditional`) and cold-starts a pinned attack.
-  ``parallel=True`` fans the independent sub-tasks out on a process
-  pool.
+  Each sub-task is a registered ``multikey_subtask`` task (circuits
+  travel as ``.bench`` text), so the ``2^N`` sub-tasks run through
+  :mod:`repro.runner` — its pool, cache and shared worker slots.
 * ``engine="sharded"`` (:mod:`repro.core.sharded`) encodes the miter
   once and runs the ``2^N`` sub-spaces as assumption-pinned shards
   against warm solver state — same partial keys, a fraction of the
@@ -30,16 +31,19 @@ time-intensive sub-task"*.
 
 from __future__ import annotations
 
+import multiprocessing
 import time
 from dataclasses import asdict, dataclass, field
 from statistics import fmean
 
 from repro.attacks.registry import SUCCESS_STATUSES, attack_info, run_attack
+from repro.circuit.bench import format_bench, parse_bench
 from repro.circuit.netlist import Netlist
 from repro.core.conditional import generate_conditional_netlist
 from repro.core.splitting import select_splitting_inputs, splitting_assignments
 from repro.locking.base import LockedCircuit, key_to_int
 from repro.oracle.oracle import Oracle
+from repro.runner import Runner, TaskSpec, register_task
 
 
 @dataclass
@@ -220,54 +224,50 @@ class MultiKeyResult:
         return cls(**data)
 
 
-def _run_subtask(payload: tuple) -> SubTaskResult:
-    """Worker body; module-level so it pickles for multiprocessing."""
-    (
-        locked,
-        original,
-        index,
-        assignment,
-        run_synthesis,
-        time_limit,
-        max_dips,
-        attack,
-        attack_params,
-        seed,
-        solver,
-        opt,
-    ) = payload
+@register_task("multikey_subtask")
+def _subtask_task(params: dict) -> dict:
+    """Worker: one reference sub-task — synthesize the conditional
+    netlist of sub-space ``index``, then cold-start a pinned attack."""
+    from repro.core.sharded import _locked_from_params
+
+    locked = _locked_from_params(params)
+    assignment = params["assignment"]
+    attack = params["attack"]
+    opt = params["opt"]
     conditional = generate_conditional_netlist(
-        locked, assignment, run_synthesis=run_synthesis
+        locked, assignment, run_synthesis=params["run_synthesis"]
     )
-    oracle = Oracle(original, opt=opt)
+    oracle = Oracle(parse_bench(params["oracle_bench"], name="oracle"), opt=opt)
     outcome = run_attack(
         attack,
         conditional.locked,
         oracle,
         pin=assignment,
-        time_limit=time_limit,
-        max_dips=max_dips,
-        seed=seed,
-        solver=solver,
+        time_limit=params["time_limit_per_task"],
+        max_dips=params["max_dips_per_task"],
+        seed=params["seed"],
+        solver=params["solver"],
         opt=opt,
-        **(attack_params or {}),
+        **(params["attack_params"] or {}),
     )
-    return SubTaskResult(
-        index=index,
-        assignment=dict(assignment),
-        key=outcome.key,
-        status=outcome.status,
-        num_dips=outcome.num_dips,
-        elapsed_seconds=outcome.elapsed_seconds,
-        synthesis_seconds=(
-            conditional.synthesis.elapsed_seconds if conditional.synthesis else 0.0
-        ),
-        gates_before=conditional.gates_before,
-        gates_after=conditional.gates_after,
-        oracle_queries=outcome.oracle_queries,
-        solver_stats=outcome.solver_stats,
-        key_order=list(locked.key_inputs),
-        attack=attack,
+    return asdict(
+        SubTaskResult(
+            index=params["index"],
+            assignment=dict(assignment),
+            key=outcome.key,
+            status=outcome.status,
+            num_dips=outcome.num_dips,
+            elapsed_seconds=outcome.elapsed_seconds,
+            synthesis_seconds=getattr(
+                conditional.synthesis, "elapsed_seconds", 0.0
+            ),
+            gates_before=conditional.gates_before,
+            gates_after=conditional.gates_after,
+            oracle_queries=outcome.oracle_queries,
+            solver_stats=outcome.solver_stats,
+            key_order=list(locked.key_inputs),
+            attack=attack,
+        )
     )
 
 
@@ -295,8 +295,8 @@ def multikey_attack(
     Args:
         locked: The locked design (attacker's netlist).
         oracle_netlist: The original design, used only to *simulate*
-            the black-box oracle inside each sub-task (each worker
-            process instantiates its own :class:`Oracle` from it).
+            the black-box oracle inside each sub-task (each sub-task
+            instantiates its own :class:`Oracle` from it).
         effort: ``N``; the input space splits into ``2^N`` sub-spaces.
         selection: Splitting-input strategy (see
             :func:`repro.core.splitting.select_splitting_inputs`).
@@ -304,7 +304,8 @@ def multikey_attack(
             Algorithm 1).  Disabling this is the A2 ablation.
             Reference engine only.
         parallel: Fan the sub-tasks out over a process pool.
-        processes: Pool size (defaults to ``min(2^N, cpu_count)``).
+        processes: Worker count of the default runner (defaults to
+            ``cpu_count``; ignored when ``runner`` is supplied).
         time_limit_per_task / max_dips_per_task: Sub-attack budgets.
         splitting_inputs: Override the selection entirely (used by
             tests and the composition example).
@@ -323,7 +324,7 @@ def multikey_attack(
             :func:`repro.attacks.registry.registered_attacks`).
         attack_params: Extra keyword params for the attack (e.g.
             AppSAT's ``error_threshold``); must be JSON-serializable
-            when the attack is routed through the runner cache.
+            when the runner caches (they are part of the task hash).
         solver: Registered solver backend name for the sub-attacks
             (``None`` -> the process default; see
             :mod:`repro.sat.registry`).
@@ -332,9 +333,12 @@ def multikey_attack(
             default; see :mod:`repro.circuit.opt`).  Resolved here so
             every sub-task — and the sharded engine's task hashes —
             see one concrete level.
-        runner: Optional :class:`repro.runner.Runner` for the sharded
-            engine's fan-out (ignored by the reference engine, whose
-            sub-tasks carry live objects the task cache cannot hash).
+        runner: Optional :class:`repro.runner.Runner` the sub-tasks
+            (reference) or shard chunks (sharded) are submitted
+            through; its cache, when enabled, replays identical
+            sub-attacks.  Without one, the reference engine builds
+            ``Runner(jobs=processes or cpu_count)`` when ``parallel``
+            and a serial one otherwise.
 
     ``effort=0`` degenerates to the baseline single-key attack.
     """
@@ -379,37 +383,39 @@ def multikey_attack(
         raise ValueError("splitting_inputs length must equal effort")
     assignments = splitting_assignments(splitting_inputs)
 
-    payloads = [
-        (
-            locked,
-            oracle_netlist,
-            index,
-            assignment,
-            run_synthesis,
-            time_limit_per_task,
-            max_dips_per_task,
-            attack,
-            attack_params,
-            seed,
-            solver,
-            opt,
+    from repro.core.sharded import _locked_to_params
+
+    shared = {
+        **_locked_to_params(locked),
+        "oracle_bench": format_bench(oracle_netlist),
+        "run_synthesis": run_synthesis,
+        "time_limit_per_task": time_limit_per_task,
+        "max_dips_per_task": max_dips_per_task,
+        "attack": attack,
+        "attack_params": attack_params,
+        "seed": seed,
+        "solver": solver,
+        "opt": opt,
+    }
+    specs = [
+        TaskSpec(
+            kind="multikey_subtask",
+            params={**shared, "index": index, "assignment": dict(assignment)},
+            label=f"sub-task {index}",
         )
         for index, assignment in enumerate(assignments)
     ]
-
-    if parallel and len(payloads) > 1:
-        from repro.runner.executor import map_parallel
-
-        subtasks = map_parallel(_run_subtask, payloads, processes=processes)
-    else:
-        subtasks = [_run_subtask(p) for p in payloads]
+    if runner is None:
+        jobs = (processes or multiprocessing.cpu_count()) if parallel else 1
+        runner = Runner(jobs=jobs)
+    subtasks = [SubTaskResult(**task.artifact) for task in runner.run(specs)]
 
     return MultiKeyResult(
         effort=effort,
         splitting_inputs=list(splitting_inputs),
-        subtasks=list(subtasks),
+        subtasks=subtasks,
         wall_seconds=time.perf_counter() - start,
-        parallel=parallel and len(payloads) > 1,
+        parallel=parallel and len(specs) > 1,
         selection=selection,
         attack=attack,
         solver=solver,

@@ -37,6 +37,7 @@ and records the trajectory in ``BENCH_multikey.json``.
 
 from __future__ import annotations
 
+import multiprocessing
 import time
 from collections.abc import Sequence
 from dataclasses import asdict
@@ -502,8 +503,6 @@ def sharded_multikey_attack(
         prime = engine.export_warm_clauses()
         encoding_hash = _encoding_identity(locked, opt)
         if runner is None:
-            import multiprocessing
-
             runner = Runner(jobs=processes or multiprocessing.cpu_count())
         chunks = chunk_evenly(
             list(range(1, num_shards)), max(1, runner.jobs)

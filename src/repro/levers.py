@@ -16,11 +16,16 @@ import importlib
 import os
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.registry import Registry
 
 
-def _registry(module: str) -> Callable[[], Mapping[str, object]]:
-    """A registry's live dict, imported on first use (the registry
-    modules import this table, so they cannot be imported here)."""
+def _registry(module: str) -> Callable[[], Registry]:
+    """A module's :class:`~repro.registry.Registry`, imported on first
+    use (the registry modules import this table, so they cannot be
+    imported here)."""
     return functools.cache(lambda: importlib.import_module(module)._REGISTRY)
 
 
@@ -30,16 +35,17 @@ class Lever:
 
     ``name``, dashed, is the CLI flag; for a hashed lever it is also
     the envelope/``ScenarioSpec`` field.  ``choices`` is a fixed tuple
-    or a callable returning the live registry (membership is one dict
-    lookup).  ``noun`` names a value in error messages.  ``aliases``
-    map a value to the concrete one :meth:`resolve` returns, so caches
-    hash what actually runs.
+    or a callable returning the live :class:`~repro.registry.Registry`
+    (which then owns the lookup and its roster error).  ``noun`` names
+    a value in error messages (a registry lever's is its registry's).
+    ``aliases`` map a value to the concrete one :meth:`resolve`
+    returns, so caches hash what actually runs.
     """
 
     name: str
     env: str
     default: str
-    choices: tuple[str, ...] | Callable[[], Mapping[str, object]]
+    choices: tuple[str, ...] | Callable[[], Registry]
     noun: str
     help: str
     hashed: bool
@@ -53,7 +59,7 @@ class Lever:
         """Every accepted value (registry rosters sorted)."""
         if isinstance(self.choices, tuple):
             return list(self.choices)
-        return sorted(self.choices())
+        return self.choices().names()
 
     def current(self) -> str:
         """``env`` when set and non-empty, else ``default``."""
@@ -61,14 +67,13 @@ class Lever:
 
     def check(self, value: str) -> str:
         """``value`` when it is a choice; otherwise raise with the roster."""
-        fixed = isinstance(self.choices, tuple)
-        if value in (self.choices if fixed else self.choices()):
-            return value
-        if fixed:
-            roster = f"choose from {self.choices}"
-        else:
-            roster = "registered: " + ", ".join(self.roster())
-        raise ValueError(f"unknown {self.noun} {value!r} ({roster})")
+        if not isinstance(self.choices, tuple):
+            self.choices().get(value)
+        elif value not in self.choices:
+            raise ValueError(
+                f"unknown {self.noun} {value!r} (choose from {self.choices})"
+            )
+        return value
 
     def resolve(self, value: str | None = None) -> str:
         """``value`` (else :meth:`current`), checked, aliases applied."""

@@ -21,8 +21,9 @@ Adding a scheme::
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from collections.abc import Callable, Mapping
+from dataclasses import dataclass
+from operator import attrgetter
 
 from repro.circuit.netlist import Netlist
 from repro.locking.antisat import antisat_lock
@@ -31,6 +32,7 @@ from repro.locking.defense import entangled_sarlock
 from repro.locking.lut_lock import LutModuleSpec, lut_lock
 from repro.locking.sarlock import sarlock_lock
 from repro.locking.xor_lock import xor_lock
+from repro.registry import Registry
 
 
 @dataclass(frozen=True)
@@ -42,7 +44,11 @@ class SchemeInfo:
     description: str = ""
 
 
-_REGISTRY: dict[str, SchemeInfo] = {}
+_REGISTRY: Registry[SchemeInfo] = Registry(
+    "locking scheme", identity=attrgetter("fn")
+)
+scheme_info = _REGISTRY.get
+registered_schemes = _REGISTRY.names
 
 
 def register_scheme(
@@ -51,29 +57,10 @@ def register_scheme(
     """Decorator registering ``fn`` as the locking scheme ``name``."""
 
     def decorate(fn: Callable[..., LockedCircuit]) -> Callable[..., LockedCircuit]:
-        existing = _REGISTRY.get(name)
-        if existing is not None and existing.fn is not fn:
-            raise ValueError(f"locking scheme {name!r} already registered")
-        _REGISTRY[name] = SchemeInfo(name=name, fn=fn, description=description)
+        _REGISTRY.register(name, SchemeInfo(name, fn, description))
         return fn
 
     return decorate
-
-
-def scheme_info(name: str) -> SchemeInfo:
-    """Resolve a registered scheme; ``ValueError`` lists the roster."""
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        known = ", ".join(sorted(_REGISTRY)) or "<none>"
-        raise ValueError(
-            f"unknown locking scheme {name!r} (known: {known})"
-        ) from None
-
-
-def registered_schemes() -> list[str]:
-    """Sorted names of every registered locking scheme."""
-    return sorted(_REGISTRY)
 
 
 def lock_circuit(name: str, netlist: Netlist, **params) -> LockedCircuit:

@@ -1,8 +1,7 @@
 """The corruption-metric registry.
 
-Mirrors the scheme/attack/solver/cache-backend registries: metrics
-register under a string name with ``@register_metric``, callers look
-them up by name, and ``registered_metrics()`` drives
+Metrics register by name with ``@register_metric`` into one
+:class:`~repro.registry.Registry`; ``registered_metrics()`` drives
 ``--list-metrics`` and envelope validation.
 
 A metric is a function from a :class:`repro.metrics.engine.SampleSweep`
@@ -18,7 +17,10 @@ engines for free.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import TYPE_CHECKING, Callable, Protocol
+
+from repro.registry import Registry
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.metrics.engine import SampleSweep
@@ -56,7 +58,9 @@ class MetricInfo:
     description: str
 
 
-_METRICS: dict[str, MetricInfo] = {}
+_METRICS: Registry[MetricInfo] = Registry("metric", identity=attrgetter("fn"))
+metric_info = _METRICS.get
+registered_metrics = _METRICS.names
 
 
 def register_metric(name: str, description: str = ""):
@@ -70,23 +74,7 @@ def register_metric(name: str, description: str = ""):
     """
 
     def decorator(fn: Callable) -> Callable:
-        if name in _METRICS:
-            raise ValueError(f"metric {name!r} already registered")
-        _METRICS[name] = MetricInfo(name=name, fn=fn, description=description)
+        _METRICS.register(name, MetricInfo(name, fn, description))
         return fn
 
     return decorator
-
-
-def metric_info(name: str) -> MetricInfo:
-    """Look up a metric; unknown names list the roster."""
-    try:
-        return _METRICS[name]
-    except KeyError:
-        known = ", ".join(sorted(_METRICS)) or "<none>"
-        raise ValueError(f"unknown metric {name!r}; registered: {known}") from None
-
-
-def registered_metrics() -> list[str]:
-    """Sorted names of every registered metric."""
-    return sorted(_METRICS)

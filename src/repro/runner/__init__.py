@@ -29,7 +29,6 @@ from repro.runner.cache import CACHE_DIR_ENV, ResultCache, default_cache_dir
 from repro.runner.executor import (
     Runner,
     chunk_evenly,
-    map_parallel,
     print_progress,
     progress_line,
 )
@@ -57,7 +56,6 @@ __all__ = [
     "chunk_evenly",
     "create_cache_backend",
     "default_cache_dir",
-    "map_parallel",
     "print_progress",
     "progress_line",
     "register_cache_backend",

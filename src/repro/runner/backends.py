@@ -2,10 +2,10 @@
 
 :class:`~repro.runner.cache.ResultCache` is the *policy* half of the
 result cache — spec hashing, entry schema, hit/miss accounting.  The
-*storage* half lives here, behind the :class:`CacheBackend` protocol,
-registry-style like solvers/schemes/attacks: backends self-register
-with :func:`register_cache_backend`, callers resolve by name through
-:func:`create_cache_backend`, and a typo fails fast with the roster.
+*storage* half lives here, behind the :class:`CacheBackend` protocol:
+backends self-register with :func:`register_cache_backend` into one
+:class:`~repro.registry.Registry`, and callers resolve by name through
+:func:`create_cache_backend`.
 
 Shipped backends:
 
@@ -48,10 +48,12 @@ import tempfile
 import threading
 from collections.abc import Callable
 from dataclasses import dataclass
+from operator import attrgetter
 from pathlib import Path
 from typing import Protocol, runtime_checkable
 
 from repro.levers import CACHE_BACKEND
+from repro.registry import Registry
 
 
 @runtime_checkable
@@ -96,7 +98,7 @@ class CacheBackend(Protocol):
 
 
 # ----------------------------------------------------------------------
-# Registry (mirrors repro.sat.registry / repro.locking.registry)
+# Registry
 # ----------------------------------------------------------------------
 
 
@@ -112,7 +114,11 @@ class CacheBackendInfo:
     persistent: bool = True
 
 
-_REGISTRY: dict[str, CacheBackendInfo] = {}
+_REGISTRY: Registry[CacheBackendInfo] = Registry(
+    "cache backend", identity=attrgetter("factory")
+)
+cache_backend_info = _REGISTRY.get
+registered_cache_backends = _REGISTRY.names
 
 
 def register_cache_backend(
@@ -126,28 +132,12 @@ def register_cache_backend(
     """
 
     def decorate(factory):
-        existing = _REGISTRY.get(name)
-        if existing is not None and existing.factory is not factory:
-            raise ValueError(f"cache backend {name!r} is already registered")
-        _REGISTRY[name] = CacheBackendInfo(
-            name=name,
-            factory=factory,
-            description=description,
-            persistent=persistent,
+        _REGISTRY.register(
+            name, CacheBackendInfo(name, factory, description, persistent)
         )
         return factory
 
     return decorate
-
-
-def cache_backend_info(name: str) -> CacheBackendInfo:
-    """Resolve a backend name; unknown names raise with the roster."""
-    return _REGISTRY[CACHE_BACKEND.check(name)]
-
-
-def registered_cache_backends() -> list[str]:
-    """Sorted names of every registered backend."""
-    return sorted(_REGISTRY)
 
 
 def resolve_cache_backend_name(name: str | None) -> str:

@@ -14,9 +14,9 @@ executing, ``progress`` when any task (cached or fresh) completes.
 ``should_stop`` is polled between completions for cooperative
 cancellation — a stopped run returns the results it already has.
 
-:func:`map_parallel` is the lower-level pool primitive, also used by
-:func:`repro.core.multikey.multikey_attack` for its ``2^N`` sub-tasks
-— one pool implementation for the whole codebase.
+This is the only process pool in the codebase: both multi-key engines
+(``multikey_subtask`` and ``multikey_shard_chunk`` tasks) fan out
+through it too.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from repro.runner.cache import ResultCache
 from repro.runner.task import TaskResult, TaskSpec, task_worker
 
 _T = TypeVar("_T")
-_R = TypeVar("_R")
 
 #: Progress callback: (result, completed_count, total_count).
 ProgressFn = Callable[[TaskResult, int, int], None]
@@ -43,25 +42,6 @@ DispatchFn = Callable[[TaskSpec, int], None]
 
 #: How often (seconds) a pooled run polls ``should_stop`` while waiting.
 _STOP_POLL_SECONDS = 0.1
-
-
-def map_parallel(
-    fn: Callable[[_T], _R],
-    items: Sequence[_T],
-    processes: int | None = None,
-) -> list[_R]:
-    """``[fn(x) for x in items]`` on a process pool, order preserved.
-
-    ``fn`` must be a module-level callable (pickled by reference).
-    Degenerates to a plain loop for 0/1 items or ``processes=1``.
-    """
-    if len(items) <= 1 or processes == 1:
-        return [fn(item) for item in items]
-    import multiprocessing
-
-    workers = min(len(items), processes or multiprocessing.cpu_count())
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 def chunk_evenly(items: Sequence[_T], chunks: int) -> list[list[_T]]:

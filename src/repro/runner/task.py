@@ -23,6 +23,8 @@ import json
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
 
+from repro.registry import Registry
+
 #: Bump to invalidate every existing cache entry (artifact schema change).
 CACHE_FORMAT_VERSION = 2
 
@@ -99,33 +101,15 @@ class TaskResult:
 #: kind -> worker.  Workers are module-level callables taking the merged
 #: param dict and returning a JSON-serializable artifact dict; they must
 #: live at module scope so the process pool can pickle them by reference.
-_REGISTRY: dict[str, Callable[[dict], dict]] = {}
+_REGISTRY: Registry[Callable[[dict], dict]] = Registry("task kind")
+task_worker = _REGISTRY.get
+registered_kinds = _REGISTRY.names
 
 
 def register_task(kind: str) -> Callable[[Callable[[dict], dict]], Callable]:
     """Decorator registering ``fn`` as the worker for ``kind``."""
 
     def decorate(fn: Callable[[dict], dict]) -> Callable[[dict], dict]:
-        existing = _REGISTRY.get(kind)
-        if existing is not None and existing is not fn:
-            raise ValueError(f"task kind {kind!r} already registered")
-        _REGISTRY[kind] = fn
-        return fn
+        return _REGISTRY.register(kind, fn)
 
     return decorate
-
-
-def task_worker(kind: str) -> Callable[[dict], dict]:
-    """Resolve a registered worker; raises ``KeyError`` with the roster."""
-    try:
-        return _REGISTRY[kind]
-    except KeyError:
-        known = ", ".join(sorted(_REGISTRY)) or "<none>"
-        raise KeyError(
-            f"no task worker registered for {kind!r} (known: {known})"
-        ) from None
-
-
-def registered_kinds() -> list[str]:
-    """Sorted names of every registered task kind."""
-    return sorted(_REGISTRY)

@@ -12,7 +12,6 @@ and a negative integer denotes the negated variable.
 """
 
 from repro.sat.cnf import CNF
-from repro.sat.dimacs import parse_dimacs, write_dimacs
 from repro.sat.encode import (
     enc_and,
     enc_buf,
@@ -49,8 +48,6 @@ __all__ = [
     "registered_solvers",
     "resolve_solver_name",
     "solver_info",
-    "parse_dimacs",
-    "write_dimacs",
     "enc_and",
     "enc_or",
     "enc_nand",

@@ -1,10 +1,8 @@
 """The solver backend registry: pluggable SAT engines behind one seam.
 
-Mirrors the scheme/attack registries (:mod:`repro.locking.registry`,
-:mod:`repro.attacks.registry`): backends self-register at import time
-with :func:`register_solver`, callers resolve by name through
-:func:`solver_info` / :func:`create_solver`, and a typo fails fast
-with the full roster in the error message.
+Backends self-register at import time with :func:`register_solver`
+into one :class:`~repro.registry.Registry`; callers resolve by name
+through :func:`solver_info` / :func:`create_solver`.
 
 A backend is a zero-argument factory returning an object with the
 :class:`repro.sat.solver.Solver` surface — ``new_var``,
@@ -36,8 +34,10 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
+from operator import attrgetter
 
 from repro.levers import SOLVER
+from repro.registry import Registry
 from repro.sat.solver import Solver
 
 
@@ -80,7 +80,11 @@ class SolverBackendInfo:
         return self.capabilities.checkpoint and self.capabilities.assumptions
 
 
-_REGISTRY: dict[str, SolverBackendInfo] = {}
+_REGISTRY: Registry[SolverBackendInfo] = Registry(
+    "solver backend", identity=attrgetter("factory")
+)
+solver_info = _REGISTRY.get
+registered_solvers = _REGISTRY.names
 
 
 def register_solver(
@@ -92,28 +96,12 @@ def register_solver(
     """Class/function decorator registering a solver backend factory."""
 
     def decorate(factory):
-        existing = _REGISTRY.get(name)
-        if existing is not None and existing.factory is not factory:
-            raise ValueError(f"solver backend {name!r} is already registered")
-        _REGISTRY[name] = SolverBackendInfo(
-            name=name,
-            factory=factory,
-            capabilities=capabilities,
-            description=description,
+        _REGISTRY.register(
+            name, SolverBackendInfo(name, factory, capabilities, description)
         )
         return factory
 
     return decorate
-
-
-def solver_info(name: str) -> SolverBackendInfo:
-    """Resolve a backend name; unknown names raise with the roster."""
-    return _REGISTRY[SOLVER.check(name)]
-
-
-def registered_solvers() -> list[str]:
-    """Sorted names of every registered backend."""
-    return sorted(_REGISTRY)
 
 
 def resolve_solver_name(name: str | None) -> str:

@@ -529,17 +529,12 @@ def _execute_attack(service: Service, job: Job) -> tuple[dict, str]:
     scheme_params.setdefault("seed", request.seed)
     locked = lock_circuit(request.scheme, original, **scheme_params)
 
-    # The sharded engine streams shard-chunk completions through the
-    # runner; pass one only when fanning out (a runner forces
-    # fan-out).  Passing the service runner — never letting the
-    # engine build its own cpu_count pool — keeps a parallel attack
-    # inside the shared worker budget: on a `--jobs 1` daemon its
-    # shards run serially rather than escaping the budget (the CLI
-    # widens its one-shot service to cpu_count for the classic
-    # `attack --parallel` shape).
-    runner = None
-    if request.parallel and request.engine == "sharded":
-        runner = service._runner_for(job)
+    # A parallel attack on either engine fans out through the service
+    # runner, never a private cpu_count pool, so it stays inside the
+    # shared worker budget (serial on a `--jobs 1` daemon; the CLI
+    # widens its one-shot service for `attack --parallel`).  A serial
+    # attack gets no runner, which would force the sharded fan-out.
+    runner = service._runner_for(job) if request.parallel else None
     result = multikey_attack(
         locked,
         original,

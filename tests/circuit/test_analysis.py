@@ -1,7 +1,6 @@
 """Structural analysis tests: levels, cones, key-influence ranking."""
 
 from repro.circuit.analysis import (
-    cone_statistics,
     depth,
     fanin_cone,
     fanin_support,
@@ -57,10 +56,6 @@ class TestCones:
         assert fanout_cone(_diamond(), "a") == {"m", "y"}
         assert fanout_cone(_diamond(), "b") == {"m", "n", "y"}
         assert fanout_cone(_diamond(), "y") == set()
-
-    def test_cone_statistics(self):
-        stats = cone_statistics(_diamond())
-        assert stats["y"] == {"cone_gates": 3, "support": 3}
 
 
 class TestKeyInfluence:

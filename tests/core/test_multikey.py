@@ -1,5 +1,7 @@
 """Algorithm 1 tests: the multi-key attack end to end."""
 
+from dataclasses import asdict
+
 import pytest
 
 from repro.attacks.brute_force import brute_force_keys
@@ -9,6 +11,7 @@ from repro.core.multikey import multikey_attack
 from repro.locking.lut_lock import LutModuleSpec, lut_lock
 from repro.locking.sarlock import sarlock_lock
 from repro.oracle.oracle import Oracle
+from repro.runner import ResultCache, Runner
 
 
 @pytest.fixture
@@ -66,6 +69,39 @@ class TestAlgorithm1:
         assert seq.dips_per_task == par.dips_per_task
         assert par.parallel is True
         assert seq.parallel is False
+
+    def test_parallel_and_serial_subtasks_identical(self, setup):
+        original, locked = setup
+
+        def untimed(result):
+            return [
+                {
+                    **asdict(task),
+                    "elapsed_seconds": None,
+                    "synthesis_seconds": None,
+                }
+                for task in result.subtasks
+            ]
+
+        seq = multikey_attack(locked, original, effort=2, parallel=False)
+        par = multikey_attack(
+            locked, original, effort=2, parallel=True, processes=2
+        )
+        assert untimed(seq) == untimed(par)
+
+    def test_cached_runner_replays_the_same_keys(self, setup, tmp_path):
+        original, locked = setup
+        cache = ResultCache(tmp_path)
+        first = multikey_attack(
+            locked, original, effort=2, runner=Runner(cache=cache)
+        )
+        assert (cache.hits, cache.misses) == (0, 4)
+        again = multikey_attack(
+            locked, original, effort=2, runner=Runner(cache=cache)
+        )
+        assert (cache.hits, cache.misses) == (4, 4)
+        assert again.key_ints == first.key_ints
+        assert again.dips_per_task == first.dips_per_task
 
     def test_lut_lock_multikey(self):
         original = random_netlist(8, 60, seed=31)

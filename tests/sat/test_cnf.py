@@ -1,9 +1,8 @@
-"""Tests for the CNF container and DIMACS I/O."""
+"""Tests for the CNF container."""
 
 import pytest
 
 from repro.sat.cnf import CNF
-from repro.sat.dimacs import parse_dimacs, write_dimacs
 
 
 class TestCNF:
@@ -75,44 +74,3 @@ class TestCNF:
         cnf.add_clause([1, 2])
         assert "vars=3" in repr(cnf)
 
-
-class TestDimacs:
-    def test_round_trip(self):
-        cnf = CNF(4)
-        cnf.add_clause([1, -2, 3])
-        cnf.add_clause([-4])
-        text = write_dimacs(cnf, comments=["hello"])
-        back = parse_dimacs(text)
-        assert back.num_vars == 4
-        assert back.clauses == [[1, -2, 3], [-4]]
-
-    def test_parse_comments_and_blank_lines(self):
-        text = "c comment\n\np cnf 3 2\n1 2 0\nc mid\n-3 0\n"
-        cnf = parse_dimacs(text)
-        assert cnf.clauses == [[1, 2], [-3]]
-
-    def test_parse_multiline_clause(self):
-        cnf = parse_dimacs("p cnf 3 1\n1\n2 -3\n0\n")
-        assert cnf.clauses == [[1, 2, -3]]
-
-    def test_unterminated_clause_rejected(self):
-        with pytest.raises(ValueError):
-            parse_dimacs("p cnf 2 1\n1 2\n")
-
-    def test_malformed_problem_line_rejected(self):
-        with pytest.raises(ValueError):
-            parse_dimacs("p dnf 2 1\n1 0\n")
-
-    def test_declared_vars_respected(self):
-        cnf = parse_dimacs("p cnf 10 1\n1 0\n")
-        assert cnf.num_vars == 10
-
-    def test_file_round_trip(self, tmp_path):
-        from repro.sat.dimacs import read_dimacs_file, write_dimacs_file
-
-        cnf = CNF(2)
-        cnf.add_clause([1, -2])
-        path = tmp_path / "f.cnf"
-        write_dimacs_file(cnf, str(path))
-        back = read_dimacs_file(str(path))
-        assert back.clauses == [[1, -2]]

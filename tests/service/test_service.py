@@ -344,11 +344,20 @@ class TestReviewHardening:
 
 
 class TestSecondReviewHardening:
-    def test_parallel_attack_respects_a_one_slot_service(self):
-        # On a jobs=1 service (a stock daemon) a parallel sharded
-        # attack stays inside the budget: shards run through the
-        # service runner instead of a private cpu_count pool, and the
-        # attack still succeeds.
+    @pytest.mark.parametrize("engine", ["sharded", "reference"])
+    def test_parallel_attack_respects_a_one_slot_service(
+        self, engine, monkeypatch
+    ):
+        # On a jobs=1 service (a stock daemon) a parallel attack stays
+        # inside the budget on either engine: sub-tasks run through the
+        # service runner instead of a private cpu_count pool (no pool
+        # is ever built), and the attack still succeeds.
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool escaped the service budget")
+
+        monkeypatch.setattr(
+            "repro.runner.executor.ProcessPoolExecutor", no_pool
+        )
         request = AttackRequest(
             circuit="c1908",
             scheme="sarlock",
@@ -356,6 +365,7 @@ class TestSecondReviewHardening:
             effort=1,
             scale=0.2,
             parallel=True,
+            engine=engine,
         )
         response = Service(jobs=1).run(request)
         assert response.status == "ok"

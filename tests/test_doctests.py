@@ -12,6 +12,7 @@ import repro.circuit.opt
 import repro.core.sharded
 import repro.metrics.engine
 import repro.oracle.oracle
+import repro.registry
 import repro.rng
 import repro.synth.optimize
 
@@ -22,6 +23,7 @@ _DOCTEST_MODULES = (
     repro.oracle.oracle,
     repro.core.sharded,
     repro.metrics.engine,
+    repro.registry,
     repro.rng,
 )
 
