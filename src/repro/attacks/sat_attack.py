@@ -38,11 +38,11 @@ Implementation notes (all standard, all load-bearing for speed):
 * Per-DIP constraint copies are built from a single-pattern simulation:
   nets outside the key cone are substituted as constants, so each DIP
   adds only O(cone) clauses.
-* One fold, two copies: the two halves of a DIP fold identically under
-  the key1 -> key2 renaming, so the cone is folded once on ``key1``
-  (recording its variable allocations and clauses) and ``key2``'s copy
-  replays that record, renamed, in the same order — the same variables
-  and clauses as folding each half, at half the fold work.
+* One fold, shared gates: each cone gate of a DIP copy is folded once
+  on ``key1`` and, when still live, hash-consed
+  (:meth:`MiterEncoding.copy_gate`): a gate some earlier DIP already
+  built is reused, and a new one is built together with its ``key2``
+  twin.  A DIP then adds only its guarded PO units for both halves.
 * One incremental solver carries learned clauses across iterations;
   the miter assertion hangs off an activation literal so the final
   key-extraction call can drop it.
@@ -67,6 +67,8 @@ from repro.oracle.oracle import Oracle
 from repro.sat.registry import create_solver, resolve_solver_name
 from repro.sat.solver import Solver
 
+_AND_FAMILY = (GateType.AND, GateType.NAND, GateType.OR, GateType.NOR)
+
 
 @dataclass
 class AttackIteration:
@@ -86,7 +88,9 @@ class SatAttackResult:
             ``extract_on_budget``).
         num_dips: DIP iterations executed.
         elapsed_seconds: Wall-clock time of this attack/shard.
-        status: ``"ok"`` | ``"timeout"`` | ``"dip_limit"``.
+        status: ``"ok"`` | ``"timeout"`` | ``"dip_limit"`` |
+            ``"no_key"`` (the loop finished but no key satisfied the
+            recorded I/O constraints).
         oracle_queries: Oracle queries *this attack* issued (a delta,
             so a shared oracle reports per-shard counts correctly).
         pinned: The sub-space restriction the attack ran under.
@@ -105,7 +109,7 @@ class SatAttackResult:
     key: dict[str, bool] | None
     num_dips: int
     elapsed_seconds: float
-    status: str  # "ok" | "timeout" | "dip_limit"
+    status: str  # "ok" | "timeout" | "dip_limit" | "no_key"
     oracle_queries: int
     pinned: dict[str, bool] = field(default_factory=dict)
     iterations: list[AttackIteration] = field(default_factory=list)
@@ -166,6 +170,12 @@ class MiterEncoding:
         base_clauses: Clause count right after base encoding; together
             with :attr:`base_vars` this is the encoded size every
             backend sees (compare across opt levels for the reduction).
+        copy_gates: Structural-hash table of the per-DIP copy gates,
+            ``(kind, normalized key1 literals)`` -> ``key1`` variable
+            (see :meth:`copy_gate`).
+        copy_twin: ``key1`` literal -> its ``key2`` literal, for the
+            key ports, ``±true_var`` and every entry of
+            :attr:`copy_gates`.
     """
 
     solver: Solver
@@ -184,6 +194,8 @@ class MiterEncoding:
     gates_before: int = 0
     gates_after: int = 0
     base_clauses: int = 0
+    copy_gates: dict[tuple, int] = field(default_factory=dict, repr=False)
+    copy_twin: dict[int, int] = field(default_factory=dict, repr=False)
 
     def encode_stats(self) -> dict:
         """JSON-ready pre/post structural summary of this encoding."""
@@ -193,6 +205,96 @@ class MiterEncoding:
             "gates_after": self.gates_after,
             "vars": self.base_vars,
             "clauses": self.base_clauses,
+        }
+
+    def copy_gate(self, gtype: GateType, ins: list[int]) -> int:
+        """The ``key1`` literal of one per-DIP copy gate, folded and shared.
+
+        ``ins`` are ``key1``-side DIMACS literals in which ``±true_var``
+        plays constant true/false.  Constants, duplicate and
+        complementary fanins fold as in :mod:`repro.circuit.opt`'s
+        sweep; a gate that folds to a constant or one fanin returns
+        that literal.  A gate still live is normalized — AND/NAND/OR/NOR
+        to an AND with an output sign, XOR/XNOR to an XOR of sorted
+        positive variables with a parity, MUX to a positive select —
+        and looked up in :attr:`copy_gates`.  Only a miss adds clauses:
+        the ``key1`` gate and its ``key2`` twin, together.  A definition
+        is an unguarded Tseitin definition over key variables, so every
+        later DIP, guard and shard in the frame may share it.
+        """
+        true = self.true_var
+        if gtype in _AND_FAMILY:
+            # De Morgan: OR/NOR are ANDs of the complemented fanins.
+            flip = gtype is GateType.OR or gtype is GateType.NOR
+            sign = -1 if gtype is GateType.NAND or gtype is GateType.OR else 1
+            live: set[int] = set()
+            for lit in ins:
+                if flip:
+                    lit = -lit
+                if lit == true:
+                    continue  # identity constant
+                if lit == -true or -lit in live:
+                    return -sign * true  # absorbing constant, or x AND !x
+                live.add(lit)
+            if len(live) < 2:
+                return sign * (live.pop() if live else true)
+            kind, lits = "AND", tuple(sorted(live))
+        elif gtype is GateType.XOR or gtype is GateType.XNOR:
+            parity = gtype is GateType.XNOR
+            live = set()
+            for lit in ins:
+                if lit < 0:  # !x == x XOR 1 (so -true nets out to no flip)
+                    lit = -lit
+                    parity = not parity
+                if lit == true:
+                    parity = not parity
+                elif lit in live:
+                    live.remove(lit)  # x XOR x == 0
+                else:
+                    live.add(lit)
+            sign = -1 if parity else 1
+            if len(live) < 2:
+                return sign * (live.pop() if live else -true)
+            kind, lits = "XOR", tuple(sorted(live))
+        elif gtype is GateType.MUX:
+            sel, d1, d0 = ins
+            if sel < 0:
+                sel, d1, d0 = -sel, d0, d1
+            if sel == true or d1 == d0:
+                return d1
+            sign, kind, lits = 1, "MUX", (sel, d1, d0)
+        elif gtype is GateType.BUF:
+            return ins[0]
+        elif gtype is GateType.NOT:
+            return -ins[0]
+        else:
+            return true if gtype is GateType.CONST1 else -true
+        key = (kind, lits)
+        out = self.copy_gates.get(key)
+        if out is None:
+            solver, twin, gate = self.solver, self.copy_twin, GateType(kind)
+            out, out2 = solver.new_var(), solver.new_var()
+            encode_gate(solver, gate, out, list(lits))
+            encode_gate(solver, gate, out2, [twin[lit] for lit in lits])
+            self.copy_gates[key] = out
+            twin[out], twin[-out] = out2, -out2
+        return sign * out
+
+    def rollback(self, mark: tuple[int, int]) -> None:
+        """Roll the solver back to ``mark``, and the copy gates with it.
+
+        Copy gates allocated after ``mark`` lose their variables, so
+        their :attr:`copy_gates` and :attr:`copy_twin` entries go too —
+        call this instead of ``solver.rollback`` so the two cannot
+        drift apart.
+        """
+        self.solver.rollback(mark)
+        nvars = self.solver.num_vars
+        self.copy_gates = {
+            key: var for key, var in self.copy_gates.items() if var <= nvars
+        }
+        self.copy_twin = {
+            lit: twin for lit, twin in self.copy_twin.items() if abs(lit) <= nvars
         }
 
 
@@ -305,6 +407,9 @@ def build_miter_encoding(
     # Anchor variable for substituting simulated constants per DIP.
     true_var = solver.new_var()
     solver.add_clause([true_var])
+    copy_twin = {true_var: true_var, -true_var: -true_var}
+    for s in key_slots:
+        copy_twin[key1[s]], copy_twin[-key1[s]] = key2[s], -key2[s]
 
     return MiterEncoding(
         solver=solver,
@@ -323,110 +428,8 @@ def build_miter_encoding(
         gates_before=gates_before,
         gates_after=compiled.num_gates,
         base_clauses=solver.num_clauses,
+        copy_twin=copy_twin,
     )
-
-
-def _encode_copy_gate(
-    solver: Solver | _CopyRecorder,
-    gtype: GateType,
-    ins: list[int],
-    true_var: int,
-) -> int:
-    """Encode one gate of a per-DIP constraint copy, folding constants.
-
-    ``ins`` are DIMACS literals where ``±true_var`` plays constant
-    true/false.  Gates whose output is forced by constant inputs fold
-    to a constant literal, single-survivor gates alias their input —
-    only genuinely key-dependent gates allocate a variable and clauses.
-    On SARLock/LUT cones this collapses most of each copy (comparator
-    XNORs against pinned bits become key literals, MUX trees with
-    constant selects become wires), which keeps the per-DIP clause
-    cost proportional to the *live* cone, not the structural one.
-    """
-    TRUE, FALSE = true_var, -true_var
-
-    def is_const(lit: int) -> bool:
-        return lit == TRUE or lit == FALSE
-
-    if gtype is GateType.CONST0:
-        return FALSE
-    if gtype is GateType.CONST1:
-        return TRUE
-    if gtype is GateType.BUF:
-        return ins[0]
-    if gtype is GateType.NOT:
-        return -ins[0]
-    if gtype is GateType.MUX:
-        sel, d1, d0 = ins
-        if sel == TRUE:
-            return d1
-        if sel == FALSE:
-            return d0
-        if d1 == d0:
-            return d1
-    if gtype in (GateType.AND, GateType.NAND, GateType.OR, GateType.NOR):
-        conjunctive = gtype in (GateType.AND, GateType.NAND)
-        inverted = gtype in (GateType.NAND, GateType.NOR)
-        killer = FALSE if conjunctive else TRUE  # absorbing constant
-        live = []
-        for lit in ins:
-            if lit == killer:
-                return -killer if inverted else killer
-            if not is_const(lit):
-                live.append(lit)
-        if not live:  # every input was the identity constant
-            return killer if inverted else -killer
-        if len(live) == 1:
-            return -live[0] if inverted else live[0]
-        ins = live
-        gtype = GateType.AND if conjunctive else GateType.OR
-        out = solver.new_var()
-        encode_gate(solver, gtype, out, ins)
-        return -out if inverted else out
-    if gtype in (GateType.XOR, GateType.XNOR):
-        parity = gtype is GateType.XNOR
-        live = []
-        for lit in ins:
-            if lit == TRUE:
-                parity = not parity
-            elif lit == FALSE:
-                pass
-            else:
-                live.append(lit)
-        if not live:
-            return TRUE if parity else FALSE
-        if len(live) == 1:
-            return -live[0] if parity else live[0]
-        out = solver.new_var()
-        encode_gate(solver, GateType.XNOR if parity else GateType.XOR, out, live)
-        return out
-    out = solver.new_var()
-    encode_gate(solver, gtype, out, ins)
-    return out
-
-
-class _CopyRecorder:
-    """Solver stand-in that forwards one copy's encoding and records it.
-
-    Variable allocations land in :attr:`ops` as ``int``s and clauses as
-    ``list``s, in call order, so :func:`_add_dip_copies` can replay the
-    copy renamed onto the other key vector.
-    """
-
-    __slots__ = ("solver", "ops")
-
-    def __init__(self, solver: Solver) -> None:
-        self.solver = solver
-        self.ops: list[int | list[int]] = []
-
-    def new_var(self) -> int:
-        var = self.solver.new_var()
-        self.ops.append(var)
-        return var
-
-    def add_clauses(self, clauses: list[list[int]]) -> bool:
-        self.ops.extend(clauses)
-        return self.solver.add_clauses(clauses)
 
 
 def _add_dip_copies(
@@ -439,53 +442,33 @@ def _add_dip_copies(
 
     ``values`` are the simulated slot values under the DIP (key-
     independent slots become constants).  The key cone is folded once
-    on ``key1``; ``key2``'s copy replays the recorded allocations and
-    clauses renamed key1 -> key2 (fresh variables map to the replay's
-    own fresh variables), which reproduces folding the second half
-    variable for variable and clause for clause.
+    on ``key1`` through :meth:`MiterEncoding.copy_gate`, which shares
+    every live gate with earlier DIPs; ``key2``'s side of each PO is
+    its :attr:`~MiterEncoding.copy_twin`.  Only the PO units — the one
+    part that depends on the response — are guarded.
     """
-    solver = enc.solver
     compiled = enc.compiled
     gate_types = compiled.gate_types
     gate_out = compiled.gate_output_slots
     gate_fanins = compiled.gate_fanin_slots
-    key1, key2 = enc.key1, enc.key2
-    true_var = enc.true_var
-    consts = (-true_var, true_var)
+    key1 = enc.key1
+    consts = (-enc.true_var, enc.true_var)
+    copy_gate = enc.copy_gate
 
-    record = _CopyRecorder(solver)
     copy_lits = [0] * compiled.num_slots
     for i in enc.cone_idx:
-        ins = []
-        for s in gate_fanins[i]:
-            # Key-independent fanins substitute the simulated constant.
-            ins.append(copy_lits[s] or key1[s] or consts[values[s]])
-        copy_lits[gate_out[i]] = _encode_copy_gate(
-            record, gate_types[i], ins, true_var
+        # Key-independent fanins substitute the simulated constant.
+        copy_lits[gate_out[i]] = copy_gate(
+            gate_types[i],
+            [copy_lits[s] or key1[s] or consts[values[s]] for s in gate_fanins[i]],
         )
     po_lits = [
         copy_lits[slot] if response[po] else -copy_lits[slot]
         for po, slot in enc.controlled_pos
     ]
-    add_clause = solver.add_clause
-    for lit in po_lits:
-        add_clause([lit] if guard is None else [-guard, lit])
-
-    rename = {true_var: true_var, -true_var: -true_var}
-    for net in enc.key_inputs:
-        slot = compiled.slot_of[net]
-        rename[key1[slot]] = key2[slot]
-        rename[-key1[slot]] = -key2[slot]
-    new_var = solver.new_var
-    for op in record.ops:
-        if op.__class__ is int:
-            var = new_var()
-            rename[op] = var
-            rename[-op] = -var
-        else:
-            add_clause([rename[lit] for lit in op])
-    for lit in po_lits:
-        lit = rename[lit]
+    twin = enc.copy_twin
+    add_clause = enc.solver.add_clause
+    for lit in po_lits + [twin[lit] for lit in po_lits]:
         add_clause([lit] if guard is None else [-guard, lit])
 
 

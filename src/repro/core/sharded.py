@@ -160,9 +160,10 @@ class ShardEngine:
         pins + a fresh guard literal for this shard's I/O constraints);
         nothing is re-encoded.  The shard runs inside a solver frame
         (:meth:`repro.sat.solver.Solver.checkpoint` /
-        :meth:`~repro.sat.solver.Solver.rollback`): its DIP constraint
-        copies vanish afterwards, while clauses learned about the base
-        miter carry over warm to the next shard.
+        :meth:`~repro.attacks.sat_attack.MiterEncoding.rollback`): its
+        DIP constraint copies and shared copy gates vanish afterwards,
+        even when the shard raises, while clauses learned about the
+        base miter carry over warm to the next shard.
 
         ``attack`` must be a registered attack with a ``shard_fn``
         (today: ``"sat"``); attacks that cannot run against a shared
@@ -191,27 +192,30 @@ class ShardEngine:
         ]
         solver = self.enc.solver
         frame = solver.checkpoint()
-        guard = solver.new_var()
-        # Root facts accumulated by earlier shards (kept across
-        # rollback) satisfy base clauses for good; shed them now.
-        # Inside the frame this marks clauses deleted in place — the
-        # clause-list length the mark snapshot relies on is untouched.
-        if hasattr(solver, "simplify"):
-            solver.simplify()
-        outcome = info.shard_fn(
-            self.enc,
-            self.oracle,
-            pin=assignment,
-            assume=assume,
-            guard=guard,
-            time_limit=time_limit,
-            max_dips=max_dips,
-            seed=seed,
-            **(attack_params or {}),
-        )
-        # Drop this shard's variables and constraints; keep what the
-        # solver learned about the shared base encoding.
-        solver.rollback(frame)
+        try:
+            guard = solver.new_var()
+            # Root facts accumulated by earlier shards (kept across
+            # rollback) satisfy base clauses for good; shed them now.
+            # Inside the frame this marks clauses deleted in place — the
+            # clause-list length the mark snapshot relies on is untouched.
+            if hasattr(solver, "simplify"):
+                solver.simplify()
+            outcome = info.shard_fn(
+                self.enc,
+                self.oracle,
+                pin=assignment,
+                assume=assume,
+                guard=guard,
+                time_limit=time_limit,
+                max_dips=max_dips,
+                seed=seed,
+                **(attack_params or {}),
+            )
+        finally:
+            # Drop this shard's variables, constraints and copy gates —
+            # also when the shard raised; keep what the solver learned
+            # about the shared base encoding.
+            self.enc.rollback(frame)
         return SubTaskResult(
             index=index,
             assignment=assignment,

@@ -1,10 +1,19 @@
 """SAT-attack tests: recovery, pinning, budgets, oracle accounting."""
 
+import itertools
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.attacks.brute_force import brute_force_keys
-from repro.attacks.sat_attack import sat_attack, verify_key_against_oracle
+from repro.attacks.sat_attack import (
+    _add_dip_copies,
+    build_miter_encoding,
+    sat_attack,
+    verify_key_against_oracle,
+)
+from repro.circuit.cnf import encode_gate
+from repro.circuit.gates import GateType, eval_gate
 from repro.circuit.random_circuits import random_netlist
 from repro.locking.antisat import antisat_lock
 from repro.locking.lut_lock import LutModuleSpec, lut_lock
@@ -222,7 +231,7 @@ class TestBruteForce:
 
 
 # ----------------------------------------------------------------------
-# Per-DIP copy parity: one fold replayed for key2 == folding each half
+# Per-DIP copy parity: hash-consed copies == folding each half anew
 # ----------------------------------------------------------------------
 def _sat_attack_module():
     import importlib
@@ -231,9 +240,64 @@ def _sat_attack_module():
     return importlib.import_module("repro.attacks.sat_attack")
 
 
+def _fold_gate(solver, gtype, ins, true_var):
+    """Fold one copy gate over ``±true_var`` constants, no sharing."""
+    TRUE, FALSE = true_var, -true_var
+    if gtype is GateType.CONST0:
+        return FALSE
+    if gtype is GateType.CONST1:
+        return TRUE
+    if gtype is GateType.BUF:
+        return ins[0]
+    if gtype is GateType.NOT:
+        return -ins[0]
+    if gtype is GateType.MUX:
+        sel, d1, d0 = ins
+        if sel == TRUE:
+            return d1
+        if sel == FALSE:
+            return d0
+        if d1 == d0:
+            return d1
+    if gtype in (GateType.AND, GateType.NAND, GateType.OR, GateType.NOR):
+        conjunctive = gtype in (GateType.AND, GateType.NAND)
+        inverted = gtype in (GateType.NAND, GateType.NOR)
+        killer = FALSE if conjunctive else TRUE  # absorbing constant
+        live = []
+        for lit in ins:
+            if lit == killer:
+                return -killer if inverted else killer
+            if lit != TRUE and lit != FALSE:
+                live.append(lit)
+        if not live:  # every input was the identity constant
+            return killer if inverted else -killer
+        if len(live) == 1:
+            return -live[0] if inverted else live[0]
+        out = solver.new_var()
+        encode_gate(solver, GateType.AND if conjunctive else GateType.OR, out, live)
+        return -out if inverted else out
+    if gtype in (GateType.XOR, GateType.XNOR):
+        parity = gtype is GateType.XNOR
+        live = []
+        for lit in ins:
+            if lit == TRUE:
+                parity = not parity
+            elif lit != FALSE:
+                live.append(lit)
+        if not live:
+            return TRUE if parity else FALSE
+        if len(live) == 1:
+            return -live[0] if parity else live[0]
+        out = solver.new_var()
+        encode_gate(solver, GateType.XNOR if parity else GateType.XOR, out, live)
+        return out
+    out = solver.new_var()
+    encode_gate(solver, gtype, out, ins)
+    return out
+
+
 def _reference_dip_copies(enc, values, response, guard):
     """The fold-each-half per-DIP copy: both key vectors folded anew."""
-    encode_copy_gate = _sat_attack_module()._encode_copy_gate
     solver = enc.solver
     compiled = enc.compiled
     true_var = enc.true_var
@@ -247,7 +311,7 @@ def _reference_dip_copies(enc, values, response, guard):
                     ins.append(lit)
                 else:
                     ins.append(true_var if values[s] else -true_var)
-            copy_lits[compiled.gate_output_slots[i]] = encode_copy_gate(
+            copy_lits[compiled.gate_output_slots[i]] = _fold_gate(
                 solver, compiled.gate_types[i], ins, true_var
             )
         for po, po_slot in enc.controlled_pos:
@@ -260,16 +324,11 @@ def _reference_dip_copies(enc, values, response, guard):
 
 
 class _RecordingSolver(Solver):
-    """Python backend that logs every allocation and added clause."""
+    """Python backend that logs every added clause."""
 
     def __init__(self):
         super().__init__()
         self.log = []
-
-    def new_var(self):
-        var = super().new_var()
-        self.log.append(var)
-        return var
 
     def add_clause(self, lits):
         self.log.append(tuple(lits))
@@ -291,48 +350,168 @@ def _parity_lock(scheme):
     return original, lock(original)
 
 
+def _key_pairs(enc):
+    """Every (key1, key2) assignment, as assumption literal lists."""
+    slots = [enc.compiled.slot_of[net] for net in enc.key_inputs]
+    key_vars = [enc.key1[s] for s in slots] + [enc.key2[s] for s in slots]
+    for bits in itertools.product((1, -1), repeat=len(key_vars)):
+        yield [bit * var for bit, var in zip(bits, key_vars)]
+
+
+def _entails(locked, oracle, dips, premise, conclusion, guarded):
+    """Every key pair ``premise``'s copies admit, ``conclusion``'s admit too.
+
+    Both encoders constrain one encoding with the same DIPs.  The
+    premise's PO units sit at root, or under an assumed guard when
+    ``guarded``; the conclusion's sit under their own guard ``g``.
+    Every copy gate is a Tseitin function of the keys, so "some
+    conclusion unit fails" is the one clause ``-d | -u1 | -u2 ...``, and
+    UNSAT under ``d`` proves the entailment over all key pairs at once.
+    Checked after every DIP; keys of at most six bits are also
+    enumerated pair by pair after the first one.
+    """
+    enc = build_miter_encoding(locked, solver=_RecordingSolver())
+    solver, compiled = enc.solver, enc.compiled
+    premise_guard = [solver.new_var()] if guarded else []
+    guard = solver.new_var()
+    units = []
+    for n, dip in enumerate(dips):
+        values = compiled.eval_words([dip.get(net, 0) for net in compiled.inputs], 1)
+        response = oracle.query(dip)
+        premise(enc, values, response, premise_guard[0] if guarded else None)
+        mark = len(solver.log)
+        conclusion(enc, values, response, guard)
+        units += [lits[1] for lits in solver.log[mark:] if lits[0] == -guard]
+        # Both admit the correct key pair, so neither side is vacuous.
+        assert solver.solve(assumptions=premise_guard + [guard])
+        fails = solver.new_var()
+        solver.add_clause([-fails] + [-lit for lit in units])
+        if solver.solve(assumptions=premise_guard + [fails]):
+            return False
+        if n == 0 and len(enc.key_inputs) <= 6:
+            for pair in _key_pairs(enc):
+                if solver.solve(assumptions=premise_guard + pair) and not (
+                    solver.solve(assumptions=premise_guard + pair + [guard])
+                ):
+                    return False
+    return True
+
+
+def _reference_dips(locked, original, monkeypatch):
+    """The DIPs of an attack run on the fold-each-half reference."""
+    with monkeypatch.context() as patch:
+        patch.setattr(_sat_attack_module(), "_add_dip_copies", _reference_dip_copies)
+        return [it.dip for it in sat_attack(locked, Oracle(original)).iterations]
+
+
+#: Premise/conclusion orders that together prove equal admitted sets.
+_BOTH_WAYS = (
+    (_add_dip_copies, _reference_dip_copies),
+    (_reference_dip_copies, _add_dip_copies),
+)
+
+
 class TestDipCopyParity:
-    """The replayed key2 copy allocates the same variables and adds the
-    same clauses, in the same order, as folding the second half."""
+    """The hash-consed copies and the fold-each-half reference admit the
+    same (key1, key2) pairs after every DIP — the log of what each DIP
+    rules out is identical — unguarded (single attack) and guarded
+    (shards); end to end, the attack keeps its DIP count and keys."""
 
     @pytest.mark.parametrize("scheme", sorted(_PARITY_LOCKS))
     def test_single_attack_log_identical(self, scheme, monkeypatch):
         original, locked = _parity_lock(scheme)
-        module = _sat_attack_module()
-
-        def run():
-            solver = _RecordingSolver()
-            result = sat_attack(locked, Oracle(original), solver=solver)
-            return solver.log, result
-
-        new_log, new = run()
-        monkeypatch.setattr(module, "_add_dip_copies", _reference_dip_copies)
-        ref_log, ref = run()
-        assert new.num_dips == ref.num_dips > 0
-        assert new.key == ref.key
-        assert new.solver_stats == ref.solver_stats
-        assert new_log == ref_log
-        assert locked.verify_key(original, new.key).equivalent
+        dips = _reference_dips(locked, original, monkeypatch)
+        for premise, conclusion in _BOTH_WAYS:
+            assert _entails(
+                locked, Oracle(original), dips, premise, conclusion, False
+            )
+        result = sat_attack(locked, Oracle(original), max_dips=2 * len(dips) + 1)
+        assert result.succeeded
+        assert locked.verify_key(original, result.key).equivalent
+        if scheme == "sarlock":
+            assert result.num_dips == len(dips) == 2**5 - 1
 
     @pytest.mark.parametrize("scheme", sorted(_PARITY_LOCKS))
     def test_guarded_shard_log_identical(self, scheme, monkeypatch):
+        from repro.core.compose import verify_composition
         from repro.core.sharded import ShardEngine
 
         original, locked = _parity_lock(scheme)
-        module = _sat_attack_module()
-        monkeypatch.setattr(module, "create_solver", lambda name: _RecordingSolver())
+        dips = _reference_dips(locked, original, monkeypatch)
+        for premise, conclusion in _BOTH_WAYS:
+            assert _entails(
+                locked, Oracle(original), dips, premise, conclusion, True
+            )
         splitting = list(original.inputs[:2])
-
-        def run():
-            engine = ShardEngine(locked, Oracle(original), splitting)
-            shards = [engine.run_shard(index) for index in range(4)]
-            return engine.enc.solver.log, shards
-
-        new_log, new = run()
-        monkeypatch.setattr(module, "_add_dip_copies", _reference_dip_copies)
-        ref_log, ref = run()
-        assert sum(s.num_dips for s in new) > 0
-        assert [(s.num_dips, s.key) for s in new] == [
-            (s.num_dips, s.key) for s in ref
+        engine = ShardEngine(locked, Oracle(original), splitting)
+        shards = [
+            engine.run_shard(index, max_dips=2 * len(dips) + 1)
+            for index in range(4)
         ]
-        assert new_log == ref_log
+        assert all(s.status == "ok" for s in shards)
+        assert verify_composition(
+            locked, splitting, [s.key for s in shards], original
+        ).equivalent
+
+
+class TestCopyGate:
+    """``MiterEncoding.copy_gate`` folds and shares gates without
+    changing what any of them computes, on either key half."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_literal_and_twin_compute_the_gate(self, data):
+        locked = xor_lock(random_netlist(4, 12, seed=7), 3, seed=1)
+        enc = build_miter_encoding(locked)
+        key_slots = [enc.compiled.slot_of[net] for net in enc.key_inputs]
+        pool = [enc.true_var] + [enc.key1[s] for s in key_slots]
+        gates = []
+        for _ in range(data.draw(st.integers(1, 8))):
+            gtype = data.draw(st.sampled_from(list(GateType)))
+            if gtype in (GateType.CONST0, GateType.CONST1):
+                arity = 0
+            elif gtype in (GateType.BUF, GateType.NOT):
+                arity = 1
+            else:
+                arity = 3 if gtype is GateType.MUX else data.draw(st.integers(1, 4))
+            ins = [
+                data.draw(st.sampled_from(pool)) * data.draw(st.sampled_from((1, -1)))
+                for _ in range(arity)
+            ]
+            out = enc.copy_gate(gtype, ins)
+            gates.append((gtype, ins, out))
+            pool.append(abs(out))
+        twin = enc.copy_twin
+
+        def value(lit):
+            return int(enc.solver.model_value(abs(lit))) ^ (lit < 0)
+
+        for pair in _key_pairs(enc):
+            assert enc.solver.solve(assumptions=pair)
+            for gtype, ins, out in gates:
+                assert value(out) == eval_gate(gtype, [value(i) for i in ins], 1)
+                assert value(twin[out]) == eval_gate(
+                    gtype, [value(twin[i]) for i in ins], 1
+                )
+
+
+class TestCopyCounterGate:
+    """Shared copy gates cut solver work, measured on exact counters."""
+
+    @pytest.mark.parametrize("lock_seed", [1, 2])
+    def test_c432_sarlock_propagations(self, lock_seed, monkeypatch):
+        from repro.bench_circuits.corpus import resolve_circuit
+
+        original = resolve_circuit("real_c432")
+        locked = sarlock_lock(original, 8, seed=lock_seed)
+        new = sat_attack(locked, Oracle(original), record_iterations=False)
+        monkeypatch.setattr(
+            _sat_attack_module(), "_add_dip_copies", _reference_dip_copies
+        )
+        ref = sat_attack(locked, Oracle(original), record_iterations=False)
+        assert new.num_dips == ref.num_dips == 2**8 - 1
+        assert locked.verify_key(original, new.key).equivalent
+        assert (
+            new.solver_stats["propagations"]
+            <= 0.8 * ref.solver_stats["propagations"]
+        )
