@@ -11,11 +11,13 @@ Algorithm 1 of the paper:
    original function exactly (Fig. 1b), which we prove by CEC.
 
 Sub-tasks are independent, so :func:`multikey_attack` can fan them out
-over a process pool — the paper's 16-core scenario.  Two engines
-implement step 2: the literal ``"reference"`` arm (per-sub-space
-synthesis + cold SAT attack) and the ``"sharded"`` arm
-(:func:`sharded_multikey_attack`: one shared miter encoding, warm
-assumption-pinned shards).
+over a process pool — the paper's 16-core scenario.  It is the one
+front end; :func:`engine_for` picks which of two engines implements
+step 2: the literal ``"reference"`` arm (per-sub-space synthesis +
+cold SAT attack) or the ``"sharded"`` arm
+(:func:`repro.core.sharded.run_shards`: one shared miter encoding,
+warm assumption-pinned shards; :func:`sharded_multikey_attack` is its
+shorthand).
 """
 
 from repro.core.compose import compose_multikey_netlist, verify_composition

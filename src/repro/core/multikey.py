@@ -2,8 +2,11 @@
 
 For splitting effort ``N`` the input space splits into ``2^N``
 sub-spaces, and each sub-space yields its own partial key (it may be
-"incorrect" globally — that is the point of the paper).  Two engines
-implement the sub-space attacks:
+"incorrect" globally — that is the point of the paper).
+:func:`multikey_attack` is the one front end: it resolves the solver and
+opt levers, asks :func:`engine_for` which engine runs, selects the
+splitting inputs and assembles the :class:`MultiKeyResult`.  Two
+engines attack the sub-spaces:
 
 * ``engine="reference"`` (this module) follows Algorithm 1 literally:
   each sub-task synthesizes a conditional netlist
@@ -11,10 +14,10 @@ implement the sub-space attacks:
   Each sub-task is a registered ``multikey_subtask`` task (circuits
   travel as ``.bench`` text), so the ``2^N`` sub-tasks run through
   :mod:`repro.runner` — its pool, cache and shared worker slots.
-* ``engine="sharded"`` (:mod:`repro.core.sharded`) encodes the miter
-  once and runs the ``2^N`` sub-spaces as assumption-pinned shards
-  against warm solver state — same partial keys, a fraction of the
-  wall-clock.
+* ``engine="sharded"`` (:func:`repro.core.sharded.run_shards`) encodes
+  the miter once and runs the ``2^N`` sub-spaces as assumption-pinned
+  shards against warm solver state — same partial keys, a fraction of
+  the wall-clock.
 
 The per-sub-space strategy is *any* attack registered in
 :mod:`repro.attacks.registry` (``attack="sat"`` by default): the
@@ -22,7 +25,7 @@ paper's one-key critique applies to every oracle-guided attack, and
 generalizing the sub-space step is what lets the scenario matrix
 evaluate e.g. multi-key AppSAT.  Attacks that can run against a shared
 miter encoding keep the sharded fast path; the rest transparently fall
-back to the reference per-sub-space flow.
+back to the reference per-sub-space flow (:func:`engine_for`).
 
 Both engines report cost following the paper's convention: *"our
 attack's efficiency is determined by the runtime of the most
@@ -39,11 +42,16 @@ from statistics import fmean
 from repro.attacks.registry import SUCCESS_STATUSES, attack_info, run_attack
 from repro.circuit.bench import format_bench, parse_bench
 from repro.circuit.netlist import Netlist
-from repro.core.conditional import generate_conditional_netlist
+from repro.circuit.opt import resolve_opt
+from repro.core.conditional import ConditionalNetlist, generate_conditional_netlist
 from repro.core.splitting import select_splitting_inputs, splitting_assignments
 from repro.locking.base import LockedCircuit, key_to_int
 from repro.oracle.oracle import Oracle
 from repro.runner import Runner, TaskSpec, register_task
+from repro.sat.registry import resolve_solver_name, solver_info
+
+#: The multi-key engines; :func:`engine_for` picks the one that runs.
+ENGINES = ("sharded", "reference")
 
 
 @dataclass
@@ -98,6 +106,35 @@ class SubTaskResult:
     def from_payload(cls, payload: dict) -> "SubTaskResult":
         """Rebuild from ``asdict`` output (a JSON round trip is lossless)."""
         return cls(**payload)
+
+    @classmethod
+    def from_outcome(
+        cls, outcome, index: int, conditional: ConditionalNetlist, attack: str
+    ) -> "SubTaskResult":
+        """The record of one sub-attack's :class:`AttackOutcome`.
+
+        ``conditional`` is the netlist the sub-attack ran on: the
+        synthesized one of a reference sub-task, or the unsynthesized
+        locked circuit of a shard (its sub-space is pinned by
+        assumptions), which reports no synthesis time.
+        """
+        return cls(
+            index=index,
+            assignment=dict(conditional.assignment),
+            key=outcome.key,
+            status=outcome.status,
+            num_dips=outcome.num_dips,
+            elapsed_seconds=outcome.elapsed_seconds,
+            synthesis_seconds=getattr(
+                conditional.synthesis, "elapsed_seconds", 0.0
+            ),
+            gates_before=conditional.gates_before,
+            gates_after=conditional.gates_after,
+            oracle_queries=outcome.oracle_queries,
+            solver_stats=outcome.solver_stats,
+            key_order=list(conditional.locked.key_inputs),
+            attack=attack,
+        )
 
 
 @dataclass
@@ -224,22 +261,43 @@ class MultiKeyResult:
         return cls(**data)
 
 
+def _circuit_params(locked: LockedCircuit, oracle_netlist: Netlist) -> dict:
+    """JSON-serializable recipe for the locked and oracle circuits: the
+    ``.bench`` params of every dispatched sub-task and shard chunk."""
+    return {
+        "locked_bench": format_bench(locked.netlist),
+        "key_inputs": list(locked.key_inputs),
+        "correct_key": [int(b) for b in locked.correct_key],
+        "original_inputs": list(locked.original_inputs),
+        "scheme": locked.scheme,
+        "oracle_bench": format_bench(oracle_netlist),
+    }
+
+
+def _locked_from_params(params: dict) -> LockedCircuit:
+    """The locked circuit of :func:`_circuit_params` (runs in workers)."""
+    return LockedCircuit(
+        netlist=parse_bench(params["locked_bench"], name="locked"),
+        key_inputs=list(params["key_inputs"]),
+        correct_key=tuple(int(b) for b in params["correct_key"]),
+        original_inputs=list(params["original_inputs"]),
+        scheme=params.get("scheme", "generic"),
+    )
+
+
 @register_task("multikey_subtask")
 def _subtask_task(params: dict) -> dict:
     """Worker: one reference sub-task — synthesize the conditional
     netlist of sub-space ``index``, then cold-start a pinned attack."""
-    from repro.core.sharded import _locked_from_params
-
     locked = _locked_from_params(params)
     assignment = params["assignment"]
-    attack = params["attack"]
     opt = params["opt"]
     conditional = generate_conditional_netlist(
         locked, assignment, run_synthesis=params["run_synthesis"]
     )
     oracle = Oracle(parse_bench(params["oracle_bench"], name="oracle"), opt=opt)
     outcome = run_attack(
-        attack,
+        params["attack"],
         conditional.locked,
         oracle,
         pin=assignment,
@@ -251,24 +309,33 @@ def _subtask_task(params: dict) -> dict:
         **(params["attack_params"] or {}),
     )
     return asdict(
-        SubTaskResult(
-            index=params["index"],
-            assignment=dict(assignment),
-            key=outcome.key,
-            status=outcome.status,
-            num_dips=outcome.num_dips,
-            elapsed_seconds=outcome.elapsed_seconds,
-            synthesis_seconds=getattr(
-                conditional.synthesis, "elapsed_seconds", 0.0
-            ),
-            gates_before=conditional.gates_before,
-            gates_after=conditional.gates_after,
-            oracle_queries=outcome.oracle_queries,
-            solver_stats=outcome.solver_stats,
-            key_order=list(locked.key_inputs),
-            attack=attack,
+        SubTaskResult.from_outcome(
+            outcome, params["index"], conditional, params["attack"]
         )
     )
+
+
+def engine_for(engine: str, attack: str, solver: str | None = None) -> str:
+    """The multi-key engine that really runs when ``engine`` is asked for.
+
+    ``"sharded"`` runs only when ``attack`` can share one miter
+    encoding (it registers a ``shard_fn``) and the ``solver`` backend
+    (``None`` -> the process default) has checkpoint/rollback frames
+    and assumptions; every other combination runs ``"reference"``.
+    This is the one place engine names are checked.
+
+    Raises:
+        ValueError: ``engine`` is not one of :data:`ENGINES`.
+    """
+    if engine not in ENGINES:
+        raise ValueError(
+            f"unknown engine {engine!r} (known: {', '.join(ENGINES)})"
+        )
+    shareable = (
+        attack_info(attack).supports_shared_encoding
+        and solver_info(resolve_solver_name(solver)).supports_sharding
+    )
+    return "sharded" if engine == "sharded" and shareable else "reference"
 
 
 def multikey_attack(
@@ -307,19 +374,20 @@ def multikey_attack(
         processes: Worker count of the default runner (defaults to
             ``cpu_count``; ignored when ``runner`` is supplied).
         time_limit_per_task / max_dips_per_task: Sub-attack budgets.
+        seed: Seed of the ``random`` selection strategy and of every
+            sub-attack.
         splitting_inputs: Override the selection entirely (used by
             tests and the composition example).
         engine: ``"reference"`` runs Algorithm 1 literally (one
             synthesized conditional netlist and one cold per-sub-space
-            attack); ``"sharded"`` dispatches to
-            :func:`repro.core.sharded.sharded_multikey_attack`, which
-            shares a single miter encoding across all sub-spaces.
-            When the chosen ``attack`` cannot run against a shared
-            encoding (no registered ``shard_fn``), or the chosen
-            ``solver`` backend has no checkpoint/rollback frames,
-            ``"sharded"`` falls back to the reference per-sub-space
-            path and the result's ``engine`` field reports
-            ``"reference"``.
+            attack, each a ``multikey_subtask`` task); ``"sharded"``
+            hands the sub-spaces to
+            :func:`repro.core.sharded.run_shards`, which shares a
+            single miter encoding across all of them.
+            :func:`engine_for` decides which one really runs — a
+            ``"sharded"`` request whose ``attack`` or ``solver`` cannot
+            share an encoding runs the reference path, and the
+            result's ``engine`` field reports ``"reference"``.
         attack: Registered per-sub-space attack name (see
             :func:`repro.attacks.registry.registered_attacks`).
         attack_params: Extra keyword params for the attack (e.g.
@@ -331,64 +399,28 @@ def multikey_attack(
         opt: Structural optimization level for the circuits each
             sub-attack encodes and simulates (``None`` -> the process
             default; see :mod:`repro.circuit.opt`).  Resolved here so
-            every sub-task — and the sharded engine's task hashes —
-            see one concrete level.
+            every sub-task and shard chunk hashes one concrete level.
         runner: Optional :class:`repro.runner.Runner` the sub-tasks
             (reference) or shard chunks (sharded) are submitted
             through; its cache, when enabled, replays identical
-            sub-attacks.  Without one, the reference engine builds
-            ``Runner(jobs=processes or cpu_count)`` when ``parallel``
-            and a serial one otherwise.
+            sub-attacks.  Without one, ``parallel`` builds
+            ``Runner(jobs=processes or cpu_count)``; otherwise the
+            reference engine runs its sub-tasks on a serial runner and
+            the sharded engine runs every shard in-process.
 
     ``effort=0`` degenerates to the baseline single-key attack.
     """
-    from repro.circuit.opt import resolve_opt
-    from repro.sat.registry import resolve_solver_name, solver_info
-
-    info = attack_info(attack)
-    solver = resolve_solver_name(solver)
-    opt = resolve_opt(opt)
-    if (
-        engine == "sharded"
-        and info.supports_shared_encoding
-        and solver_info(solver).supports_sharding
-    ):
-        from repro.core.sharded import sharded_multikey_attack
-
-        return sharded_multikey_attack(
-            locked,
-            oracle_netlist,
-            effort,
-            selection=selection,
-            parallel=parallel,
-            processes=processes,
-            time_limit_per_task=time_limit_per_task,
-            max_dips_per_task=max_dips_per_task,
-            seed=seed,
-            splitting_inputs=splitting_inputs,
-            attack=attack,
-            attack_params=attack_params,
-            solver=solver,
-            opt=opt,
-            runner=runner,
-        )
-    if engine not in ("reference", "sharded"):
-        raise ValueError(f"unknown multikey engine {engine!r}")
     start = time.perf_counter()
+    solver = resolve_solver_name(solver)  # pinned: the backend is hashed
+    opt = resolve_opt(opt)  # pinned: the level is hashed too
+    runs = engine_for(engine, attack, solver)
     if splitting_inputs is None:
         splitting_inputs = select_splitting_inputs(
             locked, effort, strategy=selection, seed=seed
         )
     elif len(splitting_inputs) != effort:
         raise ValueError("splitting_inputs length must equal effort")
-    assignments = splitting_assignments(splitting_inputs)
-
-    from repro.core.sharded import _locked_to_params
-
     shared = {
-        **_locked_to_params(locked),
-        "oracle_bench": format_bench(oracle_netlist),
-        "run_synthesis": run_synthesis,
         "time_limit_per_task": time_limit_per_task,
         "max_dips_per_task": max_dips_per_task,
         "attack": attack,
@@ -397,26 +429,47 @@ def multikey_attack(
         "solver": solver,
         "opt": opt,
     }
-    specs = [
-        TaskSpec(
-            kind="multikey_subtask",
-            params={**shared, "index": index, "assignment": dict(assignment)},
-            label=f"sub-task {index}",
+    if runner is None and parallel:
+        runner = Runner(jobs=processes or multiprocessing.cpu_count())
+
+    encode_seconds = 0.0
+    if runs == "sharded":
+        from repro.core.sharded import run_shards
+
+        subtasks, encode_seconds = run_shards(
+            locked, oracle_netlist, splitting_inputs, shared, runner
         )
-        for index, assignment in enumerate(assignments)
-    ]
-    if runner is None:
-        jobs = (processes or multiprocessing.cpu_count()) if parallel else 1
-        runner = Runner(jobs=jobs)
-    subtasks = [SubTaskResult(**task.artifact) for task in runner.run(specs)]
+        # Shards fan out exactly when a runner is at hand.
+        parallel = runner is not None
+    else:
+        shared.update(
+            _circuit_params(locked, oracle_netlist),
+            run_synthesis=run_synthesis,
+        )
+        specs = [
+            TaskSpec(
+                kind="multikey_subtask",
+                params={**shared, "index": index, "assignment": assignment},
+                label=f"sub-task {index}",
+            )
+            for index, assignment in enumerate(
+                splitting_assignments(splitting_inputs)
+            )
+        ]
+        subtasks = [
+            SubTaskResult(**task.artifact)
+            for task in (runner or Runner()).run(specs)
+        ]
 
     return MultiKeyResult(
         effort=effort,
         splitting_inputs=list(splitting_inputs),
         subtasks=subtasks,
         wall_seconds=time.perf_counter() - start,
-        parallel=parallel and len(specs) > 1,
+        parallel=parallel and bool(splitting_inputs),
         selection=selection,
+        engine=runs,
+        encode_seconds=encode_seconds,
         attack=attack,
         solver=solver,
     )

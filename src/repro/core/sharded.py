@@ -1,8 +1,10 @@
 """The shared-encoding sharded multi-key attack engine.
 
-This is the fast arm of Algorithm 1.  The reference arm
-(:func:`repro.core.multikey.multikey_attack` with
-``engine="reference"``) treats the ``2^N`` sub-spaces as fully
+This is the fast arm of Algorithm 1:
+:func:`repro.core.multikey.multikey_attack` selects the splitting
+inputs and hands them to :func:`run_shards` when
+:func:`~repro.core.multikey.engine_for` picks ``"sharded"``.  The
+reference arm (``engine="reference"``) treats the ``2^N`` sub-spaces as fully
 independent attacks: each one synthesizes a conditional netlist
 (:mod:`repro.core.conditional`), Tseitin-encodes a fresh miter and
 cold-starts a SAT solver.  All of that work is structurally identical
@@ -20,12 +22,12 @@ exactly once:
   literal, so shards can share one solver: clauses learned while
   solving shard *i* are sound for shard *j* (guards keep the
   sub-space-specific facts apart) and carry over as warm state;
-* under ``parallel=True`` the shards fan out through
-  :mod:`repro.runner` as registered ``multikey_shard_chunk`` tasks —
-  ``--jobs`` shards a single attack across cores, partial-key results
-  stream back per chunk through the runner's progress callback, and a
-  pilot shard's learned clauses prime every worker's solver
-  (:meth:`repro.sat.solver.Solver.export_learnts`).
+* given a runner (``parallel=True`` builds one) the shards fan out
+  through :mod:`repro.runner` as registered ``multikey_shard_chunk``
+  tasks — ``--jobs`` shards a single attack across cores, partial-key
+  results stream back per chunk through the runner's progress
+  callback, and a pilot shard's learned clauses prime every worker's
+  solver (:meth:`repro.sat.solver.Solver.export_learnts`).
 
 The trade: the reference arm's synthesis can *shrink* each sub-problem
 (the paper's "smaller SAT instances"), while this engine keeps the
@@ -37,18 +39,23 @@ and records the trajectory in ``BENCH_multikey.json``.
 
 from __future__ import annotations
 
-import multiprocessing
 import time
 from collections.abc import Sequence
 from dataclasses import asdict
 
 from repro.attacks.registry import attack_info
 from repro.attacks.sat_attack import build_miter_encoding
-from repro.circuit.bench import format_bench, parse_bench
+from repro.circuit.bench import parse_bench
 from repro.circuit.netlist import Netlist
 from repro.circuit.opt import resolve_opt
-from repro.core.multikey import MultiKeyResult, SubTaskResult
-from repro.core.splitting import select_splitting_inputs, splitting_assignments
+from repro.core.conditional import ConditionalNetlist
+from repro.core.multikey import (
+    MultiKeyResult,
+    SubTaskResult,
+    _circuit_params,
+    _locked_from_params,
+    multikey_attack,
+)
 from repro.locking.base import LockedCircuit
 from repro.oracle.oracle import Oracle
 from repro.runner import Runner, TaskSpec, register_task
@@ -131,7 +138,6 @@ class ShardEngine:
         if hasattr(self.enc.solver, "simplify"):
             self.enc.solver.simplify()
         self.encode_seconds = time.perf_counter() - start
-        self._num_gates = locked.netlist.num_gates
 
     @property
     def num_shards(self) -> int:
@@ -216,20 +222,9 @@ class ShardEngine:
             # also when the shard raised; keep what the solver learned
             # about the shared base encoding.
             self.enc.rollback(frame)
-        return SubTaskResult(
-            index=index,
-            assignment=assignment,
-            key=outcome.key,
-            status=outcome.status,
-            num_dips=outcome.num_dips,
-            elapsed_seconds=outcome.elapsed_seconds,
-            synthesis_seconds=0.0,
-            gates_before=self._num_gates,
-            gates_after=self._num_gates,
-            oracle_queries=outcome.oracle_queries,
-            solver_stats=outcome.solver_stats,
-            key_order=list(self.locked.key_inputs),
-            attack=attack,
+        unsynthesized = ConditionalNetlist(self.locked, assignment, None)
+        return SubTaskResult.from_outcome(
+            outcome, index, unsynthesized, attack
         )
 
     def export_warm_clauses(
@@ -264,28 +259,6 @@ def _encoding_identity(locked: LockedCircuit, opt: str) -> str:
     return compiled.content_hash()
 
 
-def _locked_to_params(locked: LockedCircuit) -> dict:
-    """JSON-serializable reconstruction recipe for a locked circuit."""
-    return {
-        "locked_bench": format_bench(locked.netlist),
-        "key_inputs": list(locked.key_inputs),
-        "correct_key": [int(b) for b in locked.correct_key],
-        "original_inputs": list(locked.original_inputs),
-        "scheme": locked.scheme,
-    }
-
-
-def _locked_from_params(params: dict) -> LockedCircuit:
-    """Inverse of :func:`_locked_to_params` (runs in worker processes)."""
-    return LockedCircuit(
-        netlist=parse_bench(params["locked_bench"], name="locked"),
-        key_inputs=list(params["key_inputs"]),
-        correct_key=tuple(int(b) for b in params["correct_key"]),
-        original_inputs=list(params["original_inputs"]),
-        scheme=params.get("scheme", "generic"),
-    )
-
-
 @register_task("multikey_shard_chunk")
 def _shard_chunk_task(params: dict) -> dict:
     """Worker: run a contiguous chunk of shards on one warm engine.
@@ -297,152 +270,117 @@ def _shard_chunk_task(params: dict) -> dict:
     provably matches the exporter's (compiled content hash).
     """
     locked = _locked_from_params(params)
-    opt = resolve_opt(params.get("opt", "off"))
+    opt = params["opt"]
     oracle = Oracle(
         parse_bench(params["oracle_bench"], name="oracle"), opt=opt
     )
-    prime = params.get("prime_learnts")
-    if prime and params.get("encoding_hash"):
-        if _encoding_identity(locked, opt) != params["encoding_hash"]:
-            prime = None  # pragma: no cover - defensive: never import blind
+    prime = params["prime_learnts"]
+    if prime and _encoding_identity(locked, opt) != params["encoding_hash"]:
+        prime = None  # pragma: no cover - defensive: never import blind
     engine = ShardEngine(
         locked,
         oracle,
         params["splitting_inputs"],
         prime_learnts=prime,
-        solver=params.get("solver"),
+        solver=params["solver"],
         opt=opt,
     )
-    shards = [
-        asdict(
-            engine.run_shard(
-                index,
-                time_limit=params.get("time_limit_per_task"),
-                max_dips=params.get("max_dips_per_task"),
-                attack=params.get("attack", "sat"),
-                attack_params=params.get("attack_params"),
-                seed=params.get("seed", 0),
-            )
+    shards = _run_chunk(engine, params["shard_indices"], params)
+    return {
+        "shards": [asdict(shard) for shard in shards],
+        "encode_seconds": engine.encode_seconds,
+    }
+
+
+def _run_chunk(
+    engine: ShardEngine, indices: Sequence[int], shared: dict
+) -> list[SubTaskResult]:
+    """Run shards ``indices`` on ``engine`` under the per-shard budgets,
+    attack and seed in ``shared`` (``multikey_attack``'s hashed params)."""
+    return [
+        engine.run_shard(
+            index,
+            time_limit=shared["time_limit_per_task"],
+            max_dips=shared["max_dips_per_task"],
+            attack=shared["attack"],
+            attack_params=shared["attack_params"],
+            seed=shared["seed"],
         )
-        for index in params["shard_indices"]
+        for index in indices
     ]
-    return {"shards": shards, "encode_seconds": engine.encode_seconds}
 
 
-def shard_chunk_task(
+def run_shards(
     locked: LockedCircuit,
     oracle_netlist: Netlist,
     splitting_inputs: Sequence[str],
-    shard_indices: Sequence[int],
-    time_limit_per_task: float | None,
-    max_dips_per_task: int | None,
-    prime_learnts: list[list[int]] | None = None,
-    encoding_hash: str | None = None,
-    attack: str = "sat",
-    attack_params: dict | None = None,
-    seed: int = 0,
-    solver: str | None = None,
-    opt: str | None = None,
-) -> TaskSpec:
-    """The :class:`TaskSpec` for one worker's chunk of shards.
+    shared: dict,
+    runner: Runner | None,
+) -> tuple[list[SubTaskResult], float]:
+    """Attack all ``2^N`` sub-spaces on shared miter encodings.
 
-    Circuits travel as ``.bench`` text, so the params are plain JSON:
-    the same attack hashes identically across processes and the
-    runner's on-disk cache can replay shard chunks.  The solver backend
-    is hashed too — different backends may return different (equally
-    valid) partial keys, so their artifacts must not alias.  The
-    optimization level is hashed for the same reason: it changes the
-    encoding a shard solves against (and the structural stats a result
-    may carry), so opt-on and opt-off artifacts must not alias either
-    — callers pass the *resolved* level so ``"auto"`` never leaks into
-    the hash.  Warm-start clauses ride in the unhashed execution
-    context — they change how fast a chunk solves, never what it
-    returns.
+    The sharded arm of :func:`repro.core.multikey.multikey_attack`,
+    which passes the resolved budgets, attack, seed, solver and opt as
+    ``shared``.  Without a ``runner`` every shard runs in-process on
+    one :class:`ShardEngine`.  With one, a pilot shard runs in-process
+    and its learned clauses prime ``multikey_shard_chunk`` tasks that
+    split the other shards evenly over ``runner.jobs``.  The chunk
+    params are plain JSON (circuits travel as ``.bench`` text), so the
+    runner's cache can replay a chunk; the warm-start clauses ride in
+    the unhashed context, as they change speed, never results.
+
+    Returns the sub-task records in index order and the encoding cost
+    on the critical path: the parent encode, plus the slowest worker's
+    re-encode when the shards fanned out.
     """
-    return TaskSpec(
-        kind="multikey_shard_chunk",
-        params={
-            **_locked_to_params(locked),
-            "oracle_bench": format_bench(oracle_netlist),
-            "splitting_inputs": list(splitting_inputs),
-            "shard_indices": list(shard_indices),
-            "time_limit_per_task": time_limit_per_task,
-            "max_dips_per_task": max_dips_per_task,
-            "attack": attack,
-            "attack_params": attack_params,
-            "seed": seed,
-            "solver": solver,
-            "opt": resolve_opt(opt),
-        },
-        context={
-            "prime_learnts": prime_learnts,
-            "encoding_hash": encoding_hash,
-        },
-        label=(
-            f"shards {shard_indices[0]}-{shard_indices[-1]}"
-            if shard_indices
-            else "shards <empty>"
-        ),
+    opt = shared["opt"]
+    engine = ShardEngine(
+        locked, Oracle(oracle_netlist, opt=opt), splitting_inputs,
+        solver=shared["solver"], opt=opt,
     )
+    if runner is None or engine.num_shards == 1:
+        subtasks = _run_chunk(engine, range(engine.num_shards), shared)
+        return subtasks, engine.encode_seconds
+    # Pilot shard in-process: its result is shard 0's, and its
+    # learned clauses become every worker's warm start.
+    subtasks = _run_chunk(engine, [0], shared)
+    context = {
+        "prime_learnts": engine.export_warm_clauses(),
+        "encoding_hash": _encoding_identity(locked, opt),
+    }
+    params = {**_circuit_params(locked, oracle_netlist), **shared}
+    params["splitting_inputs"] = list(splitting_inputs)
+    specs = [
+        TaskSpec(
+            kind="multikey_shard_chunk",
+            params={**params, "shard_indices": chunk},
+            context=context,
+            label=f"shards {chunk[0]}-{chunk[-1]}",
+        )
+        for chunk in chunk_evenly(
+            list(range(1, engine.num_shards)), max(1, runner.jobs)
+        )
+    ]
+    worker_encode = 0.0
+    for task in runner.run(specs):
+        subtasks.extend(
+            SubTaskResult(**shard) for shard in task.artifact["shards"]
+        )
+        worker_encode = max(worker_encode, task.artifact["encode_seconds"])
+    subtasks.sort(key=lambda task: task.index)
+    return subtasks, engine.encode_seconds + worker_encode
 
 
 def sharded_multikey_attack(
-    locked: LockedCircuit,
-    oracle_netlist: Netlist,
-    effort: int,
-    selection: str = "fanout",
-    parallel: bool = False,
-    processes: int | None = None,
-    time_limit_per_task: float | None = None,
-    max_dips_per_task: int | None = None,
-    seed: int = 0,
-    splitting_inputs: list[str] | None = None,
-    runner: Runner | None = None,
-    attack: str = "sat",
-    attack_params: dict | None = None,
-    solver: str | None = None,
-    opt: str | None = None,
+    locked: LockedCircuit, oracle_netlist: Netlist, effort: int, **options
 ) -> MultiKeyResult:
     """Run Algorithm 1 through the shared-encoding sharded engine.
 
-    Drop-in alternative to
-    :func:`repro.core.multikey.multikey_attack` (same
-    :class:`~repro.core.multikey.MultiKeyResult` shape, same sub-space
-    indexing, same partial-key semantics) that encodes the miter once
-    and runs the ``2^N`` sub-spaces as assumption-pinned shards.
-
-    Args:
-        locked: The locked design (attacker's netlist).
-        oracle_netlist: The original design; each engine instantiates
-            its own :class:`~repro.oracle.oracle.Oracle` from it.
-        effort: ``N``; the input space splits into ``2^N`` sub-spaces.
-        selection: Splitting-input strategy (see
-            :func:`repro.core.splitting.select_splitting_inputs`).
-        parallel: Fan shard chunks out through :mod:`repro.runner`.
-        processes: Worker count for the default runner (ignored when
-            ``runner`` is supplied).
-        time_limit_per_task / max_dips_per_task: Per-shard budgets.
-        seed: Seed for the ``random`` selection strategy.
-        splitting_inputs: Override the selection entirely.
-        runner: Runner to submit shard chunks through (its progress
-            callback streams each chunk's partial keys as it lands; its
-            cache, when enabled, replays identical attacks).  A plain
-            uncached pool is built when omitted.
-        attack: Registered per-shard attack; must carry a ``shard_fn``
-            (today: ``"sat"``).  Attacks without one are rejected —
-            :func:`repro.core.multikey.multikey_attack` falls back to
-            the reference per-sub-space path for those.
-        attack_params: Extra keyword params for the attack
-            (JSON-serializable; they are part of the task hash).
-        solver: Registered solver backend name (``None`` -> process
-            default); must support sharding (checkpoint frames +
-            assumptions) or the :class:`ShardEngine` raises.
-        opt: Structural optimization level for the shared miter and
-            the oracle's compiled circuit (``None`` -> process
-            default; see :mod:`repro.circuit.opt`).  Resolved once
-            here and hashed into the shard-chunk tasks; with opt on,
-            the warm-start encoding identity is the *optimized*
-            circuit's content hash.
+    Shorthand for :func:`repro.core.multikey.multikey_attack` with
+    ``engine="sharded"``; every other option passes through unchanged.
+    Like any sharded request, an attack or solver that cannot share an
+    encoding runs the reference path (see
+    :func:`~repro.core.multikey.engine_for`).
 
     ``effort=0`` degenerates to the baseline single-key SAT attack on
     a single shard.
@@ -459,98 +397,6 @@ def sharded_multikey_attack(
         >>> all(task.key is not None for task in result.subtasks)
         True
     """
-    from repro.sat.registry import resolve_solver_name
-
-    start = time.perf_counter()
-    attack_info(attack)  # fail fast on unknown names
-    solver = resolve_solver_name(solver)  # pinned: the backend is hashed
-    opt = resolve_opt(opt)  # pinned: the level is hashed too
-    if splitting_inputs is None:
-        splitting_inputs = select_splitting_inputs(
-            locked, effort, strategy=selection, seed=seed
-        )
-    elif len(splitting_inputs) != effort:
-        raise ValueError("splitting_inputs length must equal effort")
-    assignments = splitting_assignments(splitting_inputs)
-    num_shards = len(assignments)
-
-    fan_out = (parallel or runner is not None) and num_shards > 1
-    oracle = Oracle(oracle_netlist, opt=opt)
-    engine = ShardEngine(
-        locked, oracle, splitting_inputs, solver=solver, opt=opt
-    )
-    encode_seconds = engine.encode_seconds
-
-    if not fan_out:
-        subtasks = [
-            engine.run_shard(
-                index,
-                time_limit=time_limit_per_task,
-                max_dips=max_dips_per_task,
-                attack=attack,
-                attack_params=attack_params,
-                seed=seed,
-            )
-            for index in range(num_shards)
-        ]
-    else:
-        # Pilot shard in-process: its result is shard 0's, and its
-        # learned clauses become every worker's warm start.
-        pilot = engine.run_shard(
-            0,
-            time_limit=time_limit_per_task,
-            max_dips=max_dips_per_task,
-            attack=attack,
-            attack_params=attack_params,
-            seed=seed,
-        )
-        prime = engine.export_warm_clauses()
-        encoding_hash = _encoding_identity(locked, opt)
-        if runner is None:
-            runner = Runner(jobs=processes or multiprocessing.cpu_count())
-        chunks = chunk_evenly(
-            list(range(1, num_shards)), max(1, runner.jobs)
-        )
-        specs = [
-            shard_chunk_task(
-                locked,
-                oracle_netlist,
-                splitting_inputs,
-                chunk,
-                time_limit_per_task,
-                max_dips_per_task,
-                prime_learnts=prime,
-                encoding_hash=encoding_hash,
-                attack=attack,
-                attack_params=attack_params,
-                seed=seed,
-                solver=solver,
-                opt=opt,
-            )
-            for chunk in chunks
-        ]
-        subtasks = [pilot]
-        worker_encode = 0.0
-        for task in runner.run(specs):
-            for shard in task.artifact["shards"]:
-                subtasks.append(SubTaskResult(**shard))
-            worker_encode = max(
-                worker_encode, task.artifact.get("encode_seconds", 0.0)
-            )
-        # Workers re-encode concurrently, so the critical path carries
-        # the parent encode plus the slowest worker's re-encode.
-        encode_seconds += worker_encode
-        subtasks.sort(key=lambda task: task.index)
-
-    return MultiKeyResult(
-        effort=effort,
-        splitting_inputs=list(splitting_inputs),
-        subtasks=subtasks,
-        wall_seconds=time.perf_counter() - start,
-        parallel=fan_out,
-        selection=selection,
-        engine="sharded",
-        encode_seconds=encode_seconds,
-        attack=attack,
-        solver=solver,
+    return multikey_attack(
+        locked, oracle_netlist, effort, engine="sharded", **options
     )

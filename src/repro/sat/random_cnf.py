@@ -37,14 +37,3 @@ def brute_force_satisfiable(cnf: CNF) -> bool:
             return True
     return False
 
-
-def brute_force_models(cnf: CNF) -> list[dict[int, bool]]:
-    """Enumerate all models of a tiny CNF (for exhaustive checks)."""
-    if cnf.num_vars > 16:
-        raise ValueError("model enumeration limited to 16 variables")
-    models = []
-    for bits in itertools.product([False, True], repeat=cnf.num_vars):
-        assignment = {v: bits[v - 1] for v in range(1, cnf.num_vars + 1)}
-        if cnf.is_satisfied_by(assignment):
-            models.append(assignment)
-    return models

@@ -28,13 +28,14 @@ The paper's table drivers (:mod:`repro.experiments.table1` /
 ``table2`` / ``defense``) are thin specs over this machinery.
 """
 
+from repro.core.multikey import ENGINES
 from repro.scenarios.matrix import (
     MatrixResult,
     ScenarioCell,
     run_matrix,
     scenario_cell_task,
 )
-from repro.scenarios.spec import ENGINES, ScenarioSpec, normalize_axis
+from repro.scenarios.spec import ScenarioSpec, normalize_axis
 
 __all__ = [
     "ENGINES",

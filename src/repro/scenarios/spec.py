@@ -20,14 +20,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from collections.abc import Mapping, Sequence
 
-from repro.attacks.registry import attack_info
+from repro.core.multikey import engine_for
 from repro.levers import LEVERS
 from repro.locking.registry import scheme_info
 from repro.runner import TaskSpec
-from repro.sat.registry import solver_info
-
-#: The recognized multi-key engines (see repro.core.multikey).
-ENGINES = ("sharded", "reference")
 
 
 def normalize_axis(entry) -> tuple[str, dict]:
@@ -141,13 +137,7 @@ class ScenarioSpec:
         for name, _ in self.schemes:
             scheme_info(name)  # raises with the roster on a miss
         for name, _ in self.attacks:
-            attack_info(name)
-        for engine in self.engines:
-            if engine not in ENGINES:
-                known = ", ".join(ENGINES)
-                raise ValueError(
-                    f"unknown engine {engine!r} (known: {known})"
-                )
+            self.effective_engines(name)  # raises on an unknown attack/engine
         from repro.bench_circuits.corpus import circuit_names, known_circuit
 
         for circuit in self.circuits:
@@ -168,20 +158,17 @@ class ScenarioSpec:
             raise ValueError("key_samples must be non-negative")
 
     def effective_engines(self, attack: str) -> list[str]:
-        """The engine axis after resolving the cell's capabilities.
+        """The engine axis as it runs for ``attack`` (:func:`engine_for`).
 
-        Attacks with a ``shard_fn`` on a backend with checkpoint frames
-        keep the requested engines; any other combination always runs
-        the reference path, so the axis collapses to a single
-        ``"reference"`` entry — otherwise identical cells would execute
-        (and cache) twice under two engine labels.
+        Engines that run the same path collapse to one entry: a
+        ``"sharded"`` request the attack or solver cannot serve runs
+        the reference path, so it is not a second ``"reference"`` cell
+        — otherwise identical cells would execute (and cache) twice
+        under two engine labels.
         """
-        if (
-            attack_info(attack).supports_shared_encoding
-            and solver_info(self.solver).supports_sharding
-        ):
-            return list(self.engines)
-        return ["reference"]
+        return list(dict.fromkeys(
+            engine_for(engine, attack, self.solver) for engine in self.engines
+        ))
 
     @property
     def size(self) -> int:

@@ -29,8 +29,9 @@ from collections.abc import Mapping
 from dataclasses import asdict, dataclass, field, fields
 from typing import ClassVar
 
+from repro.core.multikey import engine_for
 from repro.levers import check_hashed_fields
-from repro.scenarios.spec import ENGINES, ScenarioSpec, normalize_axis
+from repro.scenarios.spec import ScenarioSpec, normalize_axis
 
 #: The envelope schema generation.  Decoders reject other versions.
 SCHEMA_VERSION = 1
@@ -186,11 +187,10 @@ class AttackRequest:
         scheme_info(self.scheme)
         attack_info(self.attack)
         check_hashed_fields(self)  # raises with the roster on a miss
-        if self.engine not in ENGINES:
-            known = ", ".join(ENGINES)
-            raise EnvelopeError(
-                f"unknown engine {self.engine!r} (known: {known})"
-            )
+        try:
+            engine_for(self.engine, self.attack, self.solver)
+        except ValueError as error:
+            raise EnvelopeError(str(error)) from None
         self.scheme_params = dict(self.scheme_params)
         self.attack_params = dict(self.attack_params)
         self.effort = int(self.effort)

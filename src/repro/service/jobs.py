@@ -533,7 +533,8 @@ def _execute_attack(service: Service, job: Job) -> tuple[dict, str]:
     # runner, never a private cpu_count pool, so it stays inside the
     # shared worker budget (serial on a `--jobs 1` daemon; the CLI
     # widens its one-shot service for `attack --parallel`).  A serial
-    # attack gets no runner, which would force the sharded fan-out.
+    # attack gets no runner: multikey_attack fans the sharded engine
+    # out whenever it has one, and runs every shard in-process without.
     runner = service._runner_for(job) if request.parallel else None
     result = multikey_attack(
         locked,

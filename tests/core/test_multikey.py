@@ -7,7 +7,7 @@ import pytest
 from repro.attacks.brute_force import brute_force_keys
 from repro.circuit.random_circuits import random_netlist
 from repro.core.compose import verify_composition
-from repro.core.multikey import multikey_attack
+from repro.core.multikey import engine_for, multikey_attack
 from repro.locking.lut_lock import LutModuleSpec, lut_lock
 from repro.locking.sarlock import sarlock_lock
 from repro.oracle.oracle import Oracle
@@ -165,3 +165,106 @@ class TestAlgorithm1:
         )
         assert result.status == "partial"
         assert result.keys == [] or len(result.keys) < 2
+
+
+class TestEngineChoice:
+    @pytest.mark.parametrize("surface", ["multikey_attack", "spec", "request"])
+    def test_one_unknown_engine_error(self, setup, surface):
+        from repro.scenarios.spec import ScenarioSpec
+        from repro.service.envelopes import AttackRequest
+
+        original, locked = setup
+        build = {
+            "multikey_attack": lambda: multikey_attack(
+                locked, original, effort=1, engine="warp"
+            ),
+            "spec": lambda: ScenarioSpec(schemes=["sarlock"], engines=["warp"]),
+            "request": lambda: AttackRequest(engine="warp"),
+        }[surface]
+        with pytest.raises(ValueError) as error:
+            build()
+        assert str(error.value) == (
+            "unknown engine 'warp' (known: sharded, reference)"
+        )
+
+    @pytest.mark.parametrize(
+        "attack, solver, runs",
+        [
+            ("sat", "python", "sharded"),
+            ("appsat", "python", "reference"),
+            ("brute_force", "python", "reference"),
+        ],
+    )
+    def test_engine_for(self, attack, solver, runs):
+        assert engine_for("sharded", attack, solver) == runs
+        assert engine_for("reference", attack, solver) == "reference"
+
+    def test_sharded_request_without_shard_fn_runs_reference(self, setup):
+        original, locked = setup
+        result = multikey_attack(
+            locked, original, effort=1, attack="appsat", engine="sharded"
+        )
+        assert result.engine == "reference"
+
+
+#: ``TaskSpec.cache_key`` of every spec the four golden runs dispatch
+#: on the seeded fixture, in dispatch order.  A change to a hashed
+#: param (name, value or shape) of ``multikey_subtask`` or
+#: ``multikey_shard_chunk`` moves these digests and orphans every
+#: cached sub-task, so they are pinned here.
+GOLDEN_CACHE_KEYS = {
+    "reference": [
+        ("multikey_subtask", "b797337def11eb591b70a5efba5c95faaef69831f0541f3301c3b224ead7f61f"),
+        ("multikey_subtask", "c69b7df715e1cd856285931faa5338ae68a600958a12b7a93fea6bc8abe24498"),
+        ("multikey_subtask", "d436c51f51aed907e9bdcb331b666a7996c231fc52d8bf8328ff5d5ef4084401"),
+        ("multikey_subtask", "e9e7e41c6f5b554883ade52df22db80e9360b306a185358f0ac5d850e6071053"),
+    ],
+    "reference_no_synthesis": [
+        ("multikey_subtask", "17c375942560dcf32e7257b831274888ba1cd195eba638f094ac1fd1ea8ae2c5"),
+        ("multikey_subtask", "0d246d6087d69d23fe1c3285ca8db9590bf44ddc71d2de562a0a60e9ebb95626"),
+        ("multikey_subtask", "353748f29304ebec47ad0ade3c2684df745884e663b94a0cf1e153294b1d7ac0"),
+        ("multikey_subtask", "71c8b3789fa4ad0f634bdb94315eda2be984e3fcc0a3fd2ddf2b39a2d8ab2304"),
+    ],
+    "sharded_parallel": [
+        ("multikey_shard_chunk", "4ddf24d4b56c5cf58a8a0815775910391b41a9e8678076a251437c74c0e5e281"),
+        ("multikey_shard_chunk", "3c206e2b7081231a168740b5b8aaad07cf3660918d58a241edf0701efec9c971"),
+    ],
+    "sharded_runner": [
+        ("multikey_shard_chunk", "07aaccba34c3833f5d8bc6790609f711166d7db5a08b5f129ac89c3378bc2911"),
+        ("multikey_shard_chunk", "3ab667028363cb15ab914dffcd02128dad6c542bd825cb8c1a0f9307675e7f81"),
+    ],
+}
+
+GOLDEN_RUNS = {
+    "reference": dict(effort=2),
+    "reference_no_synthesis": dict(
+        effort=2, run_synthesis=False, max_dips_per_task=3
+    ),
+    "sharded_parallel": dict(
+        effort=2, engine="sharded", parallel=True, processes=2
+    ),
+    "sharded_runner": dict(effort=3, engine="sharded"),
+}
+
+
+class TestGoldenCacheKeys:
+    @pytest.mark.parametrize("run", sorted(GOLDEN_RUNS))
+    def test_dispatched_specs_hash_as_pinned(self, setup, run, monkeypatch):
+        monkeypatch.delenv("REPRO_SOLVER", raising=False)
+        monkeypatch.delenv("REPRO_OPT", raising=False)
+        dispatched = []
+        run_iter = Runner.run_iter
+
+        def recording(self, specs):
+            dispatched.extend(specs)
+            return run_iter(self, specs)
+
+        monkeypatch.setattr(Runner, "run_iter", recording)
+        original, locked = setup
+        kwargs = dict(GOLDEN_RUNS[run])
+        if run == "sharded_runner":
+            kwargs["runner"] = Runner(jobs=2)
+        multikey_attack(locked, original, **kwargs)
+        assert [
+            (spec.kind, spec.cache_key) for spec in dispatched
+        ] == GOLDEN_CACHE_KEYS[run]

@@ -29,6 +29,19 @@ class TestParser:
         with pytest.raises(SystemExit):
             main([])
 
+    @pytest.mark.parametrize("cmd", ["attack", "table1", "table2"])
+    def test_engine_choices_match_the_engine_roster(self, cmd):
+        # The CLI spells the roster out so startup need not import
+        # repro.core.multikey; this keeps the two from drifting apart.
+        from repro.core.multikey import ENGINES
+
+        subparsers = build_parser()._subparsers._group_actions[0]
+        (engine,) = [
+            action for action in subparsers.choices[cmd]._actions
+            if "--engine" in action.option_strings
+        ]
+        assert tuple(engine.choices) == ENGINES
+
 
 class TestCommands:
     def test_figure1(self, capsys):
