@@ -192,6 +192,11 @@ class Netlist:
         self._compiled = (guard, compiled)
         return compiled
 
+    def adopt_compiled(self, compiled: "CompiledCircuit") -> None:
+        """Seed the compile cache with ``compiled``, a compiled form of
+        this very netlist from another process (pickling drops it)."""
+        self._compiled = (self._structure_guard(), compiled)
+
     def invalidate_compiled(self) -> None:
         """Drop the compile cache after direct structural mutation."""
         self._compiled = None

@@ -45,7 +45,6 @@ from dataclasses import asdict
 
 from repro.attacks.registry import attack_info
 from repro.attacks.sat_attack import build_miter_encoding
-from repro.circuit.bench import parse_bench
 from repro.circuit.netlist import Netlist
 from repro.circuit.opt import resolve_opt
 from repro.core.conditional import ConditionalNetlist
@@ -53,7 +52,6 @@ from repro.core.multikey import (
     MultiKeyResult,
     SubTaskResult,
     _circuit_params,
-    _locked_from_params,
     multikey_attack,
 )
 from repro.locking.base import LockedCircuit
@@ -246,44 +244,28 @@ class ShardEngine:
         )
 
 
-def _encoding_identity(locked: LockedCircuit, opt: str) -> str:
-    """Content hash of the compiled circuit the miter is encoded from.
-
-    With optimization on, the *optimized* circuit fixes the variable
-    numbering, so its hash — not the raw netlist's — is the identity
-    that warm-start clause imports must match.
-    """
-    compiled = locked.netlist.compile()
-    if opt != "off":
-        compiled = compiled.optimized(opt).compiled
-    return compiled.content_hash()
-
-
 @register_task("multikey_shard_chunk")
 def _shard_chunk_task(params: dict) -> dict:
     """Worker: run a contiguous chunk of shards on one warm engine.
 
     The chunk shares a single :class:`ShardEngine` (one encoding, one
     solver), so learned clauses carry over between the shards executed
-    on this worker.  ``prime_learnts`` arrives through the unhashed
-    execution context and is only imported when the worker's encoding
-    provably matches the exporter's (compiled content hash).
+    on this worker.  The unhashed context carries the parent's circuits
+    with their compiled, already-optimized forms, so the worker parses,
+    compiles and optimizes nothing, and ``prime_learnts`` — exported
+    from an encoding of that very circuit — import as they are.  The
+    ``.bench`` text of the hashed params only keys the cache.
     """
-    locked = _locked_from_params(params)
-    opt = params["opt"]
-    oracle = Oracle(
-        parse_bench(params["oracle_bench"], name="oracle"), opt=opt
-    )
-    prime = params["prime_learnts"]
-    if prime and _encoding_identity(locked, opt) != params["encoding_hash"]:
-        prime = None  # pragma: no cover - defensive: never import blind
+    locked, oracle_netlist = params["locked"], params["oracle_netlist"]
+    locked.netlist.adopt_compiled(params["locked_compiled"])
+    oracle_netlist.adopt_compiled(params["oracle_compiled"])
     engine = ShardEngine(
         locked,
-        oracle,
+        Oracle(oracle_netlist, opt=params["opt"]),  # this chunk's queries
         params["splitting_inputs"],
-        prime_learnts=prime,
+        prime_learnts=params["prime_learnts"],
         solver=params["solver"],
-        opt=opt,
+        opt=params["opt"],
     )
     shards = _run_chunk(engine, params["shard_indices"], params)
     return {
@@ -324,10 +306,11 @@ def run_shards(
     ``shared``.  Without a ``runner`` every shard runs in-process on
     one :class:`ShardEngine`.  With one, a pilot shard runs in-process
     and its learned clauses prime ``multikey_shard_chunk`` tasks that
-    split the other shards evenly over ``runner.jobs``.  The chunk
-    params are plain JSON (circuits travel as ``.bench`` text), so the
-    runner's cache can replay a chunk; the warm-start clauses ride in
-    the unhashed context, as they change speed, never results.
+    split the other shards evenly over ``runner.jobs``.  The hashed
+    chunk params are plain JSON (circuits as ``.bench`` text), so the
+    runner's cache can replay a chunk.  What changes speed, never
+    results, rides in the unhashed context: the warm-start clauses and
+    the parent's circuits with their compiled, optimized forms.
 
     Returns the sub-task records in index order and the encoding cost
     on the critical path: the parent encode, plus the slowest worker's
@@ -346,7 +329,10 @@ def run_shards(
     subtasks = _run_chunk(engine, [0], shared)
     context = {
         "prime_learnts": engine.export_warm_clauses(),
-        "encoding_hash": _encoding_identity(locked, opt),
+        "locked": locked,
+        "oracle_netlist": oracle_netlist,
+        "locked_compiled": locked.netlist.compile(),
+        "oracle_compiled": oracle_netlist.compile(),
     }
     params = {**_circuit_params(locked, oracle_netlist), **shared}
     params["splitting_inputs"] = list(splitting_inputs)

@@ -257,11 +257,12 @@ class Runner:
                         }
                         if not outstanding:
                             break
-                    # Top up: submit while shared slots are available.
+                    # Top up: at most one task per worker (a stop then
+                    # finds only running work) while slots are free.
                     # Each in-flight task holds one slot, released by
                     # its done callback (so this never deadlocks on
                     # our own completed-but-unprocessed work).
-                    while waiting is not None:
+                    while waiting is not None and len(outstanding) < workers:
                         if self.slots is not None and not self.slots.acquire(
                             blocking=False
                         ):

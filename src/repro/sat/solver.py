@@ -161,6 +161,9 @@ class Solver:
         # is open, simplify() must not compact the clause list (marks
         # snapshot its length), so it switches to in-place deletion.
         self._frames: list[tuple[int, int]] = []
+        # Root-trail length at simplify()'s last full pass (MiniSAT's
+        # ``simpDB_assigns``); whether it left flagged clauses in a frame.
+        self._simp_assigns, self._simp_held = 0, False
 
         self._var_inc = 1.0
         # Glucose-style decay ramp: start aggressive (0.80) so early
@@ -323,7 +326,10 @@ class Solver:
         implied by the formula itself — unit learnts are derived by
         resolution, never from assumptions, which live on decision
         levels — so shedding against them stays sound across
-        :meth:`rollback`.  Returns ``False`` if the formula is
+        :meth:`rollback`.  A call that finds no new root fact since its
+        last full pass (and, frame-free, no flagged clause to compact)
+        returns right after propagation, so a shard frame pays only for
+        the facts it adds.  Returns ``False`` if the formula is
         unsatisfiable at the root.
         """
         if not self._ok:
@@ -332,23 +338,29 @@ class Solver:
         if self._propagate() is not None:
             self._ok = False
             return False
-        litval = self._litval
+        trail = self._trail
+        if len(trail) == self._simp_assigns and (self._frames or not self._simp_held):
+            # Every clause added since was normalized against this root.
+            return True
+        root_true = set(trail)
+        root_false = {lit ^ 1 for lit in trail}
         # Marks snapshot len(self._clauses) only; the learnt store is
         # filtered by variable on rollback, so it may always compact.
         stores = (
             (self._clauses, bool(self._frames)),
             (self._learnts, False),
         )
-        bins_changed = False
+        bins_changed = held = False
         for store, in_frame in stores:
             kept: list[_Clause] = []
             for clause in store:
                 if clause.deleted:
                     if in_frame:
                         kept.append(clause)  # hold the list length
+                        held = True
                     continue
                 lits = clause.lits
-                if any(litval[lit] == 1 for lit in lits):
+                if not root_true.isdisjoint(lits):
                     # Satisfied at root: watch lists skip it lazily,
                     # the implication lists are rebuilt below.
                     clause.deleted = True
@@ -357,13 +369,14 @@ class Solver:
                         self.stats.removed += 1
                     if in_frame:
                         kept.append(clause)
+                        held = True
                     continue
-                if any(litval[lit] == -1 for lit in lits):
+                if not root_false.isdisjoint(lits):
                     # At a root fixpoint both watched literals of an
                     # unsatisfied clause are unassigned, so stripping
                     # falsified tail literals keeps lits[0]/lits[1] —
                     # and with them the watch invariants — intact.
-                    stripped = [lit for lit in lits if litval[lit] != -1]
+                    stripped = [lit for lit in lits if lit not in root_false]
                     if len(stripped) == 2:
                         # Now binary: move it to the implication lists.
                         for lit in stripped:
@@ -378,6 +391,7 @@ class Solver:
             store[:] = kept
         if bins_changed:
             self._rebuild_bins()
+        self._simp_assigns, self._simp_held = len(trail), held
         return True
 
     # ------------------------------------------------------------------
@@ -427,13 +441,16 @@ class Solver:
         del self._clauses[nclauses:]
         kept: list[_Clause] = []
         for clause in self._learnts:
-            if any(lit >> 1 > nvars for lit in clause.lits):
+            if max(clause.lits) >> 1 > nvars:
                 clause.deleted = True
                 self.stats.removed += 1
             else:
                 kept.append(clause)
         self._learnts = kept
-        # Root assignments of dropped variables disappear with them.
+        # Root assignments of dropped variables disappear with them;
+        # simplify()'s mark keeps counting the surviving shed ones.
+        shed = self._trail[: self._simp_assigns]
+        self._simp_assigns -= sum(lit >> 1 > nvars for lit in shed)
         self._trail = [lit for lit in self._trail if lit >> 1 <= nvars]
         self._qhead = len(self._trail)
         del self._litval[2 * (nvars + 1):]

@@ -6,7 +6,14 @@ twin map hold solver variables, so rolling the frame back must drop
 every entry above the frame mark — otherwise a later shard would reuse
 a gate whose clauses are gone.  These tests run shards in several
 orders on one engine, and through a shard that raises.
+
+What a frame costs must not change what it searches: a golden test
+pins every shard's solver counters, DIPs and key, in-process and on
+the pool, and another gates the chunk workers on re-parsing, compiling
+and optimizing nothing.
 """
+
+import pickle
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,12 +21,18 @@ from hypothesis import given, settings, strategies as st
 from repro.attacks.brute_force import brute_force_keys
 from repro.attacks.registry import AttackInfo
 from repro.attacks.sat_attack import run_dip_loop
+from repro.bench_circuits.corpus import resolve_circuit
+from repro.circuit import bench, compiled, opt
 from repro.circuit.random_circuits import random_netlist
-from repro.core import sharded
+from repro.core import multikey, sharded
 from repro.core.compose import verify_composition
+from repro.core.multikey import multikey_attack
 from repro.core.sharded import ShardEngine
+from repro.locking.lut_lock import LutModuleSpec, lut_lock
 from repro.locking.registry import lock_circuit
 from repro.oracle.oracle import Oracle
+from repro.runner import Runner
+from repro.runner import task as runner_task
 
 
 def _assert_scoped(engine, mark):
@@ -104,3 +117,103 @@ class TestShardFrames:
         assert task.key_int in brute_force_keys(
             locked, Oracle(original), pin=task.assignment
         )
+
+
+def _lut_c432():
+    original = resolve_circuit("c432", 0.12)
+    return lut_lock(original, LutModuleSpec.tiny(), seed=2), original
+
+
+def _sharded_unlock(locked, original, runner):
+    return multikey_attack(
+        locked, original, 2, engine="sharded", solver="python", opt="full",
+        runner=runner,
+    )
+
+
+#: Per shard: (index, DIPs, key, propagations, conflicts, decisions).
+#: The pool's shards 1-3 run on two warm-started chunk workers, so they
+#: search differently from the in-process engine's, just as exactly.
+_GOLDEN = {
+    "in-process": [
+        (0, 5, 788484, 3449, 99, 533),
+        (1, 7, 3962900, 3224, 86, 533),
+        (2, 8, 3897116, 4429, 104, 581),
+        (3, 6, 12285852, 3182, 82, 441),
+    ],
+    "pool": [
+        (0, 5, 788484, 3449, 99, 533),
+        (1, 7, 3174416, 4041, 109, 585),
+        (2, 6, 4028434, 3574, 96, 481),
+        (3, 8, 14712960, 4341, 113, 610),
+    ],
+}
+
+
+class TestGoldenTrajectory:
+    """A seeded effort-2 unlock of a LUT lock replays shard for shard."""
+
+    @pytest.mark.parametrize("where", sorted(_GOLDEN))
+    def test_every_shard_replays_its_counters(self, where):
+        locked, original = _lut_c432()
+        runner = Runner(jobs=2) if where == "pool" else None
+        result = _sharded_unlock(locked, original, runner)
+        got = [
+            (
+                task.index, task.num_dips, task.key_int,
+                task.solver_stats["propagations"],
+                task.solver_stats["conflicts"],
+                task.solver_stats["decisions"],
+            )
+            for task in result.subtasks
+        ]
+        assert got == _GOLDEN[where]
+
+
+class TestChunkWorkerReuse:
+    """Chunk workers build on the parent's compiled, optimized circuits."""
+
+    @pytest.mark.parametrize("pickled", [False, True], ids=["shared", "pickled"])
+    def test_chunks_parse_compile_and_optimize_nothing(
+        self, monkeypatch, pickled
+    ):
+        locked, original = _lut_c432()
+        calls = {"parse_bench": 0, "optimize_compiled": 0, "compile": 0}
+        in_chunk, chunks = [], []
+
+        def count(name, real):
+            def counted(*args, **kwargs):
+                calls[name] += bool(in_chunk)
+                return real(*args, **kwargs)
+
+            return counted
+
+        counted_parse = count("parse_bench", bench.parse_bench)
+        for module in (bench, multikey):
+            monkeypatch.setattr(module, "parse_bench", counted_parse)
+        monkeypatch.setattr(
+            opt, "optimize_compiled",
+            count("optimize_compiled", opt.optimize_compiled),
+        )
+        monkeypatch.setattr(
+            compiled.CompiledCircuit, "__init__",
+            count("compile", compiled.CompiledCircuit.__init__),
+        )
+
+        def chunk(params):
+            if pickled:  # what a pool worker receives
+                params = pickle.loads(pickle.dumps(params))
+            in_chunk.append(True)
+            chunks.append(params["shard_indices"])
+            try:
+                return sharded._shard_chunk_task(params)
+            finally:
+                in_chunk.pop()
+
+        monkeypatch.setitem(runner_task._REGISTRY, "multikey_shard_chunk", chunk)
+        result = _sharded_unlock(locked, original, Runner(jobs=1))
+        assert chunks == [[1, 2, 3]]  # the pilot ran shard 0 in the parent
+        assert calls == {"parse_bench": 0, "optimize_compiled": 0, "compile": 0}
+        assert verify_composition(
+            locked, result.splitting_inputs, result.keys, original
+        ).equivalent

@@ -351,6 +351,22 @@ class TestRunIter:
         # dropped once the stop tripped.
         assert 1 <= len(results) < 8
 
+    def test_stop_on_first_completion_keeps_at_most_jobs_results(self):
+        """Only ``jobs`` tasks are ever in flight, so a stop tripped by
+        the first completion can keep at most the ones already running."""
+        stop = {"now": False}
+
+        def progress(result, done, total):
+            stop["now"] = True
+
+        runner = Runner(
+            jobs=2, progress=progress, should_stop=lambda: stop["now"]
+        )
+        for _ in range(3):
+            stop["now"] = False
+            results = runner.run([_spec(v) for v in range(8)])
+            assert 1 <= len(results) <= runner.jobs
+
     def test_stopped_pool_run_still_caches_what_finished(self, tmp_path):
         cache = ResultCache(tmp_path)
         stop = {"now": False}

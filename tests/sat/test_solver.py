@@ -388,6 +388,19 @@ class TestSimplifyInFrames:
         assert s.solve()
         assert s.model_value(1) is True
 
+    def test_rollback_rebases_the_simplify_mark(self):
+        """A root fact that rollback drops must not let the next one
+        pass for a fact the last full pass already shed."""
+        s = Solver()
+        s.add_clause([1, 2])
+        mark = s.checkpoint()
+        s.add_clause([s.new_var()])  # root fact on a frame variable
+        assert s.simplify()
+        s.rollback(mark)
+        s.add_clause([1])  # the root trail is as long as at that pass
+        assert s.simplify()
+        assert s._clauses == []  # [1, 2] is satisfied and compacted
+
     def test_repeated_shard_style_frames_stay_sound(self):
         """The ShardEngine access pattern: frame, guard, simplify, roll."""
         from repro.sat.random_cnf import random_ksat

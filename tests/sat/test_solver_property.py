@@ -102,14 +102,54 @@ def _random_lit(rng, num_vars: int) -> int:
     return var if rng.random() < 0.5 else -var
 
 
+def _live_clauses_and_root(solver) -> tuple[list[tuple[int, ...]], set[int]]:
+    """The solver's non-deleted clauses (sorted internal literal tuples)
+    and the literals of its root trail."""
+    live = sorted(
+        tuple(sorted(clause.lits))
+        for store in (solver._clauses, solver._learnts)
+        for clause in store
+        if not clause.deleted
+    )
+    trail = solver._trail
+    root_end = solver._trail_lim[0] if solver._trail_lim else len(trail)
+    return live, set(trail[:root_end])
+
+
+def _naive_rescan(clauses, root) -> tuple[list[tuple[int, ...]], set[int]] | None:
+    """Shed every clause against the root facts, to a fixpoint: drop the
+    root-satisfied ones, strip root-false literals, and move the units
+    this leaves onto the root.  ``None`` when a clause runs empty."""
+    root = set(root)
+    while True:
+        kept, units = [], set()
+        for clause in clauses:
+            if root.intersection(clause):
+                continue
+            stripped = tuple(lit for lit in clause if lit ^ 1 not in root)
+            if not stripped:
+                return None
+            if len(stripped) == 1:
+                units.add(stripped[0])
+            else:
+                kept.append(stripped)
+        if not units:
+            return sorted(kept), root
+        if any(lit ^ 1 in units for lit in units):
+            return None
+        root |= units
+        clauses = kept
+
+
 @given(seed=st.integers(0, 10_000))
 def test_frames_simplify_and_assumptions_agree_with_brute_force(seed):
     """Random checkpoint/add/solve/simplify/rollback sequences.
 
     Frame clauses always carry the frame's guard literal (the contract
     the sharded engine keeps), base clauses are only added frame-free,
-    and every verdict is checked against enumeration of the formula
-    that survives at that point.
+    every verdict is checked against enumeration of the formula that
+    survives at that point, and every ``simplify()`` against a naive
+    full rescan.
     """
     import random
 
@@ -123,14 +163,20 @@ def test_frames_simplify_and_assumptions_agree_with_brute_force(seed):
     def formula():
         return base_clauses + [c for _, _, added in frames for c in added]
 
-    for _ in range(14):
+    for _ in range(20):
         op = rng.choice(
             ["open", "open", "add", "add", "add", "solve", "solve",
-             "simplify", "close", "base"]
+             "simplify", "simplify", "close", "base", "base", "local"]
         )
         if op == "open" and len(frames) < 2:
             mark = solver.checkpoint()
             frames.append((mark, solver.new_var(), []))
+        elif op == "local" and frames:
+            # A root fact on a frame variable: rollback drops it from
+            # the middle of the root trail.
+            clause = [solver.new_var()]
+            solver.add_clause(clause)
+            frames[-1][2].append(clause)
         elif op == "add" and frames:
             _, guard, added = frames[-1]
             clause = [-guard] + [
@@ -145,8 +191,13 @@ def test_frames_simplify_and_assumptions_agree_with_brute_force(seed):
             solver.add_clause(clause)
             base_clauses.append(clause)
         elif op == "simplify":
+            # Whether simplify() skips or rescans, what it leaves must
+            # equal a naive full rescan of the clauses it started from.
+            expected = _naive_rescan(*_live_clauses_and_root(solver))
             if not solver.simplify():
                 assert not _verdict(solver.num_vars, formula())
+            elif expected is not None:
+                assert _live_clauses_and_root(solver) == expected
         elif op == "close" and frames:
             mark, _, _ = frames.pop()
             solver.rollback(mark)
