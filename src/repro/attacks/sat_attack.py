@@ -56,7 +56,7 @@ import time
 from dataclasses import dataclass, field
 from collections.abc import Mapping, Sequence
 
-from repro.circuit.cnf import encode_gate
+from repro.circuit.cnf import encode_gate, encode_gates
 from repro.circuit.compiled import CompiledCircuit
 from repro.circuit.gates import GateType
 from repro.circuit.opt import resolve_opt
@@ -335,9 +335,7 @@ def build_miter_encoding(
 
     key_slots = [slot_of[net] for net in locked.key_inputs]
     controlled = compiled.tainted_slots(key_slots)
-    gate_types = compiled.gate_types
     gate_out = compiled.gate_output_slots
-    gate_fanins = compiled.gate_fanin_slots
     shared_idx = [i for i, out in enumerate(gate_out) if not controlled[out]]
     cone_idx = [i for i, out in enumerate(gate_out) if controlled[out]]
 
@@ -365,27 +363,15 @@ def build_miter_encoding(
     # Key-independent logic, encoded once and shared by both halves.
     # (Untainted gates cannot read a key slot, so every fanin already
     # has a shared variable by topological order.)
-    for i in shared_idx:
-        out = solver.new_var()
-        shared_vars[gate_out[i]] = out
-        encode_gate(
-            solver, gate_types[i], out, [shared_vars[s] for s in gate_fanins[i]]
-        )
-
-    def encode_cone(key_vars: list[int]) -> list[int]:
-        half = [0] * num_slots
-        for i in cone_idx:
-            ins = []
-            for s in gate_fanins[i]:
-                var = half[s] or key_vars[s] or shared_vars[s]
-                ins.append(var)
-            out = solver.new_var()
-            encode_gate(solver, gate_types[i], out, ins)
-            half[gate_out[i]] = out
-        return half
-
-    half1 = encode_cone(key1)
-    half2 = encode_cone(key2)
+    encode_gates(solver, compiled, shared_vars, shared_idx)
+    halves = []
+    for key_vars in (key1, key2):
+        half = list(shared_vars)
+        for s in key_slots:
+            half[s] = key_vars[s]
+        encode_gates(solver, compiled, half, cone_idx)
+        halves.append(half)
+    half1, half2 = halves
 
     # Miter over key-controlled outputs only; key-independent outputs
     # cannot differ between the halves.
@@ -396,11 +382,8 @@ def build_miter_encoding(
         if not controlled[po_slot]:
             continue
         controlled_pos.append((po, po_slot))
-        va, vb = half1[po_slot], half2[po_slot]
         diff = solver.new_var()
-        solver.add_clauses(
-            [[-diff, va, vb], [-diff, -va, -vb], [diff, -va, vb], [diff, va, -vb]]
-        )
+        encode_gate(solver, GateType.XOR, diff, [half1[po_slot], half2[po_slot]])
         diff_vars.append(diff)
     solver.add_clause([-act] + diff_vars)
 

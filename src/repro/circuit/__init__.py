@@ -3,8 +3,9 @@
 Provides the netlist intermediate representation used throughout the
 library, ISCAS ``.bench`` file I/O, bit-parallel simulation, structural
 analysis (cones, levels, key-controlled gate counting — the paper's
-splitting-input heuristic needs these), CNF encoding, and SAT-based
-combinational equivalence checking.
+splitting-input heuristic needs these), the one Tseitin gate encoder
+(:mod:`repro.circuit.cnf`, writing straight into a solver), and
+SAT-based combinational equivalence checking.
 """
 
 from repro.circuit.analysis import (
@@ -16,14 +17,9 @@ from repro.circuit.analysis import (
     rank_inputs_by_key_influence,
 )
 from repro.circuit.bench import format_bench, parse_bench
-from repro.circuit.cnf import (
-    CompiledEncoding,
-    NetlistEncoding,
-    encode_compiled,
-    encode_netlist,
-)
+from repro.circuit.cnf import encode_gate, encode_gates
 from repro.circuit.compiled import CompiledCircuit, CompileError
-from repro.circuit.equivalence import EquivalenceResult, check_equivalence, build_miter
+from repro.circuit.equivalence import EquivalenceResult, check_equivalence
 from repro.circuit.gates import GateType
 from repro.circuit.netlist import Gate, Netlist, NetlistError
 from repro.circuit.opt import (
@@ -59,12 +55,9 @@ __all__ = [
     "fanin_support",
     "key_controlled_gates",
     "rank_inputs_by_key_influence",
-    "encode_netlist",
-    "encode_compiled",
-    "NetlistEncoding",
-    "CompiledEncoding",
+    "encode_gate",
+    "encode_gates",
     "check_equivalence",
-    "build_miter",
     "EquivalenceResult",
     "OPT_LEVELS",
     "OptimizedCircuit",

@@ -1,161 +1,111 @@
-"""Tseitin encoding of netlists into CNF.
+"""Tseitin encoding of gates, straight into a clause sink.
 
-Encoding runs over the compiled circuit IR: gates are read from the
-flat parallel arrays of a :class:`~repro.circuit.compiled.CompiledCircuit`
-and net-to-variable lookup is a dense slot-indexed array instead of a
-name dict.  In the common case (fresh CNF, nothing shared) variable
-``slot + 1`` IS the slot, so consumers that work slot-wise never touch
-a string key.  :func:`encode_netlist` remains the name-keyed wrapper
-for callers that want a ``net -> var`` mapping.
+:func:`encode_gate` is the only code that knows Tseitin clause shapes:
+every gate clause of the attack miter, its per-DIP copies and the CEC
+miter comes from it, output differences included.  :func:`encode_gates`
+runs it over a compiled circuit's gate program through a slot-indexed
+variable array.
+
+A *sink* is anything with ``new_var()`` and ``add_clauses()``: a
+solver backend from :mod:`repro.sat.registry` (the PySAT adapter
+included), or a :class:`~repro.sat.cnf.CNF` when a test wants to read
+the clauses back.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from collections.abc import Mapping
+from collections.abc import Iterable
 
 from repro.circuit.compiled import CompiledCircuit
 from repro.circuit.gates import GateType
-from repro.circuit.netlist import Netlist
-from repro.circuit.opt import resolve_opt
-from repro.sat import (
-    CNF,
-    enc_and,
-    enc_buf,
-    enc_mux,
-    enc_nand,
-    enc_nor,
-    enc_not,
-    enc_or,
-    enc_xnor,
-    enc_xor,
-)
+
+# A complemented gate is its base gate on the negated output literal.
+_COMPLEMENT = {
+    GateType.NAND: GateType.AND,
+    GateType.NOR: GateType.OR,
+    GateType.XNOR: GateType.XOR,
+    GateType.NOT: GateType.BUF,
+}
 
 
-@dataclass
-class CompiledEncoding:
-    """Result of encoding a compiled circuit: CNF plus slot-indexed vars."""
+def encode_gate(sink, gtype: GateType, out: int, ins: list[int]) -> None:
+    """Add the Tseitin clauses for ``out = gtype(ins)`` to ``sink``.
 
-    cnf: CNF
-    compiled: CompiledCircuit
-    slot_vars: list[int]
+    ``out``/``ins`` are DIMACS literals, so callers may pass negated
+    operands directly.  NAND/NOR/XNOR/NOT are AND/OR/XOR/BUF on
+    ``-out``; OR is AND on ``-out`` over the negated fanins.  XOR over
+    ``n > 2`` fanins chains pairwise through ``n - 2`` fresh variables
+    from ``sink.new_var``, allocated in chain order.  MUX takes
+    ``(sel, d1, d0)`` and adds the two clauses that propagate
+    ``d1 == d0`` without deciding ``sel``.
 
-    def var(self, net: str) -> int:
-        """DIMACS variable of a net (name-keyed convenience)."""
-        return self.slot_vars[self.compiled.slot_of[net]]
-
-    def lit(self, net: str, value: bool = True) -> int:
-        """DIMACS literal asserting ``net == value``."""
-        var = self.var(net)
-        return var if value else -var
-
-
-@dataclass
-class NetlistEncoding:
-    """Result of encoding a netlist: the CNF and the net-to-variable map."""
-
-    cnf: CNF
-    var_of: dict[str, int]
-
-    def lit(self, net: str, value: bool = True) -> int:
-        """DIMACS literal asserting ``net == value``."""
-        var = self.var_of[net]
-        return var if value else -var
-
-
-def encode_compiled(
-    compiled: CompiledCircuit,
-    cnf: CNF | None = None,
-    share: Mapping[str, int] | None = None,
-    opt: str | None = "off",
-) -> CompiledEncoding:
-    """Encode every gate of ``compiled`` into ``cnf``, slot-indexed.
-
-    Slots map to a contiguous block of fresh variables (the identity
-    ``var = slot + 1`` on a fresh CNF); ``share`` pre-assigns variables
-    to named nets (typically primary inputs shared with another circuit
-    copy, as in a miter).  Auxiliary variables for wide XOR chains are
-    allocated after the slot block.
-
-    ``opt`` runs the structural optimizer (:mod:`repro.circuit.opt`)
-    before encoding; the returned ``compiled``/``slot_vars`` then refer
-    to the *optimized* circuit.  The default here is ``"off"`` — unlike
-    the high-level consumers, this encoder's slot identities are part
-    of its contract, so shrinking is explicit opt-in (``None`` follows
-    the process default).  ``share`` keys must survive optimization;
-    primary inputs and outputs always do.
+    >>> from repro.sat import CNF
+    >>> cnf = CNF(2)
+    >>> encode_gate(cnf, GateType.AND, cnf.new_var(), [1, 2])
+    >>> cnf.clauses
+    [[-3, 1], [-3, 2], [3, -1, -2]]
     """
-    if opt != "off":
-        level = resolve_opt(opt)
-        if level != "off":
-            compiled = compiled.optimized(level).compiled
-    if cnf is None:
-        cnf = CNF()
-    slot_vars = [0] * compiled.num_slots
-    if share:
-        slot_of = compiled.slot_of
-        for net, var in share.items():
-            slot_vars[slot_of[net]] = var
-    for slot in range(compiled.num_slots):
-        if not slot_vars[slot]:
-            slot_vars[slot] = cnf.new_var()
-
-    for gtype, out_slot, fanins in zip(
-        compiled.gate_types, compiled.gate_output_slots, compiled.gate_fanin_slots
-    ):
-        encode_gate(
-            cnf, gtype, slot_vars[out_slot], [slot_vars[s] for s in fanins]
-        )
-    return CompiledEncoding(cnf=cnf, compiled=compiled, slot_vars=slot_vars)
-
-
-def encode_netlist(
-    netlist: Netlist,
-    cnf: CNF | None = None,
-    share: Mapping[str, int] | None = None,
-    opt: str | None = "off",
-) -> NetlistEncoding:
-    """Encode every gate of ``netlist`` into ``cnf`` (name-keyed wrapper).
-
-    ``share`` pre-assigns variables to named nets; all other nets
-    receive fresh variables.  Compiles the netlist (cached) and builds
-    the ``net -> var`` dict from the slot array once.  ``opt`` is
-    forwarded to :func:`encode_compiled` (default ``"off"``; optimized
-    encodings only expose variables for surviving nets).
-    """
-    enc = encode_compiled(netlist.compile(), cnf, share, opt=opt)
-    var_of = dict(zip(enc.compiled.net_names, enc.slot_vars))
-    return NetlistEncoding(cnf=enc.cnf, var_of=var_of)
-
-
-def encode_gate(cnf: CNF, gtype: GateType, out: int, ins: list[int]) -> None:
-    """Append the Tseitin clauses for one gate to ``cnf``.
-
-    ``out``/``ins`` are DIMACS literals, so callers may pass negated or
-    constant-substituted operands directly.
-    """
-    if gtype is GateType.AND:
-        clauses = enc_and(out, ins)
-    elif gtype is GateType.OR:
-        clauses = enc_or(out, ins)
-    elif gtype is GateType.NAND:
-        clauses = enc_nand(out, ins)
-    elif gtype is GateType.NOR:
-        clauses = enc_nor(out, ins)
+    if gtype in _COMPLEMENT:
+        gtype, out = _COMPLEMENT[gtype], -out
+    if gtype is GateType.OR:
+        gtype, out, ins = GateType.AND, -out, [-lit for lit in ins]
+    if gtype is GateType.XOR and len(ins) < 2:
+        gtype = GateType.BUF if ins else GateType.CONST0
+    if gtype is GateType.AND:  # with no fanins: the constant 1
+        clauses = [[-out, lit] for lit in ins]
+        clauses.append([out] + [-lit for lit in ins])
     elif gtype is GateType.XOR:
-        clauses = enc_xor(out, ins, cnf.new_var)
-    elif gtype is GateType.XNOR:
-        clauses = enc_xnor(out, ins, cnf.new_var)
-    elif gtype is GateType.NOT:
-        clauses = enc_not(out, ins[0])
+        clauses = []
+        acc = ins[0]
+        for k, lit in enumerate(ins[1:], 2):
+            res = out if k == len(ins) else sink.new_var()
+            clauses += [
+                [-res, acc, lit],
+                [-res, -acc, -lit],
+                [res, -acc, lit],
+                [res, acc, -lit],
+            ]
+            acc = res
     elif gtype is GateType.BUF:
-        clauses = enc_buf(out, ins[0])
+        clauses = [[-out, ins[0]], [out, -ins[0]]]
     elif gtype is GateType.MUX:
-        clauses = enc_mux(out, ins[0], ins[1], ins[2])
-    elif gtype is GateType.CONST0:
-        clauses = [[-out]]
+        sel, d1, d0 = ins
+        clauses = [
+            [-sel, -d1, out],
+            [-sel, d1, -out],
+            [sel, -d0, out],
+            [sel, d0, -out],
+            [-d1, -d0, out],
+            [d1, d0, -out],
+        ]
     elif gtype is GateType.CONST1:
         clauses = [[out]]
+    elif gtype is GateType.CONST0:
+        clauses = [[-out]]
     else:  # pragma: no cover - enum is exhaustive
         raise ValueError(f"unsupported gate type {gtype!r}")
-    cnf.add_clauses(clauses)
+    sink.add_clauses(clauses)
+
+
+def encode_gates(
+    sink,
+    compiled: CompiledCircuit,
+    slot_vars: list[int],
+    gate_indices: Iterable[int],
+) -> None:
+    """Encode the gates ``gate_indices`` of ``compiled``, in that order.
+
+    ``slot_vars`` maps each slot to a solver literal (0 = none yet); it
+    must already hold every fanin a listed gate reads that no earlier
+    listed gate drives.  Each gate's output gets a fresh variable,
+    allocated just before the gate's own XOR-chain variables and
+    written back into ``slot_vars``, so the numbering is a
+    deterministic function of ``compiled`` and ``gate_indices``.
+    """
+    gate_types = compiled.gate_types
+    gate_out = compiled.gate_output_slots
+    gate_fanins = compiled.gate_fanin_slots
+    for i in gate_indices:
+        out = slot_vars[gate_out[i]] = sink.new_var()
+        ins = [slot_vars[s] for s in gate_fanins[i]]
+        encode_gate(sink, gate_types[i], out, ins)

@@ -8,26 +8,19 @@ a counterexample input pattern.
 Fig. 1(b) of the paper is verified this way: the MUX composition of
 two "incorrect" keys must be equivalent to the original circuit.
 
-``presim_width`` bolts a bit-parallel random-simulation prefilter onto
-the SAT check: both circuits are swept over that many shared random
-patterns through the lane-backend lever (:mod:`repro.circuit.lanes`),
-and any mismatching lane is returned as a counterexample without ever
-building the miter.  On real-circuit-scale inequivalent pairs the
-prefilter answers in one vectorized sweep; equivalent pairs fall
-through to the SAT proof unchanged.  It is off by default so existing
-callers keep their exact solver statistics.
+Both circuits are encoded straight into one python
+:class:`~repro.sat.solver.Solver` through
+:func:`repro.circuit.cnf.encode_gates`.  CEC always proves on the
+python backend; it does not follow the ``solver`` lever.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 
-from repro.circuit.cnf import encode_compiled
+from repro.circuit.cnf import encode_gate, encode_gates
 from repro.circuit.gates import GateType
-from repro.circuit.netlist import Netlist, NetlistError, fresh_net_namer
-from repro.circuit.simulator import random_stimuli_words
-from repro.sat import CNF
+from repro.circuit.netlist import Netlist, NetlistError
 from repro.sat.solver import Solver
 
 
@@ -58,109 +51,50 @@ def _check_interfaces(a: Netlist, b: Netlist) -> None:
         )
 
 
-def build_miter(a: Netlist, b: Netlist, miter_output: str = "miter_out") -> Netlist:
-    """Structural miter netlist: one output, 1 iff some output differs."""
-    _check_interfaces(a, b)
-    left = a.renamed("mA_", keep_inputs=a.inputs)
-    right = b.renamed("mB_", keep_inputs=b.inputs)
-    miter = left.merged_with(right, name=f"miter({a.name},{b.name})")
-    namer = fresh_net_namer(miter, "mx_")
-    diff_nets = []
-    for out in a.outputs:
-        diff = namer()
-        miter.add_gate(diff, GateType.XOR, ["mA_" + out, "mB_" + out])
-        diff_nets.append(diff)
-    miter.add_gate(miter_output, GateType.OR, diff_nets)
-    miter.set_outputs([miter_output])
-    return miter
-
-
-def _presimulate(
-    a: Netlist, b: Netlist, width: int, seed: int
-) -> EquivalenceResult | None:
-    """Random-simulation counterexample search; ``None`` = no mismatch."""
-    ca, cb = a.compile(), b.compile()
-    stimuli = random_stimuli_words(ca.inputs, width, random.Random(seed))
-    words_a = [stimuli[net] for net in ca.inputs]
-    words_b = [stimuli[net] for net in cb.inputs]
-    out_a = dict(zip(ca.outputs, ca.eval_outputs_wide(words_a, width)))
-    out_b = dict(zip(cb.outputs, cb.eval_outputs_wide(words_b, width)))
-    lane = None
-    for net in ca.outputs:
-        diff = out_a[net] ^ out_b[net]
-        if diff:
-            low = (diff & -diff).bit_length() - 1
-            lane = low if lane is None else min(lane, low)
-    if lane is None:
-        return None
-    return EquivalenceResult(
-        equivalent=False,
-        counterexample={
-            net: (stimuli[net] >> lane) & 1 for net in ca.inputs
-        },
-        outputs_a={net: (out_a[net] >> lane) & 1 for net in ca.outputs},
-        outputs_b={net: (out_b[net] >> lane) & 1 for net in ca.outputs},
-    )
-
-
-def check_equivalence(
-    a: Netlist,
-    b: Netlist,
-    presim_width: int = 0,
-    presim_seed: int = 0,
-) -> EquivalenceResult:
+def check_equivalence(a: Netlist, b: Netlist) -> EquivalenceResult:
     """Prove or refute functional equivalence of two netlists.
 
     The circuits must have identical input and output name sets; input
-    order may differ.  ``presim_width > 0`` first sweeps that many
-    shared random patterns through the lane lever (see the module
-    docstring); a mismatch short-circuits the SAT proof and reports
-    ``solver_stats=None``.
+    order may differ.
     """
     _check_interfaces(a, b)
-    if presim_width > 0:
-        refuted = _presimulate(a, b, presim_width, presim_seed)
-        if refuted is not None:
-            return refuted
-    cnf = CNF()
-    enc_a = encode_compiled(a.compile(), cnf)
-    shared_inputs = {net: enc_a.var(net) for net in a.inputs}
-    enc_b = encode_compiled(b.compile(), cnf, share=shared_inputs)
+    solver = Solver()
+    ca, cb = a.compile(), b.compile()
+    vars_a = [0] * ca.num_slots
+    for net in ca.inputs:
+        vars_a[ca.slot_of[net]] = solver.new_var()
+    encode_gates(solver, ca, vars_a, range(ca.num_gates))
+    vars_b = [0] * cb.num_slots
+    for net in cb.inputs:
+        vars_b[cb.slot_of[net]] = vars_a[ca.slot_of[net]]
+    encode_gates(solver, cb, vars_b, range(cb.num_gates))
+
+    def var_a(net: str) -> int:
+        return vars_a[ca.slot_of[net]]
+
+    def var_b(net: str) -> int:
+        return vars_b[cb.slot_of[net]]
 
     # XOR each output pair, OR the XORs, assert the OR.
     diff_vars = []
     for out in a.outputs:
-        diff = cnf.new_var()
-        va, vb = enc_a.var(out), enc_b.var(out)
-        cnf.add_clauses(
-            [
-                [-diff, va, vb],
-                [-diff, -va, -vb],
-                [diff, -va, vb],
-                [diff, va, -vb],
-            ]
-        )
+        diff = solver.new_var()
+        encode_gate(solver, GateType.XOR, diff, [var_a(out), var_b(out)])
         diff_vars.append(diff)
-    cnf.add_clause(diff_vars)
+    solver.add_clause(diff_vars)
 
-    solver = cnf.to_solver()
     if not solver.solve():
         return EquivalenceResult(
             equivalent=True, solver_stats=solver.stats.as_dict()
         )
-    counterexample = {
-        net: int(solver.model_value(enc_a.var(net)) or 0) for net in a.inputs
-    }
-    outputs_a = {
-        net: int(solver.model_value(enc_a.var(net)) or 0) for net in a.outputs
-    }
-    outputs_b = {
-        net: int(solver.model_value(enc_b.var(net)) or 0) for net in b.outputs
-    }
+
+    def values(var_of, nets) -> dict[str, int]:
+        return {net: int(solver.model_value(var_of(net)) or 0) for net in nets}
+
     return EquivalenceResult(
         equivalent=False,
-        counterexample=counterexample,
-        outputs_a=outputs_a,
-        outputs_b=outputs_b,
+        counterexample=values(var_a, a.inputs),
+        outputs_a=values(var_a, a.outputs),
+        outputs_b=values(var_b, b.outputs),
         solver_stats=solver.stats.as_dict(),
     )

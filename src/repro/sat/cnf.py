@@ -1,8 +1,9 @@
 """A CNF formula container with a variable allocator.
 
-:class:`CNF` is the hand-off format between the circuit world and the
-solver: Tseitin encoders append clauses here, attacks feed the clauses
-into a :class:`repro.sat.solver.Solver`.
+:class:`CNF` holds random instances (:mod:`repro.sat.random_cnf`) for
+solver tests and benchmarks, and lets a test read back the clauses a
+gate encoder wrote.  Circuits are not handed off through it: they are
+encoded straight into a solver (:mod:`repro.circuit.cnf`).
 """
 
 from __future__ import annotations

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.circuit.equivalence import build_miter, check_equivalence
+from repro.circuit.equivalence import check_equivalence
 from repro.circuit.gates import GateType
 from repro.circuit.netlist import Gate, Netlist, NetlistError
 from repro.circuit.random_circuits import random_netlist
@@ -78,18 +78,6 @@ class TestCheckEquivalence:
         result = check_equivalence(small_circuit, small_circuit.copy())
         assert result.solver_stats is not None
         assert result.solver_stats["solve_calls"] == 1
-
-
-class TestBuildMiter:
-    def test_miter_truth_table_is_zero_for_equivalent(self, small_circuit):
-        miter = build_miter(small_circuit, small_circuit.copy())
-        miter.validate()
-        assert truth_table(miter)["miter_out"] == 0
-
-    def test_miter_nonzero_for_different(self, small_circuit):
-        other = _with_flipped_gate(small_circuit)
-        miter = build_miter(small_circuit, other)
-        assert truth_table(miter)["miter_out"] != 0
 
 
 @given(seed=st.integers(0, 5_000))

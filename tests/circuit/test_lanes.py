@@ -12,7 +12,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.circuit import lanes as lanes_mod
-from repro.circuit.equivalence import check_equivalence
 from repro.circuit.gates import GateType
 from repro.circuit.lanes import (
     AUTO_MAX_LANES,
@@ -281,39 +280,3 @@ class TestEvaluatePattern:
         first = [compiled.evaluate_pattern(p) for p in range(32)]
         second = [compiled.evaluate_pattern(p) for p in range(32)]
         assert first == second
-
-
-class TestPresimPrefilter:
-    def _pair(self):
-        netlist = random_netlist(6, 40, seed=21)
-        twin = random_netlist(6, 40, seed=21)
-        return netlist, twin
-
-    def test_equivalent_pair_falls_through_to_sat(self):
-        a, b = self._pair()
-        result = check_equivalence(a, b, presim_width=256)
-        assert result.equivalent
-        # Fell through to the proof: solver stats are present.
-        assert result.solver_stats is not None
-
-    def test_inequivalent_pair_short_circuits(self):
-        a = _nary_mux_netlist()
-        b = _nary_mux_netlist()
-        # Flip one gate: NOR -> OR differs on most input patterns.
-        gate = b.gates["n3"]
-        del b.gates["n3"]
-        b.add_gate("n3", GateType.OR, list(gate.inputs))
-        result = check_equivalence(a, b, presim_width=512)
-        assert not result.equivalent
-        # Pre-simulation found it: no SAT proof ran, and the reported
-        # counterexample must be real.
-        assert result.solver_stats is None
-        cex = result.counterexample
-        ref_a = simulate_reference(a, cex)
-        ref_b = simulate_reference(b, cex)
-        assert any(ref_a[net] != ref_b[net] for net in a.outputs)
-        assert result.outputs_a != result.outputs_b
-
-    def test_default_is_sat_only(self):
-        a, b = self._pair()
-        assert check_equivalence(a, b).solver_stats is not None
