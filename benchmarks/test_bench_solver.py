@@ -14,11 +14,15 @@ numbers whenever the wheel is available.  Besides wall times, every
 entry records the single-key attack's exact counters (decisions,
 conflicts, propagations, and the miter's encoded variables/clauses):
 deterministic for a given backend and code, so a trajectory can gate
-on them instead of on noisy wall-clock ratios.
+on them instead of on noisy wall-clock ratios.  Before appending, the
+python backend's counters are gated against the last recorded python
+entry of the same workload shape: a pure speed change must leave them
+identical, so a mismatch fails the run.
 """
 
 from __future__ import annotations
 
+import json
 import time
 
 from repro.attacks.sat_attack import sat_attack
@@ -28,12 +32,35 @@ from repro.locking.sarlock import sarlock_lock
 from repro.oracle.oracle import Oracle
 from repro.sat import registered_solvers, solver_info
 
-from benchmarks.conftest import FULL, append_trajectory
+from benchmarks.conftest import FULL, REPO_ROOT, append_trajectory
 
 _CIRCUIT = "c1908"
 _SCALE = 0.4 if FULL else 0.25
 _KEY_SIZE = 6 if FULL else 5
 _EFFORT = 3 if FULL else 2
+
+#: Entry fields that fix the workload, and the exact counters gated on.
+_SHAPE = ("circuit", "scale", "key_size", "gates")
+_EXACT = (
+    "dips", "decisions", "conflicts", "propagations",
+    "encode_vars", "encode_clauses",
+)
+
+
+def _last_recorded(entry: dict) -> dict | None:
+    """The last python entry of ``entry``'s shape in ``BENCH_solver.json``."""
+    try:
+        history = json.loads((REPO_ROOT / "BENCH_solver.json").read_text())[
+            "trajectory"
+        ]
+    except (OSError, ValueError, KeyError):
+        return None
+    for old in reversed(history):
+        if old.get("backend") == "python" and all(
+            old.get(field) == entry[field] for field in _SHAPE
+        ):
+            return old
+    return None
 
 
 def test_solver_backends(benchmark):
@@ -102,5 +129,12 @@ def test_solver_backends(benchmark):
         benchmark.extra_info[f"{entry['backend']}_single_key_s"] = entry[
             "single_key_s"
         ]
+
+    python = next(entry for entry in entries if entry["backend"] == "python")
+    previous = _last_recorded(python)
+    if previous is not None:
+        assert {field: python[field] for field in _EXACT} == {
+            field: previous[field] for field in _EXACT
+        }, "python backend's exact counters moved since the last recorded entry"
 
     append_trajectory("solver", entries)

@@ -280,7 +280,7 @@ class MiterEncoding:
             twin[out], twin[-out] = out2, -out2
         return sign * out
 
-    def rollback(self, mark: tuple[int, int]) -> None:
+    def rollback(self, mark: tuple[int, int, int]) -> None:
         """Roll the solver back to ``mark``, and the copy gates with it.
 
         Copy gates allocated after ``mark`` lose their variables, so
@@ -423,30 +423,44 @@ def _add_dip_copies(
 ) -> None:
     """Constrain both key vectors to reproduce ``response`` on one DIP.
 
-    ``values`` are the simulated slot values under the DIP (key-
-    independent slots become constants).  The key cone is folded once
-    on ``key1`` through :meth:`MiterEncoding.copy_gate`, which shares
-    every live gate with earlier DIPs; ``key2``'s side of each PO is
-    its :attr:`~MiterEncoding.copy_twin`.  Only the PO units — the one
-    part that depends on the response — are guarded.
+    ``values`` are the simulated slot values under the DIP with every
+    key bit 0 (key-independent slots become constants).  The key cone
+    is folded once on ``key1`` through :meth:`MiterEncoding.copy_gate`,
+    which shares every live gate with earlier DIPs; ``key2``'s side of
+    each PO is its :attr:`~MiterEncoding.copy_twin`.  Only the PO units
+    — the one part that depends on the response — are guarded.
+
+    Only the DIP's live cone is walked.  A gate whose fanins are all
+    constant under the DIP folds to a constant that is the same for
+    every key, so it equals the gate's value in ``values``: the gate is
+    skipped and its readers take that value.  A gate ``copy_gate``
+    folds to a constant is recorded the same way.
     """
     compiled = enc.compiled
     gate_types = compiled.gate_types
     gate_out = compiled.gate_output_slots
     gate_fanins = compiled.gate_fanin_slots
-    key1 = enc.key1
-    consts = (-enc.true_var, enc.true_var)
+    true = enc.true_var
+    consts = (-true, true)
     copy_gate = enc.copy_gate
 
-    copy_lits = [0] * compiled.num_slots
+    # Slot -> key1 literal of each key-dependent slot; 0 where the DIP
+    # makes the slot a constant (values[slot] then holds it).
+    lits = list(enc.key1)
     for i in enc.cone_idx:
-        # Key-independent fanins substitute the simulated constant.
-        copy_lits[gate_out[i]] = copy_gate(
-            gate_types[i],
-            [copy_lits[s] or key1[s] or consts[values[s]] for s in gate_fanins[i]],
+        fanins = gate_fanins[i]
+        for s in fanins:
+            if lits[s]:
+                break
+        else:
+            continue  # all fanins constant: so is the gate
+        out = copy_gate(
+            gate_types[i], [lits[s] or consts[values[s]] for s in fanins]
         )
+        if out != true and out != -true:
+            lits[gate_out[i]] = out
     po_lits = [
-        copy_lits[slot] if response[po] else -copy_lits[slot]
+        (lits[slot] or consts[values[slot]]) * (1 if response[po] else -1)
         for po, slot in enc.controlled_pos
     ]
     twin = enc.copy_twin

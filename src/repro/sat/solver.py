@@ -40,6 +40,7 @@ from dataclasses import dataclass
 
 _LUBY_UNIT = 128  # conflicts per Luby step
 _DECAY_RAMP_INTERVAL = 256  # conflicts between VSIDS decay-ramp steps
+_SHORT_CLAUSE = 8  # longer clauses dedupe their literals through a set
 
 
 def luby(i: int) -> int:
@@ -111,13 +112,19 @@ class _Clause:
 class Solver:
     """Incremental CDCL SAT solver.
 
-    Usage::
+    Usage:
 
-        s = Solver()
-        s.add_clause([1, 2])
-        s.add_clause([-1, 2])
-        assert s.solve()
-        assert s.model_value(2) is True
+    >>> s = Solver()
+    >>> s.add_clause([1, 2])
+    True
+    >>> s.add_clause([-1, 2])
+    True
+    >>> s.solve()
+    True
+    >>> s.model_value(2)
+    True
+    >>> s.solve(assumptions=[-2])
+    False
 
     Clauses may be added after a ``solve()`` call; learned clauses are
     kept, which makes the DIP loop of the SAT attack cheap.
@@ -160,7 +167,7 @@ class Solver:
         # Outstanding checkpoint marks, oldest first.  While any frame
         # is open, simplify() must not compact the clause list (marks
         # snapshot its length), so it switches to in-place deletion.
-        self._frames: list[tuple[int, int]] = []
+        self._frames: list[tuple[int, int, int]] = []
         # Root-trail length at simplify()'s last full pass (MiniSAT's
         # ``simpDB_assigns``); whether it left flagged clauses in a frame.
         self._simp_assigns, self._simp_held = 0, False
@@ -222,28 +229,38 @@ class Solver:
         Allocates missing variables, drops duplicate and root-falsified
         literals, and returns ``None`` when the clause is vacuous (a
         tautology or already satisfied at root level).  The solver must
-        be at decision level 0.  Shared by :meth:`add_clause` and
-        :meth:`import_learnts` so the two entry points cannot diverge.
+        be at decision level 0, so every assigned variable is a root
+        fact.  Shared by :meth:`add_clause` and :meth:`import_learnts`
+        so the two entry points cannot diverge.
         """
+        if lits.__class__ is not list:
+            lits = list(lits)
         internal: list[int] = []
-        seen: set[int] = set()
+        # Short clauses (every Tseitin clause) test duplicates on the
+        # clause itself; only long ones pay for a set.
+        seen = internal if len(lits) <= _SHORT_CLAUSE else set()
+        litval = self._litval
         for ext in lits:
             if ext == 0:
                 raise ValueError("0 is not a valid DIMACS literal")
-            var = abs(ext)
-            self._ensure_var(var)
-            lit = var * 2 + (1 if ext < 0 else 0)
+            if ext > 0:
+                var, lit = ext, 2 * ext
+            else:
+                var, lit = -ext, 1 - 2 * ext
+            if var > self._nvars:
+                self._ensure_var(var)
             if lit ^ 1 in seen:
                 return None  # tautology: x OR !x
             if lit in seen:
                 continue
-            val = self._litval[lit]
-            if val == 1 and self._level[var] == 0:
+            val = litval[lit]
+            if val == 1:
                 return None  # already satisfied at root
-            if val == -1 and self._level[var] == 0:
+            if val == -1:
                 continue  # falsified at root: drop the literal
-            seen.add(lit)
             internal.append(lit)
+            if seen is not internal:
+                seen.add(lit)
         return internal
 
     def add_clause(self, lits) -> bool:
@@ -256,7 +273,8 @@ class Solver:
         """
         if not self._ok:
             return False
-        self._cancel_until(0)  # leave any previous solution state
+        if self._trail_lim:
+            self._cancel_until(0)  # leave any previous solution state
         internal = self._normalize_clause(lits)
         if internal is None:
             return True
@@ -301,6 +319,26 @@ class Solver:
                     bins[b].append(a)
         self._bins = bins
 
+    def _unwatch(self, deleted: list[_Clause]) -> None:
+        """Filter the just-deleted clauses out of their watch lists.
+
+        A long clause is watched by exactly ``lits[0]`` and ``lits[1]``,
+        so only those lists change (lists of dropped variables are gone
+        already).  Every deletion site calls this before the next
+        propagation, so propagation never meets a deleted clause, and
+        the watchers left keep their order.
+        """
+        watches = self._watches
+        touched = {
+            lit
+            for clause in deleted
+            if len(clause.lits) > 2
+            for lit in clause.lits[:2]
+            if lit < len(watches)
+        }
+        for lit in touched:
+            watches[lit] = [entry for entry in watches[lit] if not entry[1].deleted]
+
     def add_clauses(self, clause_iter) -> bool:
         """Add many DIMACS clauses; returns the conjunction of results."""
         ok = True
@@ -319,8 +357,8 @@ class Solver:
 
         Safe inside :meth:`checkpoint` frames: marks snapshot the
         clause-list *length*, so while any frame is outstanding the
-        shed clauses are flagged ``deleted`` in place (the watches and
-        export skip them lazily, the implication lists are rebuilt)
+        shed clauses are flagged ``deleted`` in place (export skips
+        them, the watch and implication lists are rebuilt)
         instead of compacting the list; the next frame-free call
         compacts for real.  Level-0 facts are
         implied by the formula itself — unit learnts are derived by
@@ -351,6 +389,7 @@ class Solver:
             (self._learnts, False),
         )
         bins_changed = held = False
+        shed: list[_Clause] = []
         for store, in_frame in stores:
             kept: list[_Clause] = []
             for clause in store:
@@ -361,10 +400,11 @@ class Solver:
                     continue
                 lits = clause.lits
                 if not root_true.isdisjoint(lits):
-                    # Satisfied at root: watch lists skip it lazily,
-                    # the implication lists are rebuilt below.
+                    # Satisfied at root: the watch or implication
+                    # lists are rebuilt below.
                     clause.deleted = True
                     bins_changed |= len(lits) == 2
+                    shed.append(clause)
                     if clause.learnt:
                         self.stats.removed += 1
                     if in_frame:
@@ -391,13 +431,14 @@ class Solver:
             store[:] = kept
         if bins_changed:
             self._rebuild_bins()
+        self._unwatch(shed)
         self._simp_assigns, self._simp_held = len(trail), held
         return True
 
     # ------------------------------------------------------------------
     # Checkpoint / rollback frames
     # ------------------------------------------------------------------
-    def checkpoint(self) -> tuple[int, int]:
+    def checkpoint(self) -> tuple[int, int, int]:
         """Snapshot the variable and clause counts for :meth:`rollback`.
 
         The solver is brought back to decision level 0 first (always
@@ -409,13 +450,20 @@ class Solver:
         survive.  The sharded multi-key engine runs every sub-space
         shard in such a frame: shard-local DIP constraints vanish,
         circuit-structure learning carries over warm.
+
+        Frame contract: every clause added inside a frame must mention
+        a variable allocated after its mark, and root facts of
+        surviving variables outlive :meth:`rollback`.  The mark is
+        ``(num_vars, num_clauses, depth)``; ``depth`` (the number of
+        frames already open) tells nested frames with equal counts
+        apart.
         """
         self._cancel_until(0)
-        mark = (self._nvars, len(self._clauses))
+        mark = (self._nvars, len(self._clauses), len(self._frames))
         self._frames.append(mark)
         return mark
 
-    def rollback(self, mark: tuple[int, int]) -> None:
+    def rollback(self, mark: tuple[int, int, int]) -> None:
         """Discard all variables and clauses added after ``mark``.
 
         Learned clauses confined to checkpoint-time variables are kept:
@@ -423,30 +471,31 @@ class Solver:
         clause mentioning a post-checkpoint variable can only be
         resolved away via other post-checkpoint clauses, and Tseitin
         definitions of fresh variables are conservative extensions), so
-        they remain implied by the surviving formula.  Root-level
-        assignments of surviving variables are also kept.  The binary
-        implication lists and the order heap are rebuilt from what
-        survives.
+        they remain implied by the surviving formula.  That is the
+        frame contract of :meth:`checkpoint`: every clause added inside
+        a frame must mention a variable allocated after its mark, and
+        root facts of surviving variables outlive the rollback.  The
+        binary implication lists and the order heap are rebuilt from
+        what survives.  Frames opened before ``mark`` stay open.
         """
-        nvars, nclauses = mark
+        nvars, nclauses, depth = mark
         if nvars > self._nvars or nclauses > len(self._clauses):
             raise ValueError("rollback mark is from the future")
         self._cancel_until(0)
-        # Close this frame and any nested inside it (marks are
-        # monotone, so later frames compare >= component-wise).
-        while self._frames and self._frames[-1] >= mark:
-            self._frames.pop()
-        for clause in self._clauses[nclauses:]:
-            clause.deleted = True
+        # Close this frame and any nested inside it.
+        del self._frames[depth:]
+        dropped = self._clauses[nclauses:]
         del self._clauses[nclauses:]
         kept: list[_Clause] = []
         for clause in self._learnts:
             if max(clause.lits) >> 1 > nvars:
-                clause.deleted = True
+                dropped.append(clause)
                 self.stats.removed += 1
             else:
                 kept.append(clause)
         self._learnts = kept
+        for clause in dropped:
+            clause.deleted = True
         # Root assignments of dropped variables disappear with them;
         # simplify()'s mark keeps counting the surviving shed ones.
         shed = self._trail[: self._simp_assigns]
@@ -464,6 +513,7 @@ class Solver:
         self._nvars = nvars
         self._rebuild_order()
         self._rebuild_bins()
+        self._unwatch(dropped)
 
     # ------------------------------------------------------------------
     # Warm-start clause exchange
@@ -573,17 +623,16 @@ class Solver:
             return
         bound = self._trail_lim[level]
         litval = self._litval
-        reason = self._reason
         queued = self._queued
         act = self._act
         trail = self._trail
         batch: list[tuple[float, int]] = []
-        for i in range(bound, len(trail)):
-            lit = trail[i]
+        # Reasons are left stale: every assignment writes its own, and
+        # _locked() checks the clause's implied literal is still true.
+        for lit in trail[bound:]:
             var = lit >> 1
             litval[lit] = 0
             litval[lit ^ 1] = 0
-            reason[var] = None
             # Variables that kept their current heap entry while
             # assigned need none; only popped or bumped ones go back.
             if not queued[var]:
@@ -621,104 +670,174 @@ class Solver:
     # ------------------------------------------------------------------
     # Propagation
     # ------------------------------------------------------------------
-    def _propagate(self) -> _Clause | None:
-        """Unit-propagate until fixpoint; return a conflict clause or None.
+    def _propagate(
+        self,
+        assumptions: list[int] | None = None,
+        learnt_cap: float | None = None,
+    ) -> _Clause | bool | None:
+        """Unit-propagate to a fixpoint; in decide mode, search on.
 
         Each dequeued literal first walks its binary implication list,
         then the long-clause watches.  A binary conflict materialises a
         fresh two-literal clause for :meth:`_analyze`.
+
+        Plain mode (no ``assumptions``) returns the conflict clause, or
+        ``None`` at the fixpoint.  Decide mode is :meth:`solve`'s search
+        loop, entered at a conflict-free fixpoint: it opens the next
+        decision level — the pending assumption, else the VSIDS pick —
+        propagates, and repeats in this one frame until it returns the
+        conflict clause, ``True`` for a complete assignment, or
+        ``False`` for a falsified assumption.  ``learnt_cap`` is set
+        only right after :meth:`solve` reduced the learnt database: the
+        loop then also returns ``None`` at the first later fixpoint
+        where the database is still at ``learnt_cap + len(trail)``,
+        where the reduce is due again.
         """
         litval = self._litval
         bins = self._bins
         watches = self._watches
         trail = self._trail
+        trail_lim = self._trail_lim
         level = self._level
         reason = self._reason
         phase = self._phase
-        cur_level = len(self._trail_lim)
+        stats = self.stats
+        cur_level = len(trail_lim)
         qhead = start = self._qhead
-        confl: _Clause | None = None
-        while qhead < len(trail):
-            p = trail[qhead]
-            qhead += 1
-            false_lit = p ^ 1
-            for q in bins[false_lit]:
-                val = litval[q]
-                if val == 1:
-                    continue
-                if val == -1:
-                    confl = _Clause([q, false_lit])
+        confl: _Clause | bool | None = None
+        decide = assumptions is not None
+        if decide:
+            num_assumptions = len(assumptions)
+            nvars = self._nvars
+            order = self._order
+            act = self._act
+            queued = self._queued
+            pop = heapq.heappop
+            num_learnts = len(self._learnts)
+        while True:
+            if decide:
+                if cur_level < num_assumptions:
+                    lit = assumptions[cur_level]
+                    if litval[lit] == -1:
+                        confl = False  # the assumptions are contradicted
+                        break
+                    if litval[lit] == 1:
+                        lit = 0  # already true: its level stays empty
+                else:
+                    lit = 0
+                    # A complete assignment leaves the heap intact rather
+                    # than draining it: the next backtrack re-queues less.
+                    if len(trail) < nvars:
+                        while order:
+                            neg_act, var = pop(order)
+                            if -neg_act != act[var]:
+                                continue  # stale: its current entry is elsewhere
+                            queued[var] = 0
+                            if litval[var * 2] == 0:
+                                lit = var * 2 + (0 if phase[var] else 1)
+                                break
+                    if not lit:
+                        confl = True  # satisfying assignment
+                        break
+                    stats.decisions += 1
+                trail_lim.append(len(trail))
+                cur_level += 1
+                if lit:
+                    if cur_level > stats.max_decision_level:
+                        stats.max_decision_level = cur_level
+                    var = lit >> 1
+                    litval[lit] = 1
+                    litval[lit ^ 1] = -1
+                    level[var] = cur_level
+                    reason[var] = None
+                    phase[var] = not (lit & 1)
+                    trail.append(lit)
+            while qhead < len(trail):
+                p = trail[qhead]
+                qhead += 1
+                false_lit = p ^ 1
+                for q in bins[false_lit]:
+                    val = litval[q]
+                    if val == 1:
+                        continue
+                    if val == -1:
+                        confl = _Clause([q, false_lit])
+                        break
+                    var = q >> 1
+                    litval[q] = 1
+                    litval[q ^ 1] = -1
+                    level[var] = cur_level
+                    reason[var] = false_lit
+                    phase[var] = not (q & 1)
+                    trail.append(q)
+                if confl is not None:
                     break
-                var = q >> 1
-                litval[q] = 1
-                litval[q ^ 1] = -1
-                level[var] = cur_level
-                reason[var] = false_lit
-                phase[var] = not (q & 1)
-                trail.append(q)
-            if confl is not None:
-                break
-            ws = watches[false_lit]
-            if not ws:
-                continue
-            new_ws: list[tuple[int, _Clause]] = []
-            keep = new_ws.append
-            i = 0
-            n = len(ws)
-            while i < n:
-                blocker, c = ws[i]
-                i += 1
-                if c.deleted:
+                ws = watches[false_lit]
+                if not ws:
                     continue
-                # Blocker short-circuit: if some other literal of the
-                # clause is already true, the clause is satisfied and
-                # its literal array need not be touched at all.
-                if litval[blocker] == 1:
-                    keep((blocker, c))
-                    continue
-                lits = c.lits
-                # Make sure the false literal is at position 1.
-                if lits[0] == false_lit:
-                    lits[0] = lits[1]
-                    lits[1] = false_lit
-                first = lits[0]
-                if litval[first] == 1:
-                    keep((first, c))
-                    continue
-                # Search for a replacement watch.
-                found = False
-                for k in range(2, len(lits)):
-                    lk = lits[k]
+                new_ws: list[tuple[int, _Clause]] = []
+                keep = new_ws.append
+                entries = iter(ws)
+                for entry in entries:
+                    blocker, c = entry
+                    # Blocker short-circuit: if some other literal of the
+                    # clause is already true, the clause is satisfied and
+                    # its literal array need not be touched at all.
+                    if litval[blocker] == 1:
+                        keep(entry)
+                        continue
+                    lits = c.lits
+                    # Make sure the false literal is at position 1.
+                    first = lits[0]
+                    if first == false_lit:
+                        first = lits[0] = lits[1]
+                        lits[1] = false_lit
+                    if litval[first] == 1:
+                        keep((first, c))
+                        continue
+                    # Search for a replacement watch: lits[2] first, the
+                    # only candidate of a ternary clause (most Tseitin
+                    # clauses), then the rest of a longer one.
+                    lk = lits[2]
                     if litval[lk] != -1:
                         lits[1] = lk
-                        lits[k] = false_lit
+                        lits[2] = false_lit
                         watches[lk].append((first, c))
-                        found = True
+                        continue
+                    if len(lits) > 3:
+                        found = False
+                        for k in range(3, len(lits)):
+                            lk = lits[k]
+                            if litval[lk] != -1:
+                                lits[1] = lk
+                                lits[k] = false_lit
+                                watches[lk].append((first, c))
+                                found = True
+                                break
+                        if found:
+                            continue
+                    keep((first, c))
+                    if litval[first] == -1:
+                        # Conflict: keep remaining watches and bail out.
+                        new_ws.extend(entries)
+                        confl = c
                         break
-                if found:
-                    continue
-                keep((first, c))
-                if litval[first] == -1:
-                    # Conflict: keep remaining watches and bail out.
-                    while i < n:
-                        entry = ws[i]
-                        if not entry[1].deleted:
-                            keep(entry)
-                        i += 1
-                    confl = c
+                    # Unit clause.
+                    var = first >> 1
+                    litval[first] = 1
+                    litval[first ^ 1] = -1
+                    level[var] = cur_level
+                    reason[var] = c
+                    phase[var] = not (first & 1)
+                    trail.append(first)
+                watches[false_lit] = new_ws
+                if confl is not None:
                     break
-                # Unit clause.
-                var = first >> 1
-                litval[first] = 1
-                litval[first ^ 1] = -1
-                level[var] = cur_level
-                reason[var] = c
-                phase[var] = not (first & 1)
-                trail.append(first)
-            watches[false_lit] = new_ws
-            if confl is not None:
+            if confl is not None or not decide:
                 break
-        self.stats.propagations += qhead - start
+            if learnt_cap is not None and num_learnts >= learnt_cap + len(trail):
+                break  # the learnt database is due for another reduce
+        stats.propagations += qhead - start
         self._qhead = len(trail) if confl is not None else qhead
         return confl
 
@@ -833,34 +952,13 @@ class Solver:
         return learnt, bt_level, lbd
 
     # ------------------------------------------------------------------
-    # Decisions
-    # ------------------------------------------------------------------
-    def _pick_branch_var(self) -> int:
-        """Return an unassigned decision literal, or -1 if none remain."""
-        if len(self._trail) == self._nvars:
-            # Complete assignment: leave the heap intact rather than
-            # draining it, so the next backtrack has little to re-queue.
-            return -1
-        order = self._order
-        litval = self._litval
-        act = self._act
-        queued = self._queued
-        pop = heapq.heappop
-        while order:
-            neg_act, var = pop(order)
-            if -neg_act != act[var]:
-                continue  # stale: the variable's current entry is elsewhere
-            queued[var] = 0
-            if litval[var * 2] == 0:
-                return var * 2 + (0 if self._phase[var] else 1)
-        return -1
-
-    # ------------------------------------------------------------------
     # Learned-clause database reduction
     # ------------------------------------------------------------------
     def _locked(self, clause: _Clause) -> bool:
-        first_var = clause.lits[0] >> 1
-        return self._reason[first_var] is clause
+        """Whether ``clause`` is the reason of a current assignment
+        (MiniSAT's ``locked()``: reasons outlive backtracking)."""
+        first = clause.lits[0]
+        return self._litval[first] == 1 and self._reason[first >> 1] is clause
 
     def _reduce_db(self) -> None:
         # Binary learnts have LBD <= 2, so they are always kept: the
@@ -869,12 +967,15 @@ class Solver:
         learnts.sort(key=lambda c: (c.lbd, -c.act))
         keep_count = len(learnts) // 2
         kept: list[_Clause] = []
+        removed: list[_Clause] = []
         for i, c in enumerate(learnts):
             if c.lbd <= 2 or self._locked(c) or i < keep_count:
                 kept.append(c)
             else:
                 c.deleted = True
-                self.stats.removed += 1
+                removed.append(c)
+        self.stats.removed += len(removed)
+        self._unwatch(removed)
         self._learnts = kept
 
     # ------------------------------------------------------------------
@@ -905,13 +1006,41 @@ class Solver:
         restart_limit = luby(restart_idx) * _LUBY_UNIT
         conflicts_since_restart = 0
 
-        if self._propagate() is not None:
+        propagate = self._propagate
+        if propagate() is not None:
             self._ok = False
             return False
 
         while True:
-            confl = self._propagate()
-            if confl is not None:
+            # A conflict-free fixpoint: the start, a conflict's settled
+            # re-propagation, or one where the reduce is due again.
+            # Only a conflict moves conflicts_since_restart, so checking
+            # here is checking before every decision.
+            if conflicts_since_restart >= restart_limit:
+                self.stats.restarts += 1
+                restart_idx += 1
+                restart_limit = luby(restart_idx) * _LUBY_UNIT
+                conflicts_since_restart = 0
+                self._cancel_until(0)
+            learnt_cap = None
+            if len(self._learnts) >= max_learnts + len(self._trail):
+                self._reduce_db()
+                max_learnts *= 1.1
+                # Between conflicts the trail only grows, so the reduce
+                # can be due again only while the database stays over
+                # this new cap; the search loop stops there if so.
+                learnt_cap = max_learnts
+
+            confl = propagate(assume_internal, learnt_cap)
+            if confl is True:
+                # Satisfying assignment found.  The trail is kept so
+                # model_value() can read it; the next solve() or
+                # add_clause() backtracks to the root.
+                return True
+            if confl is False:
+                self._cancel_until(0)
+                return False
+            while confl is not None:
                 self.stats.conflicts += 1
                 conflicts_this_call += 1
                 conflicts_since_restart += 1
@@ -961,43 +1090,7 @@ class Solver:
                         0.95, self._var_decay_factor + 0.01
                     )
                     self._var_decay = 1.0 / self._var_decay_factor
-            else:
-                if conflicts_since_restart >= restart_limit:
-                    self.stats.restarts += 1
-                    restart_idx += 1
-                    restart_limit = luby(restart_idx) * _LUBY_UNIT
-                    conflicts_since_restart = 0
-                    self._cancel_until(0)
-                    continue
-                if len(self._learnts) >= max_learnts + len(self._trail):
-                    self._reduce_db()
-                    max_learnts *= 1.1
-
-                # Apply pending assumptions, then decide.
-                lit = -1
-                level = len(self._trail_lim)
-                if level < len(assume_internal):
-                    p = assume_internal[level]
-                    if self._litval[p] == 1:
-                        # Already satisfied: open an empty level for it.
-                        self._trail_lim.append(len(self._trail))
-                        continue
-                    if self._litval[p] == -1:
-                        self._cancel_until(0)
-                        return False
-                    lit = p
-                else:
-                    lit = self._pick_branch_var()
-                    if lit == -1:
-                        # Satisfying assignment found.  The trail is kept
-                        # so model_value() can read it; the next solve()
-                        # or add_clause() backtracks to the root.
-                        return True
-                    self.stats.decisions += 1
-                self._trail_lim.append(len(self._trail))
-                if len(self._trail_lim) > self.stats.max_decision_level:
-                    self.stats.max_decision_level = len(self._trail_lim)
-                self._enqueue(lit, None)
+                confl = propagate()
 
     def _assumption_floor(self, assume_internal: list[int]) -> int:
         """Never backtrack past levels still holding assumptions."""

@@ -336,7 +336,27 @@ class TestCheckpointRollback:
         s = Solver()
         mark = s.checkpoint()
         with pytest.raises(ValueError):
-            s.rollback((mark[0] + 1, mark[1]))
+            s.rollback((mark[0] + 1, mark[1], mark[2]))
+
+    def test_inner_rollback_keeps_an_equal_outer_frame_open(self):
+        """Nested frames opened back to back have equal counts; closing
+        the inner one must leave the outer one open, or simplify()
+        compacts the clause list under the outer mark and its rollback
+        keeps a clause over a dropped variable."""
+        s = Solver()
+        for _ in range(3):
+            s.new_var()
+        s.add_clause([2, 3])
+        s.add_clause([2])
+        outer = s.checkpoint()
+        inner = s.checkpoint()
+        s.rollback(inner)
+        s.add_clause([1, 3, -4])
+        s.simplify()
+        s.rollback(outer)
+        assert s.num_vars == 3
+        assert s.solve([-1, -3])
+        assert s.model() == [-1, 2, -3]
 
 
 class TestSimplifyInFrames:

@@ -1,9 +1,13 @@
 """Property-based tests: the solver against brute-force ground truth."""
 
-from hypothesis import given, strategies as st
+import functools
+import random
+
+from hypothesis import given, settings, strategies as st
 
 from repro.sat.cnf import CNF
 from repro.sat.random_cnf import brute_force_satisfiable, random_ksat
+from repro.sat.solver import Solver
 
 
 @given(
@@ -151,7 +155,6 @@ def test_frames_simplify_and_assumptions_agree_with_brute_force(seed):
     survives at that point, and every ``simplify()`` against a naive
     full rescan.
     """
-    import random
 
     rng = random.Random(seed)
     base = _binary_heavy(seed)
@@ -249,7 +252,6 @@ def test_binary_conflict_learns_implied_clause():
     falsifies the binary clause (-x2 | -x3).  The learnt unit x1 lands
     on the root trail, where export_learnts reads it.
     """
-    from repro.sat.solver import Solver
 
     clauses = [[1, 2], [1, 3], [-2, -3], [-1, 4, 5], [-4, -5]]
     solver = Solver()
@@ -271,3 +273,157 @@ def test_pure_2sat_learnts_are_implied(seed):
     assert solver.solve() == brute_force_satisfiable(cnf)
     for clause in solver.export_learnts():
         assert not _verdict(10, cnf.clauses, [-lit for lit in clause])
+
+
+# ----------------------------------------------------------------------
+# Random call sequences: every entry point against brute force
+# ----------------------------------------------------------------------
+_SEQ_BASE_VARS = 6
+_SEQ_MAX_VARS = 10
+_SEQ_OPS = (
+    "base", "open", "open", "close", "close", "guard", "add", "define",
+    "local", "solve", "simplify", "exchange",
+)
+
+
+@functools.lru_cache(maxsize=None)
+def _truth(num_vars: int) -> tuple[int, ...]:
+    """Bit ``a`` of entry ``v``: assignment ``a`` (bit ``v - 1`` is
+    variable ``v``) makes ``v`` true."""
+    return (0,) + tuple(
+        sum(1 << a for a in range(1 << num_vars) if a >> (v - 1) & 1)
+        for v in range(1, num_vars + 1)
+    )
+
+
+def _models(num_vars: int, clauses) -> int:
+    """Every model of ``clauses`` over ``num_vars`` variables, as a
+    bitset over the ``2**num_vars`` assignments."""
+    truth = _truth(num_vars)
+    full = (1 << (1 << num_vars)) - 1
+    models = full
+    for clause in clauses:
+        satisfied = 0
+        for lit in clause:
+            satisfied |= truth[lit] if lit > 0 else full ^ truth[-lit]
+        models &= satisfied
+    return models
+
+
+def _watched_exactly_by_first_two(solver) -> bool:
+    """Every live long clause sits in the watch lists of ``lits[0]`` and
+    ``lits[1]`` and nowhere else; no deleted clause is watched."""
+    expected = sorted(
+        (lit, id(clause))
+        for store in (solver._clauses, solver._learnts)
+        for clause in store
+        if not clause.deleted and len(clause.lits) > 2
+        for lit in clause.lits[:2]
+    )
+    watched = sorted(
+        (lit, id(entry[1]))
+        for lit, ws in enumerate(solver._watches)
+        for entry in ws
+    )
+    return watched == expected
+
+
+@settings(max_examples=300)
+@given(
+    ops=st.lists(st.sampled_from(_SEQ_OPS), min_size=10, max_size=40),
+    seed=st.integers(0, 2**16),
+)
+def test_call_sequences_agree_with_brute_force(ops, seed):
+    """add_clause, solve under assumptions, nested checkpoint/rollback
+    frames, simplify and a learnt export/import round trip, in any
+    order.  Frames keep the contract :class:`ShardEngine` keeps: every
+    clause added inside a frame mentions a variable allocated in that
+    frame (its guard, a Tseitin-defined gate, a fresh root fact).
+    Frames may open back to back, so nested marks can be equal.  After
+    every call the watch lists hold exactly the live long clauses."""
+    rng = random.Random(seed)
+
+    def lit_over(num_vars: int) -> int:
+        var = rng.randint(1, num_vars)
+        return var if rng.random() < 0.5 else -var
+
+    solver = Solver()
+    for _ in range(_SEQ_BASE_VARS):
+        solver.new_var()
+    # A binary-heavy start whose last clause is a unit: the clauses it
+    # satisfies wait for the first simplify() to shed them.
+    base = random_ksat(_SEQ_BASE_VARS, 4, k=2, seed=seed).clauses
+    base += random_ksat(_SEQ_BASE_VARS, 2, k=3, seed=seed + 1).clauses
+    base.append([lit_over(_SEQ_BASE_VARS)])
+    solver.add_clauses(base)
+    # Open frames, oldest first: [mark, guard or None, clauses added].
+    frames: list[list] = []
+
+    def formula() -> list[list[int]]:
+        return base + [c for frame in frames for c in frame[2]]
+
+    def add(clause: list[int]) -> None:
+        solver.add_clause(clause)
+        frames[-1][2].append(clause)
+
+    for op in ops:
+        room = solver.num_vars < _SEQ_MAX_VARS
+        if op == "base" and not frames:
+            clause = [lit_over(_SEQ_BASE_VARS) for _ in range(rng.randint(1, 3))]
+            solver.add_clause(clause)
+            base.append(clause)
+        elif op == "open" and len(frames) < 3:
+            frames.append([solver.checkpoint(), None, []])
+        elif op == "close" and frames:
+            mark = frames.pop()[0]
+            solver.rollback(mark)
+            assert solver.num_vars == mark[0]
+        elif op == "guard" and frames and frames[-1][1] is None and room:
+            frames[-1][1] = solver.new_var()
+        elif op == "add" and frames and frames[-1][1] is not None:
+            add([-frames[-1][1]] + [
+                lit_over(_SEQ_BASE_VARS) for _ in range(rng.randint(1, 2))
+            ])
+        elif op == "define" and frames and room:
+            # out = a AND b: a conservative extension, like a copy gate.
+            a, b = lit_over(solver.num_vars), lit_over(solver.num_vars)
+            out = solver.new_var()
+            for clause in ([-out, a], [-out, b], [out, -a, -b]):
+                add(clause)
+        elif op == "local" and frames and room:
+            add([solver.new_var()])
+        elif op == "solve":
+            assumptions = [f[1] for f in frames if f[1] is not None] + [
+                lit_over(solver.num_vars) for _ in range(rng.randint(0, 3))
+            ]
+            num_vars = solver.num_vars
+            got = solver.solve(assumptions=assumptions)
+            clauses = formula() + [[lit] for lit in assumptions]
+            assert got == bool(_models(num_vars, clauses))
+            if got:
+                model = set(solver.model())
+                assert all(any(lit in model for lit in c) for c in clauses)
+        elif op == "simplify":
+            if not solver.simplify():
+                assert not _models(solver.num_vars, formula())
+        elif op == "exchange":
+            # Learnts over base variables are implied by the base alone.
+            exported = solver.export_learnts(max_var=_SEQ_BASE_VARS)
+            base_models = _models(_SEQ_BASE_VARS, base)
+            for clause in exported:
+                refuted = _models(_SEQ_BASE_VARS, [[-lit] for lit in clause])
+                assert not base_models & refuted
+            fresh = Solver()
+            for _ in range(_SEQ_BASE_VARS):
+                fresh.new_var()
+            fresh.add_clauses(base)
+            fresh.import_learnts(exported)
+            assumptions = [lit_over(_SEQ_BASE_VARS) for _ in range(2)]
+            assert fresh.solve(assumptions=assumptions) == bool(
+                _models(_SEQ_BASE_VARS, base + [[lit] for lit in assumptions])
+            )
+        assert _watched_exactly_by_first_two(solver)
+    while frames:
+        solver.rollback(frames.pop()[0])
+    assert solver.num_vars == _SEQ_BASE_VARS
+    assert solver.solve() == bool(_models(_SEQ_BASE_VARS, base))

@@ -14,6 +14,7 @@ import repro.metrics.engine
 import repro.oracle.oracle
 import repro.registry
 import repro.rng
+import repro.sat.solver
 import repro.synth.optimize
 
 _DOCTEST_MODULES = (
@@ -25,6 +26,7 @@ _DOCTEST_MODULES = (
     repro.metrics.engine,
     repro.registry,
     repro.rng,
+    repro.sat.solver,
 )
 
 
