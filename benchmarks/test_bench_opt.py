@@ -17,6 +17,11 @@ are asserted, parity first in both cases:
   noisy shared runner where a wall-clock ratio does not; the speedup
   is still recorded.
 
+An exact-counter gate counts the :class:`CompiledCircuit` objects one
+``optimize_compiled(..., "full")`` call builds: passes hand each other
+slot arrays, so a call builds at most the one result circuit, and none
+when no pass changes anything.
+
 A corpus tier records the reduction on the genuine-format ``real_*``
 circuits without enforcing a floor — file-born netlists arrive at
 whatever redundancy their source had.  Each run appends trajectory
@@ -37,6 +42,8 @@ from repro.attacks.sat_attack import (
 )
 from repro.bench_circuits.corpus import corpus_names, load_corpus
 from repro.bench_circuits.generators import keyed_match_plane
+from repro.circuit.compiled import CompiledCircuit
+from repro.circuit.opt import optimize_compiled
 from repro.locking.sarlock import sarlock_lock
 from repro.oracle.oracle import Oracle
 
@@ -113,6 +120,68 @@ def test_miter_encoding_reduction(benchmark):
         f"opt only sheds {reduction:.1%} of vars+clauses on "
         f"{carrier.name} (floor is 20%)"
     )
+
+
+def _count_builds(monkeypatch, fn):
+    """Run ``fn()``; returns its result and the CompiledCircuits it built."""
+    built = []
+    init = CompiledCircuit.__init__
+    from_slots = CompiledCircuit.from_slots
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    def counting_from_slots(cls, *args, **kwargs):
+        built.append(1)
+        return from_slots(*args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(CompiledCircuit, "__init__", counting_init)
+        patch.setattr(
+            CompiledCircuit, "from_slots", classmethod(counting_from_slots)
+        )
+        result = fn()
+    return result, len(built)
+
+
+#: Most CompiledCircuits one optimize_compiled call may build, per
+#: circuit: the result only, and nothing when no pass changes anything
+#: (no pass changes real_c432).
+_BUILD_CEILINGS = {"opt_plane": 1, "real_c432": 0}
+
+
+def test_optimize_builds_one_circuit(monkeypatch):
+    """Exact counter: CompiledCircuits built inside optimize_compiled."""
+    _, locked = _locked_plane()
+    circuits = {
+        "opt_plane": locked.netlist.compile(),
+        "real_c432": load_corpus("real_c432").compile(),
+    }
+    entries = []
+    for name, compiled in circuits.items():
+        result, builds = _count_builds(
+            monkeypatch, lambda: optimize_compiled(compiled, "full")
+        )
+        entries.append(
+            {
+                "ts": time.time(),
+                "tier": "builds",
+                "circuit": name,
+                "gates_before": result.gates_before,
+                "gates_after": result.gates_after,
+                "passes": len(result.passes),
+                "compiled_builds": builds,
+            }
+        )
+    append_trajectory("opt", entries)
+
+    for entry in entries:
+        ceiling = _BUILD_CEILINGS[entry["circuit"]]
+        assert entry["compiled_builds"] <= ceiling, (
+            f"optimize_compiled built {entry['compiled_builds']} "
+            f"CompiledCircuits on {entry['circuit']} (ceiling {ceiling})"
+        )
 
 
 #: Exact-counter ceilings for opt="full" over opt="off".  Measured

@@ -13,14 +13,15 @@ sorts.
 The division of labour with :class:`Netlist` is deliberate:
 
 * ``Netlist`` stays the **mutable construction IR** — locking schemes
-  splice key gates into it freely; folding happens in
-  :mod:`repro.circuit.opt`, which rebuilds a ``Netlist`` from its
-  result.
+  splice key gates into it freely.
 * ``CompiledCircuit`` is the **immutable evaluation IR** — content-
   hashable (so it can key result caches) and safe to share across
-  consumers.  ``netlist.compile()`` is the single seam between the
-  two; it caches the compiled form and invalidates on structural
-  change (see :meth:`repro.circuit.netlist.Netlist.compile`).
+  consumers.  ``netlist.compile()`` is the seam between the two; it
+  caches the compiled form and invalidates on structural change (see
+  :meth:`repro.circuit.netlist.Netlist.compile`).  Folding happens in
+  :mod:`repro.circuit.opt`, which builds its result straight from slot
+  arrays (:meth:`CompiledCircuit.from_slots`) in the numbering
+  compiling the equivalent netlist would give.
 """
 
 from __future__ import annotations
@@ -140,7 +141,7 @@ class CompiledCircuit:
         "net_names",
         "slot_of",
         "output_slots",
-        "gates",
+        "_gates",
         "gate_types",
         "gate_output_slots",
         "gate_fanin_slots",
@@ -163,24 +164,13 @@ class CompiledCircuit:
             slot_of[net] = len(slot_of)
         for gate in order:
             slot_of[gate.output] = len(slot_of)
-
-        self.name = netlist.name
-        self.inputs = tuple(netlist.inputs)
-        self.outputs = tuple(netlist.outputs)
-        self.num_slots = len(slot_of)
-        self.slot_of = slot_of
-        names = [""] * self.num_slots
+        names = [""] * len(slot_of)
         for net, slot in slot_of.items():
             names[slot] = net
-        self.net_names = tuple(names)
         try:
-            self.output_slots = tuple(slot_of[net] for net in netlist.outputs)
+            output_slots = tuple(slot_of[net] for net in netlist.outputs)
         except KeyError as exc:
             raise CompileError(f"primary output {exc.args[0]!r} is undriven") from None
-
-        self.gates = tuple(order)
-        self.gate_types = tuple(g.gtype for g in order)
-        self.gate_output_slots = tuple(slot_of[g.output] for g in order)
         fanin_slots = []
         for gate in order:
             try:
@@ -189,13 +179,74 @@ class CompiledCircuit:
                 raise CompileError(
                     f"gate {gate.output!r} reads undriven net {exc.args[0]!r}"
                 ) from None
-        self.gate_fanin_slots = tuple(fanin_slots)
+        self._set_arrays(
+            netlist.name,
+            tuple(netlist.inputs),
+            tuple(netlist.outputs),
+            slot_of,
+            tuple(names),
+            output_slots,
+            tuple(g.gtype for g in order),
+            tuple(slot_of[g.output] for g in order),
+            tuple(fanin_slots),
+        )
+        self._gates = tuple(order)
+
+    @classmethod
+    def from_slots(
+        cls,
+        name: str,
+        inputs: Sequence[str],
+        outputs: Sequence[str],
+        net_names: Sequence[str],
+        gate_types: Sequence[GateType],
+        gate_fanin_slots: Sequence[tuple[int, ...]],
+        output_slots: Sequence[int],
+    ) -> "CompiledCircuit":
+        """Build directly from slot arrays in compiled numbering.
+
+        Inputs occupy slots ``0..n-1`` and gate ``i`` drives slot
+        ``n + i``; every fanin slot must precede its reader.  The
+        result is what compiling the netlist with these gates, in this
+        order, would give; its :attr:`gates` are built on first use.
+        """
+        self = cls.__new__(cls)
+        self._set_arrays(
+            name,
+            tuple(inputs),
+            tuple(outputs),
+            {net: slot for slot, net in enumerate(net_names)},
+            tuple(net_names),
+            tuple(output_slots),
+            tuple(gate_types),
+            tuple(range(len(inputs), len(net_names))),
+            tuple(gate_fanin_slots),
+        )
+        self._gates = None
+        return self
+
+    def _set_arrays(
+        self, name, inputs, outputs, slot_of, net_names, output_slots,
+        gate_types, gate_output_slots, gate_fanin_slots,
+    ) -> None:
+        self.name = name
+        self.inputs = inputs
+        self.outputs = outputs
+        self.num_slots = len(net_names)
+        self.slot_of = slot_of
+        self.net_names = net_names
+        self.output_slots = output_slots
+        self.gate_types = gate_types
+        self.gate_output_slots = gate_output_slots
+        self.gate_fanin_slots = gate_fanin_slots
         self._program = tuple(
-            _lower(g.gtype, out, fanins)
-            for g, out, fanins in zip(order, self.gate_output_slots, fanin_slots)
+            _lower(gtype, out, fanins)
+            for gtype, out, fanins in zip(
+                gate_types, gate_output_slots, gate_fanin_slots
+            )
         )
         self._scratch = [0] * self.num_slots
-        self._pattern_words = [0] * len(self.inputs)
+        self._pattern_words = [0] * len(inputs)
         self._lane_program = None
         self._stage_hint: tuple[int, int] | None = None
         self._fanout_slots: tuple[tuple[int, ...], ...] | None = None
@@ -213,7 +264,25 @@ class CompiledCircuit:
 
     @property
     def num_gates(self) -> int:
-        return len(self.gates)
+        return len(self.gate_types)
+
+    @property
+    def gates(self) -> tuple["Gate", ...]:
+        """The gates in slot order, as netlist :class:`Gate` records."""
+        gates = self._gates
+        if gates is None:
+            from repro.circuit.netlist import Gate
+
+            names = self.net_names
+            gates = tuple(
+                Gate(names[out], gtype, tuple(names[s] for s in fanins))
+                for gtype, out, fanins in zip(
+                    self.gate_types, self.gate_output_slots,
+                    self.gate_fanin_slots,
+                )
+            )
+            self._gates = gates
+        return gates
 
     def slot(self, net: str) -> int:
         """Dense slot index of a net (KeyError for unknown nets)."""
@@ -639,9 +708,9 @@ class CompiledCircuit:
             self.inputs,
             self.outputs,
             tuple(
-                (g.gtype.value, out, fanins)
-                for g, out, fanins in zip(
-                    self.gates, self.gate_output_slots, self.gate_fanin_slots
+                (gtype.value, out, fanins)
+                for gtype, out, fanins in zip(
+                    self.gate_types, self.gate_output_slots, self.gate_fanin_slots
                 )
             ),
         )
@@ -673,7 +742,7 @@ class CompiledCircuit:
     def __repr__(self) -> str:
         return (
             f"CompiledCircuit({self.name!r}, inputs={len(self.inputs)}, "
-            f"outputs={len(self.outputs)}, gates={len(self.gates)})"
+            f"outputs={len(self.outputs)}, gates={self.num_gates})"
         )
 
 

@@ -133,10 +133,16 @@ def resolve_lanes(
     :data:`AUTO_MIN_STAGE_OPS` (``stages`` is the vector-stage count,
     see :meth:`CompiledCircuit.lane_stage_hint`), and no more than
     :data:`AUTO_MAX_LANES` lanes.  With any of the three unknown it
-    stays on python, the backend that is never a regression.
-    ``"numpy"`` is an explicit demand and raises
-    :class:`ModuleNotFoundError` when the import fails — silent
+    stays on python, the backend that is never a regression.  numpy is
+    probed only once the shape qualifies, so a process whose sweeps are
+    all small never imports it.  ``"numpy"`` is an explicit demand and
+    raises :class:`ModuleNotFoundError` when the import fails — silent
     degradation is reserved for ``"auto"``.
+
+    >>> resolve_lanes("auto", num_gates=100, width=64, stages=10)
+    'python'
+    >>> resolve_lanes("python", num_gates=50_000, width=64, stages=4)
+    'python'
     """
     lanes = LANES.resolve(lanes)
     if lanes == "numpy":
@@ -149,13 +155,13 @@ def resolve_lanes(
     if lanes == "python":
         return "python"
     # auto
-    if not numpy_available():
-        return "python"
     if num_gates is None or width is None or not stages:
         return "python"
     if num_gates < AUTO_MIN_GATES or width > AUTO_MAX_LANES:
         return "python"
-    return "numpy" if num_gates / stages >= AUTO_MIN_STAGE_OPS else "python"
+    if num_gates / stages < AUTO_MIN_STAGE_OPS:
+        return "python"
+    return "numpy" if numpy_available() else "python"
 
 
 def preferred_chunk_lanes(backend: str) -> int:

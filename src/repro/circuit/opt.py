@@ -103,7 +103,6 @@ from repro.levers import OPT
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.circuit.compiled import CompiledCircuit
-    from repro.circuit.netlist import Netlist
 
 #: Concrete optimization levels, weakest to strongest.  ``"auto"`` is
 #: accepted everywhere the lever is and resolves through
@@ -186,15 +185,20 @@ class OptimizedCircuit:
         return self.provenance[slot]
 
 
-def _identity(compiled: "CompiledCircuit", level: str) -> OptimizedCircuit:
+def _identity(
+    compiled: "CompiledCircuit",
+    level: str,
+    passes: tuple[str, ...] = (),
+    stats: dict[str, int] | None = None,
+) -> OptimizedCircuit:
     provenance = {s: ("slot", s) for s in range(compiled.num_slots)}
     return OptimizedCircuit(
         source=compiled,
         compiled=compiled,
         provenance=provenance,
         level=level,
-        passes=(),
-        stats={},
+        passes=passes,
+        stats={} if stats is None else stats,
     )
 
 
@@ -205,8 +209,18 @@ def _identity(compiled: "CompiledCircuit", level: str) -> OptimizedCircuit:
 # canonical value per original slot: ("slot", root) where root is an
 # original slot whose gate survives the pass, or ("const", b).  Gates
 # are either kept (possibly with a rewritten type/fanins), aliased to
-# an existing value, or folded to a constant.  Materialization turns
-# the kept list back into a Netlist with the original interface.
+# an existing value, or folded to a constant.
+#
+# Passes hand each other slot arrays (:class:`_Slots`), not circuits.
+# A pass that keeps every gate as it was changes nothing: it returns
+# None and costs only its walk.  Otherwise :func:`_renumber` lays the
+# kept gates out in the numbering ``Netlist.compile()`` would give the
+# equivalent netlist — inputs, then kept gates in order with each
+# ``_opt_const{b}`` net just before its first reader, then BUF/CONST
+# drivers for undriven outputs — so the arrays, net names and content
+# hash match a per-pass netlist round trip exactly.  The pipeline
+# builds one CompiledCircuit from the final arrays, and none when no
+# pass changed anything.
 # ----------------------------------------------------------------------
 
 _AND_FAMILY = (GateType.AND, GateType.NAND, GateType.OR, GateType.NOR)
@@ -395,7 +409,7 @@ def _strash_rules(compiled, canon, keep):
     for gtype, out, fanins in zip(
         compiled.gate_types, compiled.gate_output_slots, compiled.gate_fanin_slots
     ):
-        vals = tuple(canon[s] for s in fanins)
+        vals = tuple([canon[s] for s in fanins])
         sig = tuple(sorted(vals)) if gtype in _COMMUTATIVE else vals
         key = (gtype.value, sig)
         existing = table.get(key)
@@ -407,157 +421,236 @@ def _strash_rules(compiled, canon, keep):
         canon[out] = ("slot", out)
 
 
-def _coi_rules(compiled, canon, keep):
-    """Identity rewrite; pruning happens in materialization."""
-    for gtype, out, fanins in zip(
-        compiled.gate_types, compiled.gate_output_slots, compiled.gate_fanin_slots
-    ):
-        keep.append((out, gtype, tuple(canon[s] for s in fanins)))
-        canon[out] = ("slot", out)
-
-
+#: Rewrite rules per pass; ``coi`` rewrites nothing and only prunes
+#: (:func:`_output_cone`).
 _PASS_RULES = {
     "sweep": _sweep_rules,
     "chains": _chain_rules,
     "strash": _strash_rules,
-    "coi": _coi_rules,
 }
 
 #: Pass names accepted by :func:`run_pass`, in pipeline order.
 PASS_NAMES = ("sweep", "chains", "strash", "coi")
 
 
-def _materialize(
-    compiled: "CompiledCircuit",
-    canon: list[tuple],
-    keep: list[tuple],
-    prune: bool,
-) -> "Netlist":
-    """Rebuild a Netlist from the kept gates, preserving the interface."""
-    from repro.circuit.netlist import Netlist
+class _Slots:
+    """A pass result as compiled-slot arrays, before any circuit exists.
 
-    names = compiled.net_names
-    slot_of = compiled.slot_of
+    Carries exactly the attributes the pass rules and :func:`_renumber`
+    read from a :class:`~repro.circuit.compiled.CompiledCircuit`, in the
+    same numbering: inputs are slots ``0..n-1`` and gate ``i`` drives
+    slot ``n + i``.
+    """
 
-    if prune:
-        kept_by_out = {out: (gtype, vals) for out, gtype, vals in keep}
-        needed: set[int] = set()
-        stack = []
-        for po in compiled.outputs:
-            val = canon[slot_of[po]]
-            if val[0] == "slot":
-                stack.append(val[1])
-        while stack:
-            root = stack.pop()
-            if root in needed:
-                continue
-            needed.add(root)
-            entry = kept_by_out.get(root)
-            if entry is None:
-                continue  # primary input
-            for kind, payload in entry[1]:
-                if kind == "slot":
-                    stack.append(payload)
-        keep = [item for item in keep if item[0] in needed]
+    __slots__ = (
+        "name",
+        "inputs",
+        "outputs",
+        "net_names",
+        "gate_types",
+        "gate_output_slots",
+        "gate_fanin_slots",
+        "output_slots",
+    )
 
-    netlist = Netlist(name=compiled.name)
-    for net in compiled.inputs:
-        netlist.add_input(net)
+    def __init__(self, source, net_names, gate_types, gate_fanin_slots,
+                 output_slots):
+        self.name = source.name
+        self.inputs = source.inputs
+        self.outputs = source.outputs
+        self.net_names = tuple(net_names)
+        self.gate_types = tuple(gate_types)
+        self.gate_output_slots = tuple(
+            range(len(source.inputs), len(net_names))
+        )
+        self.gate_fanin_slots = tuple(gate_fanin_slots)
+        self.output_slots = tuple(output_slots)
 
-    used = set(compiled.inputs)
-    used.update(names[out] for out, _, _ in keep)
-    used.update(compiled.outputs)
+    @property
+    def num_slots(self) -> int:
+        return len(self.net_names)
 
-    const_nets: dict[int, str] = {}
+    @property
+    def num_gates(self) -> int:
+        return len(self.gate_types)
 
-    def const_net(bit: int) -> str:
-        net = const_nets.get(bit)
-        if net is None:
-            net = f"_opt_const{bit}"
-            while net in used:
-                net += "_"
-            used.add(net)
-            netlist.add_gate(
-                net, GateType.CONST1 if bit else GateType.CONST0, []
-            )
-            const_nets[bit] = net
-        return net
+    def build(self) -> "CompiledCircuit":
+        from repro.circuit.compiled import CompiledCircuit
 
-    def val_net(val: tuple) -> str:
-        kind, payload = val
-        if kind == "const":
-            return const_net(payload)
-        return names[payload]
+        return CompiledCircuit.from_slots(
+            self.name,
+            self.inputs,
+            self.outputs,
+            self.net_names,
+            self.gate_types,
+            self.gate_fanin_slots,
+            self.output_slots,
+        )
+
+
+def _output_cone(source, rows: list[tuple]) -> list[tuple]:
+    """The ``coi`` pass: the rows in the primary outputs' transitive fanin.
+
+    Its canon is the identity, so one reverse sweep over the gates
+    marks the cone.
+    """
+    needed = [False] * source.num_slots
+    for slot in source.output_slots:
+        needed[slot] = True
+    for out, fanins in zip(
+        reversed(source.gate_output_slots), reversed(source.gate_fanin_slots)
+    ):
+        if needed[out]:
+            for slot in fanins:
+                needed[slot] = True
+    return [row for row in rows if needed[row[0]]]
+
+
+def _identity_rows(source) -> tuple[list[tuple], list[tuple]]:
+    """The identity canon of ``source`` and its gates as ``keep`` rows.
+
+    A pass changed nothing exactly when its ``keep`` list equals these
+    rows: every gate kept, with its type and fanins as they were.
+    """
+    ident = [("slot", s) for s in range(source.num_slots)]
+    rows = [
+        (out, gtype, tuple([ident[s] for s in fanins]))
+        for gtype, out, fanins in zip(
+            source.gate_types, source.gate_output_slots,
+            source.gate_fanin_slots,
+        )
+    ]
+    return ident, rows
+
+
+def _const_type(bit: int) -> GateType:
+    return GateType.CONST1 if bit else GateType.CONST0
+
+
+def _renumber(source, canon: list[tuple], keep: list[tuple]):
+    """Lay the kept gates out as new slot arrays; returns ``(arrays, provenance)``.
+
+    The numbering is the one compiling the equivalent netlist gives
+    (see the pass-machinery comment above): the netlist's insertion
+    order is already its topological order, so slot ``n + i`` is the
+    ``i``-th gate laid out here.
+    """
+    names = source.net_names
+    inputs = source.inputs
+    n = len(inputs)
+    new_names = list(inputs)
+    types: list[GateType] = []
+    fanins: list[tuple[int, ...]] = []
+    new_of: dict[int, int] = {}  # surviving root -> its new slot
+    const_of: dict[int, int] = {}  # bit -> slot of its _opt_const net
+    used: set[str] | None = None
 
     for out, gtype, vals in keep:
-        netlist.add_gate(names[out], gtype, [val_net(v) for v in vals])
+        slots = []
+        for kind, payload in vals:
+            if kind == "slot":
+                slots.append(payload if payload < n else new_of[payload])
+                continue
+            slot = const_of.get(payload)
+            if slot is None:
+                if used is None:
+                    used = {*inputs, *source.outputs}
+                    used.update(names[o] for o, _, _ in keep)
+                net = f"_opt_const{payload}"
+                while net in used:
+                    net += "_"
+                used.add(net)
+                slot = const_of[payload] = len(new_names)
+                new_names.append(net)
+                types.append(_const_type(payload))
+                fanins.append(())
+            slots.append(slot)
+        new_of[out] = len(new_names)
+        new_names.append(names[out])
+        types.append(gtype)
+        fanins.append(tuple(slots))
 
-    for po in compiled.outputs:
-        if netlist.is_driven(po):
-            continue
-        val = canon[slot_of[po]]
-        if val[0] == "const":
-            netlist.add_gate(
-                po, GateType.CONST1 if val[1] else GateType.CONST0, []
-            )
-        else:
-            netlist.add_gate(po, GateType.BUF, [names[val[1]]])
-    netlist.set_outputs(compiled.outputs)
-    return netlist
+    output_slots = []
+    driven: dict[str, int] = {}  # output net given a driver here -> slot
+    for po, old in zip(source.outputs, source.output_slots):
+        slot = old if old < n else new_of.get(old, driven.get(po))
+        if slot is None:
+            kind, payload = canon[old]
+            slot = driven[po] = len(new_names)
+            new_names.append(po)
+            if kind == "const":
+                types.append(_const_type(payload))
+                fanins.append(())
+            else:
+                types.append(GateType.BUF)
+                fanins.append((payload if payload < n else new_of[payload],))
+        output_slots.append(slot)
 
-
-def _run_pass(compiled: "CompiledCircuit", name: str) -> OptimizedCircuit:
-    """Apply one named pass; see :data:`PASS_NAMES`."""
-    rules = _PASS_RULES[name]
-    canon: list[tuple] = [("slot", s) for s in range(compiled.num_slots)]
-    keep: list[tuple] = []
-    rules(compiled, canon, keep)
-    netlist = _materialize(compiled, canon, keep, prune=(name == "coi"))
-    optimized = netlist.compile()
-    new_slot_of = optimized.slot_of
-    names = compiled.net_names
-    provenance: dict[int, tuple] = {}
-    for s in range(compiled.num_slots):
-        kind, payload = canon[s]
+    # Only ``coi`` drops roots, and it never reads a constant net.
+    provenance = []
+    for val in canon:
+        kind, payload = val
         if kind == "const":
-            provenance[s] = ("const", payload)
+            provenance.append(val)
             continue
-        new = new_slot_of.get(names[payload])
-        provenance[s] = ("slot", new) if new is not None else ("dropped",)
-    return OptimizedCircuit(
-        source=compiled,
-        compiled=optimized,
-        provenance=provenance,
-        level=name,
-        passes=(name,),
-        stats={name: compiled.num_gates - optimized.num_gates},
-    )
+        new = payload if payload < n else new_of.get(payload)
+        provenance.append(("slot", new) if new is not None else ("dropped",))
+    arrays = _Slots(source, new_names, types, fanins, output_slots)
+    return arrays, provenance
+
+
+def _apply_pass(source, name: str, identity=None):
+    """One pass over ``source`` (a compiled circuit or :class:`_Slots`).
+
+    ``identity`` is ``source``'s :func:`_identity_rows`, shared by the
+    passes that find nothing to change.  Returns ``(arrays,
+    provenance)`` with provenance as a list indexed by ``source`` slot,
+    or None when the pass changes nothing.
+    """
+    ident, rows = identity or _identity_rows(source)
+    canon = list(ident)
+    if name == "coi":
+        keep = _output_cone(source, rows)
+    else:
+        keep = []
+        _PASS_RULES[name](source, canon, keep)
+    if keep == rows:
+        return None
+    return _renumber(source, canon, keep)
 
 
 def run_pass(compiled: "CompiledCircuit", name: str) -> OptimizedCircuit:
     """Apply a single pass by name (``sweep``/``chains``/``strash``/``coi``).
 
     Mostly a testing and inspection entry point; production callers use
-    :func:`optimize_compiled` / :meth:`CompiledCircuit.optimized`.
+    :func:`optimize_compiled` / :meth:`CompiledCircuit.optimized`.  A
+    pass that changes nothing returns ``compiled`` itself.
     """
-    if name not in _PASS_RULES:
+    if name not in PASS_NAMES:
         raise ValueError(
             f"unknown pass {name!r} (choose from {PASS_NAMES})"
         )
-    return _run_pass(compiled, name)
+    step = _apply_pass(compiled, name)
+    if step is None:
+        return _identity(compiled, name, (name,), {name: 0})
+    arrays, provenance = step
+    return OptimizedCircuit(
+        source=compiled,
+        compiled=arrays.build(),
+        provenance=dict(enumerate(provenance)),
+        level=name,
+        passes=(name,),
+        stats={name: compiled.num_gates - arrays.num_gates},
+    )
 
 
-def _compose(
-    first: dict[int, tuple], second: dict[int, tuple]
-) -> dict[int, tuple]:
-    """Provenance of pass B after pass A, as one original->final map."""
-    out: dict[int, tuple] = {}
-    for slot, val in first.items():
-        if val[0] == "slot":
-            out[slot] = second[val[1]]
-        else:
-            out[slot] = val
-    return out
+def _same_structure(a, b) -> bool:
+    """:meth:`CompiledCircuit.__eq__` over arrays (the interface is fixed)."""
+    return (
+        a.gate_types == b.gate_types
+        and a.gate_output_slots == b.gate_output_slots
+        and a.gate_fanin_slots == b.gate_fanin_slots
+    )
 
 
 def optimize_compiled(
@@ -567,33 +660,50 @@ def optimize_compiled(
 
     ``level`` is an opt lever value (``None`` -> process default,
     ``"auto"`` -> the full pipeline).  Passes run in pipeline order,
-    repeating until a whole round removes nothing (each pass can expose
-    work for the next: a strash merge creates the tied fanins the sweep
-    folds).  The result's :attr:`OptimizedCircuit.provenance` composes
-    across every application.
+    repeating until a whole round leaves the structure as it found it
+    (each pass can expose work for the next: a strash merge creates the
+    tied fanins the sweep folds).  The result's
+    :attr:`OptimizedCircuit.provenance` composes across every
+    application.  One circuit is built for the result, at the end; when
+    no pass changes anything the result's ``compiled`` is ``compiled``
+    itself.
     """
     resolved = resolve_opt(level)
     if resolved == "off" or compiled.num_gates == 0:
         return _identity(compiled, resolved)
     pipeline = _PIPELINES[resolved]
     current = compiled
-    provenance = {s: ("slot", s) for s in range(compiled.num_slots)}
+    provenance: list[tuple] | None = None  # None: the identity
     applied: list[str] = []
     stats: dict[str, int] = {}
+    identity = None  # _identity_rows(current), built on first use
     for _ in range(_MAX_ROUNDS):
         before = current
         for name in pipeline:
-            step = _run_pass(current, name)
-            provenance = _compose(provenance, step.provenance)
             applied.append(name)
-            stats[name] = stats.get(name, 0) + step.stats[name]
-            current = step.compiled
-        if current == before:
+            identity = identity or _identity_rows(current)
+            step = _apply_pass(current, name, identity)
+            if step is None:
+                stats[name] = stats.get(name, 0)
+                continue
+            arrays, second = step
+            stats[name] = (
+                stats.get(name, 0) + current.num_gates - arrays.num_gates
+            )
+            provenance = second if provenance is None else [
+                second[val[1]] if val[0] == "slot" else val
+                for val in provenance
+            ]
+            current = arrays
+            identity = None
+        if current is before or _same_structure(current, before):
             break
+    if current is compiled:
+        return _identity(compiled, resolved, tuple(applied), stats)
     return OptimizedCircuit(
         source=compiled,
-        compiled=current,
-        provenance=provenance,
+        compiled=current.build(),
+        provenance=dict(enumerate(provenance)),
         level=resolved,
         passes=tuple(applied),
         stats=stats,

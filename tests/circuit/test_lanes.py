@@ -8,6 +8,11 @@ and the resolution lever is tested for silent ``auto`` degradation vs
 loud explicit-``numpy`` failure when numpy is missing.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -31,6 +36,8 @@ from repro.circuit.simulator import (
     simulate_reference,
 )
 from repro.oracle.oracle import Oracle
+
+SRC_DIR = Path(__file__).resolve().parents[2] / "src"
 
 needs_numpy = pytest.mark.skipif(
     not numpy_available(), reason="numpy lane backend not installed"
@@ -218,6 +225,56 @@ class TestResolution:
         assert resolve_lanes(
             "auto", num_gates=1 << 20, width=64, stages=4
         ) == ("python")
+
+    def test_auto_probes_numpy_only_for_a_qualifying_shape(self, monkeypatch):
+        probes = []
+
+        def probe():
+            probes.append(1)
+            return True
+
+        monkeypatch.setattr(lanes_mod, "numpy_available", probe)
+        for shape in (
+            {},
+            dict(num_gates=100, width=64, stages=10),
+            dict(num_gates=4 * AUTO_MIN_GATES, width=AUTO_MAX_LANES + 1, stages=1),
+            dict(num_gates=4 * AUTO_MIN_GATES, width=64, stages=AUTO_MIN_GATES),
+        ):
+            assert resolve_lanes("auto", **shape) == "python"
+        assert probes == []
+        assert resolve_lanes(
+            "auto", num_gates=4 * AUTO_MIN_GATES, width=64, stages=1
+        ) == "numpy"
+        assert probes == [1]
+
+    def test_small_cells_never_import_numpy(self):
+        """A scenario cell and a corruption cell on a small circuit."""
+        code = (
+            "import sys\n"
+            "from repro.metrics.task import corruption_cell_task\n"
+            "from repro.runner import task_worker\n"
+            "from repro.scenarios.matrix import scenario_cell_task\n"
+            "specs = (\n"
+            "    scenario_cell_task('sarlock', {'key_size': 4}, 'sat', {},\n"
+            "                       'sharded', 'c432', 0.12, 0, 1),\n"
+            "    corruption_cell_task('sarlock', {'key_size': 4}, 'c432',\n"
+            "                         0.12, 0, 1, metrics=('corruption',\n"
+            "                         'bit_flip', 'avalanche', 'subspace')),\n"
+            ")\n"
+            "for spec in specs:\n"
+            "    task_worker(spec.kind)(spec.worker_params)\n"
+            "print('numpy' in sys.modules)\n"
+        )
+        env = {
+            key: value for key, value in os.environ.items()
+            if not key.startswith("REPRO_")
+        }
+        env["PYTHONPATH"] = str(SRC_DIR)
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True, text=True, env=env, check=True,
+        )
+        assert out.stdout.strip() == "False"
 
     def test_explicit_numpy_raises_without_numpy(self, monkeypatch):
         _hide_numpy(monkeypatch)

@@ -8,6 +8,7 @@ run the plain tier-1 suite.
 import doctest
 
 import repro.circuit.compiled
+import repro.circuit.lanes
 import repro.circuit.opt
 import repro.core.sharded
 import repro.metrics.engine
@@ -19,6 +20,7 @@ import repro.synth.optimize
 
 _DOCTEST_MODULES = (
     repro.circuit.compiled,
+    repro.circuit.lanes,
     repro.circuit.opt,
     repro.synth.optimize,
     repro.oracle.oracle,
