@@ -17,11 +17,16 @@ deterministic for a given backend and code, so a trajectory can gate
 on them instead of on noisy wall-clock ratios.  Before appending, the
 python backend's counters are gated against the last recorded python
 entry of the same workload shape: a pure speed change must leave them
-identical, so a mismatch fails the run.
+identical, so a mismatch fails the run.  The python entry also
+records ``order_pops``, the ``heapq.heappop`` calls the solver's
+decision order makes during the single-key attack, gated at
+``_MAX_POPS_PER_DECISION`` per decision: decisions come from a sorted
+run, and only variables bumped since its last sort go through the heap.
 """
 
 from __future__ import annotations
 
+import heapq
 import json
 import time
 
@@ -31,6 +36,7 @@ from repro.core.multikey import multikey_attack
 from repro.locking.sarlock import sarlock_lock
 from repro.oracle.oracle import Oracle
 from repro.sat import registered_solvers, solver_info
+from repro.sat import solver as solver_module
 
 from benchmarks.conftest import FULL, REPO_ROOT, append_trajectory
 
@@ -45,6 +51,31 @@ _EXACT = (
     "dips", "decisions", "conflicts", "propagations",
     "encode_vars", "encode_clauses",
 )
+#: Order-work gate: heap pops per decision of the python backend.
+_MAX_POPS_PER_DECISION = 2
+
+
+class _PopCounter:
+    """Stands in for ``heapq`` inside :mod:`repro.sat.solver`."""
+
+    heappush = staticmethod(heapq.heappush)
+    heapify = staticmethod(heapq.heapify)
+
+    def __init__(self) -> None:
+        self.pops = 0
+
+    def heappop(self, heap):
+        self.pops += 1
+        return heapq.heappop(heap)
+
+
+def _order_pops(locked, original, monkeypatch) -> int:
+    """``heapq.heappop`` calls the python solver makes in one attack."""
+    counter = _PopCounter()
+    with monkeypatch.context() as patch:
+        patch.setattr(solver_module, "heapq", counter)
+        sat_attack(locked, Oracle(original), solver="python")
+    return counter.pops
 
 
 def _last_recorded(entry: dict) -> dict | None:
@@ -63,7 +94,7 @@ def _last_recorded(entry: dict) -> dict | None:
     return None
 
 
-def test_solver_backends(benchmark):
+def test_solver_backends(benchmark, monkeypatch):
     """Every registered backend: identical verdicts, tracked runtimes."""
     original = iscas85_like(_CIRCUIT, _SCALE)
     locked = sarlock_lock(original, _KEY_SIZE, seed=1)
@@ -131,6 +162,10 @@ def test_solver_backends(benchmark):
         ]
 
     python = next(entry for entry in entries if entry["backend"] == "python")
+    python["order_pops"] = _order_pops(locked, original, monkeypatch)
+    assert python["order_pops"] <= _MAX_POPS_PER_DECISION * python["decisions"], (
+        f"{python['order_pops']} order-heap pops for {python['decisions']} decisions"
+    )
     previous = _last_recorded(python)
     if previous is not None:
         assert {field: python[field] for field in _EXACT} == {

@@ -5,8 +5,11 @@ This is the MiniSAT recipe in pure Python:
 * unit propagation over dedicated binary implication lists (a flat
   list of implied literals per literal, no clause object) followed by
   two-watched-literal lists for longer clauses,
-* VSIDS variable activities with exponential decay, ordered by a heap
-  that holds at most one current entry per variable,
+* VSIDS variable activities with exponential decay, ordered by a
+  sorted *run* of ``(-activity, var)`` entries that a cursor scans
+  (each decision level records the cursor it opened at, and a
+  backtrack restores that mark), plus a small heap for the variables
+  bumped since the run was last sorted,
 * phase saving,
 * Luby-sequence restarts,
 * first-UIP conflict analysis with basic clause minimization,
@@ -41,6 +44,7 @@ from dataclasses import dataclass
 _LUBY_UNIT = 128  # conflicts per Luby step
 _DECAY_RAMP_INTERVAL = 256  # conflicts between VSIDS decay-ramp steps
 _SHORT_CLAUSE = 8  # longer clauses dedupe their literals through a set
+_RUN_REFRESH = 8  # re-sort the run at level 0 once the heap holds 1/8 of vars
 
 
 def luby(i: int) -> int:
@@ -155,8 +159,9 @@ class Solver:
         self._act: list[float] = [0.0]
         self._phase: list[bool] = [False]
         self._seen = bytearray(1)
-        # 1 while the order heap holds an entry carrying the variable's
-        # current activity (entries left behind by a bump are stale).
+        # 1 while the run or the heap holds an entry carrying the
+        # variable's current activity (entries left behind by a bump
+        # are stale).
         self._queued = bytearray(1)
 
         self._clauses: list[_Clause] = []
@@ -180,8 +185,16 @@ class Solver:
         self._var_decay = 1.0 / self._var_decay_factor
         self._cla_inc = 1.0
         self._cla_decay = 1.0 / 0.999
-        # Min-heap of ``(-activity, var)``: every unassigned variable
-        # has exactly one current entry; stale entries are skipped.
+        # Decision order.  Every unassigned variable has exactly one
+        # current ``(-activity, var)`` entry: in the sorted run at or
+        # after the cursor ``_run_head``, or in the min-heap ``_order``
+        # (variables bumped since the run was sorted).  Run entries
+        # before the cursor belong to variables assigned at or below
+        # the current level, or are stale; ``_run_lim[i]`` is the
+        # cursor level ``i + 1`` opened at.
+        self._run: list[tuple[float, int]] = []
+        self._run_head = 0
+        self._run_lim: list[int] = []
         self._order: list[tuple[float, int]] = []
 
         self._ok = True
@@ -216,7 +229,8 @@ class Solver:
         self._phase.append(False)
         self._seen.append(0)
         self._queued.append(1)
-        heapq.heappush(self._order, (0.0, v))
+        # Every run key is <= 0.0 and every run variable < v: still sorted.
+        self._run.append((0.0, v))
         return v
 
     def _ensure_var(self, v: int) -> None:
@@ -475,7 +489,7 @@ class Solver:
         frame contract of :meth:`checkpoint`: every clause added inside
         a frame must mention a variable allocated after its mark, and
         root facts of surviving variables outlive the rollback.  The
-        binary implication lists and the order heap are rebuilt from
+        binary implication lists and the decision run are rebuilt from
         what survives.  Frames opened before ``mark`` stay open.
         """
         nvars, nclauses, depth = mark
@@ -619,9 +633,10 @@ class Solver:
         self._trail.append(lit)
 
     def _cancel_until(self, level: int) -> None:
-        if len(self._trail_lim) <= level:
+        trail_lim = self._trail_lim
+        if len(trail_lim) <= level:
             return
-        bound = self._trail_lim[level]
+        bound = trail_lim[level]
         litval = self._litval
         queued = self._queued
         act = self._act
@@ -633,17 +648,23 @@ class Solver:
             var = lit >> 1
             litval[lit] = 0
             litval[lit ^ 1] = 0
-            # Variables that kept their current heap entry while
-            # assigned need none; only popped or bumped ones go back.
+            # A variable whose run entry is current is back in play
+            # once the cursor mark is restored; only bumped or
+            # heap-popped ones need a heap entry.
             if not queued[var]:
                 queued[var] = 1
                 batch.append((-act[var], var))
         del trail[bound:]
-        del self._trail_lim[level:]
+        del trail_lim[level:]
         self._qhead = bound
+        self._run_head = self._run_lim[level]
+        del self._run_lim[level:]
         order = self._order
-        if len(order) > 4 * self._nvars + 1024:
-            self._rebuild_order()  # shed accumulated stale entries
+        size = len(order) + len(batch)
+        if (level == 0 and size * _RUN_REFRESH >= self._nvars) or (
+            size > 4 * self._nvars + 1024  # shed accumulated stale entries
+        ):
+            self._rebuild_order()
         elif len(batch) * 8 > len(order):
             order.extend(batch)
             heapq.heapify(order)
@@ -653,19 +674,27 @@ class Solver:
                 push(order, entry)
 
     def _rebuild_order(self) -> None:
-        """One current heap entry per unassigned variable, none stale."""
+        """Sort one current entry per unassigned variable into a fresh run.
+
+        The heap empties and every cursor mark drops to the start of
+        the new run; an assigned variable gets its heap entry from the
+        backtrack that unassigns it.
+        """
         act = self._act
         litval = self._litval
         queued = self._queued
-        order = []
+        run = []
         for v in range(1, self._nvars + 1):
             if litval[2 * v] == 0:
                 queued[v] = 1
-                order.append((-act[v], v))
+                run.append((-act[v], v))
             else:
                 queued[v] = 0
-        heapq.heapify(order)
-        self._order = order
+        run.sort()
+        self._run = run
+        self._run_head = 0
+        self._run_lim = [0] * len(self._trail_lim)
+        self._order = []
 
     # ------------------------------------------------------------------
     # Propagation
@@ -709,6 +738,10 @@ class Solver:
         if decide:
             num_assumptions = len(assumptions)
             nvars = self._nvars
+            run = self._run
+            run_len = len(run)
+            head = self._run_head
+            run_lim = self._run_lim
             order = self._order
             act = self._act
             queued = self._queued
@@ -724,23 +757,35 @@ class Solver:
                     if litval[lit] == 1:
                         lit = 0  # already true: its level stays empty
                 else:
-                    lit = 0
-                    # A complete assignment leaves the heap intact rather
-                    # than draining it: the next backtrack re-queues less.
-                    if len(trail) < nvars:
-                        while order:
-                            neg_act, var = pop(order)
-                            if -neg_act != act[var]:
-                                continue  # stale: its current entry is elsewhere
-                            queued[var] = 0
-                            if litval[var * 2] == 0:
-                                lit = var * 2 + (0 if phase[var] else 1)
-                                break
-                    if not lit:
+                    if len(trail) == nvars:
                         confl = True  # satisfying assignment
                         break
+                    # The run's first live entry: unassigned, activity
+                    # unchanged since the sort.  Skipped entries stay.
+                    while head < run_len:
+                        neg_act, var = run[head]
+                        if litval[var * 2] == 0 and -neg_act == act[var]:
+                            break
+                        head += 1
+                    # The heap's first live entry.
+                    while order:
+                        neg_act, var = order[0]
+                        if -neg_act != act[var]:
+                            pop(order)  # stale: its current entry is elsewhere
+                        elif litval[var * 2]:
+                            pop(order)
+                            queued[var] = 0
+                        else:
+                            break
+                    if order and (head == run_len or order[0] < run[head]):
+                        var = pop(order)[1]
+                        queued[var] = 0
+                    else:
+                        var = run[head][1]
+                    lit = var * 2 + (0 if phase[var] else 1)
                     stats.decisions += 1
                 trail_lim.append(len(trail))
+                run_lim.append(head)
                 cur_level += 1
                 if lit:
                     if cur_level > stats.max_decision_level:
@@ -839,6 +884,8 @@ class Solver:
                 break  # the learnt database is due for another reduce
         stats.propagations += qhead - start
         self._qhead = len(trail) if confl is not None else qhead
+        if decide:
+            self._run_head = head
         return confl
 
     # ------------------------------------------------------------------
@@ -856,8 +903,8 @@ class Solver:
             self._var_inc *= inv
             self._rebuild_order()  # every entry is stale now
         else:
-            # Any entry it has is stale now; the backtrack that
-            # unassigns it re-queues it at the new activity.
+            # Its run or heap entry is stale now; the backtrack that
+            # unassigns it pushes it onto the heap at the new activity.
             self._queued[var] = 0
 
     def _bump_clause(self, clause: _Clause) -> None:
@@ -987,18 +1034,20 @@ class Solver:
         ``assumptions`` is an iterable of DIMACS literals that are
         forced for this call only.  ``conflict_budget`` optionally
         bounds the number of conflicts; exceeding it raises
-        :class:`BudgetExhausted`.
+        :class:`BudgetExhausted`.  A ``0`` assumption raises
+        ``ValueError`` before any state changes.
         """
+        assume_internal: list[int] = []
+        for ext in assumptions:
+            if ext == 0:
+                raise ValueError("0 is not a valid DIMACS literal")
+            assume_internal.append(2 * ext if ext > 0 else 1 - 2 * ext)
         self.stats.solve_calls += 1
         if not self._ok:
             return False
         self._cancel_until(0)  # leave any previous solution state
-
-        assume_internal: list[int] = []
-        for ext in assumptions:
-            var = abs(ext)
-            self._ensure_var(var)
-            assume_internal.append(var * 2 + (1 if ext < 0 else 0))
+        if assume_internal:
+            self._ensure_var(max(assume_internal) >> 1)
 
         max_learnts = max(1000.0, len(self._clauses) * 0.35)
         conflicts_this_call = 0

@@ -23,6 +23,11 @@ settings.register_profile(
         HealthCheck.function_scoped_fixture,
     ],
 )
+# ``--hypothesis-profile=deep`` (CI's deep parity step) keeps the
+# settings above and raises the example count tenfold.
+settings.register_profile(
+    "deep", parent=settings.get_profile("repro"), max_examples=300
+)
 settings.load_profile("repro")
 
 

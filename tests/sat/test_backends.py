@@ -149,6 +149,17 @@ class TestAssumptions:
         # And an unconstrained call is free again.
         assert s.solve()
 
+    def test_zero_assumption_rejected(self, name):
+        """``0`` is no literal, as an assumption as in a clause."""
+        s = create_solver(name)
+        s.add_clauses([[1, 2]])
+        with pytest.raises(ValueError, match="0 is not a valid DIMACS literal"):
+            s.add_clause([0])
+        with pytest.raises(ValueError, match="0 is not a valid DIMACS literal"):
+            s.solve(assumptions=[0])
+        assert s.solve(assumptions=[-1])
+        assert s.model_value(2) is True
+
     def test_unsat_under_assumptions_is_not_sticky(self, name):
         needs(name, "assumptions")
         s = create_solver(name)

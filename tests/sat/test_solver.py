@@ -159,6 +159,16 @@ class TestAssumptions:
         assert not s.solve(assumptions=[1, -3])
         assert s.solve(assumptions=[1, 3])
 
+    def test_zero_assumption_rejected_before_any_state_change(self):
+        s = Solver()
+        s.add_clause([1, 2])
+        assert s.solve()  # leaves a model above level 0
+        before = (s.stats.as_dict(), s.num_vars, list(s._trail), list(s._trail_lim))
+        with pytest.raises(ValueError, match="0 is not a valid DIMACS literal"):
+            s.solve(assumptions=[5, 0])
+        assert (s.stats.as_dict(), s.num_vars, s._trail, s._trail_lim) == before
+        assert s.solve(assumptions=[-1])
+
     def test_many_assumptions(self):
         s = Solver()
         for v in range(1, 21):
