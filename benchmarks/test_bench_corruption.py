@@ -3,9 +3,9 @@ warm matrix-with-metrics replay.
 
 Two measurements, parity asserted before any timing:
 
-1. A sampled corruption sweep (wide circuit, stratified stimuli) on
-   the preferred lanes backend, recorded as lane-evaluations per
-   second — the raw engine throughput ``--metrics`` rides on.
+1. A sampled corruption sweep (wide circuit, stratified stimuli),
+   recorded as lane-evaluations per second — the raw engine throughput
+   ``--metrics`` rides on.
 2. A scheme x engine matrix with ``metrics=("corruption", "subspace")``
    run cold then warm against one cache: the warm replay (attack cells
    *and* the deduplicated ``corruption_cell`` tasks) must be at least
@@ -21,7 +21,6 @@ from __future__ import annotations
 import time
 
 from repro.bench_circuits.corpus import resolve_circuit
-from repro.circuit.lanes import numpy_available
 from repro.locking.registry import lock_circuit
 from repro.metrics import evaluate_corruption
 from repro.runner import ResultCache, Runner
@@ -49,7 +48,7 @@ def _bench_spec() -> ScenarioSpec:
     )
 
 
-def test_sampled_sweep_throughput(benchmark, monkeypatch):
+def test_sampled_sweep_throughput(benchmark):
     """Raw engine rate on the sampled path, parity-checked first."""
     original = resolve_circuit("c880", _SCALE)
     locked = lock_circuit("sarlock", original, key_size=6, seed=0)
@@ -60,12 +59,9 @@ def test_sampled_sweep_throughput(benchmark, monkeypatch):
         input_samples=_INPUT_SAMPLES,
     )
 
-    # Parity before timing: the preferred backend must produce the
-    # python backend's exact bits, else the numbers mean nothing.
-    monkeypatch.setenv("REPRO_LANES", "python")
+    # Determinism before timing: every run must produce the same bits,
+    # else the numbers mean nothing.
     reference = evaluate_corruption(locked, original, **kwargs)
-    preferred = "numpy" if numpy_available() else "python"
-    monkeypatch.setenv("REPRO_LANES", preferred)
     check = evaluate_corruption(locked, original, **kwargs)
     assert check.metrics == reference.metrics
 
@@ -79,7 +75,6 @@ def test_sampled_sweep_throughput(benchmark, monkeypatch):
     seconds = benchmark.stats.stats.mean
     lane_evals = report.keys_sampled * report.input_samples
     rate = lane_evals / seconds
-    benchmark.extra_info["lanes"] = preferred
     benchmark.extra_info["lane_evals_per_s"] = round(rate)
 
     append_trajectory(
@@ -88,7 +83,6 @@ def test_sampled_sweep_throughput(benchmark, monkeypatch):
             {
                 "ts": time.time(),
                 "kind": "sweep",
-                "lanes": preferred,
                 "key_samples": report.keys_sampled,
                 "input_samples": report.input_samples,
                 "seconds": round(seconds, 4),

@@ -7,17 +7,8 @@ slot program of :meth:`Netlist.compile`.  The asserted floor is 3x —
 measured headroom is typically 4-10x — so a regression in the compiled
 core fails tier-1 rather than silently eroding every attack loop.
 
-The large-circuit tier stresses the regime the stand-in cases never
-reach, with one 10k+ gate generator per backend's best shape: the
-wide-shallow :func:`keyed_match_plane` (~25k gates in ~15 vector
-stages) is where the numpy :class:`~repro.circuit.lanes.LaneProgram`
-must be >=5x the big-int path, and the deep :func:`array_multiplier`
-is the recorded contrast case where ``lanes="auto"`` must stay on
-python (big-int carry chains win there at every width).  Parity is
-asserted before any timing; without numpy the tier records the python
-baseline and the floor is skipped — ``auto`` degrades silently.  A
-corpus tier tracks the genuine-format ``real_*`` circuits through the
-same parity + throughput telescope.
+A corpus tier tracks the genuine-format ``real_*`` circuits through
+the same parity + throughput telescope.
 
 Each run also appends trajectory entries to ``BENCH_sim.json`` at the
 repository root; CI uploads the file as an artifact so the perf
@@ -28,15 +19,8 @@ from __future__ import annotations
 
 import time
 
-import pytest
-
 from repro.bench_circuits.corpus import corpus_names, load_corpus
-from repro.bench_circuits.generators import (
-    array_multiplier,
-    keyed_match_plane,
-)
 from repro.bench_circuits.iscas85 import iscas85_like
-from repro.circuit.lanes import numpy_available, resolve_lanes
 from repro.circuit.simulator import random_patterns, simulate, simulate_reference
 
 from benchmarks.conftest import append_trajectory
@@ -117,122 +101,12 @@ def test_compiled_vs_legacy_simulation(benchmark):
         )
 
 
-def test_large_circuit_lanes_tier(benchmark):
-    """10k+ gate tier: numpy must be >=5x python on the match plane.
-
-    Two generator shapes, one floor.  The wide-shallow
-    ``keyed_match_plane`` (~25k gates collapsing into ~15 vector
-    stages) is where the numpy backend has to win >=5x at 128 lanes;
-    the deep ``array_multiplier`` rides along as the contrast entry,
-    where ``lanes="auto"`` must stay on the big-int path — its carry
-    chains produce hundreds of tiny stages and numpy loses at every
-    width.  Parity is asserted on the full sweep before a single
-    timer starts.  Without numpy the floor is skipped, ``auto`` must
-    resolve to the python backend (silent degradation), and the tier
-    still records the big-int baseline so the trajectory keeps one
-    line per run.
-    """
-    width = 128
-    netlist = keyed_match_plane()
-    compiled = netlist.compile()
-    assert compiled.num_gates >= 10_000
-    words = random_patterns(len(compiled.inputs), width, seed=29)
-
-    python_out = compiled.eval_outputs_wide(words, width, lanes="python")
-    python_s = _median_seconds(
-        lambda: compiled.eval_outputs_wide(words, width, lanes="python"),
-        rounds=3,
-    )
-    ops, stages = compiled.lane_stage_hint()
-    entry = {
-        "ts": time.time(),
-        "tier": "large",
-        "circuit": netlist.name,
-        "gates": compiled.num_gates,
-        "stages": stages,
-        "width": width,
-        "python_pps": round(width / python_s),
-        "numpy_pps": None,
-        "speedup": None,
-        "auto_backend": resolve_lanes(
-            "auto", num_gates=compiled.num_gates, width=width, stages=stages
-        ),
-    }
-
-    # The contrast shape: deep carry chains, ~20 ops per stage.  The
-    # shape-aware heuristic must keep it on the never-a-regression
-    # backend whether or not numpy is installed.
-    mult = array_multiplier(48, name="mult48").compile()
-    assert mult.num_gates >= 10_000
-    mult_words = random_patterns(len(mult.inputs), width, seed=29)
-    mult_s = _median_seconds(
-        lambda: mult.eval_outputs_wide(mult_words, width, lanes="python"),
-        rounds=3,
-    )
-    mult_auto = resolve_lanes(
-        "auto",
-        num_gates=mult.num_gates,
-        width=width,
-        stages=mult.lane_stage_hint()[1],
-    )
-    assert mult_auto == "python"
-    contrast = {
-        "ts": time.time(),
-        "tier": "large",
-        "circuit": "mult48",
-        "gates": mult.num_gates,
-        "stages": mult.lane_stage_hint()[1],
-        "width": width,
-        "python_pps": round(width / mult_s),
-        "numpy_pps": None,
-        "speedup": None,
-        "auto_backend": mult_auto,
-    }
-
-    if not numpy_available():
-        assert entry["auto_backend"] == "python"  # silent fallback
-        append_trajectory("sim", [entry, contrast])
-        benchmark.pedantic(
-            lambda: compiled.eval_outputs_wide(words, width, lanes="auto"),
-            rounds=1,
-            iterations=1,
-        )
-        pytest.skip("numpy absent: large-tier floor not enforced")
-
-    # A wide-shallow plane this size must auto-select the vector
-    # backend.
-    assert entry["auto_backend"] == "numpy"
-    numpy_out = compiled.eval_outputs_wide(words, width, lanes="numpy")
-    assert numpy_out == python_out  # parity before timing
-    numpy_s = _median_seconds(
-        lambda: compiled.eval_outputs_wide(words, width, lanes="numpy"),
-        rounds=3,
-    )
-    speedup = python_s / numpy_s
-    entry["numpy_pps"] = round(width / numpy_s)
-    entry["speedup"] = round(speedup, 2)
-    append_trajectory("sim", [entry, contrast])
-
-    benchmark.pedantic(
-        lambda: compiled.eval_outputs_wide(words, width, lanes="numpy"),
-        rounds=3,
-        iterations=1,
-    )
-    benchmark.extra_info["gates"] = compiled.num_gates
-    benchmark.extra_info["speedup_vs_python"] = entry["speedup"]
-
-    assert speedup >= 5.0, (
-        f"numpy lanes only {speedup:.2f}x python on {compiled.num_gates} "
-        f"gates x {width} lanes (floor is 5x)"
-    )
-
-
 def test_real_corpus_sim_tier(benchmark):
     """Corpus tier: genuine-format circuits through the same telescope.
 
-    The shipped ``real_*`` netlists are small, so no backend floor is
-    enforced — the tier exists to keep parity (compiled vs legacy vs
-    lanes) and throughput tracked on circuits that arrived as files.
+    The shipped ``real_*`` netlists are small, so no floor is enforced
+    — the tier exists to keep parity (compiled vs legacy) and
+    throughput tracked on circuits that arrived as files.
     """
     width = 256
     entries = []
@@ -245,16 +119,12 @@ def test_real_corpus_sim_tier(benchmark):
                 random_patterns(len(netlist.inputs), width, seed=31),
             )
         )
-        assert simulate(netlist, stimuli, width) == simulate_reference(
-            netlist, stimuli, width
-        )
+        reference = simulate_reference(netlist, stimuli, width)
+        assert simulate(netlist, stimuli, width) == reference
         words = [stimuli[net] for net in compiled.inputs]
-        python_out = compiled.eval_outputs_wide(words, width, lanes="python")
-        if numpy_available():
-            assert (
-                compiled.eval_outputs_wide(words, width, lanes="numpy")
-                == python_out
-            )
+        assert compiled.eval_outputs_wide(words, width) == [
+            reference[net] for net in compiled.outputs
+        ]
         compiled_s = _median_seconds(
             lambda: simulate(netlist, stimuli, width), rounds=3
         )

@@ -95,7 +95,7 @@ def test_evaluate_pattern_scratch_reuse(benchmark):
 
     single_results = benchmark.pedantic(per_pattern, rounds=3, iterations=1)
     start = _time.perf_counter()
-    batch_results = compiled.eval_batch(patterns, lanes="python")
+    batch_results = compiled.eval_batch(patterns)
     batch_s = _time.perf_counter() - start
     assert single_results == batch_results  # parity with the batch path
     single_s = benchmark.stats.stats.min

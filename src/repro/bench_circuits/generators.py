@@ -266,12 +266,9 @@ def keyed_match_plane(
     use alternating NAND/NOR planes, the standard-cell mapping of
     AND/OR trees (inverting gates are the cheap ones in CMOS).
 
-    Every level holds one opcode, so the circuit is the numpy lane
-    backend's best case: ~25k gates collapse into ~15 vector stages.
-    It is the large-circuit tier workload in
-    ``benchmarks/test_bench_sim.py`` — deliberately the *opposite*
-    shape of :func:`array_multiplier`, whose deep carry chains are the
-    big-int path's best case.
+    Its replicated comparator taps, BUF/NOT chains and structurally
+    identical product terms are the optimizer's workload in
+    ``benchmarks/test_bench_opt.py``.
     """
     from repro.rng import make_rng
 

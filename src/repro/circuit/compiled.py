@@ -77,19 +77,6 @@ _NARY_OP = {
     GateType.XNOR: _XNOR_N,
 }
 # Single-fanin AND(a) == BUF(a), NAND(a) == NOT(a), etc.
-#: How the lane backend binarizes n-ary opcodes: a left fold of the
-#: base binary opcode with the inverted form fused into the tail.
-#: :meth:`CompiledCircuit.lane_stage_hint` mirrors this to predict the
-#: vector stage count without importing numpy.
-_NARY_FOLD = {
-    _AND_N: (_AND2, _AND2),
-    _NAND_N: (_AND2, _NAND2),
-    _OR_N: (_OR2, _OR2),
-    _NOR_N: (_OR2, _NOR2),
-    _XOR_N: (_XOR2, _XOR2),
-    _XNOR_N: (_XOR2, _XNOR2),
-}
-
 _UNARY_OP = {
     GateType.AND: _BUF,
     GateType.OR: _BUF,
@@ -148,8 +135,6 @@ class CompiledCircuit:
         "_program",
         "_scratch",
         "_pattern_words",
-        "_lane_program",
-        "_stage_hint",
         "_fanout_slots",
         "_driver",
         "_content_hash",
@@ -247,8 +232,6 @@ class CompiledCircuit:
         )
         self._scratch = [0] * self.num_slots
         self._pattern_words = [0] * len(inputs)
-        self._lane_program = None
-        self._stage_hint: tuple[int, int] | None = None
         self._fanout_slots: tuple[tuple[int, ...], ...] | None = None
         self._driver: tuple[int, ...] | None = None
         self._content_hash: str | None = None
@@ -518,31 +501,15 @@ class CompiledCircuit:
                 packed |= 1 << k
         return packed
 
-    def eval_batch(
-        self, patterns: Sequence[int], lanes: str | None = None
-    ) -> list[int]:
+    def eval_batch(self, patterns: Sequence[int]) -> list[int]:
         """Evaluate many packed patterns in one bit-parallel sweep.
 
         Pattern *p* occupies lane *p*; returns one packed output word
-        per pattern (bit *k* = output *k*).  ``lanes`` picks the
-        evaluation backend (``None`` -> the process default, normally
-        ``"auto"``); both backends return identical results.
+        per pattern (bit *k* = output *k*).
         """
         width = len(patterns)
         if width == 0:
             return []
-        from repro.circuit.lanes import resolve_lanes
-
-        if (
-            resolve_lanes(
-                lanes,
-                num_gates=self.num_gates,
-                width=width,
-                stages=self.lane_stage_hint()[1],
-            )
-            == "numpy"
-        ):
-            return self.lane_program().eval_batch(patterns)
         mask = (1 << width) - 1
         words = []
         for j in range(len(self.inputs)):
@@ -563,97 +530,14 @@ class CompiledCircuit:
             results.append(packed)
         return results
 
-    def lane_stage_hint(self) -> tuple[int, int]:
-        """``(vector_ops, vector_stages)`` the numpy program would run.
-
-        Computed in pure python (building no :class:`LaneProgram`, so
-        it is available without numpy) and cached.  ``auto`` lane
-        resolution reads the ratio ``num_gates / stages`` as its
-        level-width signal: opcode-homogeneous wide planes yield few
-        stages with many ops each, deep arithmetic yields hundreds of
-        near-empty stages.  BUF gates alias their fanin (no op);
-        n-ary gates count as their binarized left-fold chain.
-        """
-        hint = self._stage_hint
-        if hint is not None:
-            return hint
-        level = [0] * self.num_slots
-        pairs: set[tuple[int, int]] = set()
-        ops = 0
-        for op, out, operands in self._program:
-            if op == _BUF:
-                level[out] = level[operands]
-                continue
-            if op == _NOT:
-                lvl = level[operands] + 1
-                pairs.add((lvl, _NOT))
-                ops += 1
-            elif op in (_CONST0, _CONST1):
-                lvl = 1
-                pairs.add((lvl, op))
-                ops += 1
-            elif op in _NARY_FOLD:
-                base, last = _NARY_FOLD[op]
-                lvl = 1 + max(level[v] for v in operands)
-                for _ in range(len(operands) - 2):
-                    pairs.add((lvl, base))
-                    ops += 1
-                    lvl += 1
-                pairs.add((lvl, last))
-                ops += 1
-            else:  # MUX and the six binary opcodes
-                lvl = 1 + max(level[v] for v in operands)
-                pairs.add((lvl, op))
-                ops += 1
-            level[out] = lvl
-        hint = (ops, len(pairs))
-        self._stage_hint = hint
-        return hint
-
-    def lane_program(self):
-        """The cached numpy :class:`repro.circuit.lanes.LaneProgram`.
-
-        Built on first use; raises :class:`ModuleNotFoundError` when
-        numpy is unavailable (``resolve_lanes`` never routes here in
-        that case, so only explicit ``lanes="numpy"`` callers see it).
-        """
-        program = self._lane_program
-        if program is None:
-            from repro.circuit.lanes import LaneProgram
-
-            program = LaneProgram(self)
-            self._lane_program = program
-        return program
-
     def eval_outputs_wide(
-        self,
-        input_words: Sequence[int],
-        width: int,
-        lanes: str | None = None,
+        self, input_words: Sequence[int], width: int
     ) -> list[int]:
-        """Width-aware :meth:`eval_outputs` behind the lane lever.
-
-        ``width`` is the active lane count (the mask is derived);
-        ``lanes=None`` resolves through the process default, so wide
-        sweeps ride the numpy program when it is installed and the
-        circuit is big enough to win.
-        """
+        """Width-aware :meth:`eval_outputs`: ``width`` is the active
+        lane count, and the mask is derived from it."""
         if width < 1:
             raise ValueError("width must be positive")
-        from repro.circuit.lanes import resolve_lanes
-
-        mask = (1 << width) - 1
-        if (
-            resolve_lanes(
-                lanes,
-                num_gates=self.num_gates,
-                width=width,
-                stages=self.lane_stage_hint()[1],
-            )
-            == "numpy"
-        ):
-            return self.lane_program().eval_outputs(input_words, mask)
-        return list(self.eval_outputs(input_words, mask))
+        return self.eval_outputs(input_words, (1 << width) - 1)
 
     def eval_mapping(self, stimuli: Mapping[str, int], mask: int) -> list[int]:
         """Evaluate name-keyed stimuli; returns the full slot list."""

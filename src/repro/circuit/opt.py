@@ -1,6 +1,6 @@
 """Structural optimization passes over the compiled circuit IR.
 
-Every hot path — big-int simulation, numpy lanes, Tseitin encoding,
+Every hot path — big-int simulation, Tseitin encoding,
 :func:`~repro.attacks.sat_attack.build_miter_encoding`'s double cone —
 pays for every structural gate it is handed, including buffers,
 constants, duplicated subtrees and logic outside any output cone.  The
@@ -57,8 +57,8 @@ fixpoint, which is also what makes it idempotent:
 The ``opt`` lever
 -----------------
 
-One process-wide lever (declared in :mod:`repro.levers`, like
-``lanes``) resolved through :func:`resolve_opt`::
+One process-wide lever (declared in :mod:`repro.levers`) resolved
+through :func:`resolve_opt`::
 
     opt="off"    # identity: byte-identical to the unoptimized path
     opt="light"  # linear passes only: sweep + chains + coi
@@ -67,11 +67,10 @@ One process-wide lever (declared in :mod:`repro.levers`, like
 
 ``None`` means the process default, the ``REPRO_OPT`` environment
 variable (which the CLI's ``--opt`` flag sets, so runner worker
-processes inherit the choice).  Unlike ``lanes`` — pure wall-clock,
-never cache identity — ``opt`` *is* part of result-cache identity:
-optimized artifacts report different structural counts, so scenario
-cells and shard chunks hash the resolved level, and encoding caches
-key on the **optimized** circuit's content hash.
+processes inherit the choice).  ``opt`` is part of result-cache
+identity: optimized artifacts report different structural counts, so
+scenario cells and shard chunks hash the resolved level, and encoding
+caches key on the **optimized** circuit's content hash.
 
 >>> from repro.circuit.netlist import Netlist
 >>> from repro.circuit.gates import GateType

@@ -5,22 +5,6 @@ is one simulation pattern.  Because Python integers are arbitrary
 precision, exhaustively simulating a 20-input circuit is a single
 sweep with 2**20-bit lanes and one big-int operation per gate.
 
-Big-int lanes are the always-available baseline, not the whole story:
-each gate pays a fixed interpreter constant (~50-130ns) no matter how
-many gates share its level.  On wide, shallow circuits — PLA planes,
-match/decode fabrics, parity networks with thousands of same-opcode
-gates per level — that constant dominates, and the regime belongs to
-the optional numpy backend in :mod:`repro.circuit.lanes`, selected via
-the ``lanes="auto"|"python"|"numpy"`` lever (``REPRO_LANES``, or
-``lanes=`` on ``CompiledCircuit``'s wide evaluators).  ``auto`` picks
-numpy only when it is importable *and* the sweep shape wins: a big
-circuit (``AUTO_MIN_GATES``), wide levels (``num_gates / stages >=
-AUTO_MIN_STAGE_OPS``) and a narrow sweep (``width <=
-AUTO_MAX_LANES``).  Otherwise — deep carry chains, very wide sweeps,
-machines without numpy — it silently stays on the big-int path, which
-wins those regimes outright.  Both backends are exact bit-for-bit
-parity twins.
-
 The public functions are thin mapping-based wrappers over the compiled
 evaluation core (:meth:`Netlist.compile`): the netlist is lowered once
 to an integer-indexed :class:`repro.circuit.compiled.CompiledCircuit`

@@ -16,7 +16,7 @@ daemon.  Subcommands map one-to-one onto request envelopes::
     repro-lock attack --engine reference ...   # literal Algorithm 1 arm
     repro-lock matrix --schemes sarlock,xor --attacks sat,appsat \
         --engines sharded,reference --circuits c432 --efforts 1,2
-    repro-lock matrix --circuits real_c432 --lanes numpy   # real corpus
+    repro-lock matrix --circuits real_c432          # real corpus
     repro-lock matrix --metrics corruption,subspace --key-samples 64 \
         --csv out.csv                          # corruption metric columns
     repro-lock matrix --list-schemes           # registry rosters
@@ -52,10 +52,10 @@ circuits (``real_c432``/``real_c499``/``real_c880``, plus any file
 registered via ``repro.bench_circuits.register_corpus_file``) work
 exactly like the stand-ins.
 
-The lever flags ``--opt``, ``--lanes``, ``--solver`` and
-``--cache-backend`` come from the table in :mod:`repro.levers`: each
-is exported to its ``REPRO_*`` environment variable, so every layer
-and every runner worker process resolves the same value.
+The lever flags ``--opt``, ``--solver`` and ``--cache-backend`` come
+from the table in :mod:`repro.levers`: each is exported to its
+``REPRO_*`` environment variable, so every layer and every runner
+worker process resolves the same value.
 """
 
 from __future__ import annotations

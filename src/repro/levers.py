@@ -5,8 +5,8 @@ else its environment variable, else its default.  *Hashed* levers can
 change what a task returns, so tasks hash their resolved value; the
 others move wall-clock or storage layout only.  The CLI flags, envelope
 validation and ``ScenarioSpec`` read this table; each layer resolves
-its own lever where it is used (``resolve_opt``, ``resolve_lanes``,
-``resolve_solver_name``, ``resolve_cache_backend_name``).
+its own lever where it is used (``resolve_opt``, ``resolve_solver_name``,
+``resolve_cache_backend_name``).
 """
 
 from __future__ import annotations
@@ -91,19 +91,8 @@ OPT = Lever(
     "recovered keys are identical, only size and wall-clock change",
     hashed=True,
     # The pipeline is linear-time and parity-contractual, so there is
-    # no shape where "full" loses the way a wrong lane backend can.
+    # no shape where "full" loses.
     aliases={"auto": "full"},
-)
-
-LANES = Lever(
-    name="lanes",
-    env="REPRO_LANES",
-    default="auto",
-    choices=("auto", "python", "numpy"),
-    noun="lane backend",
-    help="simulation lane backend for wide sweeps; auto picks numpy when "
-    "it is installed and the sweep shape wins",
-    hashed=False,
 )
 
 SOLVER = Lever(
@@ -126,7 +115,7 @@ CACHE_BACKEND = Lever(
     hashed=False,
 )
 
-LEVERS = (OPT, LANES, SOLVER, CACHE_BACKEND)
+LEVERS = (OPT, SOLVER, CACHE_BACKEND)
 
 
 def check_hashed_fields(obj: object) -> None:

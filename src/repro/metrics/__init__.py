@@ -7,7 +7,7 @@ The subsystem in three seams, mirroring schemes/attacks/solvers:
   :class:`~repro.metrics.engine.SampleSweep`.
 * :mod:`repro.metrics.engine` — :func:`evaluate_corruption` builds the
   sweep bit-parallel (oracle golden outputs vs. the locked circuit
-  under sampled wrong keys, behind the lanes/opt levers) and runs the
+  under sampled wrong keys, behind the opt lever) and runs the
   requested metrics.
 * :mod:`repro.metrics.task` — the content-hashed ``corruption_cell``
   runner task, so metric cells cache and replay like matrix cells.

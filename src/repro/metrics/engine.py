@@ -7,7 +7,7 @@ distributed over input sub-spaces?  This module computes both from a
 single shared sweep:
 
 1. Golden outputs come from :class:`repro.oracle.Oracle.query_vector`
-   (the original circuit behind the lanes/opt levers).
+   (the original circuit behind the opt lever).
 2. The locked circuit is compiled once (and structurally optimized
    when the ``opt`` lever says so), then evaluated bit-parallel via
    :meth:`~repro.circuit.compiled.CompiledCircuit.eval_outputs_wide`
@@ -17,9 +17,9 @@ single shared sweep:
    Fig. 1's :func:`error_matrix` share it).
 3. Every registered metric (:mod:`repro.metrics.registry`) is pure
    popcount arithmetic over the resulting XOR diff words — which is
-   why metric values are *bit-identical* across lanes backends, opt
-   levels and multi-key engines: the levers change how fast the sweep
-   runs, never which bits it produces.
+   why metric values are *bit-identical* across opt levels and
+   multi-key engines: they change how fast the sweep runs, never which
+   bits it produces.
 
 Sampling is deterministic end-to-end (:mod:`repro.rng` streams keyed
 by the metrics seed).  Circuits with at most :data:`EXHAUSTIVE_INPUT_LIMIT`
@@ -329,7 +329,7 @@ def key_diffs(
     This is the one keyed-evaluation path: the metrics sweep, brute
     force, AppSAT's checkpoints, oracle key verification and
     :func:`error_matrix` all run through it, so each inherits the
-    lanes/opt parity contract.
+    opt parity contract.
 
     ::
 
@@ -475,8 +475,7 @@ def evaluate_corruption(
     per ``2^N`` sub-space, other metrics ignore it.  ``opt`` changes
     the evaluated structure (hashed into cell identity upstream).
     Values are deterministic in ``(locked, original, metrics,
-    key_samples, seed, effort, opt, input_samples)`` and independent of
-    the lane backend (``REPRO_LANES``) by the lane-parity contract.
+    key_samples, seed, effort, opt, input_samples)``.
     """
     names: list[str] = []
     for name in metrics:

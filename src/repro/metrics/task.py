@@ -9,9 +9,6 @@ contract follows ``scenario_cell``:
   a matrix cell), the resolved ``metrics_seed`` (feeds the sample
   streams), ``effort``, ``input_samples`` and the resolved ``opt``
   level — everything that determines the report's bits.
-* **Not in the task at all**: the lane backend (``REPRO_LANES``) — it
-  changes wall-clock only, never values, so python and numpy sweeps
-  share cache entries.
 
 The metric list is sorted before hashing: requesting ``corruption,
 subspace`` and ``subspace,corruption`` is the same computation and

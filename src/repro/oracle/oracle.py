@@ -17,12 +17,9 @@ query.  ``query`` and ``query_int`` add 1; ``query_batch`` adds
 therefore cost-equivalent to the per-pattern loop it replaces — the
 batching buys wall-clock speed, not a lower reported oracle count.
 
-Wide sweeps run behind the lane-backend lever (see
-:mod:`repro.circuit.lanes`): ``query_batch`` chunks its patterns at
-the active backend's preferred sweep width — one giant big-int sweep
-thrashes the cache on the python backend, while numpy wants batches
-wide enough to amortize its stage overhead — and ``query_vector``
-dispatches through the same lever.  Chunking is invisible in results
+``query_batch`` sweeps at most :data:`BATCH_CHUNK` patterns at once:
+one giant big-int sweep thrashes the cache, while a few thousand lanes
+keep near-peak patterns per second.  Chunking is invisible in results
 *and* in accounting: responses are concatenated in pattern order and
 the query count stays one per pattern.
 """
@@ -31,21 +28,20 @@ from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
 
-from repro.circuit.lanes import preferred_chunk_lanes, resolve_lanes
 from repro.circuit.netlist import Netlist
 from repro.circuit.opt import resolve_opt
+
+#: Patterns per bit-parallel sweep in :meth:`Oracle.query_batch`.
+BATCH_CHUNK = 4096
 
 
 class Oracle:
     """Query-only wrapper around the original circuit.
 
-    Bit-parallel queries evaluate on the process lane backend
-    (``REPRO_LANES``); results are backend-independent by the
-    lane-parity contract.  ``opt`` runs the structural optimizer
-    (:mod:`repro.circuit.opt`) on the compiled circuit once at
-    construction — fewer gates shrink both the big-int sweep and the
-    numpy stage matrices; responses are identical by the optimizer's
-    parity contract.
+    ``opt`` runs the structural optimizer (:mod:`repro.circuit.opt`)
+    on the compiled circuit once at construction — fewer gates shrink
+    every sweep; responses are identical by the optimizer's parity
+    contract.
     """
 
     def __init__(self, original: Netlist, opt: str | None = None):
@@ -101,21 +97,10 @@ class Oracle:
             4
         """
         self.query_count += len(patterns)
-        compiled = self._compiled
-        backend = resolve_lanes(
-            num_gates=compiled.num_gates,
-            width=len(patterns),
-            stages=compiled.lane_stage_hint()[1],
-        )
-        chunk = preferred_chunk_lanes(backend)
-        if len(patterns) <= chunk:
-            return compiled.eval_batch(patterns, lanes=backend)
         results: list[int] = []
-        for start in range(0, len(patterns), chunk):
+        for start in range(0, len(patterns), BATCH_CHUNK):
             results.extend(
-                compiled.eval_batch(
-                    patterns[start : start + chunk], lanes=backend
-                )
+                self._compiled.eval_batch(patterns[start : start + BATCH_CHUNK])
             )
         return results
 

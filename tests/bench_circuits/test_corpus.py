@@ -9,7 +9,7 @@ flow mirroring how the related repos drive real ISCAS netlists.
 
 import pytest
 
-from repro.bench_circuits import ISCAS85_PROFILES
+from repro.bench_circuits import ISCAS85_PROFILES, corpus
 from repro.bench_circuits.corpus import (
     CorpusError,
     circuit_names,
@@ -76,6 +76,13 @@ class TestShippedCorpus:
 
 
 class TestRegistration:
+    @pytest.fixture(autouse=True)
+    def _scratch_registry(self, monkeypatch):
+        """Names registered here vanish after each test, so the corpus
+        doctest (and anything else run later) sees only the shipped
+        files."""
+        monkeypatch.setattr(corpus, "_REGISTRY", dict(corpus._REGISTRY))
+
     def _write(self, tmp_path, name, seed=5):
         netlist = random_netlist(5, 25, seed=seed)
         path = tmp_path / f"{name}.bench"

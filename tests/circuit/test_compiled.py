@@ -16,10 +16,28 @@ from repro.circuit.netlist import Netlist
 from repro.circuit.random_circuits import random_netlist
 from repro.circuit.simulator import (
     evaluate,
+    random_patterns,
     simulate,
     simulate_reference,
     truth_table,
 )
+
+
+def _nary_mux_netlist() -> Netlist:
+    """Hand-built circuit hitting every opcode the compiler lowers to."""
+    netlist = Netlist("kernels")
+    a, b, c, d, e = netlist.add_inputs(list("abcde"))
+    netlist.add_gate("n1", GateType.NAND, [a, b, c, d, e])
+    netlist.add_gate("n2", GateType.XNOR, [a, b, c, d, e])
+    netlist.add_gate("n3", GateType.NOR, [c, d, e])
+    netlist.add_gate("n4", GateType.MUX, [a, "n1", "n2"])
+    netlist.add_gate("n5", GateType.CONST1, [])
+    netlist.add_gate("n6", GateType.BUF, ["n4"])
+    netlist.add_gate("n7", GateType.XOR, ["n6", "n5", "n3"])
+    netlist.add_gate("n8", GateType.NOT, ["n7"])
+    netlist.set_outputs(["n8", "n4", "n3"])
+    netlist.validate()
+    return netlist
 
 
 class TestParity:
@@ -30,8 +48,6 @@ class TestParity:
     )
     def test_simulate_matches_reference(self, seed, width, allow_const):
         netlist = random_netlist(6, 40, seed=seed, allow_const=allow_const)
-        from repro.circuit.simulator import random_patterns
-
         stimuli = dict(
             zip(netlist.inputs, random_patterns(len(netlist.inputs), width, seed))
         )
@@ -68,6 +84,42 @@ class TestParity:
             net: reference[net] for net in netlist.outputs
         }
 
+    @given(
+        seed=st.integers(0, 10_000),
+        width=st.sampled_from([1, 63, 64, 65, 129, 700]),
+        allow_const=st.booleans(),
+    )
+    def test_eval_words_matches_reference(self, seed, width, allow_const):
+        """eval_words == simulate_reference on every slot, at widths
+        around the 64-bit word boundaries."""
+        netlist = random_netlist(6, 40, seed=seed, allow_const=allow_const)
+        compiled = netlist.compile()
+        stimuli = dict(
+            zip(
+                netlist.inputs,
+                random_patterns(len(netlist.inputs), width, seed),
+            )
+        )
+        mask = (1 << width) - 1
+        words = [stimuli[net] & mask for net in compiled.inputs]
+        values = compiled.eval_words(words, mask)
+        reference = simulate_reference(netlist, stimuli, width)
+        for net, slot in compiled.slot_of.items():
+            assert values[slot] == reference[net]
+
+    def test_every_kernel_and_nary(self):
+        netlist = _nary_mux_netlist()
+        compiled = netlist.compile()
+        width = 200
+        mask = (1 << width) - 1
+        words = random_patterns(len(netlist.inputs), width, seed=7)
+        values = compiled.eval_words(words, mask)
+        reference = simulate_reference(
+            netlist, dict(zip(netlist.inputs, words)), width
+        )
+        for net, slot in compiled.slot_of.items():
+            assert values[slot] == reference[net]
+
     def test_pinned_constant_inputs(self):
         """Constant words on inputs flow through like any stimulus."""
         n = Netlist("pinned")
@@ -91,6 +143,26 @@ class TestParity:
         for pattern in range(16):
             bits = {net: (pattern >> j) & 1 for j, net in enumerate(n.inputs)}
             assert simulate(n, bits) == simulate_reference(n, bits)
+
+
+class TestEvaluatePattern:
+    """evaluate_pattern shares the scratch/normalize path."""
+
+    @given(seed=st.integers(0, 5_000), pattern=st.integers(0, 63))
+    def test_matches_eval_single(self, seed, pattern):
+        netlist = random_netlist(6, 30, seed=seed, allow_const=True)
+        compiled = netlist.compile()
+        bits = [(pattern >> j) & 1 for j in range(6)]
+        single = compiled.eval_single(bits)
+        packed = compiled.evaluate_pattern(pattern)
+        for k, net in enumerate(compiled.outputs):
+            assert (packed >> k) & 1 == single[net]
+
+    def test_repeated_calls_reuse_state(self):
+        compiled = _nary_mux_netlist().compile()
+        first = [compiled.evaluate_pattern(p) for p in range(32)]
+        second = [compiled.evaluate_pattern(p) for p in range(32)]
+        assert first == second
 
 
 class TestCompileSeam:

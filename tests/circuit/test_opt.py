@@ -1,22 +1,19 @@
 """Optimization-pass tests: parity, provenance, idempotence, lever.
 
-The opt contract mirrors the lane contract: optimization never changes
-a result, only circuit size.  Every pass and the full pipeline are
-property-tested bit-for-bit against the unoptimized compiled circuit
-on random netlists (n-ary gates, MUX and CONST included) and on locked
-circuits (XOR locks and SARLock comparators — the shapes the miter
-actually sees), across the python big-int path and, when installed,
-the numpy lane backend.  Provenance is checked as a claim about
-values: every ``("slot", new)`` image carries the original slot's word
-and every ``("const", b)`` image names a slot the original circuit
-held constant.
+The opt contract: optimization never changes a result, only circuit
+size.  Every pass and the full pipeline are property-tested bit-for-bit
+against the unoptimized compiled circuit on random netlists (n-ary
+gates, MUX and CONST included) and on locked circuits (XOR locks and
+SARLock comparators — the shapes the miter actually sees).  Provenance
+is checked as a claim about values: every ``("slot", new)`` image
+carries the original slot's word and every ``("const", b)`` image names
+a slot the original circuit held constant.
 """
 
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.circuit.gates import GateType
-from repro.circuit.lanes import numpy_available
 from repro.circuit.netlist import Netlist
 from repro.circuit.opt import (
     OPT_LEVELS,
@@ -30,10 +27,6 @@ from repro.circuit.simulator import random_patterns
 from repro.levers import OPT
 from repro.locking.sarlock import sarlock_lock
 from repro.locking.xor_lock import xor_lock
-
-needs_numpy = pytest.mark.skipif(
-    not numpy_available(), reason="numpy lane backend not installed"
-)
 
 
 @pytest.fixture(autouse=True)
@@ -143,17 +136,6 @@ class TestPassParity:
         for level in ("light", "full"):
             result = optimize_compiled(compiled, level)
             _assert_parity(compiled, result.compiled, width=256, seed=seed)
-
-    @needs_numpy
-    @given(seed=st.integers(0, 5_000))
-    def test_numpy_lane_parity_on_optimized(self, seed):
-        """Optimized circuits evaluate identically on both lane backends."""
-        compiled = random_netlist(6, 40, seed=seed, allow_const=True).compile()
-        optimized = optimize_compiled(compiled, "full").compiled
-        words, mask = _words_for(optimized, 128, seed)
-        python = optimized.eval_words(list(words), mask)
-        assert optimized.lane_program().eval_words(words, mask) == python
-
 
 class TestIdempotence:
     @given(seed=st.integers(0, 10_000), level=st.sampled_from(("light", "full")))

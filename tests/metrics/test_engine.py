@@ -2,9 +2,10 @@
 
 Ground truth comes from circuits small enough to check by hand (a
 single XOR gate; SARLock's one-error-per-key point function) and from
-the BDD package's exact rates and key counts, an independent oracle.  Parity is the subsystem's contract: every metric value is
-bit-identical across lanes backends and opt levels, because the levers
-change how the sweep runs, never which bits it produces.
+the BDD package's exact rates and key counts, an independent oracle.
+Parity is the subsystem's contract: every metric value is bit-identical
+across opt levels, because the lever changes how the sweep runs, never
+which bits it produces.
 """
 
 import pytest
@@ -13,17 +14,12 @@ from repro.attacks.brute_force import brute_force_keys
 from repro.bdd.analysis import count_keys_unlocking_subspace, exact_error_rate
 from repro.bench_circuits.iscas85 import c17
 from repro.circuit.gates import GateType
-from repro.circuit.lanes import numpy_available
 from repro.circuit.netlist import Netlist
 from repro.circuit.random_circuits import random_netlist
 from repro.locking.registry import lock_circuit
 from repro.metrics import CorruptionReport, evaluate_corruption
 from repro.metrics.engine import build_sweep
 from repro.oracle.oracle import Oracle
-
-needs_numpy = pytest.mark.skipif(
-    not numpy_available(), reason="numpy lane backend not installed"
-)
 
 ALL_METRICS = ("corruption", "bit_flip", "avalanche", "subspace")
 
@@ -126,43 +122,11 @@ class TestLeverParity:
             locked, original, metrics=ALL_METRICS, key_samples=0, **kwargs
         ).metrics
 
-    def test_python_lanes_match_default(self, locked_pair, monkeypatch):
-        default = self._metrics(locked_pair)
-        monkeypatch.setenv("REPRO_LANES", "python")
-        assert self._metrics(locked_pair) == default
-
-    @needs_numpy
-    def test_numpy_lanes_match_python(self, locked_pair, monkeypatch):
-        monkeypatch.setenv("REPRO_LANES", "numpy")
-        numpy_metrics = self._metrics(locked_pair)
-        monkeypatch.setenv("REPRO_LANES", "python")
-        assert numpy_metrics == self._metrics(locked_pair)
-
     @pytest.mark.parametrize("opt", ["light", "full"])
     def test_opt_levels_match_off(self, locked_pair, opt):
         assert self._metrics(locked_pair, opt=opt) == self._metrics(
             locked_pair, opt="off"
         )
-
-    @needs_numpy
-    @pytest.mark.parametrize("effort", [0, 1, 2])
-    def test_sampled_sweep_parity_across_lanes(self, effort, monkeypatch):
-        # 14 inputs > EXHAUSTIVE_INPUT_LIMIT: the stratified sampled
-        # path, not the exhaustive one.
-        original = random_netlist(14, 60, seed=1)
-        locked = lock_circuit("xor", original, key_size=6, seed=0)
-        kwargs = dict(
-            metrics=ALL_METRICS,
-            key_samples=8,
-            effort=effort,
-            input_samples=64,
-        )
-        monkeypatch.setenv("REPRO_LANES", "python")
-        a = evaluate_corruption(locked, original, **kwargs)
-        monkeypatch.setenv("REPRO_LANES", "numpy")
-        b = evaluate_corruption(locked, original, **kwargs)
-        assert a.exhaustive_inputs is False
-        assert a.metrics == b.metrics
 
     def test_seed_changes_sampled_streams(self):
         # XOR lock: per-key corruption varies with the key, so a

@@ -1,24 +1,19 @@
 """Metrics as a matrix axis: spec levers, dedup, parity, warm replay.
 
 The acceptance contract: ``--metrics corruption`` columns are
-byte-identical across lanes backends, opt levels, both multi-key
-engines, and a warm cache replay — one ``corruption_cell`` task per
-(scheme, circuit, effort, seed) point, shared by every attack/engine
-cell that lands on it.
+byte-identical across opt levels, both multi-key engines, and a warm
+cache replay — one ``corruption_cell`` task per (scheme, circuit,
+effort, seed) point, shared by every attack/engine cell that lands on
+it.
 """
 
 import pytest
 
 from repro.metrics import evaluate_corruption
 from repro.bench_circuits.iscas85 import c17
-from repro.circuit.lanes import numpy_available
 from repro.locking.registry import lock_circuit
 from repro.runner import ResultCache, Runner
 from repro.scenarios import ScenarioSpec, run_matrix
-
-needs_numpy = pytest.mark.skipif(
-    not numpy_available(), reason="numpy lane backend not installed"
-)
 
 
 def small_spec(**overrides):
@@ -132,18 +127,6 @@ class TestMatrixMetrics:
         # Across independent runs the timing columns move; the metric
         # columns never do.
         assert self._metric_columns(cold) == self._metric_columns(result)
-
-    @needs_numpy
-    def test_lanes_backends_agree_through_the_matrix(
-        self, result, monkeypatch
-    ):
-        # The lanes lever reaches corruption_cell workers through the
-        # process-wide default, never the cache key.
-        monkeypatch.setenv("REPRO_LANES", "numpy")
-        numpy_result = run_matrix(small_spec(), runner=Runner())
-        assert self._metric_columns(numpy_result) == self._metric_columns(
-            result
-        )
 
     def test_opt_levels_agree_through_the_matrix(self, result):
         opt_result = run_matrix(small_spec(opt="full"), runner=Runner())

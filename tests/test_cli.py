@@ -239,13 +239,12 @@ class TestServiceSurface:
 
 
 class TestLeverFlags:
-    """The four lever flags come from the table in ``repro.levers``."""
+    """The three lever flags come from the table in ``repro.levers``."""
 
     def test_flags_reach_the_resolved_values(self, tmp_path, monkeypatch):
         import dataclasses
         import json
 
-        from repro.circuit.lanes import resolve_lanes
         from repro.runner.backends import resolve_cache_backend_name
         from repro.sat import registry
 
@@ -257,7 +256,7 @@ class TestLeverFlags:
             "matrix", "--schemes", "xor", "--circuits", "c432",
             "--scale", "0.12", "--key-size", "3", "--efforts", "1",
             "--metrics", "corruption", "--key-samples", "4", "--quiet",
-            "--opt", "off", "--lanes", "python", "--solver", "twin",
+            "--opt", "off", "--solver", "twin",
             "--cache-backend", "memory", "--json", str(json_path),
         ]) == 0
         cells = json.loads(json_path.read_text())["cells"]
@@ -265,7 +264,6 @@ class TestLeverFlags:
         assert {(cell["opt"], cell["solver"]) for cell in cells} == {
             ("off", "twin")
         }
-        assert resolve_lanes(None) == "python"
         assert resolve_cache_backend_name(None) == "memory"
         # The memory backend left the on-disk cache dir untouched.
         assert not (tmp_path / "repro-cache").exists()
@@ -279,6 +277,14 @@ class TestLeverFlags:
         message = str(exit_info.value.code)
         assert f"unknown {lever.noun} 'nope'" in message
         assert all(choice in message for choice in lever.roster())
+
+    def test_lanes_flag_is_gone(self, capsys):
+        """The simulation backend is no longer a lever: argparse rejects
+        ``--lanes`` before any work starts."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(["matrix", "--lanes", "python", "--no-cache", "--quiet"])
+        assert exit_info.value.code == 2
+        assert "--lanes" in capsys.readouterr().err
 
     def test_cache_subcommand_takes_only_the_backend_lever(self):
         args = build_parser().parse_args(

@@ -12,7 +12,6 @@ import dataclasses
 
 import pytest
 
-from repro.circuit.lanes import numpy_available, resolve_lanes
 from repro.circuit.opt import resolve_opt
 from repro.circuit.random_circuits import random_netlist
 from repro.core.sharded import sharded_multikey_attack
@@ -27,7 +26,6 @@ from repro.scenarios import ScenarioSpec
 #: Each lever's resolver, as the layer that uses it calls it.
 RESOLVERS = {
     "opt": resolve_opt,
-    "lanes": resolve_lanes,
     "solver": resolve_solver_name,
     "cache_backend": resolve_cache_backend_name,
 }
@@ -51,17 +49,14 @@ def _second_solver(monkeypatch):
 
 def _alternatives(lever) -> tuple[str, str]:
     """Two distinct usable choices; the first is not the default."""
-    usable = [
-        choice
-        for choice in lever.roster()
-        if choice != "numpy" or numpy_available()
-    ]
-    alt = next(choice for choice in usable if choice != lever.default)
-    other = [choice for choice in usable if choice != alt][-1]
+    roster = lever.roster()
+    alt = next(choice for choice in roster if choice != lever.default)
+    other = [choice for choice in roster if choice != alt][-1]
     return alt, other
 
 
 def test_table_names_every_resolver():
+    assert [lever.name for lever in LEVERS] == ["opt", "solver", "cache_backend"]
     assert {lever.name for lever in LEVERS} == set(RESOLVERS)
     assert {lever.name for lever in LEVERS if lever.hashed} == set(HASHED_IN)
 

@@ -1,7 +1,10 @@
 """Oracle tests."""
 
+import pytest
+
 from repro.circuit.random_circuits import random_netlist
 from repro.circuit.simulator import evaluate
+from repro.oracle import oracle as oracle_mod
 from repro.oracle.oracle import Oracle
 
 
@@ -74,3 +77,21 @@ def test_query_vector_matches_simulation(small_circuit):
     assert response == {net: values[net] for net in small_circuit.outputs}
     assert oracle.query_count == width
 
+
+
+def test_chunked_batch_matches_unchunked(monkeypatch):
+    netlist = random_netlist(6, 40, seed=11)
+    patterns = list(range(64))
+    whole = Oracle(netlist).query_batch(patterns)
+    monkeypatch.setattr(oracle_mod, "BATCH_CHUNK", 5)
+    oracle = Oracle(netlist)
+    assert oracle.query_batch(patterns) == whole
+    # Accounting stays one query per pattern, chunking or not.
+    assert oracle.query_count == len(patterns)
+
+
+def test_query_vector_missing_input_message():
+    netlist = random_netlist(4, 10, seed=1)
+    oracle = Oracle(netlist)
+    with pytest.raises(KeyError, match="missing value for primary input"):
+        oracle.query_vector({netlist.inputs[0]: 1}, width=2)
