@@ -13,6 +13,9 @@ from pathlib import Path
 
 import pytest
 
+# The one unoptimized reference, shared with the test suite.
+from tests.conftest import unoptimized  # noqa: F401
+
 FULL = os.environ.get("REPRO_FULL", "") == "1"
 
 #: Repository root — the ``BENCH_*.json`` trajectory files live here.

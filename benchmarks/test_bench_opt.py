@@ -3,22 +3,24 @@
 Measures what :mod:`repro.circuit.opt` buys the attack loop on the
 shape it was built for: a SARLock-locked :func:`keyed_match_plane`,
 whose replicated comparator fabric is full of constant-foldable taps,
-BUF/NOT chains and structurally identical product terms.  Two floors
-are asserted, parity first in both cases:
+BUF/NOT chains and structurally identical product terms.  The "off"
+side of every comparison is the test suite's ``unoptimized`` fixture
+(``CompiledCircuit.optimized`` returning each circuit as it is).  Two
+floors are asserted, parity first in both cases:
 
-* ``build_miter_encoding`` under ``opt="full"`` must shrink the
-  solver's combined variable+clause count by >=20% versus ``opt="off"``
+* ``build_miter_encoding`` must shrink the solver's combined
+  variable+clause count by >=20% versus the unoptimized encoding
   (measured headroom is ~34%).
-* An end-to-end :func:`sat_attack` opt-on must recover a key the
-  oracle verifies with the same DIP count as opt-off — optimization
-  changes encoding size, never the attack's trajectory through the key
-  space — and must do it with fewer miter clauses and fewer solver
-  propagations.  Those are exact counters, so the floors hold on a
+* An end-to-end optimized :func:`sat_attack` must recover a key the
+  oracle verifies with the same DIP count as the unoptimized one —
+  optimization changes encoding size, never the attack's trajectory
+  through the key space — and must do it with fewer miter clauses and
+  fewer solver propagations.  Those are exact counters, so the floors hold on a
   noisy shared runner where a wall-clock ratio does not; the speedup
   is still recorded.
 
 An exact-counter gate counts the :class:`CompiledCircuit` objects one
-``optimize_compiled(..., "full")`` call builds: passes hand each other
+``optimize_compiled`` call builds: passes hand each other
 slot arrays, so a call builds at most the one result circuit, and none
 when no pass changes anything.
 
@@ -75,11 +77,12 @@ def _size(encoding) -> tuple[int, int]:
     return encoding.solver.num_vars, encoding.solver.num_clauses
 
 
-def test_miter_encoding_reduction(benchmark):
-    """opt="full" must shed >=20% of the miter's vars+clauses."""
+def test_miter_encoding_reduction(benchmark, unoptimized):
+    """Optimization must shed >=20% of the miter's vars+clauses."""
     carrier, locked = _locked_plane()
-    off = build_miter_encoding(locked, opt="off")
-    full = build_miter_encoding(locked, opt="full")
+    with unoptimized():
+        off = build_miter_encoding(locked)
+    full = build_miter_encoding(locked)
 
     off_vars, off_clauses = _size(off)
     full_vars, full_clauses = _size(full)
@@ -90,7 +93,7 @@ def test_miter_encoding_reduction(benchmark):
     assert stats["gates_after"] < stats["gates_before"]
 
     benchmark.pedantic(
-        lambda: build_miter_encoding(locked, opt="full"),
+        lambda: build_miter_encoding(locked),
         rounds=3,
         iterations=1,
     )
@@ -161,7 +164,7 @@ def test_optimize_builds_one_circuit(monkeypatch):
     entries = []
     for name, compiled in circuits.items():
         result, builds = _count_builds(
-            monkeypatch, lambda: optimize_compiled(compiled, "full")
+            monkeypatch, lambda: optimize_compiled(compiled)
         )
         entries.append(
             {
@@ -184,7 +187,7 @@ def test_optimize_builds_one_circuit(monkeypatch):
         )
 
 
-#: Exact-counter ceilings for opt="full" over opt="off".  Measured
+#: Exact-counter ceilings, optimized over unoptimized.  Measured
 #: ratios: clauses 7,477/11,673 = 0.641 and propagations
 #: 772,997/1,032,282 = 0.749 on the default plane; 0.616 and 0.709 on
 #: the REPRO_FULL plane.  Re-pin when the encoding or the solver changes.
@@ -192,8 +195,9 @@ _CLAUSE_RATIO_CEILING = 0.65
 _PROPAGATION_RATIO_CEILING = 0.75
 
 
-def test_sat_attack_speedup(benchmark):
-    """End-to-end: opt on must cut the attack's clauses and propagations.
+def test_sat_attack_speedup(benchmark, unoptimized):
+    """End-to-end: optimization must cut the attack's clauses and
+    propagations.
 
     Parity comes first: both runs must finish ``ok``, agree on the DIP
     count, and recover keys the oracle verifies — only then do the
@@ -202,8 +206,9 @@ def test_sat_attack_speedup(benchmark):
     """
     carrier, locked = _locked_plane()
 
-    result_off = sat_attack(locked, Oracle(carrier, opt="off"), opt="off")
-    result_on = sat_attack(locked, Oracle(carrier, opt="full"), opt="full")
+    with unoptimized():
+        result_off = sat_attack(locked, Oracle(carrier))
+    result_on = sat_attack(locked, Oracle(carrier))
     assert result_off.status == "ok"
     assert result_on.status == "ok"
     assert result_on.num_dips == result_off.num_dips
@@ -212,12 +217,9 @@ def test_sat_attack_speedup(benchmark):
             locked, result.key, Oracle(carrier)
         )
 
-    off_s = _median_seconds(
-        lambda: sat_attack(locked, Oracle(carrier, opt="off"), opt="off")
-    )
-    on_s = _median_seconds(
-        lambda: sat_attack(locked, Oracle(carrier, opt="full"), opt="full")
-    )
+    with unoptimized():
+        off_s = _median_seconds(lambda: sat_attack(locked, Oracle(carrier)))
+    on_s = _median_seconds(lambda: sat_attack(locked, Oracle(carrier)))
     speedup = off_s / on_s
     clause_ratio = (
         result_on.encode_stats["clauses"] / result_off.encode_stats["clauses"]
@@ -228,7 +230,7 @@ def test_sat_attack_speedup(benchmark):
     )
 
     benchmark.pedantic(
-        lambda: sat_attack(locked, Oracle(carrier, opt="full"), opt="full"),
+        lambda: sat_attack(locked, Oracle(carrier)),
         rounds=1,
         iterations=1,
     )
@@ -257,16 +259,16 @@ def test_sat_attack_speedup(benchmark):
     )
 
     assert clause_ratio <= _CLAUSE_RATIO_CEILING, (
-        f"opt on keeps {clause_ratio:.3f} of the miter clauses "
+        f"optimization keeps {clause_ratio:.3f} of the miter clauses "
         f"(ceiling {_CLAUSE_RATIO_CEILING})"
     )
     assert propagation_ratio <= _PROPAGATION_RATIO_CEILING, (
-        f"opt on keeps {propagation_ratio:.3f} of the solver propagations "
-        f"(ceiling {_PROPAGATION_RATIO_CEILING})"
+        f"optimization keeps {propagation_ratio:.3f} of the solver "
+        f"propagations (ceiling {_PROPAGATION_RATIO_CEILING})"
     )
 
 
-def test_real_corpus_reduction_tier(benchmark):
+def test_real_corpus_reduction_tier(benchmark, unoptimized):
     """Corpus tier: reduction recorded, no floor — parity still holds.
 
     Genuine-format circuits carry whatever redundancy their source
@@ -278,8 +280,9 @@ def test_real_corpus_reduction_tier(benchmark):
         carrier = load_corpus(name)
         key_size = min(_KEY_SIZE, len(carrier.inputs))
         locked = sarlock_lock(carrier, key_size=key_size, seed=3)
-        off = build_miter_encoding(locked, opt="off")
-        full = build_miter_encoding(locked, opt="full")
+        with unoptimized():
+            off = build_miter_encoding(locked)
+        full = build_miter_encoding(locked)
         assert full.key_inputs == off.key_inputs  # same key interface
         off_vars, off_clauses = _size(off)
         full_vars, full_clauses = _size(full)
@@ -309,7 +312,7 @@ def test_real_corpus_reduction_tier(benchmark):
     carrier = load_corpus("real_c880")
     locked = sarlock_lock(carrier, key_size=_KEY_SIZE, seed=3)
     benchmark.pedantic(
-        lambda: build_miter_encoding(locked, opt="full"),
+        lambda: build_miter_encoding(locked),
         rounds=3,
         iterations=1,
     )

@@ -66,7 +66,6 @@ def appsat_attack(
     pin: Mapping[str, bool] | None = None,
     max_dips: int | None = None,
     solver: str | None = None,
-    opt: str | None = None,
 ) -> AppSatResult:
     """Run the approximate attack.
 
@@ -83,9 +82,7 @@ def appsat_attack(
     sub-space* — the multi-key attack's per-sub-space contract.
     ``max_dips`` caps the total DIP budget; when the cap is hit before
     the candidate settles, the best candidate so far is returned with
-    status ``"dip_limit"``.  ``opt`` forwards the structural
-    optimization level to the underlying exact attack's miter encoding
-    (:mod:`repro.circuit.opt`).
+    status ``"dip_limit"``.
     """
     start = time.perf_counter()
     pin = dict(pin or {})
@@ -134,7 +131,6 @@ def appsat_attack(
             time_limit=remaining,
             record_iterations=False,
             solver=solver,
-            opt=opt,
         )
         total_dips = result.num_dips
         if result.status == "ok":
@@ -153,7 +149,7 @@ def appsat_attack(
         # Extract the candidate key consistent with the DIPs so far by
         # re-running with the same budget but asking for key extraction:
         candidate = _candidate_key(
-            locked, oracle, budget, pin=pin, solver=solver, opt=opt
+            locked, oracle, budget, pin=pin, solver=solver
         )
         out_of_budget = max_dips is not None and budget >= max_dips
         if candidate is None:
@@ -178,7 +174,7 @@ def appsat_attack(
             free_inputs, queries_per_checkpoint, rng, pin
         )
         [diffs] = key_diffs(
-            locked, oracle, [candidate], stimuli, queries_per_checkpoint, opt=opt
+            locked, oracle, [candidate], stimuli, queries_per_checkpoint
         )
         random_queries += queries_per_checkpoint
         rate = reduce(or_, diffs, 0).bit_count() / queries_per_checkpoint
@@ -219,7 +215,6 @@ def _candidate_key(
     dip_budget: int,
     pin: Mapping[str, bool] | None = None,
     solver: str | None = None,
-    opt: str | None = None,
 ) -> dict[str, bool] | None:
     """A key consistent with the first ``dip_budget`` DIPs.
 
@@ -239,6 +234,5 @@ def _candidate_key(
         record_iterations=False,
         extract_on_budget=True,
         solver=solver,
-        opt=opt,
     )
     return replay.key

@@ -113,11 +113,8 @@ class Attack(Protocol):
     budgets an attack may honour or ignore (brute force ignores both);
     ``seed`` feeds any internal randomness; ``solver`` names a
     registered solver backend (:mod:`repro.sat.registry`) — attacks
-    that use no solver ignore it; ``opt`` picks the structural
-    optimization level applied to the circuits an attack encodes or
-    simulates (:mod:`repro.circuit.opt`) — attacks that build no such
-    structures ignore it; extra keyword ``params`` are attack-specific
-    knobs.
+    that use no solver ignore it; extra keyword ``params`` are
+    attack-specific knobs.
     """
 
     def __call__(
@@ -130,7 +127,6 @@ class Attack(Protocol):
         max_dips: int | None = None,
         seed: int = 0,
         solver: str | None = None,
-        opt: str | None = None,
         **params,
     ) -> AttackOutcome: ...
 
@@ -239,7 +235,6 @@ def _sat_attack(
     max_dips: int | None = None,
     seed: int = 0,
     solver: str | None = None,
-    opt: str | None = None,
     extract_on_budget: bool = False,
 ) -> AttackOutcome:
     result = sat_attack(
@@ -251,7 +246,6 @@ def _sat_attack(
         record_iterations=False,
         extract_on_budget=extract_on_budget,
         solver=solver,
-        opt=opt,
     )
     return AttackOutcome(
         attack="sat",
@@ -280,7 +274,6 @@ def _appsat(
     max_dips: int | None = None,
     seed: int = 0,
     solver: str | None = None,
-    opt: str | None = None,
     dips_per_round: int = 8,
     queries_per_checkpoint: int = 64,
     error_threshold: float = 0.01,
@@ -299,7 +292,6 @@ def _appsat(
         pin=pin,
         max_dips=max_dips,
         solver=solver,
-        opt=opt,
     )
     # "exact" means the underlying DIP loop converged — the key is
     # exact on the (sub-)space, identical to the SAT attack's "ok".
@@ -340,11 +332,9 @@ def _brute_force(
     max_dips: int | None = None,
     seed: int = 0,
     solver: str | None = None,
-    opt: str | None = None,
 ) -> AttackOutcome:
-    # Budgets, seeds, solver backends and optimization levels are
-    # meaningless for an exhaustive sweep; they are accepted (protocol)
-    # and ignored.
+    # Budgets, seeds and solver backends are meaningless for an
+    # exhaustive sweep; they are accepted (protocol) and ignored.
     result = brute_force_attack(locked, oracle, pin=pin)
     key = (
         locked.key_assignment(result.key_int)

@@ -59,7 +59,7 @@ from collections.abc import Mapping, Sequence
 from repro.circuit.cnf import encode_gate, encode_gates
 from repro.circuit.compiled import CompiledCircuit
 from repro.circuit.gates import GateType
-from repro.circuit.opt import resolve_opt
+from repro.circuit.opt import OPT_LEVEL
 from repro.circuit.simulator import random_stimuli_words
 from repro.locking.base import LockedCircuit, key_to_int
 from repro.metrics.engine import key_diffs
@@ -100,10 +100,9 @@ class SatAttackResult:
         key_order: Key port names, fixing the bit order of
             :attr:`key_bits` / :attr:`key_int`.
         encode_stats: Structural facts about the miter encoding this
-            attack ran on (opt level, gate counts pre/post
-            optimization, solver variable/clause counts) — see
-            :func:`build_miter_encoding`.  Empty when the caller drove
-            :func:`run_dip_loop` directly.
+            attack ran on (gate counts pre/post optimization, solver
+            variable/clause counts) — see :func:`build_miter_encoding`.
+            Empty when the caller drove :func:`run_dip_loop` directly.
     """
 
     key: dict[str, bool] | None
@@ -161,15 +160,12 @@ class MiterEncoding:
         solver_name: Registry name of the backend holding the encoding
             (``"custom"`` when the caller passed an instance of an
             unregistered type).
-        opt: Resolved optimization level the circuit was encoded at
-            (see :mod:`repro.circuit.opt`); ``compiled`` is the
-            *optimized* circuit when this is not ``"off"``.
         gates_before / gates_after: Structural gate count of the locked
-            circuit before and after optimization (equal when
-            ``opt="off"``).
+            circuit before and after optimization; ``compiled`` is the
+            *optimized* circuit (see :mod:`repro.circuit.opt`).
         base_clauses: Clause count right after base encoding; together
             with :attr:`base_vars` this is the encoded size every
-            backend sees (compare across opt levels for the reduction).
+            backend sees.
         copy_gates: Structural-hash table of the per-DIP copy gates,
             ``(kind, normalized key1 literals)`` -> ``key1`` variable
             (see :meth:`copy_gate`).
@@ -190,7 +186,6 @@ class MiterEncoding:
     true_var: int
     base_vars: int
     solver_name: str = "python"
-    opt: str = "off"
     gates_before: int = 0
     gates_after: int = 0
     base_clauses: int = 0
@@ -200,7 +195,7 @@ class MiterEncoding:
     def encode_stats(self) -> dict:
         """JSON-ready pre/post structural summary of this encoding."""
         return {
-            "opt": self.opt,
+            "opt": OPT_LEVEL,
             "gates_before": self.gates_before,
             "gates_after": self.gates_after,
             "vars": self.base_vars,
@@ -301,7 +296,6 @@ class MiterEncoding:
 def build_miter_encoding(
     locked: LockedCircuit,
     solver: Solver | str | None = None,
-    opt: str | None = None,
 ) -> MiterEncoding:
     """Encode ``locked``'s key-comparison miter into ``solver`` once.
 
@@ -310,25 +304,22 @@ def build_miter_encoding(
         solver: Backend to encode into — a registered backend *name*
             (see :mod:`repro.sat.registry`), a solver instance, or
             ``None`` for the process default backend.
-        opt: Structural-optimization level (:mod:`repro.circuit.opt`);
-            ``None`` follows the process default.  The locked circuit —
-            key cone included — is optimized *once*, before the cone
-            split, so the shared half, both duplicated halves and every
-            per-DIP constraint copy are built from the smaller circuit
-            and every backend sees fewer variables and clauses.
 
     Returns a :class:`MiterEncoding` whose variable numbering is a
-    deterministic function of the (optimized) compiled circuit — two
-    processes encoding the same circuit at the same opt level agree on
-    every variable id, which is what makes cross-process learned-clause
-    import sound.
+    deterministic function of the optimized compiled circuit — two
+    processes encoding the same circuit agree on every variable id,
+    which is what makes cross-process learned-clause import sound.
+
+    The locked circuit — key cone included — is structurally optimized
+    (:mod:`repro.circuit.opt`) *once*, before the cone split, so the
+    shared half, both duplicated halves and every per-DIP constraint
+    copy are built from the smaller circuit and every backend sees
+    fewer variables and clauses.
     """
     netlist = locked.netlist
     compiled = netlist.compile()
     gates_before = compiled.num_gates
-    level = resolve_opt(opt)
-    if level != "off":
-        compiled = compiled.optimized(level).compiled
+    compiled = compiled.optimized().compiled
     slot_of = compiled.slot_of
     num_slots = compiled.num_slots
     key_set = set(locked.key_inputs)
@@ -407,7 +398,6 @@ def build_miter_encoding(
         true_var=true_var,
         base_vars=solver.num_vars,
         solver_name=solver_name,
-        opt=level,
         gates_before=gates_before,
         gates_after=compiled.num_gates,
         base_clauses=solver.num_clauses,
@@ -608,7 +598,6 @@ def sat_attack(
     record_iterations: bool = True,
     extract_on_budget: bool = False,
     solver: Solver | str | None = None,
-    opt: str | None = None,
 ) -> SatAttackResult:
     """Run the SAT attack on ``locked`` against ``oracle``.
 
@@ -626,9 +615,6 @@ def sat_attack(
             still extract a key consistent with the DIPs seen so far
             (an *approximate* key — AppSAT builds on this).
         solver: Backend name/instance (see :func:`build_miter_encoding`).
-        opt: Structural-optimization level for the miter encoding
-            (see :func:`build_miter_encoding`; ``None`` = process
-            default).
 
     Returns the recovered key — correct on every input consistent with
     ``pin`` — plus run statistics.
@@ -640,7 +626,7 @@ def sat_attack(
         if net not in locked.netlist.inputs or net in key_set:
             raise ValueError(f"pinned net {net!r} is not a primary input")
 
-    enc = build_miter_encoding(locked, solver=solver, opt=opt)
+    enc = build_miter_encoding(locked, solver=solver)
     for net, value in pin.items():
         var = enc.input_vars[net]
         enc.solver.add_clause([var if value else -var])

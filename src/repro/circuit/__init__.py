@@ -22,13 +22,7 @@ from repro.circuit.compiled import CompiledCircuit, CompileError
 from repro.circuit.equivalence import EquivalenceResult, check_equivalence
 from repro.circuit.gates import GateType
 from repro.circuit.netlist import Gate, Netlist, NetlistError
-from repro.circuit.opt import (
-    OPT_LEVELS,
-    OptimizedCircuit,
-    optimize_compiled,
-    resolve_opt,
-    run_pass,
-)
+from repro.circuit.opt import OptimizedCircuit, optimize_compiled, run_pass
 from repro.circuit.simulator import (
     evaluate,
     simulate,
@@ -59,9 +53,7 @@ __all__ = [
     "encode_gates",
     "check_equivalence",
     "EquivalenceResult",
-    "OPT_LEVELS",
     "OptimizedCircuit",
     "optimize_compiled",
     "run_pass",
-    "resolve_opt",
 ]

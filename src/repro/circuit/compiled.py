@@ -34,6 +34,7 @@ from repro.circuit.gates import GateType, valid_arity
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (netlist imports us)
     from repro.circuit.netlist import Gate, Netlist
+    from repro.circuit.opt import OptimizedCircuit
 
 
 class CompileError(Exception):
@@ -235,7 +236,7 @@ class CompiledCircuit:
         self._fanout_slots: tuple[tuple[int, ...], ...] | None = None
         self._driver: tuple[int, ...] | None = None
         self._content_hash: str | None = None
-        self._optimized: dict | None = None
+        self._optimized: OptimizedCircuit | None = None
         self._tainted_cache: dict[tuple[int, ...], tuple[bool, ...]] | None = None
 
     # ------------------------------------------------------------------
@@ -559,30 +560,22 @@ class CompiledCircuit:
     # ------------------------------------------------------------------
     # Optimization
     # ------------------------------------------------------------------
-    def optimized(self, opt: str | None = None):
+    def optimized(self) -> OptimizedCircuit:
         """The structurally optimized form of this circuit, cached.
 
-        ``opt`` is an opt lever value (``None`` -> process default; see
-        :mod:`repro.circuit.opt`).  Returns an
-        :class:`~repro.circuit.opt.OptimizedCircuit` whose ``compiled``
+        Returns the :class:`~repro.circuit.opt.OptimizedCircuit` of the
+        one pipeline (see :mod:`repro.circuit.opt`), whose ``compiled``
         is parity-identical on the primary-output interface and whose
-        provenance maps every original slot.  One result is cached per
-        resolved level, so every consumer of a shared compiled circuit
-        (oracle, encoder, miter) reuses the same optimization work —
-        and, for opt-enabled cache identity, the same content hash.
+        provenance maps every original slot.  The result is computed
+        once, so every consumer of a shared compiled circuit (oracle,
+        encoder, miter) reuses the same optimization work and the same
+        content hash.
         """
-        from repro.circuit.opt import optimize_compiled, resolve_opt
+        if self._optimized is None:
+            from repro.circuit.opt import optimize_compiled
 
-        level = resolve_opt(opt)
-        cache = self._optimized
-        if cache is None:
-            cache = {}
-            self._optimized = cache
-        hit = cache.get(level)
-        if hit is None:
-            hit = optimize_compiled(self, level)
-            cache[level] = hit
-        return hit
+            self._optimized = optimize_compiled(self)
+        return self._optimized
 
     # ------------------------------------------------------------------
     # Identity

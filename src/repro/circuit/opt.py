@@ -54,23 +54,16 @@ The pipeline (:func:`optimize_compiled`) iterates the pass list to a
 fixpoint, which is also what makes it idempotent:
 ``optimize(optimize(c))`` compiles to exactly ``optimize(c)``.
 
-The ``opt`` lever
------------------
+Every consumer runs the one pipeline
+-------------------------------------
 
-One process-wide lever (declared in :mod:`repro.levers`) resolved
-through :func:`resolve_opt`::
-
-    opt="off"    # identity: byte-identical to the unoptimized path
-    opt="light"  # linear passes only: sweep + chains + coi
-    opt="full"   # light + structural hashing
-    opt="auto"   # the default: currently resolves to "full"
-
-``None`` means the process default, the ``REPRO_OPT`` environment
-variable (which the CLI's ``--opt`` flag sets, so runner worker
-processes inherit the choice).  ``opt`` is part of result-cache
-identity: optimized artifacts report different structural counts, so
-scenario cells and shard chunks hash the resolved level, and encoding
-caches key on the **optimized** circuit's content hash.
+The oracle, the attack miter, shard engines and the metrics sweep all
+optimize through :meth:`CompiledCircuit.optimized`, which caches one
+result per compiled circuit: every consumer of a shared circuit reuses
+the same optimization work and the same content hash.  There is no
+level to choose.  Hashed task params and encode stats still record
+``"opt": OPT_LEVEL`` so that cache keys and exported columns written
+before the level was fixed keep their bytes.
 
 >>> from repro.circuit.netlist import Netlist
 >>> from repro.circuit.gates import GateType
@@ -83,7 +76,7 @@ caches key on the **optimized** circuit's content hash.
 >>> _ = netlist.add_gate("po", GateType.XOR, ["buf", "ab2"])
 >>> _ = netlist.add_gate("dead", GateType.OR, ["a", "b"])   # no cone
 >>> netlist.set_outputs(["po"])
->>> opt = optimize_compiled(netlist.compile(), "full")
+>>> opt = optimize_compiled(netlist.compile())
 >>> (opt.gates_before, opt.gates_after)
 (5, 1)
 >>> opt.compiled.truth_table_words() == netlist.compile().truth_table_words()
@@ -98,22 +91,13 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.circuit.gates import GateType
-from repro.levers import OPT
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.circuit.compiled import CompiledCircuit
 
-#: Concrete optimization levels, weakest to strongest.  ``"auto"`` is
-#: accepted everywhere the lever is and resolves through
-#: :func:`resolve_opt`.
-OPT_LEVELS = ("off", "light", "full")
-
-#: Pass sequence per concrete level.
-_PIPELINES = {
-    "off": (),
-    "light": ("sweep", "chains", "coi"),
-    "full": ("sweep", "chains", "strash", "coi"),
-}
+#: The one optimization level, as hashed task params, encode stats and
+#: matrix columns record it.
+OPT_LEVEL = "full"
 
 #: Fixpoint-iteration backstop.  Each round only ever shrinks the gate
 #: list, so convergence is guaranteed; the cap just bounds the cost of
@@ -122,19 +106,12 @@ _MAX_ROUNDS = 8
 
 
 def resolve_opt(opt: str | None = None) -> str:
-    """Resolve an opt lever value to a concrete level.
+    """:data:`OPT_LEVEL`, whatever is asked for.
 
-    ``None`` means the process default (``REPRO_OPT``, else
-    ``"auto"``); ``"auto"`` resolves to ``"full"`` (the lever's alias
-    in :data:`repro.levers.OPT`).  The indirection exists so the policy
-    can become shape-aware without touching any caller.
-
-    >>> resolve_opt("off")
-    'off'
-    >>> resolve_opt("auto")
-    'full'
+    Kept only for the provenance stamp ``perfbench/run.py`` writes into
+    every benchmark result; nothing in the package calls it.
     """
-    return OPT.resolve(opt)
+    return OPT_LEVEL
 
 
 # ----------------------------------------------------------------------
@@ -154,7 +131,6 @@ class OptimizedCircuit:
         provenance: Original slot -> ``("slot", new_slot)`` /
             ``("const", b)`` / ``("dropped",)`` (see the module
             docstring for the invariant).
-        level: The concrete level or pass name that produced this.
         passes: Every pass application, in order (a fixpoint pipeline
             may list a pass more than once).
         stats: Gates removed per pass name, accumulated.
@@ -163,7 +139,6 @@ class OptimizedCircuit:
     source: "CompiledCircuit"
     compiled: "CompiledCircuit"
     provenance: dict[int, tuple]
-    level: str
     passes: tuple[str, ...]
     stats: dict[str, int]
 
@@ -185,19 +160,15 @@ class OptimizedCircuit:
 
 
 def _identity(
-    compiled: "CompiledCircuit",
-    level: str,
-    passes: tuple[str, ...] = (),
-    stats: dict[str, int] | None = None,
+    compiled: "CompiledCircuit", passes: tuple[str, ...], stats: dict[str, int]
 ) -> OptimizedCircuit:
     provenance = {s: ("slot", s) for s in range(compiled.num_slots)}
     return OptimizedCircuit(
         source=compiled,
         compiled=compiled,
         provenance=provenance,
-        level=level,
         passes=passes,
-        stats={} if stats is None else stats,
+        stats=stats,
     )
 
 
@@ -631,13 +602,12 @@ def run_pass(compiled: "CompiledCircuit", name: str) -> OptimizedCircuit:
         )
     step = _apply_pass(compiled, name)
     if step is None:
-        return _identity(compiled, name, (name,), {name: 0})
+        return _identity(compiled, (name,), {name: 0})
     arrays, provenance = step
     return OptimizedCircuit(
         source=compiled,
         compiled=arrays.build(),
         provenance=dict(enumerate(provenance)),
-        level=name,
         passes=(name,),
         stats={name: compiled.num_gates - arrays.num_gates},
     )
@@ -652,25 +622,19 @@ def _same_structure(a, b) -> bool:
     )
 
 
-def optimize_compiled(
-    compiled: "CompiledCircuit", level: str | None = None
-) -> OptimizedCircuit:
-    """Run the optimization pipeline for ``level`` to a fixpoint.
+def optimize_compiled(compiled: "CompiledCircuit") -> OptimizedCircuit:
+    """Run the optimization pipeline to a fixpoint.
 
-    ``level`` is an opt lever value (``None`` -> process default,
-    ``"auto"`` -> the full pipeline).  Passes run in pipeline order,
-    repeating until a whole round leaves the structure as it found it
-    (each pass can expose work for the next: a strash merge creates the
-    tied fanins the sweep folds).  The result's
-    :attr:`OptimizedCircuit.provenance` composes across every
-    application.  One circuit is built for the result, at the end; when
-    no pass changes anything the result's ``compiled`` is ``compiled``
-    itself.
+    Passes run in :data:`PASS_NAMES` order, repeating until a whole
+    round leaves the structure as it found it (each pass can expose
+    work for the next: a strash merge creates the tied fanins the sweep
+    folds).  The result's :attr:`OptimizedCircuit.provenance` composes
+    across every application.  One circuit is built for the result, at
+    the end; when no pass changes anything the result's ``compiled`` is
+    ``compiled`` itself.
     """
-    resolved = resolve_opt(level)
-    if resolved == "off" or compiled.num_gates == 0:
-        return _identity(compiled, resolved)
-    pipeline = _PIPELINES[resolved]
+    if compiled.num_gates == 0:
+        return _identity(compiled, (), {})
     current = compiled
     provenance: list[tuple] | None = None  # None: the identity
     applied: list[str] = []
@@ -678,7 +642,7 @@ def optimize_compiled(
     identity = None  # _identity_rows(current), built on first use
     for _ in range(_MAX_ROUNDS):
         before = current
-        for name in pipeline:
+        for name in PASS_NAMES:
             applied.append(name)
             identity = identity or _identity_rows(current)
             step = _apply_pass(current, name, identity)
@@ -698,12 +662,11 @@ def optimize_compiled(
         if current is before or _same_structure(current, before):
             break
     if current is compiled:
-        return _identity(compiled, resolved, tuple(applied), stats)
+        return _identity(compiled, tuple(applied), stats)
     return OptimizedCircuit(
         source=compiled,
         compiled=current.build(),
         provenance=dict(enumerate(provenance)),
-        level=resolved,
         passes=tuple(applied),
         stats=stats,
     )

@@ -52,8 +52,8 @@ circuits (``real_c432``/``real_c499``/``real_c880``, plus any file
 registered via ``repro.bench_circuits.register_corpus_file``) work
 exactly like the stand-ins.
 
-The lever flags ``--opt``, ``--solver`` and ``--cache-backend`` come
-from the table in :mod:`repro.levers`: each is exported to its
+The lever flags ``--solver`` and ``--cache-backend`` come from the
+table in :mod:`repro.levers`: each is exported to its
 ``REPRO_*`` environment variable, so every layer and every runner
 worker process resolves the same value.
 """

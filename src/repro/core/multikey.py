@@ -3,8 +3,8 @@
 For splitting effort ``N`` the input space splits into ``2^N``
 sub-spaces, and each sub-space yields its own partial key (it may be
 "incorrect" globally — that is the point of the paper).
-:func:`multikey_attack` is the one front end: it resolves the solver and
-opt levers, asks :func:`engine_for` which engine runs, selects the
+:func:`multikey_attack` is the one front end: it resolves the solver
+lever, asks :func:`engine_for` which engine runs, selects the
 splitting inputs and assembles the :class:`MultiKeyResult`.  Two
 engines attack the sub-spaces:
 
@@ -42,7 +42,7 @@ from statistics import fmean
 from repro.attacks.registry import SUCCESS_STATUSES, attack_info, run_attack
 from repro.circuit.bench import format_bench, parse_bench
 from repro.circuit.netlist import Netlist
-from repro.circuit.opt import resolve_opt
+from repro.circuit.opt import OPT_LEVEL
 from repro.core.conditional import ConditionalNetlist, generate_conditional_netlist
 from repro.core.splitting import select_splitting_inputs, splitting_assignments
 from repro.locking.base import LockedCircuit, key_to_int
@@ -291,11 +291,10 @@ def _subtask_task(params: dict) -> dict:
     netlist of sub-space ``index``, then cold-start a pinned attack."""
     locked = _locked_from_params(params)
     assignment = params["assignment"]
-    opt = params["opt"]
     conditional = generate_conditional_netlist(
         locked, assignment, run_synthesis=params["run_synthesis"]
     )
-    oracle = Oracle(parse_bench(params["oracle_bench"], name="oracle"), opt=opt)
+    oracle = Oracle(parse_bench(params["oracle_bench"], name="oracle"))
     outcome = run_attack(
         params["attack"],
         conditional.locked,
@@ -305,7 +304,6 @@ def _subtask_task(params: dict) -> dict:
         max_dips=params["max_dips_per_task"],
         seed=params["seed"],
         solver=params["solver"],
-        opt=opt,
         **(params["attack_params"] or {}),
     )
     return asdict(
@@ -354,7 +352,6 @@ def multikey_attack(
     attack: str = "sat",
     attack_params: dict | None = None,
     solver: str | None = None,
-    opt: str | None = None,
     runner=None,
 ) -> MultiKeyResult:
     """Run Algorithm 1 with splitting effort ``N = effort``.
@@ -396,10 +393,6 @@ def multikey_attack(
         solver: Registered solver backend name for the sub-attacks
             (``None`` -> the process default; see
             :mod:`repro.sat.registry`).
-        opt: Structural optimization level for the circuits each
-            sub-attack encodes and simulates (``None`` -> the process
-            default; see :mod:`repro.circuit.opt`).  Resolved here so
-            every sub-task and shard chunk hashes one concrete level.
         runner: Optional :class:`repro.runner.Runner` the sub-tasks
             (reference) or shard chunks (sharded) are submitted
             through; its cache, when enabled, replays identical
@@ -412,7 +405,6 @@ def multikey_attack(
     """
     start = time.perf_counter()
     solver = resolve_solver_name(solver)  # pinned: the backend is hashed
-    opt = resolve_opt(opt)  # pinned: the level is hashed too
     runs = engine_for(engine, attack, solver)
     if splitting_inputs is None:
         splitting_inputs = select_splitting_inputs(
@@ -427,7 +419,7 @@ def multikey_attack(
         "attack_params": attack_params,
         "seed": seed,
         "solver": solver,
-        "opt": opt,
+        "opt": OPT_LEVEL,
     }
     if runner is None and parallel:
         runner = Runner(jobs=processes or multiprocessing.cpu_count())

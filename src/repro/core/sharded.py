@@ -46,7 +46,6 @@ from dataclasses import asdict
 from repro.attacks.registry import attack_info
 from repro.attacks.sat_attack import build_miter_encoding
 from repro.circuit.netlist import Netlist
-from repro.circuit.opt import resolve_opt
 from repro.core.conditional import ConditionalNetlist
 from repro.core.multikey import (
     MultiKeyResult,
@@ -87,11 +86,6 @@ class ShardEngine:
             default).  The backend must declare the ``checkpoint`` and
             ``assumptions`` capabilities — shards are solver frames —
             or construction raises ``ValueError``.
-        opt: Structural optimization level for the shared miter
-            (``None`` -> process default; see :mod:`repro.circuit.opt`).
-            Resolved once here — the optimized circuit fixes the
-            variable numbering every shard and warm-start import
-            relies on.
     """
 
     def __init__(
@@ -101,7 +95,6 @@ class ShardEngine:
         splitting_inputs: Sequence[str],
         prime_learnts: Sequence[Sequence[int]] | None = None,
         solver: str | None = None,
-        opt: str | None = None,
     ):
         from repro.sat.registry import resolve_solver_name, solver_info
 
@@ -123,11 +116,8 @@ class ShardEngine:
         self.locked = locked
         self.oracle = oracle
         self.splitting_inputs = list(splitting_inputs)
-        self.opt = resolve_opt(opt)
         start = time.perf_counter()
-        self.enc = build_miter_encoding(
-            locked, solver=self.solver_name, opt=self.opt
-        )
+        self.enc = build_miter_encoding(locked, solver=self.solver_name)
         if prime_learnts and self._can_exchange_learnts:
             self.enc.solver.import_learnts(prime_learnts)
         # Imported units (and the encoding's own constants) assign
@@ -261,11 +251,10 @@ def _shard_chunk_task(params: dict) -> dict:
     oracle_netlist.adopt_compiled(params["oracle_compiled"])
     engine = ShardEngine(
         locked,
-        Oracle(oracle_netlist, opt=params["opt"]),  # this chunk's queries
+        Oracle(oracle_netlist),  # this chunk's queries
         params["splitting_inputs"],
         prime_learnts=params["prime_learnts"],
         solver=params["solver"],
-        opt=params["opt"],
     )
     shards = _run_chunk(engine, params["shard_indices"], params)
     return {
@@ -302,7 +291,7 @@ def run_shards(
     """Attack all ``2^N`` sub-spaces on shared miter encodings.
 
     The sharded arm of :func:`repro.core.multikey.multikey_attack`,
-    which passes the resolved budgets, attack, seed, solver and opt as
+    which passes the resolved budgets, attack, seed and solver as
     ``shared``.  Without a ``runner`` every shard runs in-process on
     one :class:`ShardEngine`.  With one, a pilot shard runs in-process
     and its learned clauses prime ``multikey_shard_chunk`` tasks that
@@ -316,10 +305,9 @@ def run_shards(
     on the critical path: the parent encode, plus the slowest worker's
     re-encode when the shards fanned out.
     """
-    opt = shared["opt"]
     engine = ShardEngine(
-        locked, Oracle(oracle_netlist, opt=opt), splitting_inputs,
-        solver=shared["solver"], opt=opt,
+        locked, Oracle(oracle_netlist), splitting_inputs,
+        solver=shared["solver"],
     )
     if runner is None or engine.num_shards == 1:
         subtasks = _run_chunk(engine, range(engine.num_shards), shared)

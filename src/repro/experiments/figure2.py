@@ -96,7 +96,6 @@ def figure2_tasks(
     efforts: tuple[int, ...],
     key_samples: int,
     seed: int,
-    opt: str | None = None,
 ) -> list[TaskSpec]:
     """One ``corruption_cell`` task per effort point."""
     from repro.metrics import corruption_cell_task
@@ -111,7 +110,6 @@ def figure2_tasks(
             seed=seed,
             metrics=("corruption", "subspace"),
             key_samples=key_samples,
-            opt=opt,
         )
         for effort in efforts
     ]
@@ -126,7 +124,6 @@ def run_figure2(
     efforts: tuple[int, ...] = (0, 1, 2, 3),
     key_samples: int = 32,
     seed: int = 0,
-    opt: str | None = None,
     runner: Runner | None = None,
 ) -> Figure2Result:
     """Regenerate the corruption-vs-sub-spaces curve.
@@ -148,7 +145,6 @@ def run_figure2(
         efforts=efforts,
         key_samples=int(key_samples),
         seed=int(seed),
-        opt=opt,
     )
     reports = [task.artifact for task in runner.run(tasks)]
     rows = []

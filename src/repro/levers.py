@@ -5,7 +5,7 @@ else its environment variable, else its default.  *Hashed* levers can
 change what a task returns, so tasks hash their resolved value; the
 others move wall-clock or storage layout only.  The CLI flags, envelope
 validation and ``ScenarioSpec`` read this table; each layer resolves
-its own lever where it is used (``resolve_opt``, ``resolve_solver_name``,
+its own lever where it is used (``resolve_solver_name``,
 ``resolve_cache_backend_name``).
 """
 
@@ -14,8 +14,8 @@ from __future__ import annotations
 import functools
 import importlib
 import os
-from collections.abc import Callable, Mapping
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -34,31 +34,29 @@ class Lever:
     """One process-wide lever.
 
     ``name``, dashed, is the CLI flag; for a hashed lever it is also
-    the envelope/``ScenarioSpec`` field.  ``choices`` is a fixed tuple
-    or a callable returning the live :class:`~repro.registry.Registry`
-    (which then owns the lookup and its roster error).  ``noun`` names
-    a value in error messages (a registry lever's is its registry's).
-    ``aliases`` map a value to the concrete one :meth:`resolve`
-    returns, so caches hash what actually runs.
+    the envelope/``ScenarioSpec`` field.  ``choices`` returns the live
+    :class:`~repro.registry.Registry`, which owns the lookup and its
+    roster error.
     """
 
     name: str
     env: str
     default: str
-    choices: tuple[str, ...] | Callable[[], Registry]
-    noun: str
+    choices: Callable[[], Registry]
     help: str
     hashed: bool
-    aliases: Mapping[str, str] = field(default_factory=dict)
 
     @property
     def flag(self) -> str:
         return "--" + self.name.replace("_", "-")
 
+    @property
+    def noun(self) -> str:
+        """What error messages call one value (the registry's noun)."""
+        return self.choices().noun
+
     def roster(self) -> list[str]:
-        """Every accepted value (registry rosters sorted)."""
-        if isinstance(self.choices, tuple):
-            return list(self.choices)
+        """Every accepted value, sorted."""
         return self.choices().names()
 
     def current(self) -> str:
@@ -67,40 +65,19 @@ class Lever:
 
     def check(self, value: str) -> str:
         """``value`` when it is a choice; otherwise raise with the roster."""
-        if not isinstance(self.choices, tuple):
-            self.choices().get(value)
-        elif value not in self.choices:
-            raise ValueError(
-                f"unknown {self.noun} {value!r} (choose from {self.choices})"
-            )
+        self.choices().get(value)
         return value
 
     def resolve(self, value: str | None = None) -> str:
-        """``value`` (else :meth:`current`), checked, aliases applied."""
-        value = self.check(value or self.current())
-        return self.aliases.get(value, value)
+        """``value`` (else :meth:`current`), checked."""
+        return self.check(value or self.current())
 
-
-OPT = Lever(
-    name="opt",
-    env="REPRO_OPT",
-    default="auto",
-    choices=("auto", "off", "light", "full"),
-    noun="opt level",
-    help="structural optimization before simulation and CNF encoding; "
-    "recovered keys are identical, only size and wall-clock change",
-    hashed=True,
-    # The pipeline is linear-time and parity-contractual, so there is
-    # no shape where "full" loses.
-    aliases={"auto": "full"},
-)
 
 SOLVER = Lever(
     name="solver",
     env="REPRO_SOLVER",
     default="python",
     choices=_registry("repro.sat.registry"),
-    noun="solver backend",
     help="SAT solver backend, see matrix --list-solvers",
     hashed=True,
 )
@@ -110,12 +87,11 @@ CACHE_BACKEND = Lever(
     env="REPRO_CACHE_BACKEND",
     default="directory",
     choices=_registry("repro.runner.backends"),
-    noun="cache backend",
     help="result-cache storage backend",
     hashed=False,
 )
 
-LEVERS = (OPT, SOLVER, CACHE_BACKEND)
+LEVERS = (SOLVER, CACHE_BACKEND)
 
 
 def check_hashed_fields(obj: object) -> None:

@@ -7,9 +7,9 @@ distributed over input sub-spaces?  This module computes both from a
 single shared sweep:
 
 1. Golden outputs come from :class:`repro.oracle.Oracle.query_vector`
-   (the original circuit behind the opt lever).
-2. The locked circuit is compiled once (and structurally optimized
-   when the ``opt`` lever says so), then evaluated bit-parallel via
+   (the original circuit, structurally optimized).
+2. The locked circuit is compiled and structurally optimized once,
+   then evaluated bit-parallel via
    :meth:`~repro.circuit.compiled.CompiledCircuit.eval_outputs_wide`
    with each sampled wrong key pinned as constant lanes.  Steps 1 and
    2 are :func:`key_diffs`, the repository's one keyed-evaluation
@@ -17,9 +17,9 @@ single shared sweep:
    Fig. 1's :func:`error_matrix` share it).
 3. Every registered metric (:mod:`repro.metrics.registry`) is pure
    popcount arithmetic over the resulting XOR diff words — which is
-   why metric values are *bit-identical* across opt levels and
-   multi-key engines: they change how fast the sweep runs, never which
-   bits it produces.
+   why metric values are *bit-identical* with and without structural
+   optimization and across multi-key engines: they change how fast the
+   sweep runs, never which bits it produces.
 
 Sampling is deterministic end-to-end (:mod:`repro.rng` streams keyed
 by the metrics seed).  Circuits with at most :data:`EXHAUSTIVE_INPUT_LIMIT`
@@ -56,7 +56,7 @@ from operator import or_
 
 from repro.circuit.compiled import exhaustive_words
 from repro.circuit.netlist import Netlist
-from repro.circuit.opt import resolve_opt
+from repro.circuit.opt import OPT_LEVEL
 from repro.locking.base import LockedCircuit
 from repro.metrics.registry import MetricValue, metric_info, register_metric
 from repro.oracle import Oracle
@@ -314,14 +314,13 @@ def key_diffs(
     keys: Iterable[int | Mapping[str, bool]],
     stimuli: Mapping[str, int],
     width: int,
-    opt: str | None = None,
 ) -> list[list[int]]:
     """Where the locked circuit, under each key, disagrees with the oracle.
 
     ``stimuli`` maps every oracle input to a ``width``-lane word (one
     :meth:`~repro.oracle.Oracle.query_vector` call, counted as
     ``width`` queries, supplies the golden outputs).  The locked
-    circuit is compiled once, optimized at ``opt``, and each key is
+    circuit is compiled and optimized once, and each key is
     pinned as constant lanes.  ``result[k][o]`` is the lane mask where
     output ``oracle.output_names[o]`` is wrong under ``keys[k]``; a key
     is correct on the stimuli exactly when all its words are zero.
@@ -329,7 +328,7 @@ def key_diffs(
     This is the one keyed-evaluation path: the metrics sweep, brute
     force, AppSAT's checkpoints, oracle key verification and
     :func:`error_matrix` all run through it, so each inherits the
-    opt parity contract.
+    optimizer's parity contract.
 
     ::
 
@@ -348,10 +347,7 @@ def key_diffs(
     mask = (1 << width) - 1
     golden = oracle.query_vector(stimuli, width)
     output_names = oracle.output_names
-    compiled = locked.netlist.compile()
-    level = resolve_opt(opt)
-    if level != "off":
-        compiled = compiled.optimized(level).compiled
+    compiled = locked.netlist.compile().optimized().compiled
     key_ports = set(locked.key_inputs)
     diffs: list[list[int]] = []
     for key in keys:
@@ -404,7 +400,6 @@ def build_sweep(
     key_samples: int = DEFAULT_KEY_SAMPLES,
     seed: int = 0,
     effort: int = 0,
-    opt: str | None = None,
     input_samples: int = DEFAULT_INPUT_SAMPLES,
 ) -> tuple[SampleSweep, int]:
     """The shared :class:`SampleSweep` plus the oracle query count."""
@@ -424,7 +419,7 @@ def build_sweep(
             f"effort {effort} needs {1 << len(splitting)} sub-spaces but the "
             f"sweep has only {width} lanes; raise input_samples"
         )
-    oracle = Oracle(original, opt=opt)
+    oracle = Oracle(original)
     wrong_keys = sample_wrong_keys(
         locked.key_size,
         key_samples,
@@ -436,7 +431,7 @@ def build_sweep(
     )
     exhaustive_keys = len(wrong_keys) == (1 << locked.key_size) - 1
 
-    diff_words = key_diffs(locked, oracle, wrong_keys, words, width, opt=opt)
+    diff_words = key_diffs(locked, oracle, wrong_keys, words, width)
     sweep = SampleSweep(
         width=width,
         mask=(1 << width) - 1,
@@ -463,7 +458,6 @@ def evaluate_corruption(
     key_samples: int = DEFAULT_KEY_SAMPLES,
     seed: int = 0,
     effort: int = 0,
-    opt: str | None = None,
     input_samples: int = DEFAULT_INPUT_SAMPLES,
 ) -> CorruptionReport:
     """Compute the requested registered metrics for one locked circuit.
@@ -472,10 +466,9 @@ def evaluate_corruption(
     ``key_samples=0`` forces exhaustive wrong-key enumeration (any
     value at least the wrong-key count does too).  ``effort`` is the
     splitting effort ``N`` — the ``subspace`` metric reports one rate
-    per ``2^N`` sub-space, other metrics ignore it.  ``opt`` changes
-    the evaluated structure (hashed into cell identity upstream).
-    Values are deterministic in ``(locked, original, metrics,
-    key_samples, seed, effort, opt, input_samples)``.
+    per ``2^N`` sub-space, other metrics ignore it.  Values are
+    deterministic in ``(locked, original, metrics, key_samples, seed,
+    effort, input_samples)``.
     """
     names: list[str] = []
     for name in metrics:
@@ -491,7 +484,6 @@ def evaluate_corruption(
         key_samples=key_samples,
         seed=seed,
         effort=effort,
-        opt=opt,
         input_samples=input_samples,
     )
     computed = {}
@@ -512,7 +504,7 @@ def evaluate_corruption(
         seed=seed,
         effort=effort,
         splitting_inputs=list(sweep.splitting_inputs),
-        opt=resolve_opt(opt),
+        opt=OPT_LEVEL,
         oracle_queries=oracle_queries,
         elapsed_seconds=time.perf_counter() - start,
         metrics=computed,

@@ -10,8 +10,8 @@ cell) to a :class:`MetricValue`: one headline float in ``[0, 1]`` (or
 bits, for entropy) plus a JSON-safe detail mapping.  Metrics never
 touch the circuit directly — everything they need is popcount
 arithmetic over the sweep's diff words, which is what makes every
-metric bit-identical across opt levels and multi-key engines for
-free.
+metric bit-identical with and without structural optimization and
+across multi-key engines for free.
 """
 
 from __future__ import annotations

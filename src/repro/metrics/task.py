@@ -7,7 +7,7 @@ contract follows ``scenario_cell``:
 * **Hashed** (``params``): scheme + params, circuit, scale, the sorted
   metric roster, ``key_samples``, the cell seed (feeds the scheme like
   a matrix cell), the resolved ``metrics_seed`` (feeds the sample
-  streams), ``effort``, ``input_samples`` and the resolved ``opt``
+  streams), ``effort``, ``input_samples`` and the fixed ``opt``
   level — everything that determines the report's bits.
 
 The metric list is sorted before hashing: requesting ``corruption,
@@ -40,7 +40,6 @@ def _corruption_cell_worker(params: dict) -> dict:
         key_samples=params["key_samples"],
         seed=params["metrics_seed"],
         effort=params["effort"],
-        opt=params["opt"],
         input_samples=params.get("input_samples", 256),
     )
     return report.to_payload()
@@ -56,7 +55,6 @@ def corruption_cell_task(
     metrics: tuple[str, ...] | list[str] = ("corruption",),
     key_samples: int = 64,
     metrics_seed: int | None = None,
-    opt: str | None = None,
     input_samples: int = 256,
 ) -> TaskSpec:
     """The :class:`TaskSpec` for one corruption cell.
@@ -65,7 +63,7 @@ def corruption_cell_task(
     matrix sweep varies the sample streams with the seed axis; pinning
     it decouples metric sampling from scheme seeding.
     """
-    from repro.circuit.opt import resolve_opt
+    from repro.circuit.opt import OPT_LEVEL
     from repro.metrics.registry import metric_info
 
     roster = sorted(set(metrics))
@@ -83,7 +81,7 @@ def corruption_cell_task(
             "metrics": roster,
             "key_samples": int(key_samples),
             "metrics_seed": seed if metrics_seed is None else int(metrics_seed),
-            "opt": resolve_opt(opt),
+            "opt": OPT_LEVEL,
             "input_samples": int(input_samples),
         },
         label=f"metrics {scheme} {circuit} N={effort}",

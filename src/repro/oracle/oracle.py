@@ -29,7 +29,6 @@ from __future__ import annotations
 from collections.abc import Mapping, Sequence
 
 from repro.circuit.netlist import Netlist
-from repro.circuit.opt import resolve_opt
 
 #: Patterns per bit-parallel sweep in :meth:`Oracle.query_batch`.
 BATCH_CHUNK = 4096
@@ -38,18 +37,15 @@ BATCH_CHUNK = 4096
 class Oracle:
     """Query-only wrapper around the original circuit.
 
-    ``opt`` runs the structural optimizer (:mod:`repro.circuit.opt`)
-    on the compiled circuit once at construction — fewer gates shrink
-    every sweep; responses are identical by the optimizer's parity
-    contract.
+    The compiled circuit is structurally optimized
+    (:mod:`repro.circuit.opt`) once at construction — fewer gates
+    shrink every sweep; responses are identical by the optimizer's
+    parity contract.
     """
 
-    def __init__(self, original: Netlist, opt: str | None = None):
+    def __init__(self, original: Netlist):
         self._netlist = original
-        self._compiled = original.compile()
-        level = resolve_opt(opt)
-        if level != "off":
-            self._compiled = self._compiled.optimized(level).compiled
+        self._compiled = original.compile().optimized().compiled
         self.query_count = 0
 
     @property

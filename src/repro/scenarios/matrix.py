@@ -19,6 +19,7 @@ import json
 from dataclasses import asdict, dataclass, field, replace
 
 from repro.bench_circuits.corpus import resolve_circuit
+from repro.circuit.opt import OPT_LEVEL
 from repro.core.compose import verify_composition
 from repro.core.multikey import multikey_attack
 from repro.locking.registry import lock_circuit
@@ -84,7 +85,6 @@ def _scenario_cell_task(params: dict) -> dict:
     seed = params["seed"]
     effort = params["effort"]
     solver = params.get("solver")
-    opt = params.get("opt", "off")
     time_limit = params.get("time_limit_per_task")
     original = resolve_circuit(params["circuit"], params["scale"])
     scheme_params = dict(params.get("scheme_params") or {})
@@ -102,7 +102,6 @@ def _scenario_cell_task(params: dict) -> dict:
             time_limit_per_task=time_limit,
             seed=seed,
             solver=solver,
-            opt=opt,
         )
         baseline_seconds = baseline.max_subtask_seconds
         baseline_status = baseline.status
@@ -121,7 +120,6 @@ def _scenario_cell_task(params: dict) -> dict:
         attack=params["attack"],
         attack_params=params.get("attack_params") or {},
         solver=solver,
-        opt=opt,
     )
     if baseline_seconds is not None:
         ratio = attack.max_subtask_seconds / max(baseline_seconds, 1e-9)
@@ -188,7 +186,7 @@ def _scenario_cell_task(params: dict) -> dict:
             gate_reduction=gate_reduction,
             area_overhead=area_overhead,
             solver=attack.solver,
-            opt=opt,
+            opt=OPT_LEVEL,
         )
     )
 
@@ -204,7 +202,6 @@ def scenario_cell_task(
     effort: int,
     seed: int,
     solver: str | None = None,
-    opt: str | None = None,
     time_limit_per_task: float | None = None,
     max_dips_per_task: int | None = None,
     include_baseline: bool = False,
@@ -216,14 +213,12 @@ def scenario_cell_task(
     """The :class:`TaskSpec` for one matrix cell.
 
     Everything that determines the artifact — scheme, attack, engine,
-    solver backend, optimization level, circuit, budgets, the optional
-    measurement blocks — is hashed (different backends may return
-    different, equally valid, keys, and the opt level changes the
-    encoding a cell attacks); inner-attack parallelism lives in the
-    unhashed execution context, so serial and fanned-out evaluations
-    share cache entries.
+    solver backend, circuit, budgets, the optional measurement blocks —
+    is hashed (different backends may return different, equally valid,
+    keys), along with the fixed optimization level; inner-attack
+    parallelism lives in the unhashed execution context, so serial and
+    fanned-out evaluations share cache entries.
     """
-    from repro.circuit.opt import resolve_opt
     from repro.sat.registry import resolve_solver_name
 
     return TaskSpec(
@@ -239,7 +234,7 @@ def scenario_cell_task(
             "effort": effort,
             "seed": seed,
             "solver": resolve_solver_name(solver),
-            "opt": resolve_opt(opt),
+            "opt": OPT_LEVEL,
             "time_limit_per_task": time_limit_per_task,
             "max_dips_per_task": max_dips_per_task,
             "include_baseline": include_baseline,

@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from collections.abc import Mapping, Sequence
 
+from repro.circuit.opt import OPT_LEVEL
 from repro.core.multikey import engine_for
 from repro.levers import LEVERS
 from repro.locking.registry import scheme_info
@@ -63,11 +64,6 @@ class ScenarioSpec:
         solver: Registered solver backend for every cell (``None`` ->
             the process default, resolved to a concrete name at
             construction so cells hash the backend that actually runs).
-        opt: Structural optimization level for every cell's attack
-            (``None`` -> the process default; see
-            :mod:`repro.circuit.opt`).  Resolved at construction like
-            ``solver``, so ``"auto"`` hashes as the concrete level it
-            runs at.
         time_limit_per_task / max_dips_per_task: Sub-attack budgets.
         include_baseline: Also run the ``N = 0`` exact-SAT baseline
             per cell and report the max-subtask/baseline ratio
@@ -105,7 +101,6 @@ class ScenarioSpec:
     efforts: Sequence[int] = (1,)
     seeds: Sequence[int] = (0,)
     solver: str | None = None
-    opt: str | None = None
     time_limit_per_task: float | None = None
     max_dips_per_task: int | None = None
     include_baseline: bool = False
@@ -199,7 +194,6 @@ class ScenarioSpec:
                 effort=effort,
                 seed=seed,
                 solver=self.solver,
-                opt=self.opt,
                 time_limit_per_task=self.time_limit_per_task,
                 max_dips_per_task=self.max_dips_per_task,
                 include_baseline=self.include_baseline,
@@ -239,7 +233,6 @@ class ScenarioSpec:
                 metrics=self.metrics,
                 key_samples=self.key_samples,
                 metrics_seed=self.metrics_seed,
-                opt=self.opt,
             )
             for scheme, scheme_params in self.schemes
             for circuit in self.circuits
@@ -268,13 +261,14 @@ class ScenarioSpec:
     def from_payload(cls, payload: Mapping) -> "ScenarioSpec":
         """Rebuild a spec from :meth:`describe` output (or any superset).
 
-        The inverse of :meth:`describe`: derived keys (``size``) and
-        unknown extras are ignored, so payloads decoded from older or
-        newer exports reconstruct as long as the axis fields are there.
+        The inverse of :meth:`describe`: derived keys (``size``), the
+        fixed ``opt`` level and unknown extras are ignored, so payloads
+        decoded from older or newer exports reconstruct as long as the
+        axis fields are there.
         """
         known = {
             "schemes", "attacks", "engines", "circuits", "scale",
-            "efforts", "seeds", "solver", "opt", "time_limit_per_task",
+            "efforts", "seeds", "solver", "time_limit_per_task",
             "max_dips_per_task", "include_baseline",
             "verify_composition", "measure_resistance",
             "metrics", "key_samples", "metrics_seed",
@@ -292,7 +286,7 @@ class ScenarioSpec:
             "efforts": list(self.efforts),
             "seeds": list(self.seeds),
             "solver": self.solver,
-            "opt": self.opt,
+            "opt": OPT_LEVEL,
             "time_limit_per_task": self.time_limit_per_task,
             "max_dips_per_task": self.max_dips_per_task,
             "include_baseline": self.include_baseline,

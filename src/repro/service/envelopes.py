@@ -100,7 +100,6 @@ class MatrixRequest:
     efforts: list = field(default_factory=lambda: [1])
     seeds: list = field(default_factory=lambda: [0])
     solver: str | None = None
-    opt: str | None = None
     time_limit_per_task: float | None = None
     max_dips_per_task: int | None = None
     include_baseline: bool = False
@@ -141,7 +140,6 @@ class MatrixRequest:
             efforts=self.efforts,
             seeds=self.seeds,
             solver=self.solver,
-            opt=self.opt,
             time_limit_per_task=self.time_limit_per_task,
             max_dips_per_task=self.max_dips_per_task,
             include_baseline=self.include_baseline,
@@ -176,7 +174,6 @@ class AttackRequest:
     scale: float = 0.25
     seed: int = 0
     solver: str | None = None
-    opt: str | None = None
     time_limit_per_task: float | None = None
     parallel: bool = False
 
@@ -227,7 +224,6 @@ class MetricsRequest:
     metrics_seed: int | None = None
     effort: int = 0
     scale: float = 0.25
-    opt: str | None = None
 
     def __post_init__(self) -> None:
         from repro.bench_circuits.corpus import circuit_names, known_circuit
@@ -245,7 +241,6 @@ class MetricsRequest:
                 f"unknown circuit {self.circuit!r} (known: "
                 f"{', '.join(circuit_names())})"
             )
-        check_hashed_fields(self)  # raises with the roster on a miss
         self.scheme_params = dict(self.scheme_params)
         self.key_samples = int(self.key_samples)
         self.seed = int(self.seed)

@@ -547,7 +547,6 @@ def _execute_attack(service: Service, job: Job) -> tuple[dict, str]:
         attack=request.attack,
         attack_params=request.attack_params,
         solver=request.solver,
-        opt=request.opt,
         runner=runner,
     )
 
@@ -593,7 +592,6 @@ def _execute_metrics(service: Service, job: Job) -> tuple[dict, str]:
         metrics=request.metrics,
         key_samples=request.key_samples,
         metrics_seed=request.metrics_seed,
-        opt=request.opt,
     )
     results = service._runner_for(job).run([task])
     if not results:

@@ -3,7 +3,7 @@
 The paper synthesizes each conditional netlist with Design Compiler
 "to remove any redundant logic" (Algorithm 1, line 4).  Here that step
 is the repository's one optimizer: pinned inputs are tied to constants
-and :func:`~repro.circuit.opt.optimize_compiled` runs its full pipeline
+and :func:`~repro.circuit.opt.optimize_compiled` runs its pipeline
 (constant sweep, BUF/NOT chains, strash, cone-of-influence pruning) to
 a fixpoint.
 """
@@ -75,7 +75,7 @@ def synthesize(
             tied.gates[out] = Gate(
                 out, gate.gtype, tuple(tie.get(s, s) for s in gate.inputs)
             )
-    compiled = optimize_compiled(tied.compile(), "full").compiled
+    compiled = optimize_compiled(tied.compile()).compiled
     result = Netlist(
         name=netlist.name,
         inputs=list(compiled.inputs),

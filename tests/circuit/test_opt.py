@@ -1,4 +1,4 @@
-"""Optimization-pass tests: parity, provenance, idempotence, lever.
+"""Optimization-pass tests: parity, provenance, idempotence, caching.
 
 The opt contract: optimization never changes a result, only circuit
 size.  Every pass and the full pipeline are property-tested bit-for-bit
@@ -13,10 +13,11 @@ a slot the original circuit held constant.
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.attacks.sat_attack import build_miter_encoding
 from repro.circuit.gates import GateType
 from repro.circuit.netlist import Netlist
 from repro.circuit.opt import (
-    OPT_LEVELS,
+    OPT_LEVEL,
     PASS_NAMES,
     optimize_compiled,
     resolve_opt,
@@ -24,15 +25,19 @@ from repro.circuit.opt import (
 )
 from repro.circuit.random_circuits import random_netlist
 from repro.circuit.simulator import random_patterns
-from repro.levers import OPT
 from repro.locking.sarlock import sarlock_lock
 from repro.locking.xor_lock import xor_lock
+from repro.oracle.oracle import Oracle
+
+#: The pipeline, then each pass on its own: what the parity and
+#: provenance properties run over.
+STEPS = ("pipeline",) + PASS_NAMES
 
 
-@pytest.fixture(autouse=True)
-def _clean_lever(monkeypatch):
-    """Each test sees the stock lever: no REPRO_OPT."""
-    monkeypatch.delenv("REPRO_OPT", raising=False)
+def _apply(compiled, step: str):
+    if step == "pipeline":
+        return optimize_compiled(compiled)
+    return run_pass(compiled, step)
 
 
 def _words_for(compiled, width: int, seed: int) -> tuple[list[int], int]:
@@ -101,24 +106,20 @@ class TestPassParity:
         assert result.gates_removed >= 0
         _assert_parity(compiled, result.compiled, seed=seed)
 
-    @given(
-        seed=st.integers(0, 10_000),
-        level=st.sampled_from(("light", "full")),
-        allow_const=st.booleans(),
-    )
-    def test_pipeline_preserves_outputs(self, seed, level, allow_const):
+    @given(seed=st.integers(0, 10_000), allow_const=st.booleans())
+    def test_pipeline_preserves_outputs(self, seed, allow_const):
         compiled = random_netlist(
             6, 40, seed=seed, allow_const=allow_const
         ).compile()
-        result = optimize_compiled(compiled, level)
-        assert result.level == level
+        result = optimize_compiled(compiled)
+        assert result.passes[:4] == PASS_NAMES
         _assert_parity(compiled, result.compiled, seed=seed)
 
     @pytest.mark.parametrize("seed", [0, 7, 23])
     def test_pipeline_preserves_truth_table(self, seed):
         """Exhaustive parity: every input pattern, not a sample."""
         compiled = random_netlist(6, 45, seed=seed, allow_const=True).compile()
-        optimized = optimize_compiled(compiled, "full").compiled
+        optimized = optimize_compiled(compiled).compiled
         assert (
             optimized.truth_table_words() == compiled.truth_table_words()
         )
@@ -133,32 +134,33 @@ class TestPassParity:
         else:
             locked = sarlock_lock(carrier, key_size=4, seed=seed)
         compiled = locked.netlist.compile()
-        for level in ("light", "full"):
-            result = optimize_compiled(compiled, level)
+        for step in STEPS:
+            result = _apply(compiled, step)
             _assert_parity(compiled, result.compiled, width=256, seed=seed)
 
+
 class TestIdempotence:
-    @given(seed=st.integers(0, 10_000), level=st.sampled_from(("light", "full")))
-    def test_second_run_is_identity(self, seed, level):
+    @given(seed=st.integers(0, 10_000))
+    def test_second_run_is_identity(self, seed):
         compiled = random_netlist(6, 40, seed=seed, allow_const=True).compile()
-        once = optimize_compiled(compiled, level)
-        twice = optimize_compiled(once.compiled, level)
+        once = optimize_compiled(compiled)
+        twice = optimize_compiled(once.compiled)
         assert twice.compiled == once.compiled  # structural equality
         assert twice.gates_removed == 0
 
     def test_fixpoint_on_redundant_circuit(self):
         compiled = _redundant_netlist().compile()
-        once = optimize_compiled(compiled, "full")
+        once = optimize_compiled(compiled)
         assert once.gates_removed > 0
-        again = optimize_compiled(once.compiled, "full")
+        again = optimize_compiled(once.compiled)
         assert again.compiled == once.compiled
 
 
 class TestProvenance:
-    @given(seed=st.integers(0, 10_000), level=st.sampled_from(("light", "full")))
-    def test_images_carry_original_values(self, seed, level):
+    @given(seed=st.integers(0, 10_000), step=st.sampled_from(STEPS))
+    def test_images_carry_original_values(self, seed, step):
         compiled = random_netlist(6, 40, seed=seed, allow_const=True).compile()
-        result = optimize_compiled(compiled, level)
+        result = _apply(compiled, step)
         assert set(result.provenance) == set(range(compiled.num_slots))
         words, mask = _words_for(compiled, 96, seed)
         original = compiled.eval_words(list(words), mask)
@@ -172,16 +174,16 @@ class TestProvenance:
             else:
                 assert image == ("dropped",)
 
-    @given(seed=st.integers(0, 5_000))
-    def test_outputs_never_dropped(self, seed):
+    @given(seed=st.integers(0, 5_000), step=st.sampled_from(STEPS))
+    def test_outputs_never_dropped(self, seed, step):
         compiled = random_netlist(6, 40, seed=seed, allow_const=True).compile()
-        result = optimize_compiled(compiled, "full")
+        result = _apply(compiled, step)
         for slot in compiled.output_slots:
             assert result.slot_image(slot)[0] in ("slot", "const")
 
     def test_folded_output_reports_const(self):
         compiled = _redundant_netlist().compile()
-        result = optimize_compiled(compiled, "full")
+        result = optimize_compiled(compiled)
         assert result.slot_image(compiled.slot_of["out2"]) == ("const", 0)
 
 
@@ -217,7 +219,7 @@ class TestPassTargets:
         netlist.add_gate("x", GateType.MUX, ["s", "a", "b"])
         netlist.add_gate("y", GateType.MUX, ["s", "b", "a"])
         netlist.set_outputs(["x", "y"])
-        result = optimize_compiled(netlist.compile(), "full")
+        result = optimize_compiled(netlist.compile())
         assert result.stats["strash"] == 0
         assert result.compiled.num_gates == 2
 
@@ -229,22 +231,26 @@ class TestPassTargets:
     def test_coi_keeps_unread_inputs(self):
         """Pruning never reshapes the port list, even for a dead input."""
         compiled = _redundant_netlist().compile()  # "c" only feeds dangle
-        result = optimize_compiled(compiled, "full")
+        result = optimize_compiled(compiled)
         assert result.compiled.inputs == ("a", "b", "c")
         assert result.compiled.outputs == compiled.outputs
 
     def test_full_pipeline_compounds(self):
         compiled = _redundant_netlist().compile()
-        result = optimize_compiled(compiled, "full")
+        result = optimize_compiled(compiled)
         # out1 == OR(a, b); out2 == const 0 — nearly everything folds.
         assert result.compiled.num_gates <= 3
         assert result.gates_before == compiled.num_gates
 
 
 class TestOffIdentity:
-    def test_off_is_the_same_object(self):
+    """The unoptimized reference every "off" comparison runs under: the
+    suite's ``unoptimized`` fixture returns each circuit as it is."""
+
+    def test_off_is_the_same_object(self, unoptimized):
         compiled = random_netlist(5, 25, seed=3).compile()
-        result = optimize_compiled(compiled, "off")
+        with unoptimized():
+            result = compiled.optimized()
         assert result.compiled is compiled
         assert result.passes == ()
         assert all(
@@ -252,30 +258,27 @@ class TestOffIdentity:
             for s in range(compiled.num_slots)
         )
 
-    def test_compiled_optimized_off(self):
-        compiled = random_netlist(5, 25, seed=4).compile()
-        assert compiled.optimized("off").compiled is compiled
+    def test_compiled_optimized_off(self, unoptimized):
+        """Every consumer sees the circuit the optimizer would shrink."""
+        carrier = random_netlist(6, 40, seed=3)
+        locked = sarlock_lock(carrier, key_size=4, seed=3)
+        gates = locked.netlist.compile().num_gates
+        with unoptimized():
+            enc = build_miter_encoding(locked)
+            oracle = Oracle(carrier)
+        assert enc.compiled is locked.netlist.compile()
+        assert enc.encode_stats()["gates_after"] == gates
+        assert oracle._compiled is carrier.compile()
+        assert build_miter_encoding(locked).gates_after < gates
 
 
 class TestLever:
-    def test_default_is_auto(self):
-        assert OPT.current() == "auto"
-        assert resolve_opt(None) == "full"
-        assert resolve_opt("auto") == "full"
+    """What is left of the retired ``opt`` lever: one fixed level."""
 
-    def test_levels_roster(self):
-        assert OPT_LEVELS == ("off", "light", "full")
-        for level in OPT_LEVELS:
-            assert resolve_opt(level) == level
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_OPT", "light")
-        assert OPT.current() == "light"
-        assert resolve_opt(None) == "light"
-
-    def test_invalid_level_rejected(self):
-        with pytest.raises(ValueError, match="unknown opt level"):
-            resolve_opt("aggressive")
+    def test_resolve_opt_is_the_one_level(self):
+        assert OPT_LEVEL == "full"
+        for asked in (None, "off", "light", "full", "auto"):
+            assert resolve_opt(asked) == OPT_LEVEL
 
     def test_unknown_pass_rejected(self):
         compiled = random_netlist(4, 10, seed=1).compile()
@@ -286,11 +289,9 @@ class TestLever:
 class TestCaching:
     def test_one_result_per_level(self):
         compiled = random_netlist(6, 40, seed=9).compile()
-        assert compiled.optimized("full") is compiled.optimized("full")
-        assert compiled.optimized("light") is not compiled.optimized("full")
-        # "auto" and the process default resolve into the same cache slot.
-        assert compiled.optimized("auto") is compiled.optimized("full")
-        assert compiled.optimized(None) is compiled.optimized("full")
+        result = compiled.optimized()
+        assert compiled.optimized() is result
+        assert result.compiled == optimize_compiled(compiled).compiled
 
     def test_tainted_slots_cached_per_seed_set(self):
         compiled = random_netlist(6, 40, seed=11).compile()

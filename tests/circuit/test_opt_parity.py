@@ -21,21 +21,14 @@ from repro.circuit.netlist import Netlist
 from repro.circuit.opt import (
     _MAX_ROUNDS,
     _PASS_RULES,
-    _PIPELINES,
     PASS_NAMES,
     OptimizedCircuit,
     optimize_compiled,
-    resolve_opt,
     run_pass,
 )
 from repro.circuit.random_circuits import random_netlist
 from repro.locking.registry import lock_circuit
 from repro.synth.optimize import synthesize
-
-
-@pytest.fixture(autouse=True)
-def _clean_lever(monkeypatch):
-    monkeypatch.delenv("REPRO_OPT", raising=False)
 
 
 # ----------------------------------------------------------------------
@@ -141,23 +134,21 @@ def _reference_pass(compiled, name: str) -> OptimizedCircuit:
         source=compiled,
         compiled=optimized,
         provenance=provenance,
-        level=name,
         passes=(name,),
         stats={name: compiled.num_gates - optimized.num_gates},
     )
 
 
-def _reference_optimize(compiled, level=None) -> OptimizedCircuit:
-    resolved = resolve_opt(level)
+def _reference_optimize(compiled) -> OptimizedCircuit:
     provenance = {s: ("slot", s) for s in range(compiled.num_slots)}
-    if resolved == "off" or compiled.num_gates == 0:
-        return OptimizedCircuit(compiled, compiled, provenance, resolved, (), {})
+    if compiled.num_gates == 0:
+        return OptimizedCircuit(compiled, compiled, provenance, (), {})
     current = compiled
     applied: list[str] = []
     stats: dict[str, int] = {}
     for _ in range(_MAX_ROUNDS):
         before = current
-        for name in _PIPELINES[resolved]:
+        for name in PASS_NAMES:
             step = _reference_pass(current, name)
             provenance = {
                 slot: step.provenance[val[1]] if val[0] == "slot" else val
@@ -168,9 +159,7 @@ def _reference_optimize(compiled, level=None) -> OptimizedCircuit:
             current = step.compiled
         if current == before:
             break
-    return OptimizedCircuit(
-        compiled, current, provenance, resolved, tuple(applied), stats
-    )
+    return OptimizedCircuit(compiled, current, provenance, tuple(applied), stats)
 
 
 # ----------------------------------------------------------------------
@@ -198,7 +187,6 @@ def _assert_same(result: OptimizedCircuit, reference: OptimizedCircuit):
     assert list(result.provenance) == list(reference.provenance)
     assert result.passes == reference.passes
     assert result.stats == reference.stats
-    assert result.level == reference.level
 
 
 def _assert_synthesize_same(netlist: Netlist, monkeypatch) -> None:
@@ -214,12 +202,8 @@ def _assert_synthesize_same(netlist: Netlist, monkeypatch) -> None:
         assert list(got.gates.items()) == list(want.gates.items())
 
 
-def _assert_pipeline_parity(compiled, levels=("light", "full")) -> None:
-    for level in levels:
-        _assert_same(
-            optimize_compiled(compiled, level),
-            _reference_optimize(compiled, level),
-        )
+def _assert_pipeline_parity(compiled) -> None:
+    _assert_same(optimize_compiled(compiled), _reference_optimize(compiled))
 
 
 # ----------------------------------------------------------------------
@@ -317,7 +301,7 @@ def test_mux_keeps_a_constant_fanin():
     netlist.add_gate("po", GateType.XOR, ["m", s])
     netlist.set_outputs(["po"])
     compiled = netlist.compile()
-    result = optimize_compiled(compiled, "full")
+    result = optimize_compiled(compiled)
     assert "_opt_const0" in result.compiled.net_names
     _assert_pipeline_parity(compiled)
     _assert_same(run_pass(compiled, "sweep"), _reference_pass(compiled, "sweep"))
@@ -333,7 +317,7 @@ def test_existing_opt_const_name_is_suffixed():
     netlist.add_gate("dead", GateType.NOT, ["zero"])
     netlist.set_outputs(["m", "_opt_const0"])
     compiled = netlist.compile()
-    result = optimize_compiled(compiled, "full")
+    result = optimize_compiled(compiled)
     assert "_opt_const0_" in result.compiled.net_names
     _assert_pipeline_parity(compiled)
     for name in PASS_NAMES:
@@ -346,7 +330,7 @@ def test_gate_free_circuit():
     netlist.set_outputs(["b", "a", "b"])
     compiled = netlist.compile()
     _assert_pipeline_parity(compiled)
-    assert optimize_compiled(compiled, "full").compiled is compiled
+    assert optimize_compiled(compiled).compiled is compiled
 
 
 # ----------------------------------------------------------------------
@@ -357,11 +341,11 @@ def test_gate_free_circuit():
 def test_unchanged_circuit_is_returned_itself():
     """No pass changes real_c432, so the result is the source circuit."""
     compiled = resolve_circuit("real_c432").compile()
-    result = optimize_compiled(compiled, "full")
+    result = optimize_compiled(compiled)
     assert result.compiled is compiled
     assert result.passes == ("sweep", "chains", "strash", "coi")
     assert result.stats == {"sweep": 0, "chains": 0, "strash": 0, "coi": 0}
-    _assert_same(result, _reference_optimize(compiled, "full"))
+    _assert_same(result, _reference_optimize(compiled))
     for name in PASS_NAMES:
         assert run_pass(compiled, name).compiled is compiled
 
@@ -369,8 +353,8 @@ def test_unchanged_circuit_is_returned_itself():
 def test_reoptimizing_matches_reference():
     """An optimized circuit can still shuffle its output drivers."""
     compiled = random_netlist(6, 50, seed=4, allow_const=True).compile()
-    once = optimize_compiled(compiled, "full").compiled
+    once = optimize_compiled(compiled).compiled
     assert once is not compiled
-    again = optimize_compiled(once, "full")
+    again = optimize_compiled(once)
     assert again.compiled == once
-    _assert_same(again, _reference_optimize(once, "full"))
+    _assert_same(again, _reference_optimize(once))

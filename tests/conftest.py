@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import contextlib
 import os
 
 import pytest
 from hypothesis import HealthCheck, settings
 
+from repro.circuit.compiled import CompiledCircuit
+from repro.circuit.opt import _identity
 from repro.levers import LEVERS
 
 # One moderate profile for everything: property tests here run whole
@@ -47,6 +50,25 @@ def _restored_lever_env(monkeypatch):
         monkeypatch.setenv(lever.env, os.environ.get(lever.env, ""))
         if not os.environ[lever.env]:
             monkeypatch.delenv(lever.env)
+
+
+@pytest.fixture
+def unoptimized(monkeypatch):
+    """The unoptimized reference: ``with unoptimized(): ...`` runs its
+    body with :meth:`CompiledCircuit.optimized` returning every circuit
+    as it is, so the oracle, the attack miter, shard engines and the
+    metrics sweep all see the circuit the optimizer would have shrunk.
+    In-process only: runner worker processes optimize as usual."""
+
+    @contextlib.contextmanager
+    def patched():
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                CompiledCircuit, "optimized", lambda self: _identity(self, (), {})
+            )
+            yield
+
+    return patched
 
 
 @pytest.fixture

@@ -158,6 +158,21 @@ class TestAlgorithm1:
             assert task.gates_after <= task.gates_before
             assert task.oracle_queries == task.num_dips
 
+    @pytest.mark.parametrize("engine", ["reference", "sharded"])
+    def test_unoptimized_takes_the_same_dips(self, setup, engine, unoptimized):
+        """Optimization shrinks what the solver sees, never the attack:
+        on SARLock every sub-space takes the same DIPs without it, and
+        every key still unlocks its sub-space."""
+        original, locked = setup
+        optimized = multikey_attack(locked, original, effort=2, engine=engine)
+        with unoptimized():
+            plain = multikey_attack(locked, original, effort=2, engine=engine)
+        assert plain.dips_per_task == optimized.dips_per_task
+        for task in plain.subtasks:
+            assert task.key_int in brute_force_keys(
+                locked, Oracle(original), pin=task.assignment
+            )
+
     def test_partial_status_on_budget(self, setup):
         original, locked = setup
         result = multikey_attack(

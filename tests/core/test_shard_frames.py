@@ -126,8 +126,7 @@ def _lut_c432():
 
 def _sharded_unlock(locked, original, runner):
     return multikey_attack(
-        locked, original, 2, engine="sharded", solver="python", opt="full",
-        runner=runner,
+        locked, original, 2, engine="sharded", solver="python", runner=runner,
     )
 
 

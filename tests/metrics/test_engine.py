@@ -4,8 +4,8 @@ Ground truth comes from circuits small enough to check by hand (a
 single XOR gate; SARLock's one-error-per-key point function) and from
 the BDD package's exact rates and key counts, an independent oracle.
 Parity is the subsystem's contract: every metric value is bit-identical
-across opt levels, because the lever changes how the sweep runs, never
-which bits it produces.
+with and without structural optimization, because optimizing changes
+how the sweep runs, never which bits it produces.
 """
 
 import pytest
@@ -122,11 +122,10 @@ class TestLeverParity:
             locked, original, metrics=ALL_METRICS, key_samples=0, **kwargs
         ).metrics
 
-    @pytest.mark.parametrize("opt", ["light", "full"])
-    def test_opt_levels_match_off(self, locked_pair, opt):
-        assert self._metrics(locked_pair, opt=opt) == self._metrics(
-            locked_pair, opt="off"
-        )
+    def test_optimized_matches_unoptimized(self, locked_pair, unoptimized):
+        optimized = self._metrics(locked_pair)
+        with unoptimized():
+            assert self._metrics(locked_pair) == optimized
 
     def test_seed_changes_sampled_streams(self):
         # XOR lock: per-key corruption varies with the key, so a

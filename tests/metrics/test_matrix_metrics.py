@@ -1,10 +1,10 @@
 """Metrics as a matrix axis: spec levers, dedup, parity, warm replay.
 
 The acceptance contract: ``--metrics corruption`` columns are
-byte-identical across opt levels, both multi-key engines, and a warm
-cache replay — one ``corruption_cell`` task per (scheme, circuit,
-effort, seed) point, shared by every attack/engine cell that lands on
-it.
+byte-identical with and without structural optimization, across both
+multi-key engines, and on a warm cache replay — one ``corruption_cell``
+task per (scheme, circuit, effort, seed) point, shared by every
+attack/engine cell that lands on it.
 """
 
 import pytest
@@ -128,9 +128,11 @@ class TestMatrixMetrics:
         # columns never do.
         assert self._metric_columns(cold) == self._metric_columns(result)
 
-    def test_opt_levels_agree_through_the_matrix(self, result):
-        opt_result = run_matrix(small_spec(opt="full"), runner=Runner())
-        for cell, base in zip(opt_result.cells, result.cells):
+    def test_opt_levels_agree_through_the_matrix(self, result, unoptimized):
+        """Optimized and unoptimized sweeps give the same metric values."""
+        with unoptimized():
+            plain = run_matrix(small_spec(), runner=Runner())
+        for cell, base in zip(plain.cells, result.cells):
             assert cell.metrics == base.metrics
 
     def test_json_round_trip_preserves_metrics(self, result):

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from repro.scenarios import ScenarioSpec
 from repro.service import (
     SCHEMA_VERSION,
     AttackRequest,
@@ -14,6 +15,7 @@ from repro.service import (
     Event,
     ExperimentRequest,
     MatrixRequest,
+    MetricsRequest,
     Response,
     from_dict,
     from_json,
@@ -115,11 +117,48 @@ class TestRoundTrips:
         assert a == b == c
 
 
+#: One small grid, as a spec and as a matrix request.
+_SMALL_GRID = dict(
+    schemes=["xor"], circuits=["c17"], metrics=["corruption"], key_samples=2
+)
+
+#: Requests of the kinds that carried an ``opt`` field.
+_OPT_ERA_REQUESTS = {
+    "attack": AttackRequest(circuit="c17", scheme="xor", effort=1),
+    "matrix": MatrixRequest(**_SMALL_GRID),
+    "metrics": MetricsRequest(circuit="c17", scheme="xor"),
+}
+
+
+def _cache_keys(spec: ScenarioSpec) -> list[str]:
+    return [task.cache_key for task in spec.expand() + spec.expand_metrics()]
+
+
 class TestTolerance:
     def test_unknown_fields_are_ignored(self):
         payload = json.loads(to_json(BenchRequest(circuit="c432")))
         payload["added_in_a_future_version"] = {"nested": True}
         assert from_dict(payload) == BenchRequest(circuit="c432")
+
+    @pytest.mark.parametrize("opt", ["full", "off"])
+    @pytest.mark.parametrize("kind", ["attack", "matrix", "metrics", "describe"])
+    def test_retired_opt_field_is_ignored(self, kind, opt):
+        """Payloads and ``describe()`` exports written while ``opt`` was
+        a lever still decode, to exactly what they decode to without
+        it, so their cells hash to the same cache keys."""
+        if kind == "describe":
+            spec = ScenarioSpec(**_SMALL_GRID)
+            assert spec.describe()["opt"] == "full"  # the column stays
+            decoded = ScenarioSpec.from_payload({**spec.describe(), "opt": opt})
+        else:
+            request = _OPT_ERA_REQUESTS[kind]
+            assert "opt" not in to_dict(request)
+            old = from_dict({**to_dict(request), "opt": opt})
+            assert old == request
+            if kind != "matrix":
+                return  # equal envelopes run the same job
+            spec, decoded = request.to_spec(), old.to_spec()
+        assert _cache_keys(decoded) == _cache_keys(spec)
 
     def test_unknown_event_data_keys_survive(self):
         payload = json.loads(

@@ -239,7 +239,7 @@ class TestServiceSurface:
 
 
 class TestLeverFlags:
-    """The three lever flags come from the table in ``repro.levers``."""
+    """The two lever flags come from the table in ``repro.levers``."""
 
     def test_flags_reach_the_resolved_values(self, tmp_path, monkeypatch):
         import dataclasses
@@ -256,13 +256,13 @@ class TestLeverFlags:
             "matrix", "--schemes", "xor", "--circuits", "c432",
             "--scale", "0.12", "--key-size", "3", "--efforts", "1",
             "--metrics", "corruption", "--key-samples", "4", "--quiet",
-            "--opt", "off", "--solver", "twin",
+            "--solver", "twin",
             "--cache-backend", "memory", "--json", str(json_path),
         ]) == 0
         cells = json.loads(json_path.read_text())["cells"]
         assert cells
         assert {(cell["opt"], cell["solver"]) for cell in cells} == {
-            ("off", "twin")
+            ("full", "twin")
         }
         assert resolve_cache_backend_name(None) == "memory"
         # The memory backend left the on-disk cache dir untouched.
@@ -285,6 +285,14 @@ class TestLeverFlags:
             main(["matrix", "--lanes", "python", "--no-cache", "--quiet"])
         assert exit_info.value.code == 2
         assert "--lanes" in capsys.readouterr().err
+
+    def test_opt_flag_is_gone(self, capsys):
+        """Structural optimization always runs: ``matrix --opt off``
+        exits with argparse's error before any work starts."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(["matrix", "--opt", "off", "--no-cache", "--quiet"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --opt off" in capsys.readouterr().err
 
     def test_cache_subcommand_takes_only_the_backend_lever(self):
         args = build_parser().parse_args(

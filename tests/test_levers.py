@@ -12,7 +12,6 @@ import dataclasses
 
 import pytest
 
-from repro.circuit.opt import resolve_opt
 from repro.circuit.random_circuits import random_netlist
 from repro.core.sharded import sharded_multikey_attack
 from repro.levers import LEVERS
@@ -25,16 +24,17 @@ from repro.scenarios import ScenarioSpec
 
 #: Each lever's resolver, as the layer that uses it calls it.
 RESOLVERS = {
-    "opt": resolve_opt,
     "solver": resolve_solver_name,
     "cache_backend": resolve_cache_backend_name,
 }
 
 #: The task kinds whose hashed params carry each hashed lever.
 HASHED_IN = {
-    "opt": {"scenario_cell", "corruption_cell", "multikey_shard_chunk"},
     "solver": {"scenario_cell", "multikey_shard_chunk"},
 }
+
+#: Every task kind one small request dispatches.
+TASK_KINDS = {"scenario_cell", "corruption_cell", "multikey_shard_chunk"}
 
 BY_NAME = pytest.mark.parametrize("lever", LEVERS, ids=lambda lever: lever.name)
 
@@ -56,7 +56,7 @@ def _alternatives(lever) -> tuple[str, str]:
 
 
 def test_table_names_every_resolver():
-    assert [lever.name for lever in LEVERS] == ["opt", "solver", "cache_backend"]
+    assert [lever.name for lever in LEVERS] == ["solver", "cache_backend"]
     assert {lever.name for lever in LEVERS} == set(RESOLVERS)
     assert {lever.name for lever in LEVERS if lever.hashed} == set(HASHED_IN)
 
@@ -75,7 +75,7 @@ def test_env_var_overrides_default(lever, monkeypatch):
 def test_explicit_value_beats_env_var(lever, monkeypatch):
     alt, other = _alternatives(lever)
     monkeypatch.setenv(lever.env, alt)
-    assert RESOLVERS[lever.name](other) == lever.aliases.get(other, other)
+    assert RESOLVERS[lever.name](other) == other
 
 
 @BY_NAME
@@ -116,7 +116,7 @@ def _tasks() -> list:
     sharded_multikey_attack(
         locked, original, effort=1, runner=_RecordingRunner(tasks)
     )
-    assert {task.kind for task in tasks} == set().union(*HASHED_IN.values())
+    assert {task.kind for task in tasks} == TASK_KINDS
     return tasks
 
 
