@@ -22,7 +22,7 @@ def main() -> None:
     spec_name = sys.argv[3] if len(sys.argv) > 3 else "paper"
 
     original = iscas85_like(circuit, scale=scale)
-    spec = LutModuleSpec.by_name(spec_name)
+    spec = LutModuleSpec.coerce(spec_name)
     locked = lut_lock(original, spec, seed=1)
     print(
         f"{circuit}-class ({original.num_gates} gates) + 2-stage LUT module "

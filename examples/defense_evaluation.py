@@ -34,7 +34,7 @@ def main() -> None:
     scale = float(sys.argv[1]) if len(sys.argv) > 1 else 0.3
     samples = int(sys.argv[2]) if len(sys.argv) > 2 else 4096
     lut_spec_name = sys.argv[3] if len(sys.argv) > 3 else "paper"
-    lut_spec = LutModuleSpec.by_name(lut_spec_name)
+    lut_spec = LutModuleSpec.coerce(lut_spec_name)
 
     original = iscas85_like("c880", scale=scale)
     base_area = estimate_area(original)

@@ -231,12 +231,10 @@ def _cmd_table2(args: argparse.Namespace) -> int:
 
 
 def _cmd_ablation(args: argparse.Namespace) -> int:
-    if args.which in ("splitting", "both"):
-        request = _experiment_request("ablation_splitting", scale=args.scale)
-        _emit(args, _submit(args, request))
-    if args.which in ("synthesis", "both"):
-        request = _experiment_request("ablation_synthesis", scale=args.scale)
-        _emit(args, _submit(args, request))
+    for which in ("splitting", "synthesis"):
+        if args.which in (which, "both"):
+            request = _experiment_request(f"ablation_{which}", scale=args.scale)
+            _emit(args, _submit(args, request))
     return 0
 
 

@@ -12,8 +12,10 @@ paper literally and serves as the parity baseline the sharded engine
 (:mod:`repro.core.sharded`) is tested against.  The sharded hot path
 never calls it — sub-spaces are selected there with solver assumptions
 against one shared encoding instead of per-sub-space synthesis.  The
-A2 ablation (``run_synthesis=False``) measures what this synthesis
-step buys the reference arm.
+A2 ablation (the ``synthesis`` axis of a
+:class:`~repro.scenarios.spec.ScenarioSpec`) measures what this
+synthesis step buys the reference arm.  Its off arm attacks the same
+sub-spaces, but may recover different, equally valid, partial keys.
 """
 
 from __future__ import annotations
@@ -51,8 +53,10 @@ def generate_conditional_netlist(
 ) -> ConditionalNetlist:
     """Specialize ``locked`` to the input constants in ``assignment``.
 
-    With ``run_synthesis=False`` the original netlist is kept — the
-    A2 ablation measures what that costs the sub-attacks.
+    With ``run_synthesis=False`` the original netlist is kept — A2's
+    off arm measures what that costs the sub-attacks.  The pinned
+    sub-space is the same either way, though the sub-attack may then
+    find another valid partial key.
     """
     assignment = dict(assignment)
     for net in assignment:

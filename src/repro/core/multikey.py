@@ -365,8 +365,9 @@ def multikey_attack(
         selection: Splitting-input strategy (see
             :func:`repro.core.splitting.select_splitting_inputs`).
         run_synthesis: Synthesize each conditional netlist (line 4 of
-            Algorithm 1).  Disabling this is the A2 ablation.
-            Reference engine only.
+            Algorithm 1).  Disabling this is A2's off arm: the same
+            sub-spaces, possibly other valid partial keys.  Reference
+            engine only; shards never synthesize.
         parallel: Fan the sub-tasks out over a process pool.
         processes: Worker count of the default runner (defaults to
             ``cpu_count``; ignored when ``runner`` is supplied).

@@ -5,7 +5,7 @@
     netlist's input ports, prioritizing those with the most
     key-controlled gates in their fan-out cones."
 
-``strategy="random"`` exists for the ablation benchmark that justifies
+``random`` and ``first`` exist for the A1 ablation that justifies
 this design choice.
 """
 
@@ -15,6 +15,18 @@ import random
 
 from repro.circuit.analysis import rank_inputs_by_key_influence
 from repro.locking.base import LockedCircuit
+
+#: The selection strategies :func:`select_splitting_inputs` knows.
+STRATEGIES = ("fanout", "random", "first")
+
+
+def check_strategy(strategy: str) -> None:
+    """Raise ``ValueError`` with the roster unless ``strategy`` is known."""
+    if strategy not in STRATEGIES:
+        raise ValueError(
+            f"unknown splitting strategy {strategy!r} "
+            f"(known: {', '.join(STRATEGIES)})"
+        )
 
 
 def select_splitting_inputs(
@@ -32,6 +44,7 @@ def select_splitting_inputs(
         ``first``   — the first ``N`` primary inputs (deterministic
                       strawman).
     """
+    check_strategy(strategy)
     if effort < 0:
         raise ValueError("splitting effort must be non-negative")
     if effort > len(locked.original_inputs):
@@ -48,9 +61,7 @@ def select_splitting_inputs(
     if strategy == "random":
         rng = random.Random(seed)
         return rng.sample(list(locked.original_inputs), effort)
-    if strategy == "first":
-        return list(locked.original_inputs[:effort])
-    raise ValueError(f"unknown splitting strategy {strategy!r}")
+    return list(locked.original_inputs[:effort])  # "first"
 
 
 def splitting_assignments(

@@ -14,11 +14,14 @@ Each module owns one artifact:
 * :mod:`repro.experiments.ablation_splitting` — A1: splitting-input
   selection strategies,
 * :mod:`repro.experiments.ablation_synthesis` — A2: conditional-netlist
-  synthesis on/off.
+  synthesis on/off,
+* :mod:`repro.experiments.defense` — D1: the multi-key countermeasure.
 
 Every runner accepts a scale/limits so the same code serves smoke
-tests, the pytest benchmarks and full-scale reproduction runs.  All of
-them submit their rows/cells as :mod:`repro.runner` tasks: pass a
+tests, the pytest benchmarks and full-scale reproduction runs.  All but
+Figure 1 are one :class:`~repro.scenarios.spec.ScenarioSpec` (or a
+``corruption_cell`` curve) plus a formatter, and submit their cells as
+:mod:`repro.runner` tasks: pass a
 configured :class:`repro.runner.Runner` to fan work out across
 processes and reuse cached artifacts.
 """

@@ -5,20 +5,23 @@ number of key-controlled gates in their fan-out cones, arguing that
 pinning such inputs "can significantly simplify the netlist's logic".
 This ablation runs the multi-key attack with that heuristic against
 ``random`` and ``first`` selections and compares conditional-netlist
-sizes, #DIP and sub-task runtimes.  Each strategy arm is one
-``ablation_splitting_row`` task submitted through :mod:`repro.runner`.
+sizes, #DIP and sub-task runtimes.  The strategies are the
+``selections`` axis of one :class:`~repro.scenarios.spec.ScenarioSpec`,
+evaluated by :func:`~repro.scenarios.matrix.run_matrix` like Table 1,
+Table 2 and D1.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import asdict, dataclass, field
 from statistics import fmean
 
-from repro.bench_circuits.iscas85 import iscas85_like
-from repro.core.multikey import multikey_attack
 from repro.experiments.report import format_table, seconds
-from repro.locking.lut_lock import LutModuleSpec, lut_lock
-from repro.runner import Runner, TaskSpec, register_task
+from repro.locking.lut_lock import LutModuleSpec
+from repro.runner import Runner
+from repro.scenarios.matrix import run_matrix
+from repro.scenarios.spec import ScenarioSpec
 
 
 @dataclass
@@ -75,30 +78,29 @@ class SplittingAblationResult:
         )
 
 
-@register_task("ablation_splitting_row")
-def _splitting_row_task(params: dict) -> dict:
-    """Worker: the multi-key attack under one selection strategy."""
-    seed = params["seed"]
-    spec = LutModuleSpec(**params["spec"])
-    original = iscas85_like(params["circuit"], params["scale"])
-    locked = lut_lock(original, spec, seed=seed)
-    attack = multikey_attack(
-        locked,
-        original,
-        effort=params["effort"],
-        selection=params["strategy"],
-        seed=seed,
-        time_limit_per_task=params["time_limit_per_task"],
-    )
-    return asdict(
-        AblationRow(
-            strategy=params["strategy"],
-            mean_gates_after=fmean(t.gates_after for t in attack.subtasks),
-            total_dips=attack.total_dips,
-            max_seconds=attack.max_subtask_seconds,
-            mean_seconds=attack.mean_subtask_seconds,
-            status=attack.status,
-        )
+def lut_ablation_spec(
+    circuit: str,
+    scale: float,
+    effort: int,
+    spec: str | Mapping | LutModuleSpec,
+    seed: int,
+    time_limit_per_task: float | None,
+    **axes,
+) -> ScenarioSpec:
+    """One LUT-locked circuit plus the ablated ``axes`` (A1, A2).
+
+    Only the reference engine synthesizes conditional netlists, so
+    only its cells' ``gates_after`` show what an arm earns.
+    """
+    return ScenarioSpec(
+        schemes=[("lut", {"spec": asdict(LutModuleSpec.coerce(spec))})],
+        engines=("reference",),
+        circuits=(circuit,),
+        scale=scale,
+        efforts=(effort,),
+        seeds=(seed,),
+        time_limit_per_task=time_limit_per_task,
+        **axes,
     )
 
 
@@ -106,32 +108,27 @@ def run_splitting_ablation(
     circuit: str = "c6288",
     scale: float = 0.3,
     effort: int = 3,
-    spec: LutModuleSpec | None = None,
+    spec: str | Mapping | LutModuleSpec | None = None,
     strategies: tuple[str, ...] = ("fanout", "random", "first"),
     seed: int = 1,
     time_limit_per_task: float | None = 120.0,
     runner: Runner | None = None,
 ) -> SplittingAblationResult:
     """Compare splitting strategies on one LUT-locked benchmark."""
-    spec = spec or LutModuleSpec.paper_scale()
-    runner = runner or Runner()
-    specs = [
-        TaskSpec(
-            kind="ablation_splitting_row",
-            params={
-                "circuit": circuit,
-                "scale": scale,
-                "effort": effort,
-                "spec": asdict(spec),
-                "strategy": strategy,
-                "seed": seed,
-                "time_limit_per_task": time_limit_per_task,
-            },
-            label=f"A1 {circuit} {strategy}",
+    matrix = run_matrix(
+        lut_ablation_spec(circuit, scale, effort, spec or "paper", seed,
+                          time_limit_per_task, selections=strategies),
+        runner=runner or Runner(),
+    )
+    rows = [
+        AblationRow(
+            strategy=cell.selection,
+            mean_gates_after=fmean(cell.gates_after),
+            total_dips=sum(cell.dips_per_task),
+            max_seconds=cell.max_seconds,
+            mean_seconds=cell.mean_seconds,
+            status=cell.status,
         )
-        for strategy in strategies
+        for cell in matrix.cells
     ]
-    result = SplittingAblationResult(circuit=circuit, scale=scale, effort=effort)
-    for task in runner.run(specs):
-        result.rows.append(AblationRow(**task.artifact))
-    return result
+    return SplittingAblationResult(circuit, scale, effort, rows)

@@ -2,23 +2,27 @@
 
 Algorithm 1 line 4 synthesizes each pinned netlist "to remove any
 redundant logic".  This ablation runs the same sub-attacks with the
-synthesis step disabled (the SAT attack still pins the inputs with
-unit clauses, so results are identical — only cost changes).  Each
-on/off arm is one ``ablation_synthesis_row`` task submitted through
-:mod:`repro.runner`; the worker reports the recovered keys so the
-driver can check the two arms agree.
+synthesis step disabled; the SAT attack still pins the inputs with
+unit clauses, so both arms solve the same sub-spaces.  A sub-space can
+have several valid partial keys, though, and the two arms may recover
+different ones, so each arm's keys are checked by composing them and
+proving the result equivalent to the original (the ``CEC`` column).
+The arms are the ``synthesis`` axis of one
+:class:`~repro.scenarios.spec.ScenarioSpec`, evaluated by
+:func:`~repro.scenarios.matrix.run_matrix` like Table 1, Table 2 and D1.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from collections.abc import Mapping
+from dataclasses import dataclass, field
 from statistics import fmean
 
-from repro.bench_circuits.iscas85 import iscas85_like
-from repro.core.multikey import multikey_attack
-from repro.experiments.report import format_table, seconds
-from repro.locking.lut_lock import LutModuleSpec, lut_lock
-from repro.runner import Runner, TaskSpec, register_task
+from repro.experiments.ablation_splitting import lut_ablation_spec
+from repro.experiments.report import cec_verdict, format_table, seconds
+from repro.locking.lut_lock import LutModuleSpec
+from repro.runner import Runner
+from repro.scenarios.matrix import run_matrix
 
 
 @dataclass
@@ -28,8 +32,8 @@ class SynthesisAblationRow:
     total_dips: int
     max_seconds: float
     mean_seconds: float
-    keys_match: bool
     status: str
+    composition_equivalent: bool | None = None
 
 
 @dataclass
@@ -56,6 +60,7 @@ class SynthesisAblationResult:
             "Max task",
             "Mean task",
             "Status",
+            "CEC",
         ]
         body = [
             [
@@ -65,6 +70,7 @@ class SynthesisAblationResult:
                 seconds(row.max_seconds),
                 seconds(row.mean_seconds),
                 row.status,
+                cec_verdict(row.composition_equivalent),
             ]
             for row in self.rows
         ]
@@ -78,75 +84,32 @@ class SynthesisAblationResult:
         )
 
 
-@register_task("ablation_synthesis_row")
-def _synthesis_row_task(params: dict) -> dict:
-    """Worker: one arm (synthesis on or off) of the A2 comparison.
-
-    The artifact carries ``key_ints`` (not a row field) so the driver
-    can compute ``keys_match`` across arms without serializing netlists.
-    """
-    seed = params["seed"]
-    spec = LutModuleSpec(**params["spec"])
-    original = iscas85_like(params["circuit"], params["scale"])
-    locked = lut_lock(original, spec, seed=seed)
-    attack = multikey_attack(
-        locked,
-        original,
-        effort=params["effort"],
-        run_synthesis=params["run_synthesis"],
-        seed=seed,
-        time_limit_per_task=params["time_limit_per_task"],
-    )
-    return {
-        "synthesis": params["run_synthesis"],
-        "mean_gates": fmean(t.gates_after for t in attack.subtasks),
-        "total_dips": attack.total_dips,
-        "max_seconds": attack.max_subtask_seconds,
-        "mean_seconds": attack.mean_subtask_seconds,
-        "status": attack.status,
-        "key_ints": attack.key_ints,
-    }
-
-
 def run_synthesis_ablation(
     circuit: str = "c1355",
     scale: float = 0.3,
     effort: int = 3,
-    spec: LutModuleSpec | None = None,
+    spec: str | Mapping | LutModuleSpec | None = None,
     seed: int = 1,
     time_limit_per_task: float | None = 120.0,
     runner: Runner | None = None,
 ) -> SynthesisAblationResult:
     """Run the multi-key attack with and without conditional synthesis."""
-    spec = spec or LutModuleSpec.paper_scale()
-    runner = runner or Runner()
-    specs = [
-        TaskSpec(
-            kind="ablation_synthesis_row",
-            params={
-                "circuit": circuit,
-                "scale": scale,
-                "effort": effort,
-                "spec": asdict(spec),
-                "run_synthesis": run_synthesis,
-                "seed": seed,
-                "time_limit_per_task": time_limit_per_task,
-            },
-            label=f"A2 {circuit} synth={'on' if run_synthesis else 'off'}",
+    matrix = run_matrix(
+        lut_ablation_spec(circuit, scale, effort, spec or "paper", seed,
+                          time_limit_per_task, synthesis=(True, False),
+                          verify_composition=True),
+        runner=runner or Runner(),
+    )
+    rows = [
+        SynthesisAblationRow(
+            synthesis=cell.synthesis,
+            mean_gates=fmean(cell.gates_after),
+            total_dips=sum(cell.dips_per_task),
+            max_seconds=cell.max_seconds,
+            mean_seconds=cell.mean_seconds,
+            status=cell.status,
+            composition_equivalent=cell.composition_equivalent,
         )
-        for run_synthesis in (True, False)
+        for cell in matrix.cells
     ]
-    result = SynthesisAblationResult(circuit=circuit, scale=scale, effort=effort)
-    reference_keys: list[int | None] | None = None
-    for task in runner.run(specs):
-        artifact = dict(task.artifact)
-        keys = artifact.pop("key_ints")
-        if reference_keys is None:
-            reference_keys = keys
-            keys_match = True
-        else:
-            keys_match = keys == reference_keys
-        result.rows.append(
-            SynthesisAblationRow(keys_match=keys_match, **artifact)
-        )
-    return result
+    return SynthesisAblationResult(circuit, scale, effort, rows)

@@ -33,3 +33,8 @@ def seconds(value: float) -> str:
     if value < 120:
         return f"{value:.2f}s"
     return f"{value / 60:.1f}min"
+
+
+def cec_verdict(equivalent: bool | None) -> str:
+    """A CEC column cell: ``pass``, ``FAIL``, or ``-`` when not checked."""
+    return {True: "pass", False: "FAIL", None: "-"}[equivalent]

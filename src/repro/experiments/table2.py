@@ -15,9 +15,10 @@ result cache.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import asdict, dataclass, field
 
-from repro.experiments.report import format_table, seconds
+from repro.experiments.report import cec_verdict, format_table, seconds
 from repro.locking.lut_lock import LutModuleSpec
 from repro.runner import Runner
 from repro.scenarios.matrix import run_matrix
@@ -90,9 +91,7 @@ class Table2Result:
                     seconds(row.max_seconds)
                     + ("" if row.multikey_status == "ok" else "!"),
                     f"{row.ratio:.3f}",
-                    {True: "pass", False: "FAIL", None: "-"}[
-                        row.composition_equivalent
-                    ],
+                    cec_verdict(row.composition_equivalent),
                 ]
             )
         title = (
@@ -105,7 +104,7 @@ class Table2Result:
 def table2_spec(
     circuits: tuple[str, ...],
     scale: float,
-    spec: LutModuleSpec,
+    spec: str | Mapping | LutModuleSpec,
     effort: int,
     time_limit_per_task: float | None,
     seed: int,
@@ -121,7 +120,7 @@ def table2_spec(
     earn different ones.
     """
     return ScenarioSpec(
-        schemes=[("lut", {"spec": asdict(spec)})],
+        schemes=[("lut", {"spec": asdict(LutModuleSpec.coerce(spec))})],
         attacks=("sat",),
         engines=(engine,),
         circuits=tuple(circuits),
@@ -137,7 +136,7 @@ def table2_spec(
 def run_table2(
     circuits: tuple[str, ...] = TABLE2_CIRCUITS,
     scale: float = 0.4,
-    spec: LutModuleSpec | None = None,
+    spec: str | Mapping | LutModuleSpec | None = None,
     effort: int = 4,
     parallel: bool = True,
     processes: int | None = None,
@@ -149,8 +148,9 @@ def run_table2(
 ) -> Table2Result:
     """Regenerate Table 2.
 
-    ``spec`` defaults to :meth:`LutModuleSpec.paper_scale` (the
-     14-input two-stage module).  ``verify=True`` additionally composes
+    ``spec`` (a preset name, field mapping or instance) defaults to
+    :meth:`LutModuleSpec.paper_scale` (the 14-input two-stage module).
+    ``verify=True`` additionally composes
     the 16 recovered keys per Fig. 1(b) and proves CEC equivalence —
     something the paper asserts but does not report per row.
 
@@ -165,7 +165,7 @@ def run_table2(
     ``2^N`` sub-spaces, ``"reference"`` reproduces the paper's literal
     per-sub-space flow.
     """
-    spec = spec or LutModuleSpec.paper_scale()
+    spec = LutModuleSpec.coerce(spec or "paper")
     matrix = run_matrix(
         table2_spec(
             circuits=circuits,

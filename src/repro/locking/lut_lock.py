@@ -24,6 +24,7 @@ attacks tractable in tests and benchmarks.
 from __future__ import annotations
 
 import random
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 from repro.circuit.analysis import fanin_cone, fanout_cone
@@ -62,23 +63,28 @@ class LutModuleSpec:
         return self.num_stage1 * (1 << self.stage1_width) + (1 << self.stage2_width)
 
     @classmethod
-    def by_name(cls, name: str) -> "LutModuleSpec":
-        """Resolve a preset by name: ``tiny`` | ``small`` | ``paper``.
+    def coerce(cls, spec: "str | Mapping | LutModuleSpec") -> "LutModuleSpec":
+        """A spec from a preset name, a field mapping or an instance.
 
-        The single roster behind every CLI/example spec argument;
-        raises ``ValueError`` with the known names on a miss.
+        Presets (``tiny`` | ``small`` | ``paper``) are the one roster
+        behind every spec argument; a miss raises ``ValueError`` with
+        the known names.  Drivers coerce before hashing.
         """
+        if isinstance(spec, cls):
+            return spec
+        if isinstance(spec, Mapping):
+            return cls(**spec)
         presets = {
             "tiny": cls.tiny,
             "small": cls.small,
             "paper": cls.paper_scale,
         }
         try:
-            return presets[name]()
+            return presets[spec]()
         except KeyError:
             known = ", ".join(sorted(presets))
             raise ValueError(
-                f"unknown LUT spec {name!r} (known: {known})"
+                f"unknown LUT spec {spec!r} (known: {known})"
             ) from None
 
     @classmethod

@@ -109,11 +109,7 @@ def _lut(
     seed: int = 0,
     **kwargs,
 ):
-    if isinstance(spec, str):
-        spec = LutModuleSpec.by_name(spec)
-    elif isinstance(spec, Mapping):
-        spec = LutModuleSpec(**spec)
-    return lut_lock(netlist, spec, seed=seed, **kwargs)
+    return lut_lock(netlist, LutModuleSpec.coerce(spec), seed=seed, **kwargs)
 
 
 @register_scheme(

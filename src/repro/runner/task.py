@@ -1,8 +1,8 @@
 """Structured experiment tasks and their content-hash identities.
 
 A :class:`TaskSpec` is a fully declarative description of one unit of
-experiment work — a Table 2 row, a Table 1 cell, an ablation arm —
-as a ``kind`` (the registered worker) plus JSON-serializable
+experiment work — a scenario-matrix cell (a Table 1 cell, a Table 2
+row, an ablation arm), a multi-key sub-task, a shard chunk — as a ``kind`` (the registered worker) plus JSON-serializable
 ``params``.  Its :attr:`~TaskSpec.cache_key` is a SHA-256 over the
 canonical JSON of ``(kind, params, format version)``, so the same
 logical task hashes identically across processes, machines and

@@ -4,11 +4,12 @@
 matrix: lock a carrier circuit with a registered scheme, run the
 multi-key attack with a registered per-sub-space attack on a chosen
 engine, optionally compare against the ``N = 0`` baseline, CEC the
-composed keys, and measure defense resistance.  The paper's table
-drivers (:mod:`repro.experiments.table1` / ``table2`` / ``defense``)
-are thin :class:`~repro.scenarios.spec.ScenarioSpec` wrappers over
-this worker — and any other ``scheme x attack x engine x circuit``
-cell is one declarative spec away.
+composed keys, and measure defense resistance.  The paper's experiment
+drivers (:mod:`repro.experiments.table1` / ``table2`` / ``defense`` /
+``ablation_splitting`` / ``ablation_synthesis``) are thin
+:class:`~repro.scenarios.spec.ScenarioSpec` wrappers over this worker —
+and any other ``scheme x attack x engine x circuit`` cell is one
+declarative spec away.
 """
 
 from __future__ import annotations
@@ -77,12 +78,19 @@ class ScenarioCell:
     metrics_detail: dict | None = None
     key_samples: int | None = None
     metrics_seed: int | None = None
+    # Defaults cover payloads recorded before these axes; gates_after
+    # is each sub-task's conditional-netlist size, as dips_per_task.
+    selection: str = "fanout"
+    synthesis: bool = True
+    gates_after: list[int] | None = None
 
 
 @register_task("scenario_cell")
 def _scenario_cell_task(params: dict) -> dict:
     """Worker: evaluate one (scheme, attack, engine, circuit, N) cell."""
     seed = params["seed"]
+    selection = params.get("selection", "fanout")
+    run_synthesis = params.get("run_synthesis", True)
     effort = params["effort"]
     solver = params.get("solver")
     time_limit = params.get("time_limit_per_task")
@@ -111,6 +119,8 @@ def _scenario_cell_task(params: dict) -> dict:
         locked,
         original,
         effort=effort,
+        selection=selection,
+        run_synthesis=run_synthesis,
         parallel=params.get("parallel", False),
         processes=params.get("processes"),
         time_limit_per_task=time_limit,
@@ -187,6 +197,9 @@ def _scenario_cell_task(params: dict) -> dict:
             area_overhead=area_overhead,
             solver=attack.solver,
             opt=OPT_LEVEL,
+            selection=selection,
+            synthesis=run_synthesis,
+            gates_after=[task.gates_after for task in attack.subtasks],
         )
     )
 
@@ -201,6 +214,8 @@ def scenario_cell_task(
     scale: float,
     effort: int,
     seed: int,
+    selection: str = "fanout",
+    run_synthesis: bool = True,
     solver: str | None = None,
     time_limit_per_task: float | None = None,
     max_dips_per_task: int | None = None,
@@ -217,40 +232,50 @@ def scenario_cell_task(
     is hashed (different backends may return different, equally valid,
     keys), along with the fixed optimization level; inner-attack
     parallelism lives in the unhashed execution context, so serial and
-    fanned-out evaluations share cache entries.
+    fanned-out evaluations share cache entries.  ``selection`` and
+    ``run_synthesis`` are hashed only off their defaults, so cells
+    recorded before those axes existed keep their keys.
     """
     from repro.sat.registry import resolve_solver_name
 
+    params = {
+        "scheme": scheme,
+        "scheme_params": dict(scheme_params or {}),
+        "attack": attack,
+        "attack_params": dict(attack_params or {}),
+        "engine": engine,
+        "circuit": circuit,
+        "scale": scale,
+        "effort": effort,
+        "seed": seed,
+        "solver": resolve_solver_name(solver),
+        "opt": OPT_LEVEL,
+        "time_limit_per_task": time_limit_per_task,
+        "max_dips_per_task": max_dips_per_task,
+        "include_baseline": include_baseline,
+        "verify": verify,
+        "measure_resistance": measure_resistance,
+    }
+    label = f"{scheme}x{attack}x{engine} {circuit} N={effort}"
+    if selection != "fanout":
+        params["selection"] = selection
+        label += f" {selection}"
+    if not run_synthesis:
+        params["run_synthesis"] = False
+        label += " no-synthesis"
     return TaskSpec(
         kind="scenario_cell",
-        params={
-            "scheme": scheme,
-            "scheme_params": dict(scheme_params or {}),
-            "attack": attack,
-            "attack_params": dict(attack_params or {}),
-            "engine": engine,
-            "circuit": circuit,
-            "scale": scale,
-            "effort": effort,
-            "seed": seed,
-            "solver": resolve_solver_name(solver),
-            "opt": OPT_LEVEL,
-            "time_limit_per_task": time_limit_per_task,
-            "max_dips_per_task": max_dips_per_task,
-            "include_baseline": include_baseline,
-            "verify": verify,
-            "measure_resistance": measure_resistance,
-        },
+        params=params,
         context={"parallel": parallel, "processes": processes},
-        label=f"{scheme}x{attack}x{engine} {circuit} N={effort}",
+        label=label,
     )
 
 
 #: Flat CSV column order (list/dict fields serialize as canonical JSON).
 _CSV_COLUMNS = [
     "scheme", "scheme_params", "attack", "attack_params", "engine",
-    "engine_used", "solver", "opt", "circuit", "scale", "effort", "seed",
-    "status",
+    "engine_used", "selection", "synthesis", "solver", "opt", "circuit",
+    "scale", "effort", "seed", "status",
     "key_size", "gates", "max_dips", "uniform", "dips_per_task",
     "oracle_queries", "min_seconds", "mean_seconds", "max_seconds",
     "wall_seconds", "encode_seconds", "baseline_seconds",
@@ -288,7 +313,7 @@ class MatrixResult:
         """Human-readable summary table of the whole matrix."""
         # Imported lazily: repro.experiments' package __init__ pulls in
         # the table drivers, which are themselves built on this module.
-        from repro.experiments.report import format_table, seconds
+        from repro.experiments.report import cec_verdict, format_table, seconds
 
         metric_names = list(self.spec.metrics)
         headers = [
@@ -310,9 +335,7 @@ class MatrixResult:
                 cell.status,
                 cell.max_dips,
                 seconds(cell.max_seconds),
-                {True: "pass", False: "FAIL", None: "-"}[
-                    cell.composition_equivalent
-                ],
+                cec_verdict(cell.composition_equivalent),
             ]
             for name in metric_names:
                 value = (cell.metrics or {}).get(name)

@@ -1,7 +1,8 @@
 """Declarative scenario grids: ``scheme x attack x engine x circuit``.
 
 A :class:`ScenarioSpec` names *what* to evaluate — locking schemes and
-attacks by their registry names, multi-key engines, carrier circuits,
+attacks by their registry names, multi-key engines, splitting-input
+selections, conditional synthesis on or off, carrier circuits,
 splitting efforts, seeds — and expands into one content-hashed
 ``scenario_cell`` task per grid point (:mod:`repro.scenarios.matrix`).
 Because every cell is a plain :class:`repro.runner.TaskSpec`, a matrix
@@ -17,11 +18,12 @@ calling code.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from collections.abc import Mapping, Sequence
 
 from repro.circuit.opt import OPT_LEVEL
 from repro.core.multikey import engine_for
+from repro.core.splitting import check_strategy
 from repro.levers import LEVERS
 from repro.locking.registry import scheme_info
 from repro.runner import TaskSpec
@@ -54,6 +56,12 @@ class ScenarioSpec:
         engines: Multi-key engine axis (``"sharded"`` and/or
             ``"reference"``; a sharded cell whose attack cannot share
             an encoding runs the reference path and reports it).
+        selections: Splitting-input strategies
+            (:data:`repro.core.splitting.STRATEGIES`); metric cells and
+            resistance levers always use the paper's ``"fanout"``.
+        synthesis: Conditional-netlist synthesis flags (Algorithm 1
+            line 4); shards never synthesize, so sharded cells run
+            ``False`` as ``True``.
         circuits: Carrier-circuit names — corpus entries (e.g. the
             shipped ``real_c432``) or ISCAS-class stand-ins, resolved
             via :func:`repro.bench_circuits.corpus.resolve_circuit`.
@@ -86,16 +94,20 @@ class ScenarioSpec:
             each cell's own seed); the resolved value is hashed.
 
     ``expand()`` is deterministic: cells enumerate in axis order
-    scheme -> attack -> engine -> circuit -> effort -> seed.  For an
-    attack without a registered ``shard_fn`` every requested engine
-    resolves to the reference path, so the engine axis collapses to one
-    ``"reference"`` cell per grid point — the same computation is never
-    run (or cached) twice under two engine labels.
+    scheme -> attack -> engine -> selection -> synthesis -> circuit ->
+    effort -> seed.  For an attack without a registered ``shard_fn``
+    every requested engine resolves to the reference path, so the
+    engine axis collapses to one ``"reference"`` cell per grid point,
+    and the synthesis axis collapses the same way on sharded cells —
+    the same computation is never run (or cached) twice under two
+    labels.
     """
 
     schemes: Sequence[object]
     attacks: Sequence[object] = ("sat",)
     engines: Sequence[str] = ("sharded",)
+    selections: Sequence[str] = ("fanout",)
+    synthesis: Sequence[bool] = (True,)
     circuits: Sequence[str] = ("c432",)
     scale: float = 0.25
     efforts: Sequence[int] = (1,)
@@ -114,6 +126,8 @@ class ScenarioSpec:
         self.schemes = [normalize_axis(entry) for entry in self.schemes]
         self.attacks = [normalize_axis(entry) for entry in self.attacks]
         self.engines = list(self.engines)
+        self.selections = [str(name) for name in self.selections]
+        self.synthesis = [bool(flag) for flag in self.synthesis]
         self.circuits = list(self.circuits)
         self.efforts = [int(n) for n in self.efforts]
         self.seeds = [int(s) for s in self.seeds]
@@ -133,6 +147,8 @@ class ScenarioSpec:
             scheme_info(name)  # raises with the roster on a miss
         for name, _ in self.attacks:
             self.effective_engines(name)  # raises on an unknown attack/engine
+        for name in self.selections:
+            check_strategy(name)
         from repro.bench_circuits.corpus import circuit_names, known_circuit
 
         for circuit in self.circuits:
@@ -142,6 +158,7 @@ class ScenarioSpec:
                     f"{', '.join(circuit_names())})"
                 )
         if not (self.schemes and self.attacks and self.engines
+                and self.selections and self.synthesis
                 and self.circuits and self.efforts and self.seeds):
             raise ValueError("every ScenarioSpec axis needs at least one entry")
         if self.metrics:
@@ -165,17 +182,35 @@ class ScenarioSpec:
             engine_for(engine, attack, self.solver) for engine in self.engines
         ))
 
+    def _variants(self) -> list[tuple[str, dict, str, str, bool]]:
+        """Every (attack, params, engine, selection, synthesis) to run.
+
+        Shards never synthesize, so on a sharded cell ``False`` is the
+        same computation as the default ``True`` and collapses into it.
+        """
+        return [
+            (attack, attack_params, engine, selection, synthesis)
+            for attack, attack_params in self.attacks
+            for engine in self.effective_engines(attack)
+            for selection in self.selections
+            for synthesis in dict.fromkeys(
+                flag or engine == "sharded" for flag in self.synthesis
+            )
+        ]
+
     @property
     def size(self) -> int:
         """Number of grid cells this spec expands into."""
-        per_point = (
+        return len(self._variants()) * self._points
+
+    @property
+    def _points(self) -> int:
+        """Number of (scheme, circuit, effort, seed) grid points."""
+        return (
             len(self.schemes)
             * len(self.circuits)
             * len(self.efforts)
             * len(self.seeds)
-        )
-        return per_point * sum(
-            len(self.effective_engines(attack)) for attack, _ in self.attacks
         )
 
     def expand(self) -> list[TaskSpec]:
@@ -189,6 +224,8 @@ class ScenarioSpec:
                 attack=attack,
                 attack_params=attack_params,
                 engine=engine,
+                selection=selection,
+                run_synthesis=synthesis,
                 circuit=circuit,
                 scale=self.scale,
                 effort=effort,
@@ -201,8 +238,8 @@ class ScenarioSpec:
                 measure_resistance=self.measure_resistance,
             )
             for scheme, scheme_params in self.schemes
-            for attack, attack_params in self.attacks
-            for engine in self.effective_engines(attack)
+            for attack, attack_params, engine, selection, synthesis
+            in self._variants()
             for circuit in self.circuits
             for effort in self.efforts
             for seed in self.seeds
@@ -243,14 +280,7 @@ class ScenarioSpec:
     @property
     def metrics_size(self) -> int:
         """Number of metric cells (0 when no metrics are requested)."""
-        if not self.metrics:
-            return 0
-        return (
-            len(self.schemes)
-            * len(self.circuits)
-            * len(self.efforts)
-            * len(self.seeds)
-        )
+        return self._points if self.metrics else 0
 
     @property
     def total_tasks(self) -> int:
@@ -266,13 +296,7 @@ class ScenarioSpec:
         decoded from older or newer exports reconstruct as long as the
         axis fields are there.
         """
-        known = {
-            "schemes", "attacks", "engines", "circuits", "scale",
-            "efforts", "seeds", "solver", "time_limit_per_task",
-            "max_dips_per_task", "include_baseline",
-            "verify_composition", "measure_resistance",
-            "metrics", "key_samples", "metrics_seed",
-        }
+        known = {spec_field.name for spec_field in fields(cls)}
         return cls(**{k: v for k, v in payload.items() if k in known})
 
     def describe(self) -> dict:
@@ -281,6 +305,8 @@ class ScenarioSpec:
             "schemes": [[name, params] for name, params in self.schemes],
             "attacks": [[name, params] for name, params in self.attacks],
             "engines": list(self.engines),
+            "selections": list(self.selections),
+            "synthesis": list(self.synthesis),
             "circuits": list(self.circuits),
             "scale": self.scale,
             "efforts": list(self.efforts),

@@ -131,24 +131,7 @@ class MatrixRequest:
 
     def to_spec(self) -> ScenarioSpec:
         """The validated :class:`ScenarioSpec` this request describes."""
-        return ScenarioSpec(
-            schemes=[tuple(entry) for entry in self.schemes],
-            attacks=[tuple(entry) for entry in self.attacks],
-            engines=self.engines,
-            circuits=self.circuits,
-            scale=self.scale,
-            efforts=self.efforts,
-            seeds=self.seeds,
-            solver=self.solver,
-            time_limit_per_task=self.time_limit_per_task,
-            max_dips_per_task=self.max_dips_per_task,
-            include_baseline=self.include_baseline,
-            verify_composition=self.verify_composition,
-            measure_resistance=self.measure_resistance,
-            metrics=self.metrics,
-            key_samples=self.key_samples,
-            metrics_seed=self.metrics_seed,
-        )
+        return ScenarioSpec.from_payload(asdict(self))
 
 
 @dataclass

@@ -464,11 +464,8 @@ def _execute_matrix(service: Service, job: Job) -> tuple[dict, str]:
 def _execute_experiment(service: Service, job: Job) -> tuple[dict, str]:
     request: ExperimentRequest = job.request
     driver = _experiment_driver(request.experiment)
-    params = dict(request.params)
-    if request.experiment == "table2":
-        params = _coerce_table2_params(params)
     job.emit("job_started", {"kind": request.kind, "experiment": request.experiment})
-    result = driver(runner=service._runner_for(job), **params)
+    result = driver(runner=service._runner_for(job), **request.params)
     status = "ok" if _experiment_rows_ok(result) else "partial"
     return (
         {"experiment": request.experiment, "result": asdict(result)},
@@ -492,20 +489,6 @@ def _experiment_rows_ok(result) -> bool:
             if value is not None and value not in ("ok", "settled"):
                 return False
     return True
-
-
-def _coerce_table2_params(params: dict) -> dict:
-    """Rebuild table2's ``spec`` knob from its JSON form."""
-    from repro.locking.lut_lock import LutModuleSpec
-
-    spec = params.get("spec")
-    if isinstance(spec, str):
-        params["spec"] = LutModuleSpec.by_name(spec)
-    elif isinstance(spec, dict):
-        params["spec"] = LutModuleSpec(**spec)
-    if params.get("circuits") is not None:
-        params["circuits"] = tuple(params["circuits"])
-    return params
 
 
 def _execute_attack(service: Service, job: Job) -> tuple[dict, str]:

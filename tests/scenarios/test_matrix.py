@@ -94,6 +94,31 @@ class TestScenarioSpec:
         with pytest.raises(ValueError, match="at least one"):
             ScenarioSpec(schemes=["sarlock"], efforts=())
 
+    def test_selection_and_synthesis_axes_expand(self):
+        spec = ScenarioSpec(
+            schemes=["sarlock"],
+            engines=("sharded", "reference"),
+            selections=("fanout", "random"),
+            synthesis=(True, False),
+            efforts=(1, 2),
+        )
+        tasks = spec.expand()
+        # sharded: 2 selections x 1 synthesis; reference: 2 x 2.
+        assert spec.size == len(tasks) == (2 + 4) * 2
+        keys = [task.cache_key for task in tasks]
+        assert len(set(keys)) == len(keys)
+        assert not any(
+            task.params["engine"] == "sharded"
+            and task.params.get("run_synthesis") is False
+            for task in tasks
+        )
+        clone = ScenarioSpec.from_payload(spec.describe())
+        assert [task.cache_key for task in clone.expand()] == keys
+
+    def test_unknown_selection_rejected_with_roster(self):
+        with pytest.raises(ValueError, match="fanout"):
+            ScenarioSpec(schemes=["sarlock"], selections=("nope",))
+
     def test_cell_params_pickle_roundtrip(self):
         """Matrix cells must survive the process-pool boundary intact."""
         spec = ScenarioSpec(

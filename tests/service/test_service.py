@@ -108,6 +108,24 @@ class TestExperimentJobs:
         assert sum(e.type == "cell_done" for e in events) == 2
         assert job.result().status == "ok"
 
+    @pytest.mark.parametrize("spec", ["tiny", {
+        "stage1_width": 3, "num_stage1": 2, "stage2_width": 3,
+        "shared_padding": True,
+    }], ids=["name", "dict"])
+    @pytest.mark.parametrize("experiment, params", [
+        ("table2", {"circuits": ["c880"], "scale": 0.2, "effort": 1}),
+        ("ablation_splitting", {"scale": 0.12, "effort": 1}),
+        ("ablation_synthesis", {"scale": 0.12, "effort": 1}),
+    ], ids=["table2", "ablation_splitting", "ablation_synthesis"])
+    def test_lut_drivers_take_a_json_spec(self, experiment, params, spec):
+        from repro.service import render_response
+
+        response = Service().run(ExperimentRequest(
+            experiment=experiment, params={**params, "spec": spec},
+        ))
+        assert response.status == "ok", response.error
+        assert render_response(response)
+
     def test_unhandled_worker_error_is_an_error_response(self):
         # antisat requires an even key size; the failure surfaces in
         # the job, not as a crash of the submitting thread.
