@@ -7,6 +7,12 @@ random differential queries and stops once the candidate key's
 empirical error rate stays below a threshold for several consecutive
 checkpoints.
 
+Like the original, the attack is incremental: one miter encoding lives
+for the whole attack, each round resumes the exact DIP loop
+(:func:`repro.attacks.sat_attack.run_dip_loop`) on that live solver,
+and the round's candidate key is read off the same solver.  Every DIP
+is solved and queried once.
+
 Included here because it is the other classic answer to SAT-resistant
 locking and makes a revealing comparison with the paper's multi-key
 attack: AppSAT relaxes *correctness* to stay fast, the multi-key
@@ -25,7 +31,7 @@ from operator import or_
 from dataclasses import dataclass, field
 from collections.abc import Mapping
 
-from repro.attacks.sat_attack import sat_attack
+from repro.attacks.sat_attack import pinned_miter_encoding, run_dip_loop
 from repro.circuit.simulator import random_stimuli_words
 from repro.locking.base import LockedCircuit, key_to_int
 from repro.metrics.engine import key_diffs
@@ -69,23 +75,25 @@ def appsat_attack(
 ) -> AppSatResult:
     """Run the approximate attack.
 
-    Each round runs ``dips_per_round`` exact DIP iterations, then
-    extracts the current candidate key and measures its error rate on
-    ``queries_per_checkpoint`` random patterns.  If the rate stays at
-    or below ``error_threshold`` for ``settle_rounds`` consecutive
-    checkpoints, the candidate is accepted.  If the underlying SAT
-    attack converges first, the result is exact.
+    Each round resumes the DIP loop for up to ``dips_per_round`` exact
+    DIP iterations, reads the current candidate key off the live
+    solver and measures its error rate on ``queries_per_checkpoint``
+    random patterns.  If the rate stays at or below ``error_threshold``
+    for ``settle_rounds`` consecutive checkpoints, the candidate is
+    accepted.  If the DIP loop converges first, the result is exact.
+    The oracle sees each DIP once plus the checkpoint patterns.
 
     ``pin`` restricts the attack to one input sub-space: DIPs respect
     the pinned constants and the checkpoint patterns are sampled inside
     the sub-space, so the accepted key is approximately correct *on the
     sub-space* — the multi-key attack's per-sub-space contract.
     ``max_dips`` caps the total DIP budget; when the cap is hit before
-    the candidate settles, the best candidate so far is returned with
-    status ``"dip_limit"``.
+    the candidate settles, the last candidate is returned with status
+    ``"dip_limit"``.  A ``time_limit`` stop returns no key.
     """
     start = time.perf_counter()
     pin = dict(pin or {})
+    enc = pinned_miter_encoding(locked, pin, solver)
     # make_rng's bare-int passthrough keeps the historical query
     # streams bit-for-bit (see repro.rng's migration contract).
     rng = make_rng(seed)
@@ -97,75 +105,42 @@ def appsat_attack(
         net for net in locked.netlist.inputs if net not in locked.key_inputs
     ]
 
-    # Reuse the exact attack's engine through its budget interface:
-    # re-running with a growing DIP cap is equivalent to pausing, since
-    # the attack is deterministic given the oracle and netlist.
-    rounds = 0
-    while True:
-        rounds += 1
-        budget = dips_per_round * rounds
-        if max_dips is not None:
-            budget = min(budget, max_dips)
-        remaining = (
-            None
-            if time_limit is None
-            else max(0.0, time_limit - (time.perf_counter() - start))
+    def finish(key, status: str, rate: float) -> AppSatResult:
+        return AppSatResult(
+            key=key,
+            num_dips=total_dips,
+            random_queries=random_queries,
+            elapsed_seconds=time.perf_counter() - start,
+            status=status,
+            estimated_error_rate=rate,
+            checkpoints=checkpoints,
+            key_order=list(locked.key_inputs),
+            pinned=pin,
         )
-        if remaining is not None and remaining == 0.0:
-            return AppSatResult(
-                key=None,
-                num_dips=total_dips,
-                random_queries=random_queries,
-                elapsed_seconds=time.perf_counter() - start,
-                status="timeout",
-                estimated_error_rate=1.0,
-                checkpoints=checkpoints,
-                key_order=list(locked.key_inputs),
-                pinned=pin,
-            )
-        result = sat_attack(
-            locked,
+
+    while True:
+        cap = dips_per_round
+        if max_dips is not None:
+            cap = min(cap, max_dips - total_dips)
+        result = run_dip_loop(
+            enc,
             oracle,
             pin=pin,
-            max_dips=budget,
-            time_limit=remaining,
+            time_limit=time_limit,
+            max_dips=cap,
             record_iterations=False,
-            solver=solver,
+            extract_on_budget=True,
+            start=start,
         )
-        total_dips = result.num_dips
+        total_dips += result.num_dips
         if result.status == "ok":
-            return AppSatResult(
-                key=result.key,
-                num_dips=total_dips,
-                random_queries=random_queries,
-                elapsed_seconds=time.perf_counter() - start,
-                status="exact",
-                estimated_error_rate=0.0,
-                checkpoints=checkpoints,
-                key_order=list(locked.key_inputs),
-                pinned=pin,
-            )
+            return finish(result.key, "exact", 0.0)
+        if result.status == "timeout":
+            return finish(None, "timeout", 1.0)
+        candidate = result.key
+        if candidate is None:  # pragma: no cover - k* satisfies every DIP
+            return finish(None, "dip_limit", 1.0)
 
-        # Extract the candidate key consistent with the DIPs so far by
-        # re-running with the same budget but asking for key extraction:
-        candidate = _candidate_key(
-            locked, oracle, budget, pin=pin, solver=solver
-        )
-        out_of_budget = max_dips is not None and budget >= max_dips
-        if candidate is None:
-            if out_of_budget:
-                return AppSatResult(
-                    key=None,
-                    num_dips=total_dips,
-                    random_queries=random_queries,
-                    elapsed_seconds=time.perf_counter() - start,
-                    status="dip_limit",
-                    estimated_error_rate=1.0,
-                    checkpoints=checkpoints,
-                    key_order=list(locked.key_inputs),
-                    pinned=pin,
-                )
-            continue
         # One bit-parallel sweep for the whole checkpoint: lane q of
         # every word is random query q; the oracle still counts one
         # query per lane.  Pinned inputs hold their sub-space constant
@@ -182,57 +157,8 @@ def appsat_attack(
         if rate <= error_threshold:
             settled_streak += 1
             if settled_streak >= settle_rounds:
-                return AppSatResult(
-                    key=candidate,
-                    num_dips=total_dips,
-                    random_queries=random_queries,
-                    elapsed_seconds=time.perf_counter() - start,
-                    status="settled",
-                    estimated_error_rate=rate,
-                    checkpoints=checkpoints,
-                    key_order=list(locked.key_inputs),
-                    pinned=pin,
-                )
+                return finish(candidate, "settled", rate)
         else:
             settled_streak = 0
-        if out_of_budget:
-            return AppSatResult(
-                key=candidate,
-                num_dips=total_dips,
-                random_queries=random_queries,
-                elapsed_seconds=time.perf_counter() - start,
-                status="dip_limit",
-                estimated_error_rate=rate,
-                checkpoints=checkpoints,
-                key_order=list(locked.key_inputs),
-                pinned=pin,
-            )
-
-
-def _candidate_key(
-    locked: LockedCircuit,
-    oracle: Oracle,
-    dip_budget: int,
-    pin: Mapping[str, bool] | None = None,
-    solver: str | None = None,
-) -> dict[str, bool] | None:
-    """A key consistent with the first ``dip_budget`` DIPs.
-
-    Implemented by replaying the deterministic attack with the budget
-    and extracting any key satisfying the accumulated constraints —
-    the same thing AppSAT's incremental implementation reads off its
-    live solver.
-    """
-    from repro.attacks.sat_attack import sat_attack as run
-
-    # A fresh oracle view is fine: queries are pure functions.
-    replay = run(
-        locked,
-        oracle,
-        pin=pin,
-        max_dips=dip_budget,
-        record_iterations=False,
-        extract_on_budget=True,
-        solver=solver,
-    )
-    return replay.key
+        if max_dips is not None and total_dips >= max_dips:
+            return finish(candidate, "dip_limit", rate)

@@ -194,7 +194,6 @@ def _sat_shard_fn(
     time_limit: float | None = None,
     max_dips: int | None = None,
     seed: int = 0,
-    extract_on_budget: bool = False,
 ) -> AttackOutcome:
     """The exact SAT attack against a shared miter encoding."""
     result = run_dip_loop(
@@ -206,7 +205,6 @@ def _sat_shard_fn(
         time_limit=time_limit,
         max_dips=max_dips,
         record_iterations=False,
-        extract_on_budget=extract_on_budget,
     )
     return AttackOutcome(
         attack="sat",
@@ -235,7 +233,6 @@ def _sat_attack(
     max_dips: int | None = None,
     seed: int = 0,
     solver: str | None = None,
-    extract_on_budget: bool = False,
 ) -> AttackOutcome:
     result = sat_attack(
         locked,
@@ -244,7 +241,6 @@ def _sat_attack(
         time_limit=time_limit,
         max_dips=max_dips,
         record_iterations=False,
-        extract_on_budget=extract_on_budget,
         solver=solver,
     )
     return AttackOutcome(
@@ -301,11 +297,9 @@ def _appsat(
         key=result.key,
         status=status,
         elapsed_seconds=result.elapsed_seconds,
-        # A true delta: the budget-replay implementation re-queries the
-        # oracle on earlier DIPs each round, and those queries count
-        # (the accounting invariant is queries *issued*, not the
-        # algorithmic minimum an incremental AppSAT would need — that
-        # minimum rides in detail as num_dips + random_queries).
+        # A true delta over the shared oracle.  AppSAT resumes one
+        # live DIP loop, so this is exactly num_dips + random_queries:
+        # each DIP is queried once, plus the checkpoint patterns.
         oracle_queries=oracle.query_count - queries_before,
         num_dips=result.num_dips,
         key_order=result.key_order,

@@ -84,8 +84,8 @@ class SatAttackResult:
     """Outcome of a (possibly pinned) SAT attack.
 
     Attributes:
-        key: The recovered key (``None`` on a budget stop without
-            ``extract_on_budget``).
+        key: The recovered key (``None`` on a budget stop, unless
+            :func:`run_dip_loop` ran with ``extract_on_budget``).
         num_dips: DIP iterations executed.
         elapsed_seconds: Wall-clock time of this attack/shard.
         status: ``"ok"`` | ``"timeout"`` | ``"dip_limit"`` |
@@ -480,8 +480,8 @@ def run_dip_loop(
         oracle: Black-box access to the original function.
         pin: The sub-space restriction, for reporting and for the
             per-DIP simulation.  The *solver-side* restriction must be
-            supplied separately: either unit clauses added by the
-            caller (classic :func:`sat_attack`) or ``assume`` literals.
+            supplied separately: either unit clauses
+            (:func:`pinned_miter_encoding`) or ``assume`` literals.
         assume: Extra assumption literals applied to every solver call
             (the sharded engine pins splitting inputs here).
         guard: When set, every learned I/O constraint is guarded by
@@ -493,8 +493,9 @@ def run_dip_loop(
         record_iterations: Keep per-DIP timing (cheap; disable for
             massive sweeps).
         extract_on_budget: When a budget stops the DIP loop early,
-            still extract a key consistent with the DIPs seen so far
-            (an *approximate* key — AppSAT builds on this).
+            still extract a key consistent with the DIPs seen so far —
+            an *approximate* key.  AppSAT reads its per-round candidate
+            this way, then resumes the loop on the same encoding.
         start: Clock origin for ``elapsed_seconds``/``time_limit``
             (defaults to now; :func:`sat_attack` passes its own start
             so encoding time counts against the budget).
@@ -589,38 +590,17 @@ def run_dip_loop(
     )
 
 
-def sat_attack(
+def pinned_miter_encoding(
     locked: LockedCircuit,
-    oracle: Oracle,
-    pin: Mapping[str, bool] | None = None,
-    time_limit: float | None = None,
-    max_dips: int | None = None,
-    record_iterations: bool = True,
-    extract_on_budget: bool = False,
+    pin: Mapping[str, bool],
     solver: Solver | str | None = None,
-) -> SatAttackResult:
-    """Run the SAT attack on ``locked`` against ``oracle``.
+) -> MiterEncoding:
+    """:func:`build_miter_encoding` with ``pin`` fixed as unit clauses.
 
-    Args:
-        locked: The reverse-engineered locked netlist with key ports.
-        oracle: Black-box access to the original function.
-        pin: Optional constants on primary inputs — this restricts the
-            attack to a sub-space and is exactly how the multi-key
-            attack invokes it (Algorithm 1, line 5).
-        time_limit: Wall-clock budget in seconds (None = unlimited).
-        max_dips: Iteration cap (None = unlimited).
-        record_iterations: Keep per-DIP timing (cheap; disable for
-            massive sweeps).
-        extract_on_budget: When a budget stops the DIP loop early,
-            still extract a key consistent with the DIPs seen so far
-            (an *approximate* key — AppSAT builds on this).
-        solver: Backend name/instance (see :func:`build_miter_encoding`).
-
-    Returns the recovered key — correct on every input consistent with
-    ``pin`` — plus run statistics.
+    The prologue every single-encoding attack shares: reject pins on
+    anything but a primary input, encode the miter, pin the inputs
+    and constant-propagate the pins through the shared logic.
     """
-    start = time.perf_counter()
-    pin = dict(pin or {})
     key_set = set(locked.key_inputs)
     for net in pin:
         if net not in locked.netlist.inputs or net in key_set:
@@ -635,7 +615,38 @@ def sat_attack(
         # the DIP loop: the reference multi-key arm pays for pinned
         # clauses on every conflict otherwise.
         enc.solver.simplify()
+    return enc
 
+
+def sat_attack(
+    locked: LockedCircuit,
+    oracle: Oracle,
+    pin: Mapping[str, bool] | None = None,
+    time_limit: float | None = None,
+    max_dips: int | None = None,
+    record_iterations: bool = True,
+    solver: Solver | str | None = None,
+) -> SatAttackResult:
+    """Run the SAT attack on ``locked`` against ``oracle``.
+
+    Args:
+        locked: The reverse-engineered locked netlist with key ports.
+        oracle: Black-box access to the original function.
+        pin: Optional constants on primary inputs — this restricts the
+            attack to a sub-space and is exactly how the multi-key
+            attack invokes it (Algorithm 1, line 5).
+        time_limit: Wall-clock budget in seconds (None = unlimited).
+        max_dips: Iteration cap (None = unlimited).
+        record_iterations: Keep per-DIP timing (cheap; disable for
+            massive sweeps).
+        solver: Backend name/instance (see :func:`build_miter_encoding`).
+
+    Returns the recovered key — correct on every input consistent with
+    ``pin`` — plus run statistics.  A budget stop returns no key.
+    """
+    start = time.perf_counter()
+    pin = dict(pin or {})
+    enc = pinned_miter_encoding(locked, pin, solver)
     result = run_dip_loop(
         enc,
         oracle,
@@ -643,7 +654,6 @@ def sat_attack(
         time_limit=time_limit,
         max_dips=max_dips,
         record_iterations=record_iterations,
-        extract_on_budget=extract_on_budget,
         start=start,
     )
     result.encode_stats = enc.encode_stats()

@@ -186,6 +186,17 @@ class MultiKeyResult:
         )
 
     @property
+    def exact(self) -> bool:
+        """True when every sub-task's key is exact (status ``"ok"``).
+
+        Composition equivalence is an exact-key property: a
+        ``"settled"`` AppSAT key is approximate by design (wrong on up
+        to its error threshold), so CEC is only meaningful when this
+        holds.
+        """
+        return all(t.status == "ok" for t in self.subtasks)
+
+    @property
     def keys(self) -> list[dict[str, bool]]:
         """The recovered partial keys (budget-stopped sub-tasks omitted)."""
         return [t.key for t in self.subtasks if t.key is not None]

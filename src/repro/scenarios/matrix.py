@@ -134,15 +134,10 @@ def _scenario_cell_task(params: dict) -> dict:
     if baseline_seconds is not None:
         ratio = attack.max_subtask_seconds / max(baseline_seconds, 1e-9)
 
-    # Composition equivalence is an exact-key property: a "settled"
-    # AppSAT key is approximate by design (wrong on up to the error
-    # threshold), so CEC would legitimately fail without the attack
-    # having failed.  Verify only when every sub-space key is exact.
-    exact = attack.status == "ok" and all(
-        task.status == "ok" for task in attack.subtasks
-    )
+    # CEC only exact keys: a "settled" AppSAT key would legitimately
+    # fail it without the attack having failed.
     equivalent = None
-    if params.get("verify") and exact:
+    if params.get("verify") and attack.exact:
         equivalent = bool(
             verify_composition(
                 locked, attack.splitting_inputs, attack.keys, original

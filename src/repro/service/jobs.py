@@ -30,6 +30,7 @@ import time
 import traceback
 from dataclasses import asdict
 
+from repro.attacks.registry import SUCCESS_STATUSES
 from repro.runner import ResultCache, Runner, TaskResult, TaskSpec
 from repro.service.envelopes import (
     AttackRequest,
@@ -454,10 +455,7 @@ def _execute_matrix(service: Service, job: Job) -> tuple[dict, str]:
         inner_parallel=service.inner_parallel,
     )
     complete = len(result.cells) == spec.size
-    ok = complete and all(
-        cell.status == "ok" and cell.composition_equivalent is not False
-        for cell in result.cells
-    )
+    ok = complete and all(map(_unit_ok, result.cells))
     return result.to_payload(), "ok" if ok else "partial"
 
 
@@ -473,22 +471,33 @@ def _execute_experiment(service: Service, job: Job) -> tuple[dict, str]:
     )
 
 
-#: Per-row status attributes an experiment result may carry (table2
+#: Status attributes a matrix cell or experiment row may carry (table2
 #: splits its verdict into a multikey arm and a baseline arm).
-_ROW_STATUS_ATTRS = ("status", "multikey_status", "baseline_status")
+_STATUS_ATTRS = ("status", "multikey_status", "baseline_status")
+#: CEC verdicts a cell, row or result may carry (``None`` = not run).
+_CEC_ATTRS = ("composition_equivalent", "incorrect_pair_equivalent")
+
+
+def _unit_ok(unit) -> bool:
+    """Did one matrix cell or experiment row fully succeed?
+
+    Every status it carries must be a success (``"ok"``, or AppSAT's
+    ``"settled"``) and no CEC verdict it carries may be ``False``.
+    """
+    for attr in _STATUS_ATTRS:
+        value = getattr(unit, attr, None)
+        if value is not None and value not in SUCCESS_STATUSES:
+            return False
+    return all(getattr(unit, attr, None) is not False for attr in _CEC_ATTRS)
 
 
 def _experiment_rows_ok(result) -> bool:
-    """Did every row/cell of an experiment result fully succeed?"""
+    """Did every row/cell of an experiment result fully succeed?
+
+    A result without rows (Figure 1) is judged as one unit.
+    """
     rows = getattr(result, "rows", None) or getattr(result, "cells", None)
-    if rows is None:
-        return True
-    for row in rows:
-        for attr in _ROW_STATUS_ATTRS:
-            value = getattr(row, attr, None)
-            if value is not None and value not in ("ok", "settled"):
-                return False
-    return True
+    return all(map(_unit_ok, rows or [result]))
 
 
 def _execute_attack(service: Service, job: Job) -> tuple[dict, str]:
@@ -533,9 +542,7 @@ def _execute_attack(service: Service, job: Job) -> tuple[dict, str]:
         runner=runner,
     )
 
-    exact = result.status == "ok" and all(
-        task.status == "ok" for task in result.subtasks
-    )
+    exact = result.exact
     equivalent = None
     if exact:
         equivalent = bool(

@@ -102,9 +102,9 @@ class TestAttackRegistry:
         assert outcome.key_int in good
 
     def test_appsat_oracle_queries_is_a_true_delta(self, setup):
-        """The outcome must report queries *issued* (the budget-replay
-        implementation re-queries earlier DIPs each round), matching
-        the shared-oracle counter delta like every other attack."""
+        """The outcome reports queries *issued* — the shared-oracle
+        counter delta, like every other attack — and AppSAT issues
+        exactly one query per DIP plus its checkpoint patterns."""
         original, locked = setup
         oracle = Oracle(original)
         before = oracle.query_count
@@ -117,8 +117,7 @@ class TestAttackRegistry:
             error_threshold=0.5,
         )
         assert outcome.oracle_queries == oracle.query_count - before
-        # The algorithmic minimum stays available for comparison.
-        assert outcome.oracle_queries >= (
+        assert outcome.oracle_queries == (
             outcome.num_dips + outcome.detail["random_queries"]
         )
 

@@ -126,6 +126,24 @@ class TestExperimentJobs:
         assert response.status == "ok", response.error
         assert render_response(response)
 
+    @pytest.mark.parametrize("experiment, params, module", [
+        ("table2", {"circuits": ["c880"], "scale": 0.2, "effort": 1,
+                    "spec": "tiny"}, "repro.scenarios.matrix"),
+        ("figure1", {}, "repro.experiments.figure1"),
+    ], ids=["table2", "figure1"])
+    def test_failed_composition_cec_is_partial(
+        self, experiment, params, module, monkeypatch
+    ):
+        # Every attack succeeds; only the CEC verdict says the composed
+        # keys are wrong, and that alone must mark the job partial.
+        monkeypatch.setattr(
+            module + ".verify_composition", lambda *args, **kwargs: False
+        )
+        response = Service(cache=ResultCache(None)).run(
+            ExperimentRequest(experiment=experiment, params=params)
+        )
+        assert response.status == "partial", response.error
+
     def test_unhandled_worker_error_is_an_error_response(self):
         # antisat requires an even key size; the failure surfaces in
         # the job, not as a crash of the submitting thread.
