@@ -17,11 +17,19 @@ deterministic for a given backend and code, so a trajectory can gate
 on them instead of on noisy wall-clock ratios.  Before appending, the
 python backend's counters are gated against the last recorded python
 entry of the same workload shape: a pure speed change must leave them
-identical, so a mismatch fails the run.  The python entry also
+identical, so a mismatch fails the run.  Entries are stamped with
+the per-DIP copy encoding they ran on (``dip_encoding``, part of the
+shape), so an encoding change starts a fresh gated series instead of
+comparing against counters of another encoding.  The python entry also
 records ``order_pops``, the ``heapq.heappop`` calls the solver's
 decision order makes during the single-key attack, gated at
 ``_MAX_POPS_PER_DECISION`` per decision: decisions come from a sorted
 run, and only variables bumped since its last sort go through the heap.
+
+A second gate keeps SARLock's per-DIP cost flat on the Table 1 carrier:
+propagations per DIP at the larger key size must stay within
+``_MAX_PER_DIP_GROWTH`` of those at k=8, so the attack's total work
+grows with the DIP count, not with its square.
 """
 
 from __future__ import annotations
@@ -31,6 +39,7 @@ import json
 import time
 
 from repro.attacks.sat_attack import sat_attack
+from repro.bench_circuits.corpus import resolve_circuit
 from repro.bench_circuits.iscas85 import iscas85_like
 from repro.core.multikey import multikey_attack
 from repro.locking.sarlock import sarlock_lock
@@ -45,14 +54,21 @@ _SCALE = 0.4 if FULL else 0.25
 _KEY_SIZE = 6 if FULL else 5
 _EFFORT = 3 if FULL else 2
 
+#: The per-DIP copy encoding the counters come from: PO clauses
+#: crunched over lazy AND copy gates (see ``MiterEncoding``).
+_DIP_ENCODING = "crunched"
 #: Entry fields that fix the workload, and the exact counters gated on.
-_SHAPE = ("circuit", "scale", "key_size", "gates")
+_SHAPE = ("circuit", "scale", "key_size", "gates", "dip_encoding")
 _EXACT = (
     "dips", "decisions", "conflicts", "propagations",
     "encode_vars", "encode_clauses",
 )
 #: Order-work gate: heap pops per decision of the python backend.
 _MAX_POPS_PER_DECISION = 2
+#: Per-DIP gate: the Table 1 carrier, and its key sizes compared to k=8.
+_TABLE1_CARRIER = ("c7552", 0.25)
+_PER_DIP_KEY_SIZES = (10, 12) if FULL else (10,)
+_MAX_PER_DIP_GROWTH = 1.5
 
 
 class _PopCounter:
@@ -133,6 +149,7 @@ def test_solver_backends(benchmark, monkeypatch):
                 "scale": _SCALE,
                 "key_size": _KEY_SIZE,
                 "gates": locked.netlist.num_gates,
+                "dip_encoding": _DIP_ENCODING,
                 "dips": single.num_dips,
                 "decisions": single.solver_stats.get("decisions"),
                 "conflicts": single.solver_stats.get("conflicts"),
@@ -173,3 +190,26 @@ def test_solver_backends(benchmark, monkeypatch):
         }, "python backend's exact counters moved since the last recorded entry"
 
     append_trajectory("solver", entries)
+
+
+def _propagations_per_dip(original, key_size: int) -> float:
+    locked = sarlock_lock(original, key_size, seed=0)
+    result = sat_attack(
+        locked, Oracle(original), solver="python", record_iterations=False
+    )
+    assert result.succeeded
+    assert result.num_dips == 2**key_size - 1
+    return result.solver_stats["propagations"] / result.num_dips
+
+
+def test_sarlock_per_dip_cost_stays_flat():
+    """Each SARLock DIP costs about what the first ones did: the DIP
+    constraints already added must not slow every later solve."""
+    original = resolve_circuit(*_TABLE1_CARRIER)
+    base = _propagations_per_dip(original, 8)
+    for key_size in _PER_DIP_KEY_SIZES:
+        per_dip = _propagations_per_dip(original, key_size)
+        assert per_dip <= _MAX_PER_DIP_GROWTH * base, (
+            f"k={key_size}: {per_dip:.0f} propagations per DIP, "
+            f"k=8: {base:.0f}"
+        )

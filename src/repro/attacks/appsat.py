@@ -31,7 +31,11 @@ from operator import or_
 from dataclasses import dataclass, field
 from collections.abc import Mapping
 
-from repro.attacks.sat_attack import pinned_miter_encoding, run_dip_loop
+from repro.attacks.sat_attack import (
+    pinned_miter_encoding,
+    run_dip_loop,
+    solver_stats_delta,
+)
 from repro.circuit.simulator import random_stimuli_words
 from repro.locking.base import LockedCircuit, key_to_int
 from repro.metrics.engine import key_diffs
@@ -41,7 +45,12 @@ from repro.rng import make_rng
 
 @dataclass
 class AppSatResult:
-    """An approximate key plus the evidence it was judged by."""
+    """An approximate key plus the evidence it was judged by.
+
+    ``solver_stats`` are the live solver's counter deltas from before
+    the first round to after the last (see
+    :func:`~repro.attacks.sat_attack.solver_stats_delta`).
+    """
 
     key: dict[str, bool] | None
     num_dips: int
@@ -52,6 +61,7 @@ class AppSatResult:
     checkpoints: list[float] = field(default_factory=list)
     key_order: list[str] = field(default_factory=list)
     pinned: dict[str, bool] = field(default_factory=dict)
+    solver_stats: dict[str, int] = field(default_factory=dict)
 
     @property
     def key_int(self) -> int | None:
@@ -94,6 +104,7 @@ def appsat_attack(
     start = time.perf_counter()
     pin = dict(pin or {})
     enc = pinned_miter_encoding(locked, pin, solver)
+    stats_before = enc.solver.stats.as_dict()
     # make_rng's bare-int passthrough keeps the historical query
     # streams bit-for-bit (see repro.rng's migration contract).
     rng = make_rng(seed)
@@ -116,6 +127,7 @@ def appsat_attack(
             checkpoints=checkpoints,
             key_order=list(locked.key_inputs),
             pinned=pin,
+            solver_stats=solver_stats_delta(enc.solver, stats_before),
         )
 
     while True:

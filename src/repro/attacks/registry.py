@@ -304,6 +304,7 @@ def _appsat(
         num_dips=result.num_dips,
         key_order=result.key_order,
         pinned=result.pinned,
+        solver_stats=result.solver_stats,
         detail={
             "native_status": result.status,
             "estimated_error_rate": result.estimated_error_rate,

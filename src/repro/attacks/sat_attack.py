@@ -41,8 +41,14 @@ Implementation notes (all standard, all load-bearing for speed):
 * One fold, shared gates: each cone gate of a DIP copy is folded once
   on ``key1`` and, when still live, hash-consed
   (:meth:`MiterEncoding.copy_gate`): a gate some earlier DIP already
-  built is reused, and a new one is built together with its ``key2``
-  twin.  A DIP then adds only its guarded PO units for both halves.
+  built is reused.  A new XOR or MUX is built together with its
+  ``key2`` twin; a new AND stays a placeholder until something needs
+  its variable (:meth:`MiterEncoding.ensure`).
+* Crunched PO clauses: a DIP adds only its guarded PO clauses for both
+  halves, and a PO that is still an unencoded AND becomes clauses over
+  its fanins (:meth:`MiterEncoding.clauses_for`).  A point-function
+  DIP (SARLock, Anti-SAT) is one clause over key literals, so earlier
+  DIPs leave no variables for later solves to propagate.
 * One incremental solver carries learned clauses across iterations;
   the miter assertion hangs off an activation literal so the final
   key-extraction call can drop it.
@@ -68,15 +74,30 @@ from repro.sat.registry import create_solver, resolve_solver_name
 from repro.sat.solver import Solver
 
 _AND_FAMILY = (GateType.AND, GateType.NAND, GateType.OR, GateType.NOR)
+#: Placeholders (lazy AND copy gates, see :class:`MiterEncoding`) are
+#: numbered from here, far above any solver variable.
+_PLACEHOLDER_BASE = 1 << 60
 
 
-@dataclass
+@dataclass(slots=True)
 class AttackIteration:
-    """One DIP-loop iteration, for per-iteration runtime reporting."""
+    """One DIP-loop iteration, for per-iteration runtime reporting.
 
-    dip: dict[str, int]
+    The DIP is kept packed — ``dip_bits[j]`` is the bit of
+    ``inputs[j]``, and every iteration of an attack shares one
+    ``inputs`` tuple — because a result records one iteration per DIP
+    and a dict per DIP would dominate its size.  :attr:`dip` unpacks it.
+    """
+
+    dip_bits: bytes
+    inputs: tuple[str, ...]
     elapsed_seconds: float
     conflicts: int
+
+    @property
+    def dip(self) -> dict[str, int]:
+        """The DIP as primary-input net -> bit."""
+        return dict(zip(self.inputs, self.dip_bits))
 
 
 @dataclass
@@ -143,6 +164,14 @@ class MiterEncoding:
     :func:`run_dip_loop` (possibly many times, with different
     assumptions — that reuse is the sharded engine's whole point).
 
+    Per-DIP copy gates live in *copy literals*: DIMACS literals over
+    solver variables (key ports, ``±true_var``, XOR/MUX copy gates) and
+    over *placeholders* — ids above :data:`_PLACEHOLDER_BASE` that
+    name an AND-family copy gate with no solver variable yet.
+    :meth:`ensure` turns a copy literal into a solver literal, encoding
+    a placeholder's AND on first use; :meth:`clauses_for` asserts one
+    without encoding it where the polarity allows.
+
     Attributes:
         solver: The incremental CDCL solver holding the encoding.
         compiled: The compiled locked circuit the encoding came from.
@@ -167,11 +196,15 @@ class MiterEncoding:
             with :attr:`base_vars` this is the encoded size every
             backend sees.
         copy_gates: Structural-hash table of the per-DIP copy gates,
-            ``(kind, normalized key1 literals)`` -> ``key1`` variable
-            (see :meth:`copy_gate`).
-        copy_twin: ``key1`` literal -> its ``key2`` literal, for the
-            key ports, ``±true_var`` and every entry of
-            :attr:`copy_gates`.
+            ``(kind, normalized key1 copy literals)`` -> the gate's
+            ``key1`` copy literal: a placeholder for an AND, a solver
+            variable for an XOR or MUX (see :meth:`copy_gate`).
+        copy_twin: ``key1`` solver literal -> its ``key2`` literal, for
+            the key ports, ``±true_var`` and every encoded copy gate.
+        placeholders: Placeholder -> the copy literals its AND reads,
+            in creation (so topological) order.
+        placeholder_vars: Placeholder -> ``key1`` solver variable, for
+            the placeholders :meth:`ensure` has encoded.
     """
 
     solver: Solver
@@ -191,6 +224,10 @@ class MiterEncoding:
     base_clauses: int = 0
     copy_gates: dict[tuple, int] = field(default_factory=dict, repr=False)
     copy_twin: dict[int, int] = field(default_factory=dict, repr=False)
+    placeholders: dict[int, tuple[int, ...]] = field(
+        default_factory=dict, repr=False
+    )
+    placeholder_vars: dict[int, int] = field(default_factory=dict, repr=False)
 
     def encode_stats(self) -> dict:
         """JSON-ready pre/post structural summary of this encoding."""
@@ -203,18 +240,22 @@ class MiterEncoding:
         }
 
     def copy_gate(self, gtype: GateType, ins: list[int]) -> int:
-        """The ``key1`` literal of one per-DIP copy gate, folded and shared.
+        """The ``key1`` copy literal of one per-DIP copy gate, folded and shared.
 
-        ``ins`` are ``key1``-side DIMACS literals in which ``±true_var``
+        ``ins`` are ``key1``-side copy literals in which ``±true_var``
         plays constant true/false.  Constants, duplicate and
         complementary fanins fold as in :mod:`repro.circuit.opt`'s
         sweep; a gate that folds to a constant or one fanin returns
         that literal.  A gate still live is normalized — AND/NAND/OR/NOR
         to an AND with an output sign, XOR/XNOR to an XOR of sorted
-        positive variables with a parity, MUX to a positive select —
-        and looked up in :attr:`copy_gates`.  Only a miss adds clauses:
-        the ``key1`` gate and its ``key2`` twin, together.  A definition
-        is an unguarded Tseitin definition over key variables, so every
+        positive literals with a parity, MUX to a positive select —
+        and looked up in :attr:`copy_gates`.
+
+        A miss on an AND adds no clauses: the gate gets a fresh
+        placeholder, encoded only if :meth:`ensure` is ever asked for
+        it.  A miss on an XOR or MUX ensures its fanins and adds the
+        ``key1`` gate and its ``key2`` twin, together.  A definition is
+        an unguarded Tseitin definition over key variables, so every
         later DIP, guard and shard in the frame may share it.
         """
         true = self.true_var
@@ -267,26 +308,118 @@ class MiterEncoding:
         key = (kind, lits)
         out = self.copy_gates.get(key)
         if out is None:
-            solver, twin, gate = self.solver, self.copy_twin, GateType(kind)
-            out, out2 = solver.new_var(), solver.new_var()
-            encode_gate(solver, gate, out, list(lits))
-            encode_gate(solver, gate, out2, [twin[lit] for lit in lits])
+            if kind == "AND":
+                out = _PLACEHOLDER_BASE + len(self.placeholders) + 1
+                self.placeholders[out] = lits
+            else:
+                ins = [self.ensure(lit) for lit in lits]
+                out = self._define(GateType(kind), ins)
             self.copy_gates[key] = out
-            twin[out], twin[-out] = out2, -out2
         return sign * out
 
-    def rollback(self, mark: tuple[int, int, int]) -> None:
+    def ensure(self, lit: int) -> int:
+        """The solver literal of copy literal ``lit``.
+
+        A solver literal is returned as it is.  A placeholder is
+        encoded on first use: a Tseitin AND over :meth:`_and_lits` of
+        its fanins, with its ``key2`` twin.
+        """
+        fanins = self.placeholders.get(abs(lit))
+        if fanins is None:
+            return lit
+        var = self.placeholder_vars.get(abs(lit))
+        if var is None:
+            var = self._define(GateType.AND, self._and_lits(fanins))
+            self.placeholder_vars[abs(lit)] = var
+        return var if lit > 0 else -var
+
+    def clauses_for(self, lit: int) -> list[list[int]]:
+        """``key1`` clauses that hold exactly when copy literal ``lit`` does.
+
+        The polarity-aware clause form of Plaisted & Greenbaum: a true
+        unencoded AND is one unit per fanin, recursively; a false one
+        is the single clause over its negated :meth:`_and_lits`.  Any
+        other literal — an encoded placeholder included — is the unit
+        of :meth:`ensure`.  Every copy gate is a function of the keys,
+        so the clauses admit exactly the keys that make ``lit`` true.
+        """
+        clauses: list[list[int]] = []
+        seen: set[int] = set()
+        todo = [lit]
+        while todo:
+            lit = todo.pop()
+            fanins = self.placeholders.get(abs(lit))
+            if fanins is None or abs(lit) in self.placeholder_vars:
+                clauses.append([self.ensure(lit)])
+            elif lit > 0:
+                if lit not in seen:
+                    seen.add(lit)
+                    todo.extend(reversed(fanins))
+            else:
+                clauses.append([-fanin for fanin in self._and_lits(fanins)])
+        return clauses
+
+    def _and_lits(self, fanins: tuple[int, ...]) -> list[int]:
+        """Solver literals whose AND equals the AND of copy literals ``fanins``.
+
+        Unencoded positive placeholders are flattened into their own
+        fanins (each at most once); every other fanin is ensured — a
+        negative placeholder needs its variable.
+        """
+        out: dict[int, None] = {}
+        seen: set[int] = set()
+        todo = list(reversed(fanins))
+        while todo:
+            lit = todo.pop()
+            nested = self.placeholders.get(lit)
+            if nested is not None and lit not in self.placeholder_vars:
+                if lit not in seen:
+                    seen.add(lit)
+                    todo.extend(reversed(nested))
+            else:
+                out[self.ensure(lit)] = None
+        return list(out)
+
+    def _define(self, gate: GateType, ins: list[int]) -> int:
+        """Encode ``gate`` over ``key1`` solver literals and its twin."""
+        solver, twin = self.solver, self.copy_twin
+        out, out2 = solver.new_var(), solver.new_var()
+        encode_gate(solver, gate, out, ins)
+        encode_gate(solver, gate, out2, [twin[lit] for lit in ins])
+        twin[out], twin[-out] = out2, -out2
+        return out
+
+    def checkpoint(self) -> tuple[tuple[int, int, int], int]:
+        """Open a solver frame; :meth:`rollback` to the mark closes it."""
+        return self.solver.checkpoint(), len(self.placeholders)
+
+    def rollback(self, mark: tuple[tuple[int, int, int], int]) -> None:
         """Roll the solver back to ``mark``, and the copy gates with it.
 
-        Copy gates allocated after ``mark`` lose their variables, so
-        their :attr:`copy_gates` and :attr:`copy_twin` entries go too —
-        call this instead of ``solver.rollback`` so the two cannot
-        drift apart.
+        Copy gates made after ``mark`` go: variables above the solver
+        mark and placeholders created since :meth:`checkpoint`, with
+        their :attr:`copy_gates`, :attr:`copy_twin` and
+        :attr:`placeholders` entries.  A placeholder that survives but
+        was encoded inside the frame loses its :attr:`placeholder_vars`
+        entry and is unencoded again.  No surviving entry refers to a
+        rolled-back variable or placeholder.  Call this instead of
+        ``solver.rollback`` so the tables cannot drift apart.
         """
-        self.solver.rollback(mark)
+        solver_mark, kept = mark
+        self.solver.rollback(solver_mark)
         nvars = self.solver.num_vars
+        last = _PLACEHOLDER_BASE + kept
+        self.placeholders = {
+            p: fanins for p, fanins in self.placeholders.items() if p <= last
+        }
+        # A placeholder made in the frame can only be encoded in it.
+        self.placeholder_vars = {
+            p: var for p, var in self.placeholder_vars.items() if var <= nvars
+        }
         self.copy_gates = {
-            key: var for key, var in self.copy_gates.items() if var <= nvars
+            key: lit
+            for key, lit in self.copy_gates.items()
+            if lit <= nvars or _PLACEHOLDER_BASE < lit <= last
         }
         self.copy_twin = {
             lit: twin for lit, twin in self.copy_twin.items() if abs(lit) <= nvars
@@ -405,20 +538,15 @@ def build_miter_encoding(
     )
 
 
-def _add_dip_copies(
-    enc: MiterEncoding,
-    values: Sequence[int],
-    response: Mapping[str, int],
-    guard: int | None,
-) -> None:
-    """Constrain both key vectors to reproduce ``response`` on one DIP.
+def _dip_po_lits(
+    enc: MiterEncoding, values: Sequence[int], response: Mapping[str, int]
+) -> list[int]:
+    """The ``key1`` copy literals that make one DIP's POs match ``response``.
 
     ``values`` are the simulated slot values under the DIP with every
     key bit 0 (key-independent slots become constants).  The key cone
     is folded once on ``key1`` through :meth:`MiterEncoding.copy_gate`,
-    which shares every live gate with earlier DIPs; ``key2``'s side of
-    each PO is its :attr:`~MiterEncoding.copy_twin`.  Only the PO units
-    — the one part that depends on the response — are guarded.
+    which shares every live gate with earlier DIPs.
 
     Only the DIP's live cone is walked.  A gate whose fanins are all
     constant under the DIP folds to a constant that is the same for
@@ -434,8 +562,8 @@ def _add_dip_copies(
     consts = (-true, true)
     copy_gate = enc.copy_gate
 
-    # Slot -> key1 literal of each key-dependent slot; 0 where the DIP
-    # makes the slot a constant (values[slot] then holds it).
+    # Slot -> key1 copy literal of each key-dependent slot; 0 where the
+    # DIP makes the slot a constant (values[slot] then holds it).
     lits = list(enc.key1)
     for i in enc.cone_idx:
         fanins = gate_fanins[i]
@@ -449,14 +577,48 @@ def _add_dip_copies(
         )
         if out != true and out != -true:
             lits[gate_out[i]] = out
-    po_lits = [
+    return [
         (lits[slot] or consts[values[slot]]) * (1 if response[po] else -1)
         for po, slot in enc.controlled_pos
     ]
+
+
+def _add_dip_copies(
+    enc: MiterEncoding,
+    values: Sequence[int],
+    response: Mapping[str, int],
+    guard: int | None,
+) -> None:
+    """Constrain both key vectors to reproduce ``response`` on one DIP.
+
+    :func:`_dip_po_lits` folds the DIP's cone; each PO literal becomes
+    :meth:`MiterEncoding.clauses_for` — a PO that is still an unencoded
+    AND becomes clauses over its fanins instead of a new variable, so a
+    point-function DIP (SARLock, Anti-SAT: "the flip AND is 0") is one
+    clause over key literals.  ``key2``'s clauses are ``key1``'s mapped
+    through :attr:`~MiterEncoding.copy_twin`.  Only these clauses — the
+    one part that depends on the response — are guarded.
+    """
+    clauses = []
+    for lit in _dip_po_lits(enc, values, response):
+        clauses += enc.clauses_for(lit)
     twin = enc.copy_twin
+    clauses += [[twin[lit] for lit in clause] for clause in clauses]
     add_clause = enc.solver.add_clause
-    for lit in po_lits + [twin[lit] for lit in po_lits]:
-        add_clause([lit] if guard is None else [-guard, lit])
+    for clause in clauses:
+        add_clause(clause if guard is None else [-guard, *clause])
+
+
+def solver_stats_delta(solver: Solver, before: Mapping[str, int]) -> dict[str, int]:
+    """``solver``'s counters since ``before`` (a ``stats.as_dict()``).
+
+    The decision-level high-water mark is not a counter, so it is
+    reported absolute: the maximum observed so far, not a delta.
+    """
+    after = solver.stats.as_dict()
+    delta = {name: after[name] - before[name] for name in after}
+    delta["max_decision_level"] = after["max_decision_level"]
+    return delta
 
 
 def run_dip_loop(
@@ -520,6 +682,7 @@ def run_dip_loop(
     queries_before = oracle.query_count
 
     iterations: list[AttackIteration] = []
+    dip_inputs = tuple(input_vars)
     num_dips = 0
     status = "ok"
 
@@ -550,7 +713,8 @@ def run_dip_loop(
         if record_iterations:
             iterations.append(
                 AttackIteration(
-                    dip=dip,
+                    dip_bits=bytes(dip.values()),
+                    inputs=dip_inputs,
                     elapsed_seconds=time.perf_counter() - iter_start,
                     conflicts=solver.stats.conflicts - conflicts_before,
                 )
@@ -569,14 +733,6 @@ def run_dip_loop(
         elif status == "ok":  # pragma: no cover - k* satisfies everything
             status = "no_key"
 
-    stats_after = solver.stats.as_dict()
-    delta = {
-        name: stats_after[name] - stats_before[name] for name in stats_after
-    }
-    # The decision-level high-water mark is not a counter; report the
-    # absolute maximum observed so far instead of a meaningless delta.
-    delta["max_decision_level"] = stats_after["max_decision_level"]
-
     return SatAttackResult(
         key=key,
         num_dips=num_dips,
@@ -585,7 +741,7 @@ def run_dip_loop(
         oracle_queries=oracle.query_count - queries_before,
         pinned=pin,
         iterations=iterations,
-        solver_stats=delta,
+        solver_stats=solver_stats_delta(solver, stats_before),
         key_order=list(enc.key_inputs),
     )
 

@@ -152,9 +152,9 @@ class ShardEngine:
 
         The sub-space is selected purely with assumptions (splitting
         pins + a fresh guard literal for this shard's I/O constraints);
-        nothing is re-encoded.  The shard runs inside a solver frame
-        (:meth:`repro.sat.solver.Solver.checkpoint` /
-        :meth:`~repro.attacks.sat_attack.MiterEncoding.rollback`): its
+        nothing is re-encoded.  The shard runs inside a frame of the
+        encoding (:meth:`~repro.attacks.sat_attack.MiterEncoding.checkpoint`
+        / :meth:`~repro.attacks.sat_attack.MiterEncoding.rollback`): its
         DIP constraint copies and shared copy gates vanish afterwards,
         even when the shard raises, while clauses learned about the
         base miter carry over warm to the next shard.
@@ -185,7 +185,7 @@ class ShardEngine:
             for net, value in assignment.items()
         ]
         solver = self.enc.solver
-        frame = solver.checkpoint()
+        frame = self.enc.checkpoint()
         try:
             guard = solver.new_var()
             # Root facts accumulated by earlier shards (kept across

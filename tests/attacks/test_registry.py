@@ -121,6 +121,19 @@ class TestAttackRegistry:
             outcome.num_dips + outcome.detail["random_queries"]
         )
 
+    def test_appsat_reports_its_solver_work(self):
+        """AppSAT's outcome carries the live solver's counter deltas
+        over all its rounds, with the same counters as the SAT attack."""
+        original = random_netlist(8, 40, seed=5)
+        locked = lock_circuit("sarlock", original, key_size=6, seed=1)
+        outcome = run_attack("appsat", locked, Oracle(original))
+        stats = outcome.solver_stats
+        assert stats["propagations"] > 0 and stats["conflicts"] > 0
+        # One DIP-search call per DIP, plus the extraction calls.
+        assert stats["solve_calls"] > outcome.num_dips
+        sat = run_attack("sat", locked, Oracle(original))
+        assert set(stats) == set(sat.solver_stats)
+
 
 class TestSchemeRegistry:
     def test_builtin_roster(self):

@@ -3,11 +3,12 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from repro.attacks.brute_force import brute_force_keys
 from repro.attacks.sat_attack import (
     _add_dip_copies,
+    _dip_po_lits,
     build_miter_encoding,
     sat_attack,
     verify_key_against_oracle,
@@ -16,7 +17,9 @@ from repro.circuit.cnf import encode_gate
 from repro.circuit.gates import GateType, eval_gate
 from repro.circuit.random_circuits import random_netlist
 from repro.locking.antisat import antisat_lock
+from repro.locking.base import LockingError
 from repro.locking.lut_lock import LutModuleSpec, lut_lock
+from repro.locking.registry import lock_circuit
 from repro.locking.sarlock import sarlock_lock
 from repro.locking.xor_lock import xor_lock
 from repro.oracle.oracle import Oracle
@@ -231,7 +234,8 @@ class TestBruteForce:
 
 
 # ----------------------------------------------------------------------
-# Per-DIP copy parity: hash-consed copies == folding each half anew
+# Per-DIP copy parity: crunched copies == eager copies == folding each
+# half anew
 # ----------------------------------------------------------------------
 def _sat_attack_module():
     import importlib
@@ -323,6 +327,24 @@ def _reference_dip_copies(enc, values, response, guard):
                 solver.add_clause([-guard, lit])
 
 
+def _eager_dip_copies(enc, values, response, guard):
+    """The eager per-DIP copy: every copy gate encoded, PO units only.
+
+    The same folded, hash-consed cone as :func:`_add_dip_copies`, but
+    every placeholder is ensured in creation order (so its fanins are
+    encoded before it and nothing is flattened) and each PO is one unit
+    on its gate's variable — the encoding before PO clauses were
+    crunched.
+    """
+    po_lits = _dip_po_lits(enc, values, response)
+    for placeholder in list(enc.placeholders):
+        enc.ensure(placeholder)
+    units = [enc.ensure(lit) for lit in po_lits]
+    twin = enc.copy_twin
+    for lit in units + [twin[lit] for lit in units]:
+        enc.solver.add_clause([lit] if guard is None else [-guard, lit])
+
+
 class _RecordingSolver(Solver):
     """Python backend that logs every added clause."""
 
@@ -362,30 +384,41 @@ def _entails(locked, oracle, dips, premise, conclusion, guarded):
     """Every key pair ``premise``'s copies admit, ``conclusion``'s admit too.
 
     Both encoders constrain one encoding with the same DIPs.  The
-    premise's PO units sit at root, or under an assumed guard when
+    premise's PO clauses sit at root, or under an assumed guard when
     ``guarded``; the conclusion's sit under their own guard ``g``.
-    Every copy gate is a Tseitin function of the keys, so "some
-    conclusion unit fails" is the one clause ``-d | -u1 | -u2 ...``, and
-    UNSAT under ``d`` proves the entailment over all key pairs at once.
-    Checked after every DIP; keys of at most six bits are also
+    Every copy gate is a Tseitin function of the keys, so each guarded
+    conclusion clause ``-g | l1 | ... | lm`` fails exactly when all its
+    ``li`` are false: a unit fails on ``-l1``, a longer clause on a
+    fresh fail literal ``f`` with ``-f | -li`` for every ``li``.  "Some
+    conclusion clause fails" is then the one clause ``-d | fail...``,
+    and UNSAT under ``d`` proves the entailment over all key pairs at
+    once.  Checked after every DIP; keys of at most six bits are also
     enumerated pair by pair after the first one.
     """
     enc = build_miter_encoding(locked, solver=_RecordingSolver())
     solver, compiled = enc.solver, enc.compiled
     premise_guard = [solver.new_var()] if guarded else []
     guard = solver.new_var()
-    units = []
+    fail_lits = []
     for n, dip in enumerate(dips):
         values = compiled.eval_words([dip.get(net, 0) for net in compiled.inputs], 1)
         response = oracle.query(dip)
         premise(enc, values, response, premise_guard[0] if guarded else None)
         mark = len(solver.log)
         conclusion(enc, values, response, guard)
-        units += [lits[1] for lits in solver.log[mark:] if lits[0] == -guard]
+        for clause in solver.log[mark:]:
+            if clause[0] != -guard:
+                continue  # a Tseitin definition, not a DIP constraint
+            if len(clause) == 2:
+                fail_lits.append(-clause[1])
+            else:
+                fail = solver.new_var()
+                solver.add_clauses([[-fail, -lit] for lit in clause[1:]])
+                fail_lits.append(fail)
         # Both admit the correct key pair, so neither side is vacuous.
         assert solver.solve(assumptions=premise_guard + [guard])
         fails = solver.new_var()
-        solver.add_clause([-fails] + [-lit for lit in units])
+        solver.add_clause([-fails] + fail_lits)
         if solver.solve(assumptions=premise_guard + [fails]):
             return False
         if n == 0 and len(enc.key_inputs) <= 6:
@@ -404,18 +437,23 @@ def _reference_dips(locked, original, monkeypatch):
         return [it.dip for it in sat_attack(locked, Oracle(original)).iterations]
 
 
-#: Premise/conclusion orders that together prove equal admitted sets.
+#: Premise/conclusion orders that together prove equal admitted sets:
+#: the crunched copies against the eager ones and against the
+#: fold-each-half reference, both ways.
 _BOTH_WAYS = (
+    (_add_dip_copies, _eager_dip_copies),
+    (_eager_dip_copies, _add_dip_copies),
     (_add_dip_copies, _reference_dip_copies),
     (_reference_dip_copies, _add_dip_copies),
 )
 
 
 class TestDipCopyParity:
-    """The hash-consed copies and the fold-each-half reference admit the
-    same (key1, key2) pairs after every DIP — the log of what each DIP
-    rules out is identical — unguarded (single attack) and guarded
-    (shards); end to end, the attack keeps its DIP count and keys."""
+    """The crunched copies, the eager copies and the fold-each-half
+    reference admit the same (key1, key2) pairs after every DIP — the
+    log of what each DIP rules out is identical — unguarded (single
+    attack) and guarded (shards); end to end, the attack keeps its DIP
+    count and keys."""
 
     @pytest.mark.parametrize("scheme", sorted(_PARITY_LOCKS))
     def test_single_attack_log_identical(self, scheme, monkeypatch):
@@ -454,6 +492,109 @@ class TestDipCopyParity:
         ).equivalent
 
 
+#: Lock shapes of at most six key bits for the key-set property.
+_LUT_SPECS = (
+    LutModuleSpec(1, 1, 1), LutModuleSpec(2, 1, 1), LutModuleSpec(1, 1, 2)
+)
+
+
+def _small_lock(scheme, original, key_size, seed):
+    if scheme == "lut":  # its key width is the spec's: 4 or 6 bits here
+        return lut_lock(original, _LUT_SPECS[key_size % 3], seed=seed)
+    if scheme == "antisat":
+        key_size -= key_size % 2
+    return lock_circuit(scheme, original, key_size=key_size, seed=seed)
+
+
+def _key_set(enc, extra):
+    """Per key half, the keys (as ints) the encoding admits under ``extra``."""
+    slots = [enc.compiled.slot_of[net] for net in enc.key_inputs]
+    sets = []
+    for half in (enc.key1, enc.key2):
+        key_vars = [half[s] for s in slots]
+        sets.append({
+            key
+            for key in range(1 << len(key_vars))
+            if enc.solver.solve(assumptions=extra + [
+                var if key >> j & 1 else -var for j, var in enumerate(key_vars)
+            ])
+        })
+    return sets
+
+
+class TestDipKeySets:
+    """Crunched and eager copies admit the same keys through frames.
+
+    Two encodings of one lock see the same DIPs — at root, inside a
+    guarded checkpoint frame, and after its rollback — one through
+    :func:`_add_dip_copies`, one through :func:`_eager_dip_copies`.
+    After every DIP, and after the rollback, both admit exactly the
+    same key set on each key half (enumerated under assumptions), and
+    the two halves agree; the rollback restores the set the frame
+    opened on.  A frame's placeholders, definitions and clauses must
+    all vanish with it, or the sets drift apart.
+    """
+
+    @given(
+        seed=st.integers(0, 10_000),
+        num_inputs=st.integers(3, 8),
+        scheme=st.sampled_from(["sarlock", "antisat", "xor", "lut"]),
+        key_size=st.integers(2, 6),
+        phases=st.tuples(*[st.integers(0, 4)] * 3),
+        data=st.data(),
+    )
+    def test_crunched_and_eager_admit_the_same_keys(
+        self, seed, num_inputs, scheme, key_size, phases, data
+    ):
+        original = random_netlist(num_inputs, 4 * num_inputs, seed=seed)
+        try:
+            locked = _small_lock(scheme, original, key_size, seed)
+        except LockingError:  # the carrier cannot host this lock
+            assume(False)
+        oracle = Oracle(original)
+        crunched, eager = (build_miter_encoding(locked) for _ in range(2))
+        encoders = ((crunched, _add_dip_copies), (eager, _eager_dip_copies))
+        compiled = crunched.compiled
+        inputs = list(crunched.input_vars)
+
+        def same_keys(guards):
+            sets = [
+                _key_set(enc, [guard] if guard else [])
+                for (enc, _), guard in zip(encoders, guards)
+            ]
+            assert sets[0] == sets[1]
+            assert sets[0][0] == sets[0][1]
+            return sets[0]
+
+        for phase, count in zip(("root", "frame", "after"), phases):
+            guards = [None, None]
+            if phase == "frame":
+                before = same_keys(guards)
+                marks = [enc.checkpoint() for enc, _ in encoders]
+                guards = [enc.solver.new_var() for enc, _ in encoders]
+            for _ in range(count):
+                solver = crunched.solver
+                search = [crunched.act] + ([guards[0]] if guards[0] else [])
+                if solver.solve(assumptions=search):
+                    dip = {
+                        net: int(solver.model_value(var) or 0)
+                        for net, var in crunched.input_vars.items()
+                    }
+                else:  # no DIP left: any pattern still constrains
+                    dip = {net: data.draw(st.integers(0, 1)) for net in inputs}
+                values = compiled.eval_words(
+                    [dip.get(net, 0) for net in compiled.inputs], 1
+                )
+                response = oracle.query(dip)
+                for (enc, add_copies), guard in zip(encoders, guards):
+                    add_copies(enc, values, response, guard)
+                same_keys(guards)
+            if phase == "frame":
+                for (enc, _), mark in zip(encoders, marks):
+                    enc.rollback(mark)
+                assert same_keys([None, None]) == before
+
+
 class TestCopyGate:
     """``MiterEncoding.copy_gate`` folds and shares gates without
     changing what any of them computes, on either key half."""
@@ -481,6 +622,13 @@ class TestCopyGate:
             out = enc.copy_gate(gtype, ins)
             gates.append((gtype, ins, out))
             pool.append(abs(out))
+        # A lazy AND has no variable until ensured; ensure all of them
+        # before solving, so every gate kind is checked on both halves.
+        ensure = enc.ensure
+        gates = [
+            (gtype, [ensure(lit) for lit in ins], ensure(out))
+            for gtype, ins, out in gates
+        ]
         twin = enc.copy_twin
 
         def value(lit):

@@ -1,11 +1,13 @@
 """Shard frames scope the hash-consed DIP copy gates.
 
 Every shard of a :class:`~repro.core.sharded.ShardEngine` runs in a
-solver frame.  The miter encoding's copy-gate table and ``key1 -> key2``
-twin map hold solver variables, so rolling the frame back must drop
-every entry above the frame mark — otherwise a later shard would reuse
-a gate whose clauses are gone.  These tests run shards in several
-orders on one engine, and through a shard that raises.
+frame of its miter encoding.  The encoding's copy-gate table, lazy AND
+placeholders, their variables and the ``key1 -> key2`` twin map hold
+solver variables, so rolling the frame back must drop every entry made
+inside it — otherwise a later shard would reuse a gate whose clauses
+are gone.  These tests run shards in several orders on one engine,
+through a shard that raises, and roll back a frame that encoded
+placeholders made before it.
 
 What a frame costs must not change what it searches: a golden test
 pins every shard's solver counters, DIPs and key, in-process and on
@@ -20,7 +22,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.attacks.brute_force import brute_force_keys
 from repro.attacks.registry import AttackInfo
-from repro.attacks.sat_attack import run_dip_loop
+from repro.attacks.sat_attack import build_miter_encoding, run_dip_loop
 from repro.bench_circuits.corpus import resolve_circuit
 from repro.circuit import bench, compiled, opt
 from repro.circuit.random_circuits import random_netlist
@@ -38,10 +40,18 @@ from repro.runner import task as runner_task
 def _assert_scoped(engine, mark):
     enc = engine.enc
     assert enc.solver.num_vars == mark
-    assert all(var <= mark for var in enc.copy_gates.values())
+    # Every shard opened its frame on empty copy tables.
+    assert not (enc.copy_gates or enc.placeholders or enc.placeholder_vars)
     assert all(
         abs(lit) <= mark and abs(twin) <= mark
         for lit, twin in enc.copy_twin.items()
+    )
+
+
+def _copy_tables(enc):
+    return (
+        dict(enc.copy_gates), dict(enc.copy_twin),
+        dict(enc.placeholders), dict(enc.placeholder_vars),
     )
 
 
@@ -119,6 +129,29 @@ class TestShardFrames:
         )
 
 
+class TestEncodingRollback:
+    """``MiterEncoding.rollback`` restores the copy tables of its mark."""
+
+    def test_placeholder_encoded_in_frame_is_unencoded_again(self):
+        original = random_netlist(7, 45, seed=29)
+        locked = lock_circuit("sarlock", original, key_size=5, seed=3)
+        oracle = Oracle(original)
+        enc = build_miter_encoding(locked)
+        run_dip_loop(enc, oracle, max_dips=6)
+        lazy = [p for p in enc.placeholders if p not in enc.placeholder_vars]
+        assert lazy  # crunched PO clauses left placeholders unencoded
+        before = _copy_tables(enc)
+        mark = enc.checkpoint()
+        run_dip_loop(enc, oracle, guard=enc.solver.new_var(), max_dips=6)
+        for placeholder in list(enc.placeholders):
+            enc.ensure(placeholder)
+        assert set(lazy) <= set(enc.placeholder_vars)
+        assert len(enc.placeholders) > len(before[2])
+        enc.rollback(mark)
+        assert _copy_tables(enc) == before
+        assert enc.solver.num_vars == mark[0][0]
+
+
 def _lut_c432():
     original = resolve_circuit("c432", 0.12)
     return lut_lock(original, LutModuleSpec.tiny(), seed=2), original
@@ -135,16 +168,16 @@ def _sharded_unlock(locked, original, runner):
 #: search differently from the in-process engine's, just as exactly.
 _GOLDEN = {
     "in-process": [
-        (0, 5, 788484, 3449, 99, 533),
-        (1, 7, 3962900, 3224, 86, 533),
-        (2, 8, 3897116, 4429, 104, 581),
-        (3, 6, 12285852, 3182, 82, 441),
+        (0, 5, 395264, 3307, 102, 525),
+        (1, 6, 13010960, 3896, 109, 487),
+        (2, 8, 13469714, 3714, 87, 562),
+        (3, 6, 8222770, 3693, 90, 464),
     ],
     "pool": [
-        (0, 5, 788484, 3449, 99, 533),
-        (1, 7, 3174416, 4041, 109, 585),
-        (2, 6, 4028434, 3574, 96, 481),
-        (3, 8, 14712960, 4341, 113, 610),
+        (0, 5, 395264, 3307, 102, 525),
+        (1, 7, 12615696, 3827, 112, 591),
+        (2, 7, 13535256, 3542, 85, 521),
+        (3, 8, 14712960, 4106, 114, 615),
     ],
 }
 
