@@ -1,7 +1,7 @@
 """Benchmark S2: the HTTP gateway under a concurrent client storm.
 
 The horizontal-scale proof: an in-process ``repro serve --http``
-gateway over one sharded shared cache takes a synchronized burst from
+gateway over one shared result cache takes a synchronized burst from
 64 concurrent clients (more under ``REPRO_FULL=1``).  Correctness is
 asserted before any number is recorded — every accepted job must
 produce exactly one terminal response (zero lost, zero duplicated,
@@ -44,7 +44,7 @@ def test_gateway_sustains_concurrent_storm(benchmark, tmp_path):
     """64+ clients, one gateway, zero lost results, all cache hits."""
     service = Service(
         jobs=4,
-        cache=ResultCache(tmp_path / "cache", backend="sharded"),
+        cache=ResultCache(tmp_path / "cache"),
         max_pending=_MAX_PENDING,
     )
     server = create_http_server(service, port=0)

@@ -29,8 +29,7 @@ daemon.  Subcommands map one-to-one onto request envelopes::
     repro-lock bench --circuit real_c880 --out real_c880.bench
     repro-lock serve                           # JSON-lines daemon (stdio)
     repro-lock serve --port 8642 --jobs 8      # ... or TCP
-    repro-lock serve --http 8080 --jobs 8 --max-pending 64 \
-        --cache-backend sharded                # ... or the HTTP gateway
+    repro-lock serve --http 8080 --jobs 8 --max-pending 64  # ... or HTTP
     repro-lock cache info
 
 ``attack``/``table1``/``table2`` pick the multi-key engine with
@@ -52,10 +51,11 @@ circuits (``real_c432``/``real_c499``/``real_c880``, plus any file
 registered via ``repro.bench_circuits.register_corpus_file``) work
 exactly like the stand-ins.
 
-The lever flags ``--solver`` and ``--cache-backend`` come from the
-table in :mod:`repro.levers`: each is exported to its
-``REPRO_*`` environment variable, so every layer and every runner
-worker process resolves the same value.
+``--solver`` picks the SAT backend (default: ``$REPRO_SOLVER``, else
+``python``; see ``matrix --list-solvers``).  It is exported to
+``REPRO_SOLVER``, so every layer and every runner worker process
+resolves the same backend; a bad value exits with the roster before
+any work starts.
 """
 
 from __future__ import annotations
@@ -63,8 +63,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-
-from repro.levers import CACHE_BACKEND, LEVERS
 
 
 def _parse_int_list(text: str) -> list[int]:
@@ -94,17 +92,13 @@ def _add_runner_args(parser: argparse.ArgumentParser) -> None:
         "--quiet", action="store_true",
         help="suppress per-task progress lines on stderr",
     )
-    _add_lever_args(group, LEVERS)
+    from repro.sat.registry import DEFAULT_SOLVER, SOLVER_ENV, registered_solvers
 
-
-def _add_lever_args(parser, levers) -> None:
-    """One flag per lever; :func:`main` exports what was given."""
-    for lever in levers:
-        parser.add_argument(
-            lever.flag, default=None,
-            help=f"{lever.help} ({' | '.join(lever.roster())}; "
-                 f"default: ${lever.env} or {lever.default})",
-        )
+    group.add_argument(
+        "--solver", default=None,
+        help=f"SAT solver backend ({' | '.join(registered_solvers())}; "
+             f"default: ${SOLVER_ENV} or {DEFAULT_SOLVER})",
+    )
 
 
 def _add_envelope_arg(
@@ -120,11 +114,8 @@ def _add_envelope_arg(
 def _open_cache(cache_dir: str):
     from repro.runner import ResultCache
 
-    try:
-        cache = ResultCache(cache_dir or None)
-    except ValueError as error:  # unknown backend name, with the roster
-        raise SystemExit(f"repro-lock: error: {error}")
-    if cache.root is not None and cache.root.exists() and not cache.root.is_dir():
+    cache = ResultCache(cache_dir or None)
+    if cache.root.exists() and not cache.root.is_dir():
         raise SystemExit(
             f"repro-lock: error: cache dir {cache.root} exists and is "
             "not a directory"
@@ -513,16 +504,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_cache(args: argparse.Namespace) -> int:
-    # Everything below goes through the backend-agnostic ResultCache
-    # surface (kinds/entry_count/clear), so `cache info` prints the
-    # same text for the same contents whatever backend stores them.
     cache = _open_cache(args.cache_dir)
-    where = cache.root if cache.root is not None else cache.describe()
     if args.action == "clear":
         removed = cache.clear(kind=args.kind or None)
-        print(f"removed {removed} artifact(s) from {where}")
+        print(f"removed {removed} artifact(s) from {cache.root}")
     else:
-        print(f"cache dir: {where}")
+        print(f"cache dir: {cache.root}")
         kinds = cache.kinds()
         if not kinds:
             print("  (empty — nothing cached yet)")
@@ -796,7 +783,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("action", choices=("info", "clear"))
     p.add_argument("--kind", default="", help="limit clear to one task kind")
     p.add_argument("--cache-dir", default="")
-    _add_lever_args(p, (CACHE_BACKEND,))
     p.set_defaults(func=_cmd_cache)
 
     return parser
@@ -804,15 +790,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    for lever in LEVERS:
-        value = getattr(args, lever.name, None)
-        if value:
+    if hasattr(args, "solver"):
+        from repro.sat.registry import SOLVER_ENV, resolve_solver_name
+
+        try:  # the flag, else $REPRO_SOLVER: fail before any work starts
+            solver = resolve_solver_name(args.solver)
+        except ValueError as error:
+            raise SystemExit(f"repro-lock: error: {error}")
+        if args.solver:
             # Exported, not passed: every layer, and every worker process
-            # a runner spawns, resolves the lever from its env var.
-            try:
-                os.environ[lever.env] = lever.check(value)
-            except ValueError as error:
-                raise SystemExit(f"repro-lock: error: {error}")
+            # a runner spawns, resolves the solver from its env var.
+            os.environ[SOLVER_ENV] = solver
     return args.func(args)
 
 

@@ -15,9 +15,13 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import asdict, dataclass, field
-from statistics import fmean
 
-from repro.experiments.report import format_table, seconds
+from repro.experiments.report import (
+    format_table,
+    gates_column,
+    mean_gates,
+    seconds,
+)
 from repro.locking.lut_lock import LutModuleSpec
 from repro.runner import Runner
 from repro.scenarios.matrix import run_matrix
@@ -27,7 +31,7 @@ from repro.scenarios.spec import ScenarioSpec
 @dataclass
 class AblationRow:
     strategy: str
-    mean_gates_after: float
+    mean_gates_after: float | None
     total_dips: int
     max_seconds: float
     mean_seconds: float
@@ -60,7 +64,7 @@ class SplittingAblationResult:
         body = [
             [
                 row.strategy,
-                f"{row.mean_gates_after:.0f}",
+                gates_column(row.mean_gates_after),
                 row.total_dips,
                 seconds(row.max_seconds),
                 seconds(row.mean_seconds),
@@ -123,7 +127,7 @@ def run_splitting_ablation(
     rows = [
         AblationRow(
             strategy=cell.selection,
-            mean_gates_after=fmean(cell.gates_after),
+            mean_gates_after=mean_gates(cell.gates_after),
             total_dips=sum(cell.dips_per_task),
             max_seconds=cell.max_seconds,
             mean_seconds=cell.mean_seconds,

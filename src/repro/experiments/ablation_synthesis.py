@@ -16,10 +16,15 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from statistics import fmean
 
 from repro.experiments.ablation_splitting import lut_ablation_spec
-from repro.experiments.report import cec_verdict, format_table, seconds
+from repro.experiments.report import (
+    cec_verdict,
+    format_table,
+    gates_column,
+    mean_gates,
+    seconds,
+)
 from repro.locking.lut_lock import LutModuleSpec
 from repro.runner import Runner
 from repro.scenarios.matrix import run_matrix
@@ -28,7 +33,7 @@ from repro.scenarios.matrix import run_matrix
 @dataclass
 class SynthesisAblationRow:
     synthesis: bool
-    mean_gates: float
+    mean_gates: float | None
     total_dips: int
     max_seconds: float
     mean_seconds: float
@@ -65,7 +70,7 @@ class SynthesisAblationResult:
         body = [
             [
                 "on" if row.synthesis else "off",
-                f"{row.mean_gates:.0f}",
+                gates_column(row.mean_gates),
                 row.total_dips,
                 seconds(row.max_seconds),
                 seconds(row.mean_seconds),
@@ -103,7 +108,7 @@ def run_synthesis_ablation(
     rows = [
         SynthesisAblationRow(
             synthesis=cell.synthesis,
-            mean_gates=fmean(cell.gates_after),
+            mean_gates=mean_gates(cell.gates_after),
             total_dips=sum(cell.dips_per_task),
             max_seconds=cell.max_seconds,
             mean_seconds=cell.mean_seconds,

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from collections.abc import Sequence
+from statistics import fmean
 
 
 def format_table(
@@ -38,3 +39,14 @@ def seconds(value: float) -> str:
 def cec_verdict(equivalent: bool | None) -> str:
     """A CEC column cell: ``pass``, ``FAIL``, or ``-`` when not checked."""
     return {True: "pass", False: "FAIL", None: "-"}[equivalent]
+
+
+def mean_gates(gates_after: list[int] | None) -> float | None:
+    """Mean conditional-netlist size, ``None`` when none was recorded
+    (a cell cached before it recorded ``gates_after``)."""
+    return fmean(gates_after) if gates_after else None
+
+
+def gates_column(mean: float | None) -> str:
+    """A mean-gates column cell: the rounded mean, or ``-`` if missing."""
+    return "-" if mean is None else f"{mean:.0f}"

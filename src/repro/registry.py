@@ -1,7 +1,7 @@
 """The one name -> entry registry behind every roster in the package.
 
-Locking schemes, attacks, solver backends, cache backends, corruption
-metrics and runner task kinds each keep one :class:`Registry` instance
+Locking schemes, attacks, solver backends, corruption metrics and
+runner task kinds each keep one :class:`Registry` instance
 (the module-level ``_REGISTRY``, or ``_METRICS``) filled by a
 ``@register_*`` decorator at import time.  The registry owns the two
 rules every roster shares:

@@ -16,15 +16,6 @@ Typical use::
     result = run_table2(circuits=("c880", "c1355"), runner=runner)
 """
 
-from repro.runner.backends import (
-    CacheBackend,
-    CacheBackendInfo,
-    cache_backend_info,
-    create_cache_backend,
-    register_cache_backend,
-    registered_cache_backends,
-    resolve_cache_backend_name,
-)
 from repro.runner.cache import CACHE_DIR_ENV, ResultCache, default_cache_dir
 from repro.runner.executor import (
     Runner,
@@ -45,23 +36,16 @@ from repro.runner.task import (
 __all__ = [
     "CACHE_DIR_ENV",
     "CACHE_FORMAT_VERSION",
-    "CacheBackend",
-    "CacheBackendInfo",
     "ResultCache",
     "Runner",
     "TaskResult",
     "TaskSpec",
-    "cache_backend_info",
     "canonical_json",
     "chunk_evenly",
-    "create_cache_backend",
     "default_cache_dir",
     "print_progress",
     "progress_line",
-    "register_cache_backend",
     "register_task",
-    "registered_cache_backends",
     "registered_kinds",
-    "resolve_cache_backend_name",
     "task_worker",
 ]

@@ -1,16 +1,9 @@
-"""Content-hash-keyed result cache over a pluggable storage backend.
+"""Content-hash-keyed result cache: one flat on-disk store.
 
-:class:`ResultCache` owns the cache *policy* — mapping a
-:class:`~repro.runner.task.TaskSpec` to its ``(kind, sha256)``
-identity, the entry schema (spec provenance + compute time + payload),
-schema-version validation and hit/miss accounting.  The *storage*
-lives behind a :class:`~repro.runner.backends.CacheBackend` chosen at
-construction (``directory`` | ``sharded`` | ``memory``; see
-:mod:`repro.runner.backends` for the registry and the "adding a cache
-backend" guide in ``docs/ARCHITECTURE.md``).
-
-Default layout (the ``directory`` backend, one JSON artifact per
-task)::
+:class:`ResultCache` maps a :class:`~repro.runner.task.TaskSpec` to its
+``(kind, sha256)`` identity, owns the entry schema (spec provenance +
+compute time + payload), validates the schema version and counts hits
+and misses.  It stores one JSON artifact per task::
 
     <cache_root>/
         scenario_cell/<sha256>.json
@@ -19,23 +12,26 @@ task)::
 
 Each artifact records the spec that produced it (kind + params), the
 worker's compute time, a creation timestamp and the result payload.
-Entries are written atomically (temp file + rename) so a crashed or
-parallel run never leaves a half-written artifact; unreadable entries
-are treated as misses and overwritten.
+Entries are written atomically (temp file in the destination directory
++ ``os.replace``), so a crashed writer or two processes racing on one
+content hash never leave a torn artifact visible: readers see the old
+bytes, the new bytes, or a miss.  Unreadable entries are treated as
+misses and overwritten, never raised.
 
 Invalidation is by deletion: ``clear()`` (or removing a ``<kind>``
-directory / the whole root for on-disk backends), or bump
+directory or the whole root), or bump
 :data:`repro.runner.task.CACHE_FORMAT_VERSION` in code when the
 artifact schema itself changes.
 """
 
 from __future__ import annotations
 
+import json
 import os
+import tempfile
 import time
 from pathlib import Path
 
-from repro.runner.backends import CacheBackend, create_cache_backend
 from repro.runner.task import CACHE_FORMAT_VERSION, TaskSpec
 
 #: Environment override for the default cache location.
@@ -50,49 +46,80 @@ def default_cache_dir() -> Path:
     return Path("~/.cache/repro-lock").expanduser()
 
 
+def _read_entry(path: Path) -> dict | None:
+    """Load one artifact file; any unreadable or torn file is a miss."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            entry = json.load(handle)
+    except (OSError, ValueError):
+        return None
+    return entry if isinstance(entry, dict) else None
+
+
+def _write_atomic(path: Path, entry: dict) -> None:
+    """Write ``entry`` via temp-file-then-rename in ``path``'s directory.
+
+    ``os.replace`` is atomic within a filesystem, so concurrent writers
+    racing on the same path each publish a complete file — last writer
+    wins, readers never observe a partial one.
+    """
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp_name = tempfile.mkstemp(
+        dir=path.parent, prefix=".tmp-", suffix=".json"
+    )
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as handle:
+            json.dump(entry, handle, indent=1, sort_keys=True)
+        os.replace(tmp_name, path)
+    except BaseException:
+        try:
+            os.unlink(tmp_name)
+        except OSError:
+            pass
+        raise
+
+
+def _artifacts(root: Path):
+    """Every published artifact under ``root`` (no ``.tmp-`` files)."""
+    if not root.is_dir():
+        return
+    for path in root.rglob("*.json"):
+        if not path.name.startswith("."):
+            yield path
+
+
 class ResultCache:
     """A store of content-addressed experiment artifacts.
 
     Args:
-        root: Store directory for on-disk backends (``None``: the
-            process default, see :func:`default_cache_dir`).  Ignored
-            by backends without a filesystem root.
-        backend: A registered backend name (``"directory"`` |
-            ``"sharded"`` | ``"memory"``), an already-built
-            :class:`~repro.runner.backends.CacheBackend` instance, or
-            ``None`` for the process default
-            (``$REPRO_CACHE_BACKEND``, else ``directory``).
+        root: Store directory (``None``: :func:`default_cache_dir`).
+        backend: Only ``"directory"``, the one store; any other value
+            raises ``ValueError``.  The argument is kept for
+            ``perfbench/``, which passes it explicitly.
     """
 
     def __init__(
-        self,
-        root: str | Path | None = None,
-        backend: str | CacheBackend | None = None,
+        self, root: str | Path | None = None, backend: str = "directory"
     ) -> None:
-        if backend is None or isinstance(backend, str):
-            backend = create_cache_backend(backend, root=root)
-        self.backend = backend
+        if backend != "directory":
+            raise ValueError(
+                f"unknown cache backend {backend!r} (the one store is "
+                "'directory')"
+            )
+        self.root = (
+            Path(root).expanduser() if root is not None else default_cache_dir()
+        )
         self.hits = 0
         self.misses = 0
 
-    @property
-    def root(self) -> Path | None:
-        """The backend's filesystem root (``None`` for in-memory)."""
-        return getattr(self.backend, "root", None)
-
     def path_for(self, spec: TaskSpec) -> Path:
-        """Artifact file for ``spec`` (on-disk backends only)."""
-        path_for = getattr(self.backend, "path_for", None)
-        if path_for is None:
-            raise TypeError(
-                f"{self.backend.describe()} backend has no artifact paths"
-            )
-        return path_for(spec.kind, spec.cache_key)
+        """Artifact file for ``spec``."""
+        return self.root / spec.kind / f"{spec.cache_key}.json"
 
     def contains(self, spec: TaskSpec) -> bool:
         """Whether an artifact exists for ``spec`` (no validation,
         no hit/miss accounting) — a cheap pre-flight probe."""
-        return self.backend.contains(spec.kind, spec.cache_key)
+        return self.path_for(spec).is_file()
 
     def load(self, spec: TaskSpec) -> dict | None:
         """The stored entry for ``spec``, or ``None`` on a miss.
@@ -101,9 +128,9 @@ class ResultCache:
         ``elapsed_seconds``.  Corrupt or schema-mismatched entries
         count as misses.
         """
-        entry = self.backend.load(spec.kind, spec.cache_key)
+        entry = _read_entry(self.path_for(spec))
         if (
-            not isinstance(entry, dict)
+            entry is None
             or entry.get("version") != CACHE_FORMAT_VERSION
             or "artifact" not in entry
         ):
@@ -114,12 +141,8 @@ class ResultCache:
 
     def store(
         self, spec: TaskSpec, artifact: dict, elapsed_seconds: float
-    ) -> Path | None:
-        """Atomically persist ``artifact`` for ``spec``.
-
-        Returns the artifact path for on-disk backends, ``None``
-        otherwise.
-        """
+    ) -> Path:
+        """Atomically persist ``artifact`` for ``spec``; returns its path."""
         entry = {
             "version": CACHE_FORMAT_VERSION,
             "kind": spec.kind,
@@ -129,33 +152,44 @@ class ResultCache:
             "created_unix": time.time(),
             "artifact": artifact,
         }
-        self.backend.store(spec.kind, spec.cache_key, entry)
-        if hasattr(self.backend, "path_for"):
-            return self.path_for(spec)
-        return None
+        path = self.path_for(spec)
+        _write_atomic(path, entry)
+        return path
 
     def clear(self, kind: str | None = None) -> int:
         """Delete artifacts (all, or one ``kind``); returns the count.
 
-        On-disk backends also reap orphaned ``.tmp-*`` files left by a
-        killed writer; those do not contribute to the returned count.
+        Also reaps orphaned ``.tmp-*`` files left by a killed writer;
+        those do not contribute to the returned count.
         """
-        return self.backend.clear(kind)
+        root = self.root / kind if kind else self.root
+        removed = 0
+        if root.is_dir():
+            for path in sorted(root.rglob("*.json")):
+                try:
+                    path.unlink()
+                except OSError:
+                    continue
+                if not path.name.startswith("."):
+                    removed += 1
+        return removed
 
     def entry_count(self, kind: str | None = None) -> int:
         """Number of stored artifacts (optionally for one task kind)."""
-        return self.backend.entry_count(kind)
+        return sum(1 for _ in _artifacts(self.root / kind if kind else self.root))
 
     def kinds(self) -> list[str]:
         """Sorted task kinds with at least one stored artifact."""
-        return self.backend.kinds()
-
-    def describe(self) -> str:
-        """One-line backend description (the ``cache info`` header)."""
-        return self.backend.describe()
+        if not self.root.is_dir():
+            return []
+        return sorted(
+            path.name
+            for path in self.root.iterdir()
+            if path.is_dir() and next(_artifacts(path), None) is not None
+        )
 
     def __repr__(self) -> str:
         return (
-            f"ResultCache({self.describe()}, hits={self.hits}, "
+            f"ResultCache({self.root}, hits={self.hits}, "
             f"misses={self.misses})"
         )

@@ -25,20 +25,27 @@ The conformance suite (``tests/sat/test_backends.py``) runs every
 registered backend against the contract, skipping exactly the parts a
 backend declares off — so a new backend either passes or says why not.
 
-The default backend is ``"python"`` (always available); the
-``solver`` lever (:mod:`repro.levers`, env ``REPRO_SOLVER``) changes
-the default without threading ``solver=`` through every call site.
+The default backend is ``"python"`` (always available);
+``$REPRO_SOLVER`` changes the process default without threading
+``solver=`` through every call site (the CLI's ``--solver`` flag sets
+it, so runner worker processes resolve the same backend).
 """
 
 from __future__ import annotations
 
+import os
 from collections.abc import Callable
 from dataclasses import dataclass
 from operator import attrgetter
 
-from repro.levers import SOLVER
 from repro.registry import Registry
 from repro.sat.solver import Solver
+
+#: Environment override for the process-default solver backend.
+SOLVER_ENV = "REPRO_SOLVER"
+
+#: The backend used when neither a name nor ``$REPRO_SOLVER`` is given.
+DEFAULT_SOLVER = "python"
 
 
 @dataclass(frozen=True)
@@ -104,14 +111,20 @@ def register_solver(
     return decorate
 
 
-def resolve_solver_name(name: str | None) -> str:
-    """``name`` if given, else the process default — always validated."""
-    return SOLVER.resolve(name)
+def resolve_solver_name(name: str | None = None) -> str:
+    """``name``, else ``$REPRO_SOLVER``, else :data:`DEFAULT_SOLVER`.
+
+    Always validated: an unregistered name raises
+    :class:`~repro.registry.UnknownName` with the roster.
+    """
+    name = name or os.environ.get(SOLVER_ENV) or DEFAULT_SOLVER
+    _REGISTRY.get(name)
+    return name
 
 
 def create_solver(name: str | None = None):
     """Instantiate a backend by name (``None`` -> process default)."""
-    return _REGISTRY[SOLVER.resolve(name)].factory()
+    return _REGISTRY[resolve_solver_name(name)].factory()
 
 
 @register_solver(

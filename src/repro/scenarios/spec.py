@@ -24,9 +24,9 @@ from collections.abc import Mapping, Sequence
 from repro.circuit.opt import OPT_LEVEL
 from repro.core.multikey import engine_for
 from repro.core.splitting import check_strategy
-from repro.levers import LEVERS
 from repro.locking.registry import scheme_info
 from repro.runner import TaskSpec
+from repro.sat.registry import resolve_solver_name
 
 
 def normalize_axis(entry) -> tuple[str, dict]:
@@ -131,10 +131,8 @@ class ScenarioSpec:
         self.circuits = list(self.circuits)
         self.efforts = [int(n) for n in self.efforts]
         self.seeds = [int(s) for s in self.seeds]
-        for lever in LEVERS:
-            if lever.hashed:  # cells hash the value that actually runs
-                value = getattr(self, lever.name)
-                setattr(self, lever.name, lever.resolve(value))
+        # Cells hash the backend that actually runs.
+        self.solver = resolve_solver_name(self.solver)
         self.metrics = [str(name) for name in self.metrics]
         self.key_samples = int(self.key_samples)
         if self.metrics_seed is not None:

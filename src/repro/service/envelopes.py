@@ -23,6 +23,7 @@ so adding fields is forward-compatible without a version bump; bump
 
 from __future__ import annotations
 
+import importlib
 import inspect
 import json
 from collections.abc import Mapping
@@ -30,7 +31,7 @@ from dataclasses import asdict, dataclass, field, fields
 from typing import ClassVar
 
 from repro.core.multikey import engine_for
-from repro.levers import check_hashed_fields
+from repro.sat.registry import resolve_solver_name
 from repro.scenarios.spec import ScenarioSpec, normalize_axis
 
 #: The envelope schema generation.  Decoders reject other versions.
@@ -39,43 +40,29 @@ SCHEMA_VERSION = 1
 #: Terminal job statuses a Response may carry.
 RESPONSE_STATUSES = ("ok", "partial", "error", "cancelled")
 
-#: The experiments an ExperimentRequest may name (see
-#: repro.service.jobs for how each maps onto its driver).
-EXPERIMENTS = (
-    "figure1",
-    "figure2",
-    "table1",
-    "table2",
-    "ablation_splitting",
-    "ablation_synthesis",
-    "defense",
-)
+#: The experiments an ExperimentRequest may name: each is the module
+#: ``repro.experiments.<name>``, here with its driver and result type
+#: (imported on first use, see :func:`experiment_entry`).
+EXPERIMENTS = {
+    "figure1": ("run_figure1", "Figure1Result"),
+    "figure2": ("run_figure2", "Figure2Result"),
+    "table1": ("run_table1", "Table1Result"),
+    "table2": ("run_table2", "Table2Result"),
+    "ablation_splitting": ("run_splitting_ablation", "SplittingAblationResult"),
+    "ablation_synthesis": ("run_synthesis_ablation", "SynthesisAblationResult"),
+    "defense": ("run_defense_experiment", "DefenseResult"),
+}
 
 
 class EnvelopeError(ValueError):
     """A payload that cannot be decoded into a valid envelope."""
 
 
-def _experiment_driver(name: str):
-    """Resolve an experiment name to its driver (lazy heavy imports)."""
-    from repro.experiments.ablation_splitting import run_splitting_ablation
-    from repro.experiments.ablation_synthesis import run_synthesis_ablation
-    from repro.experiments.defense import run_defense_experiment
-    from repro.experiments.figure1 import run_figure1
-    from repro.experiments.figure2 import run_figure2
-    from repro.experiments.table1 import run_table1
-    from repro.experiments.table2 import run_table2
-
-    drivers = {
-        "figure1": run_figure1,
-        "figure2": run_figure2,
-        "table1": run_table1,
-        "table2": run_table2,
-        "ablation_splitting": run_splitting_ablation,
-        "ablation_synthesis": run_synthesis_ablation,
-        "defense": run_defense_experiment,
-    }
-    return drivers[name]
+def experiment_entry(name: str) -> tuple:
+    """Experiment ``name``'s ``(driver, result type)``, imported now."""
+    driver, result = EXPERIMENTS[name]
+    module = importlib.import_module(f"repro.experiments.{name}")
+    return getattr(module, driver), getattr(module, result)
 
 
 @dataclass
@@ -95,6 +82,8 @@ class MatrixRequest:
     schemes: list = field(default_factory=lambda: [["sarlock", {}]])
     attacks: list = field(default_factory=lambda: [["sat", {}]])
     engines: list = field(default_factory=lambda: ["sharded"])
+    selections: list = field(default_factory=lambda: ["fanout"])
+    synthesis: list = field(default_factory=lambda: [True])
     circuits: list = field(default_factory=lambda: ["c432"])
     scale: float = 0.25
     efforts: list = field(default_factory=lambda: [1])
@@ -119,6 +108,8 @@ class MatrixRequest:
             for name, params in (normalize_axis(e) for e in self.attacks)
         ]
         self.engines = [str(e) for e in self.engines]
+        self.selections = [str(s) for s in self.selections]
+        self.synthesis = [bool(flag) for flag in self.synthesis]
         self.circuits = [str(c) for c in self.circuits]
         self.scale = float(self.scale)
         self.efforts = [int(n) for n in self.efforts]
@@ -166,7 +157,7 @@ class AttackRequest:
 
         scheme_info(self.scheme)
         attack_info(self.attack)
-        check_hashed_fields(self)  # raises with the roster on a miss
+        resolve_solver_name(self.solver)  # raises with the roster on a miss
         try:
             engine_for(self.engine, self.attack, self.solver)
         except ValueError as error:
@@ -262,7 +253,7 @@ class ExperimentRequest:
                 f"unknown experiment {self.experiment!r} (known: {known})"
             )
         self.params = dict(self.params)
-        driver = _experiment_driver(self.experiment)
+        driver, _ = experiment_entry(self.experiment)
         accepted = set(inspect.signature(driver).parameters) - {"runner"}
         unknown = sorted(set(self.params) - accepted)
         if unknown:

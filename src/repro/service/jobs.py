@@ -40,7 +40,7 @@ from repro.service.envelopes import (
     MatrixRequest,
     MetricsRequest,
     Response,
-    _experiment_driver,
+    experiment_entry,
 )
 from repro.service.events import Event
 
@@ -461,7 +461,7 @@ def _execute_matrix(service: Service, job: Job) -> tuple[dict, str]:
 
 def _execute_experiment(service: Service, job: Job) -> tuple[dict, str]:
     request: ExperimentRequest = job.request
-    driver = _experiment_driver(request.experiment)
+    driver, _ = experiment_entry(request.experiment)
     job.emit("job_started", {"kind": request.kind, "experiment": request.experiment})
     result = driver(runner=service._runner_for(job), **request.params)
     status = "ok" if _experiment_rows_ok(result) else "partial"

@@ -421,7 +421,6 @@ def assert_no_losses(report: LoadReport) -> None:
 def spawn_http_daemon(
     jobs: int = 4,
     cache_dir: str | None = None,
-    cache_backend: str = "sharded",
     max_pending: int | None = None,
 ):
     """Start ``repro serve --http 0`` as a subprocess; returns
@@ -440,7 +439,7 @@ def spawn_http_daemon(
     )
     argv = [
         sys.executable, "-m", "repro", "serve", "--http", "0",
-        "--jobs", str(jobs), "--cache-backend", cache_backend,
+        "--jobs", str(jobs),
     ]
     if cache_dir:
         argv += ["--cache-dir", cache_dir]

@@ -16,7 +16,7 @@ human-readable is produced here, and only here.  Two entry points:
 from __future__ import annotations
 
 from repro.runner import progress_line
-from repro.service.envelopes import Response
+from repro.service.envelopes import Response, experiment_entry
 from repro.service.events import Event
 
 
@@ -69,7 +69,8 @@ def render_response(response: Response, verbose: bool = True) -> str:
 
         return CorruptionReport.from_payload(payload["report"]).format()
     if response.request_kind == "experiment":
-        return _experiment_result(payload).format()
+        _, cls = experiment_entry(payload["experiment"])
+        return cls.from_payload(payload["result"]).format()
     if response.request_kind == "attack":
         return _render_attack(payload, verbose=verbose)
     if response.request_kind == "bench":
@@ -77,29 +78,6 @@ def render_response(response: Response, verbose: bool = True) -> str:
     raise ValueError(
         f"no renderer for request kind {response.request_kind!r}"
     )
-
-
-def _experiment_result(payload: dict):
-    """Rebuild the right experiment result dataclass from a payload."""
-    from repro.experiments.ablation_splitting import SplittingAblationResult
-    from repro.experiments.ablation_synthesis import SynthesisAblationResult
-    from repro.experiments.defense import DefenseResult
-    from repro.experiments.figure1 import Figure1Result
-    from repro.experiments.figure2 import Figure2Result
-    from repro.experiments.table1 import Table1Result
-    from repro.experiments.table2 import Table2Result
-
-    result_types = {
-        "figure1": Figure1Result,
-        "figure2": Figure2Result,
-        "table1": Table1Result,
-        "table2": Table2Result,
-        "ablation_splitting": SplittingAblationResult,
-        "ablation_synthesis": SynthesisAblationResult,
-        "defense": DefenseResult,
-    }
-    cls = result_types[payload["experiment"]]
-    return cls.from_payload(payload["result"])
 
 
 def _render_attack(payload: dict, verbose: bool = True) -> str:

@@ -10,7 +10,6 @@ from hypothesis import HealthCheck, settings
 
 from repro.circuit.compiled import CompiledCircuit
 from repro.circuit.opt import _identity
-from repro.levers import LEVERS
 
 # One moderate profile for everything: property tests here run whole
 # SAT solves / circuit sweeps per example, so keep example counts sane.
@@ -42,14 +41,14 @@ def _isolated_result_cache(tmp_path, monkeypatch):
 
 
 @pytest.fixture(autouse=True)
-def _restored_lever_env(monkeypatch):
-    """Undo lever env vars a test sets, including the ``REPRO_*``
-    exports of in-process ``repro.cli.main`` calls.  A value set by
-    the caller (e.g. ``REPRO_SOLVER=pysat``) stays visible to tests."""
-    for lever in LEVERS:
-        monkeypatch.setenv(lever.env, os.environ.get(lever.env, ""))
-        if not os.environ[lever.env]:
-            monkeypatch.delenv(lever.env)
+def _restored_solver_env(monkeypatch):
+    """Undo ``REPRO_SOLVER`` changes a test makes, including the export
+    of an in-process ``repro.cli.main([..., "--solver", ...])`` call.
+    A value set by the caller (e.g. ``REPRO_SOLVER=pysat``) stays
+    visible to tests."""
+    monkeypatch.setenv("REPRO_SOLVER", os.environ.get("REPRO_SOLVER", ""))
+    if not os.environ["REPRO_SOLVER"]:
+        monkeypatch.delenv("REPRO_SOLVER")
 
 
 @pytest.fixture

@@ -1,11 +1,11 @@
-"""Cache storage seam tests: backend conformance, sharing, crash safety.
+"""The result store's contract: round trips, sharing, crash safety.
 
-The same conformance suite runs against every registered backend —
-that is the seam's contract: ``ResultCache`` behaves identically no
-matter where the bytes live.  On top of that, the on-disk flavours get
-the properties shared stores actually depend on: concurrent writers
-racing one content hash never corrupt it, and torn files read as
-misses, never exceptions.
+Every cache is one flat on-disk store, ``<root>/<kind>/<sha256>.json``.
+The contract runs on both ways of opening it: plainly, and with the
+``backend="directory"`` argument ``perfbench/`` passes.  On top of
+round trips and accounting it pins what shared stores depend on:
+concurrent writers racing one content hash never corrupt it, and torn
+files read as misses, never exceptions.
 """
 
 from __future__ import annotations
@@ -16,58 +16,43 @@ import threading
 import pytest
 
 from repro.cli import main
-from repro.levers import CACHE_BACKEND
-from repro.runner import (
-    ResultCache,
-    TaskSpec,
-    cache_backend_info,
-    create_cache_backend,
-    register_cache_backend,
-    registered_cache_backends,
-)
-from repro.runner.backends import CacheBackend
+from repro.runner import ResultCache, TaskSpec
+from repro.runner.backends import resolve_cache_backend_name
 
-BACKENDS = ("directory", "sharded", "memory")
+#: The two ways to open the one store, by test id.
+OPENINGS = {"default": {}, "directory": {"backend": "directory"}}
+
+BY_OPENING = pytest.mark.parametrize("opening", list(OPENINGS))
 
 
 def _spec(value: int) -> TaskSpec:
     return TaskSpec("_bk_test", {"value": value})
 
 
-class TestRegistry:
-    def test_shipped_roster(self):
-        assert set(BACKENDS) <= set(registered_cache_backends())
-        assert CACHE_BACKEND.default == "directory"
-
-    def test_unknown_backend_fails_with_roster(self):
-        with pytest.raises(ValueError, match="registered: .*sharded"):
-            cache_backend_info("nope")
-
-    def test_env_var_sets_process_default(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_BACKEND", "sharded")
-        cache = ResultCache(tmp_path)
-        assert cache.describe().startswith("sharded")
-
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(ValueError, match="already registered"):
-            register_cache_backend("directory")(object)
-
-    def test_instances_satisfy_protocol(self, tmp_path):
-        for name in BACKENDS:
-            assert isinstance(
-                create_cache_backend(name, root=tmp_path / name), CacheBackend
-            )
+def _cache(root, opening: str = "default") -> ResultCache:
+    return ResultCache(root, **OPENINGS[opening])
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+class TestBackendShim:
+    """What is left of the backend choice, kept for ``perfbench/``."""
+
+    def test_only_directory_is_accepted(self, tmp_path):
+        assert _cache(tmp_path, "directory").root == tmp_path
+        for name in ("sharded", "memory", "nope"):
+            with pytest.raises(ValueError, match=f"unknown cache backend '{name}'"):
+                ResultCache(tmp_path, backend=name)
+
+    def test_stamp_names_the_one_store(self):
+        assert resolve_cache_backend_name() == "directory"
+        assert resolve_cache_backend_name(None) == "directory"
+
+
+@BY_OPENING
 class TestBackendConformance:
-    """One behaviour, three stores."""
+    """One behaviour, whichever way the store is opened."""
 
-    def _cache(self, tmp_path, backend: str) -> ResultCache:
-        return ResultCache(tmp_path / "store", backend=backend)
-
-    def test_round_trip_and_accounting(self, tmp_path, backend):
-        cache = self._cache(tmp_path, backend)
+    def test_round_trip_and_accounting(self, tmp_path, opening):
+        cache = _cache(tmp_path / "store", opening)
         spec = _spec(1)
         assert cache.load(spec) is None
         cache.store(spec, {"doubled": 2}, elapsed_seconds=0.25)
@@ -76,8 +61,8 @@ class TestBackendConformance:
         assert entry["elapsed_seconds"] == 0.25
         assert cache.hits == 1 and cache.misses == 1
 
-    def test_clear_and_counts_by_kind(self, tmp_path, backend):
-        cache = self._cache(tmp_path, backend)
+    def test_clear_and_counts_by_kind(self, tmp_path, opening):
+        cache = _cache(tmp_path / "store", opening)
         cache.store(_spec(1), {}, 0.0)
         cache.store(_spec(2), {}, 0.0)
         cache.store(TaskSpec("_bk_other", {"v": 1}), {}, 0.0)
@@ -89,32 +74,23 @@ class TestBackendConformance:
         assert cache.clear() == 1
         assert cache.kinds() == []
 
-    def test_two_instances_share_one_store(self, tmp_path, backend):
-        """Two ResultCache objects over one backend = two daemons."""
-        if backend == "memory":
-            shared = create_cache_backend("memory")
-            writer = ResultCache(backend=shared)
-            reader = ResultCache(backend=shared)
-        else:
-            writer = self._cache(tmp_path, backend)
-            reader = self._cache(tmp_path, backend)
+    def test_two_instances_share_one_store(self, tmp_path, opening):
+        """Two ResultCache objects over one root = two daemons."""
+        writer = _cache(tmp_path / "store", opening)
+        reader = _cache(tmp_path / "store")
         spec = _spec(7)
         writer.store(spec, {"doubled": 14}, elapsed_seconds=0.1)
         entry = reader.load(spec)
         assert entry is not None and entry["artifact"] == {"doubled": 14}
 
-    def test_concurrent_writers_same_key_never_corrupt(self, tmp_path, backend):
+    def test_concurrent_writers_same_key_never_corrupt(self, tmp_path, opening):
         """N threads race store+load on one content hash.
 
         The contract under contention: every load returns ``None`` or a
         complete, valid entry — never a torn one — and once the dust
         settles the entry is fully readable.
         """
-        if backend == "memory":
-            shared = create_cache_backend("memory")
-            caches = [ResultCache(backend=shared) for _ in range(4)]
-        else:
-            caches = [self._cache(tmp_path, backend) for _ in range(4)]
+        caches = [_cache(tmp_path / "store", opening) for _ in range(4)]
         spec = _spec(99)
         start = threading.Barrier(len(caches))
         failures: list[str] = []
@@ -141,24 +117,15 @@ class TestBackendConformance:
 
 class TestOnDiskLayouts:
     def test_directory_layout_is_flat(self, tmp_path):
-        cache = ResultCache(tmp_path, backend="directory")
+        cache = _cache(tmp_path)
         spec = _spec(3)
         path = cache.store(spec, {"doubled": 6}, elapsed_seconds=0.0)
         assert path == tmp_path / "_bk_test" / f"{spec.cache_key}.json"
-        assert path.is_file()
+        assert path == cache.path_for(spec) and path.is_file()
 
-    def test_sharded_layout_fans_out_by_hash_prefix(self, tmp_path):
-        cache = ResultCache(tmp_path, backend="sharded")
-        spec = _spec(3)
-        path = cache.store(spec, {"doubled": 6}, elapsed_seconds=0.0)
-        key = spec.cache_key
-        assert path == tmp_path / "_bk_test" / key[:2] / f"{key}.json"
-        assert path.is_file()
-        assert cache.load(spec)["artifact"] == {"doubled": 6}
-
-    @pytest.mark.parametrize("backend", ["directory", "sharded"])
-    def test_torn_file_is_a_miss_then_overwritten(self, tmp_path, backend):
-        cache = ResultCache(tmp_path, backend=backend)
+    @BY_OPENING
+    def test_torn_file_is_a_miss_then_overwritten(self, tmp_path, opening):
+        cache = _cache(tmp_path, opening)
         spec = _spec(5)
         path = cache.path_for(spec)
         path.parent.mkdir(parents=True)
@@ -167,9 +134,9 @@ class TestOnDiskLayouts:
         cache.store(spec, {"doubled": 10}, elapsed_seconds=0.0)
         assert cache.load(spec)["artifact"] == {"doubled": 10}
 
-    @pytest.mark.parametrize("backend", ["directory", "sharded"])
-    def test_wrong_format_version_is_a_miss(self, tmp_path, backend):
-        cache = ResultCache(tmp_path, backend=backend)
+    @BY_OPENING
+    def test_wrong_format_version_is_a_miss(self, tmp_path, opening):
+        cache = _cache(tmp_path, opening)
         spec = _spec(6)
         path = cache.path_for(spec)
         path.parent.mkdir(parents=True)
@@ -177,7 +144,7 @@ class TestOnDiskLayouts:
         assert cache.load(spec) is None
 
     def test_no_temp_droppings_after_stores(self, tmp_path):
-        cache = ResultCache(tmp_path, backend="sharded")
+        cache = _cache(tmp_path)
         for value in range(5):
             cache.store(_spec(value), {"doubled": value * 2}, 0.0)
         leftovers = [
@@ -185,45 +152,35 @@ class TestOnDiskLayouts:
         ]
         assert leftovers == []
 
+    def test_clear_reaps_temp_droppings_without_counting_them(self, tmp_path):
+        cache = _cache(tmp_path)
+        cache.store(_spec(1), {}, 0.0)
+        orphan = tmp_path / "_bk_test" / ".tmp-killed.json"
+        orphan.write_text("{")
+        assert cache.entry_count() == 1
+        assert cache.clear() == 1
+        assert not orphan.exists()
 
-class TestCacheInfoParity:
-    def test_cache_info_output_identical_across_disk_backends(
-        self, tmp_path, capsys
-    ):
-        """`repro cache info` is layout-agnostic: same contents, same text."""
-        outputs = {}
-        for backend in ("directory", "sharded"):
-            root = tmp_path / backend
-            cache = ResultCache(root, backend=backend)
-            for value in range(3):
-                cache.store(_spec(value), {"doubled": value * 2}, 0.0)
-            cache.store(TaskSpec("_bk_other", {"v": 1}), {}, 0.0)
-            main(
-                [
-                    "cache",
-                    "info",
-                    "--cache-dir",
-                    str(root),
-                    "--cache-backend",
-                    backend,
-                ]
-            )
-            out = capsys.readouterr().out
-            # The header names the root (which differs by construction);
-            # everything below it — kinds, counts, totals — must match.
-            outputs[backend] = out.splitlines()[1:]
-            assert str(root) in out.splitlines()[0]
-        assert outputs["directory"] == outputs["sharded"]
 
-    def test_cache_info_unknown_backend_exits_with_roster(self, tmp_path):
-        with pytest.raises(SystemExit):
-            main(
-                [
-                    "cache",
-                    "info",
-                    "--cache-dir",
-                    str(tmp_path),
-                    "--cache-backend",
-                    "bogus",
-                ]
-            )
+class TestCacheInfo:
+    def test_cache_info_counts_by_kind(self, tmp_path, capsys):
+        cache = _cache(tmp_path)
+        for value in range(3):
+            cache.store(_spec(value), {"doubled": value * 2}, 0.0)
+        cache.store(TaskSpec("_bk_other", {"v": 1}), {}, 0.0)
+        assert main(["cache", "info", "--cache-dir", str(tmp_path)]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            f"cache dir: {tmp_path}",
+            "  _bk_other: 1 artifact(s)",
+            "  _bk_test: 3 artifact(s)",
+        ]
+
+    def test_cache_backend_flag_is_gone(self, tmp_path, capsys):
+        """There is one store, so argparse rejects ``--cache-backend``."""
+        with pytest.raises(SystemExit) as exit_info:
+            main([
+                "cache", "info", "--cache-dir", str(tmp_path),
+                "--cache-backend", "directory",
+            ])
+        assert exit_info.value.code == 2
+        assert "--cache-backend" in capsys.readouterr().err

@@ -11,7 +11,6 @@ the warm-start contract each backend honours.
 import pytest
 
 from repro.attacks.sat_attack import sat_attack
-from repro.levers import SOLVER
 from repro.circuit.random_circuits import random_netlist
 from repro.locking.sarlock import sarlock_lock
 from repro.oracle.oracle import Oracle
@@ -80,7 +79,6 @@ class TestRegistry:
 
     def test_env_var_sets_process_default(self, monkeypatch):
         monkeypatch.setenv("REPRO_SOLVER", "python")
-        assert SOLVER.current() == "python"
         assert resolve_solver_name(None) == "python"
         monkeypatch.setenv("REPRO_SOLVER", "no-such-backend")
         with pytest.raises(ValueError, match="unknown solver backend"):

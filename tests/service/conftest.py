@@ -51,9 +51,9 @@ def shutdown_server(server, thread) -> None:
 
 @pytest.fixture
 def service(tmp_path):
-    """One Service over a fresh sharded on-disk cache."""
+    """One Service over a fresh on-disk cache."""
     return Service(
-        jobs=2, cache=ResultCache(tmp_path / "daemon-cache", backend="sharded")
+        jobs=2, cache=ResultCache(tmp_path / "daemon-cache")
     )
 
 

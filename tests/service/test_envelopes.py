@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 
 import pytest
 
@@ -132,6 +133,33 @@ _OPT_ERA_REQUESTS = {
 
 def _cache_keys(spec: ScenarioSpec) -> list[str]:
     return [task.cache_key for task in spec.expand() + spec.expand_metrics()]
+
+
+class TestMatrixMirrorsSpec:
+    """``MatrixRequest`` carries every ``ScenarioSpec`` field, so no
+    axis is dropped on its way from the wire to the grid."""
+
+    def test_field_names_equal_the_specs(self):
+        assert [f.name for f in fields(MatrixRequest)] == [
+            f.name for f in fields(ScenarioSpec)
+        ]
+
+    def test_selection_and_synthesis_axes_survive_from_dict(self):
+        payload = {
+            "schema_version": SCHEMA_VERSION, "kind": "matrix",
+            "schemes": [["sarlock", {"key_size": 3}]],
+            "engines": ["reference"], "circuits": ["c17"],
+            "selections": ["random", "first"], "synthesis": [False],
+        }
+        request = from_dict(payload)
+        spec = request.to_spec()
+        assert spec.selections == ["random", "first"]
+        assert spec.synthesis == [False]
+        assert from_dict(to_dict(request)) == request
+        assert {
+            (task.params["selection"], task.params["run_synthesis"])
+            for task in spec.expand()
+        } == {("random", False), ("first", False)}
 
 
 class TestTolerance:

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.cli import build_parser, main
-from repro.levers import LEVERS
 
 
 class TestParser:
@@ -239,13 +238,12 @@ class TestServiceSurface:
 
 
 class TestLeverFlags:
-    """The two lever flags come from the table in ``repro.levers``."""
+    """``--solver`` is the one lever flag left; the others are gone."""
 
     def test_flags_reach_the_resolved_values(self, tmp_path, monkeypatch):
         import dataclasses
         import json
 
-        from repro.runner.backends import resolve_cache_backend_name
         from repro.sat import registry
 
         # A second backend, so --solver is visibly not the default.
@@ -256,27 +254,22 @@ class TestLeverFlags:
             "matrix", "--schemes", "xor", "--circuits", "c432",
             "--scale", "0.12", "--key-size", "3", "--efforts", "1",
             "--metrics", "corruption", "--key-samples", "4", "--quiet",
-            "--solver", "twin",
-            "--cache-backend", "memory", "--json", str(json_path),
+            "--solver", "twin", "--no-cache", "--json", str(json_path),
         ]) == 0
         cells = json.loads(json_path.read_text())["cells"]
         assert cells
         assert {(cell["opt"], cell["solver"]) for cell in cells} == {
             ("full", "twin")
         }
-        assert resolve_cache_backend_name(None) == "memory"
-        # The memory backend left the on-disk cache dir untouched.
-        assert not (tmp_path / "repro-cache").exists()
 
-    @pytest.mark.parametrize(
-        "lever", LEVERS, ids=lambda lever: lever.name
-    )
-    def test_bad_value_exits_with_the_roster(self, lever):
+    def test_bad_solver_exits_with_the_roster(self):
+        from repro.sat.registry import registered_solvers
+
         with pytest.raises(SystemExit) as exit_info:
-            main(["matrix", lever.flag, "nope", "--no-cache", "--quiet"])
+            main(["matrix", "--solver", "nope", "--no-cache", "--quiet"])
         message = str(exit_info.value.code)
-        assert f"unknown {lever.noun} 'nope'" in message
-        assert all(choice in message for choice in lever.roster())
+        assert "unknown solver backend 'nope'" in message
+        assert all(name in message for name in registered_solvers())
 
     def test_lanes_flag_is_gone(self, capsys):
         """The simulation backend is no longer a lever: argparse rejects
@@ -294,10 +287,20 @@ class TestLeverFlags:
         assert exit_info.value.code == 2
         assert "unrecognized arguments: --opt off" in capsys.readouterr().err
 
-    def test_cache_subcommand_takes_only_the_backend_lever(self):
-        args = build_parser().parse_args(
-            ["cache", "info", "--cache-backend", "memory"]
-        )
-        assert args.cache_backend == "memory"
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["cache", "info", "--opt", "off"])
+    def test_cache_backend_flag_is_gone(self, capsys):
+        """There is one result store: ``--cache-backend`` exits with
+        argparse's error, on runner subcommands and on ``cache``."""
+        for argv in (
+            ["matrix", "--cache-backend", "directory", "--no-cache"],
+            ["cache", "info", "--cache-backend", "directory"],
+        ):
+            with pytest.raises(SystemExit) as exit_info:
+                main(argv)
+            assert exit_info.value.code == 2
+            assert "--cache-backend" in capsys.readouterr().err
+
+    def test_cache_subcommand_takes_no_lever(self):
+        assert build_parser().parse_args(["cache", "info"]).action == "info"
+        for flag in ("--solver", "--opt"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["cache", "info", flag, "x"])

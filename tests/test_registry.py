@@ -7,7 +7,6 @@ import pytest
 import repro.attacks.registry
 import repro.locking.registry
 import repro.metrics.registry
-import repro.runner.backends
 import repro.runner.task
 import repro.sat.registry
 from repro.registry import Registry, UnknownName
@@ -16,7 +15,6 @@ REGISTRIES = {
     "locking scheme": repro.locking.registry._REGISTRY,
     "attack": repro.attacks.registry._REGISTRY,
     "solver backend": repro.sat.registry._REGISTRY,
-    "cache backend": repro.runner.backends._REGISTRY,
     "metric": repro.metrics.registry._METRICS,
     "task kind": repro.runner.task._REGISTRY,
 }
