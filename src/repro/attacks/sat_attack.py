@@ -37,7 +37,9 @@ Implementation notes (all standard, all load-bearing for speed):
   majority of the circuit is encoded once and shared by both halves.
 * Per-DIP constraint copies are built from a single-pattern simulation:
   nets outside the key cone are substituted as constants, so each DIP
-  adds only O(cone) clauses.
+  adds only O(cone) clauses.  A cone gate whose fanins are all constant,
+  or that a constant fanin controls (0 into an AND, 1 into an OR), is
+  the same constant for every key and is skipped outright.
 * One fold, shared gates: each cone gate of a DIP copy is folded once
   on ``key1`` and, when still live, hash-consed
   (:meth:`MiterEncoding.copy_gate`): a gate some earlier DIP already
@@ -74,6 +76,11 @@ from repro.sat.registry import create_solver, resolve_solver_name
 from repro.sat.solver import Solver
 
 _AND_FAMILY = (GateType.AND, GateType.NAND, GateType.OR, GateType.NOR)
+#: The fanin value that fixes an AND-family gate's output for every
+#: key; 2 (no 0/1 value) for every other gate type.
+_CONTROLLING = {
+    GateType.AND: 0, GateType.NAND: 0, GateType.OR: 1, GateType.NOR: 1,
+}
 #: Placeholders (lazy AND copy gates, see :class:`MiterEncoding`) are
 #: numbered from here, far above any solver variable.
 _PLACEHOLDER_BASE = 1 << 60
@@ -205,6 +212,9 @@ class MiterEncoding:
             in creation (so topological) order.
         placeholder_vars: Placeholder -> ``key1`` solver variable, for
             the placeholders :meth:`ensure` has encoded.
+        cone_gates: Per :attr:`cone_idx` gate, ``(type, fanin slots,
+            output slot, controlling value)``: derived once from
+            ``compiled`` for the per-DIP cone walk.
     """
 
     solver: Solver
@@ -228,6 +238,21 @@ class MiterEncoding:
         default_factory=dict, repr=False
     )
     placeholder_vars: dict[int, int] = field(default_factory=dict, repr=False)
+    cone_gates: list[tuple[GateType, tuple[int, ...], int, int]] = field(
+        init=False, repr=False
+    )
+
+    def __post_init__(self) -> None:
+        compiled = self.compiled
+        self.cone_gates = [
+            (
+                compiled.gate_types[i],
+                compiled.gate_fanin_slots[i],
+                compiled.gate_output_slots[i],
+                _CONTROLLING.get(compiled.gate_types[i], 2),
+            )
+            for i in self.cone_idx
+        ]
 
     def encode_stats(self) -> dict:
         """JSON-ready pre/post structural summary of this encoding."""
@@ -551,13 +576,12 @@ def _dip_po_lits(
     Only the DIP's live cone is walked.  A gate whose fanins are all
     constant under the DIP folds to a constant that is the same for
     every key, so it equals the gate's value in ``values``: the gate is
-    skipped and its readers take that value.  A gate ``copy_gate``
-    folds to a constant is recorded the same way.
+    skipped and its readers take that value.  So is an AND-family gate
+    with a constant fanin at its controlling value (0 into AND/NAND, 1
+    into OR/NOR), before its fanin list is built: ``copy_gate`` would
+    fold it to that same constant.  A gate ``copy_gate`` folds to a
+    constant is recorded the same way.
     """
-    compiled = enc.compiled
-    gate_types = compiled.gate_types
-    gate_out = compiled.gate_output_slots
-    gate_fanins = compiled.gate_fanin_slots
     true = enc.true_var
     consts = (-true, true)
     copy_gate = enc.copy_gate
@@ -565,18 +589,20 @@ def _dip_po_lits(
     # Slot -> key1 copy literal of each key-dependent slot; 0 where the
     # DIP makes the slot a constant (values[slot] then holds it).
     lits = list(enc.key1)
-    for i in enc.cone_idx:
-        fanins = gate_fanins[i]
+    for gtype, fanins, out_slot, ctrl in enc.cone_gates:
+        live = False
         for s in fanins:
             if lits[s]:
-                break
+                live = True
+            elif values[s] == ctrl:
+                break  # a controlling constant: the gate is one too
         else:
-            continue  # all fanins constant: so is the gate
-        out = copy_gate(
-            gate_types[i], [lits[s] or consts[values[s]] for s in fanins]
-        )
-        if out != true and out != -true:
-            lits[gate_out[i]] = out
+            if live:  # else all fanins constant: so is the gate
+                out = copy_gate(
+                    gtype, [lits[s] or consts[values[s]] for s in fanins]
+                )
+                if out != true and out != -true:
+                    lits[out_slot] = out
     return [
         (lits[slot] or consts[values[slot]]) * (1 if response[po] else -1)
         for po, slot in enc.controlled_pos

@@ -152,12 +152,19 @@ class ShardEngine:
 
         The sub-space is selected purely with assumptions (splitting
         pins + a fresh guard literal for this shard's I/O constraints);
-        nothing is re-encoded.  The shard runs inside a frame of the
+        nothing is re-encoded.  Every DIP solve repeats the same
+        assumption list, so the python solver keeps the pins and guard
+        on its trail between DIPs (the kept prefix of
+        :meth:`repro.sat.solver.Solver.add_clause`): a DIP pays for
+        the clauses it adds, not for re-propagating the pins.  The
+        shard runs inside a frame of the
         encoding (:meth:`~repro.attacks.sat_attack.MiterEncoding.checkpoint`
         / :meth:`~repro.attacks.sat_attack.MiterEncoding.rollback`): its
         DIP constraint copies and shared copy gates vanish afterwards,
         even when the shard raises, while clauses learned about the
-        base miter carry over warm to the next shard.
+        base miter carry over warm to the next shard.  The rollback
+        takes each dropped binary clause out of the implication lists
+        by itself instead of rebuilding them from every clause.
 
         ``attack`` must be a registered attack with a ``shard_fn``
         (today: ``"sat"``); attacks that cannot run against a shared

@@ -16,7 +16,10 @@ This is the MiniSAT recipe in pure Python:
 * learned-clause database reduction driven by LBD ("glue") and
   activity,
 * incremental use: clauses may be added between ``solve()`` calls and
-  each call may carry assumptions,
+  each call may carry assumptions; after a satisfiable call the
+  assumption levels stay on the trail, so a clause added then and a
+  repeat call under the same assumptions pay only for what the clause
+  implies (the *kept prefix*, see :meth:`Solver.add_clause`),
 * warm starts: :meth:`Solver.export_learnts` /
   :meth:`Solver.import_learnts` move learned clauses between solver
   instances that share an encoding prefix (the sharded multi-key
@@ -31,8 +34,11 @@ A variable's *reason* is ``None`` (decision or root unit), the
 implying (false) literal as a plain ``int``.  Binary clauses still
 live in the clause stores as :class:`_Clause` objects, so clause
 counts, frames, exports and ``simplify`` see every clause; only
-propagation reads the flat lists, which :meth:`Solver.rollback` and
-:meth:`Solver.simplify` rebuild from the surviving clauses.
+propagation reads the flat lists.  A clause edits them by itself:
+adding a binary appends its two entries, and a binary that
+:meth:`Solver.rollback` drops or :meth:`Solver.simplify` sheds takes
+exactly its own two entries out again (a dropped variable's lists go
+with it).
 """
 
 from __future__ import annotations
@@ -44,7 +50,7 @@ from dataclasses import dataclass
 _LUBY_UNIT = 128  # conflicts per Luby step
 _DECAY_RAMP_INTERVAL = 256  # conflicts between VSIDS decay-ramp steps
 _SHORT_CLAUSE = 8  # longer clauses dedupe their literals through a set
-_RUN_REFRESH = 8  # re-sort the run at level 0 once the heap holds 1/8 of vars
+_RUN_REFRESH = 8  # re-sort the run at the floor once the heap holds 1/8 of vars
 
 
 def luby(i: int) -> int:
@@ -169,6 +175,11 @@ class Solver:
         self._trail: list[int] = []
         self._trail_lim: list[int] = []
         self._qhead = 0
+        # Internal assumptions of the last solve() call.  While the trail
+        # holds decision levels, its first len(_assumed) levels are theirs
+        # (the kept prefix): nothing backtracks strictly between level 0
+        # and that floor.
+        self._assumed: list[int] = []
         # Outstanding checkpoint marks, oldest first.  While any frame
         # is open, simplify() must not compact the clause list (marks
         # snapshot its length), so it switches to in-place deletion.
@@ -242,10 +253,10 @@ class Solver:
 
         Allocates missing variables, drops duplicate and root-falsified
         literals, and returns ``None`` when the clause is vacuous (a
-        tautology or already satisfied at root level).  The solver must
-        be at decision level 0, so every assigned variable is a root
-        fact.  Shared by :meth:`add_clause` and :meth:`import_learnts`
-        so the two entry points cannot diverge.
+        tautology or already satisfied at root level).  Only level-0
+        values are root facts: a literal assigned on a kept assumption
+        prefix stays in the clause.  Shared by :meth:`add_clause` and
+        :meth:`import_learnts` so the two entry points cannot diverge.
         """
         if lits.__class__ is not list:
             lits = list(lits)
@@ -254,6 +265,7 @@ class Solver:
         # clause itself; only long ones pay for a set.
         seen = internal if len(lits) <= _SHORT_CLAUSE else set()
         litval = self._litval
+        level = self._level
         for ext in lits:
             if ext == 0:
                 raise ValueError("0 is not a valid DIMACS literal")
@@ -268,9 +280,9 @@ class Solver:
             if lit in seen:
                 continue
             val = litval[lit]
-            if val == 1:
-                return None  # already satisfied at root
-            if val == -1:
+            if val and not level[var]:
+                if val == 1:
+                    return None  # already satisfied at root
                 continue  # falsified at root: drop the literal
             internal.append(lit)
             if seen is not internal:
@@ -282,16 +294,32 @@ class Solver:
 
         Returns ``False`` if the formula is now trivially unsatisfiable
         (adding the empty clause, or a unit contradicting level-0
-        assignments).  The solver must be at decision level 0, which is
-        always true between ``solve()`` calls.
+        assignments).
+
+        After a satisfiable ``solve()`` under assumptions ``A`` the
+        model is dropped but the ``|A|`` assumption levels stay (the
+        *kept prefix*), so the next ``solve()`` under the same ``A``
+        starts there instead of re-propagating them.  A clause added on
+        the prefix watches two of its non-false literals; if all but one
+        are false, that one is implied at level ``|A|``.  A unit clause,
+        or one false at the prefix, backtracks to the root first, as
+        every clause does when no prefix is kept.  Sound because within
+        a ``solve()`` nothing backtracks strictly between level 0 and
+        ``|A|``: a literal watched false here is unassigned only
+        together with the whole prefix.
         """
         if not self._ok:
             return False
         if self._trail_lim:
-            self._cancel_until(0)  # leave any previous solution state
+            # Leave the model; keep the assumption levels.
+            self._cancel_until(len(self._assumed))
         internal = self._normalize_clause(lits)
         if internal is None:
             return True
+        if self._trail_lim:
+            if len(internal) > 1 and self._add_on_prefix(internal):
+                return True
+            self._cancel_until(0)
 
         if not internal:
             self._ok = False
@@ -311,6 +339,30 @@ class Solver:
         self._attach(clause)
         return True
 
+    def _add_on_prefix(self, lits: list[int]) -> bool:
+        """Store ``lits`` on the kept prefix; ``False`` if all are false.
+
+        Two non-false literals move to the watched front; with only one,
+        an unassigned one is implied at the prefix's top level (a binary
+        clause's reason is its false literal, as in propagation).
+        """
+        litval = self._litval
+        free = 0
+        for i, lit in enumerate(lits):
+            if litval[lit] != -1:
+                lits[i], lits[free] = lits[free], lit
+                free += 1
+                if free == 2:
+                    break
+        if not free:
+            return False
+        clause = _Clause(lits)
+        self._clauses.append(clause)
+        self._attach(clause)
+        if free == 1 and not litval[lits[0]]:
+            self._enqueue(lits[0], lits[1] if len(lits) == 2 else clause)
+        return True
+
     def _attach(self, clause: _Clause) -> None:
         """Hand a new clause to propagation: lists if binary, else watches."""
         a, b = clause.lits[0], clause.lits[1]
@@ -321,17 +373,33 @@ class Solver:
             self._watches[a].append((b, clause))
             self._watches[b].append((a, clause))
 
-    def _rebuild_bins(self) -> None:
-        """Re-derive the implication lists from the live binary clauses."""
-        bins: list[list[int]] = [[] for _ in range(2 * (self._nvars + 1))]
-        for store in (self._clauses, self._learnts):
-            for clause in store:
-                lits = clause.lits
-                if len(lits) == 2 and not clause.deleted:
-                    a, b = lits
-                    bins[a].append(b)
-                    bins[b].append(a)
-        self._bins = bins
+    def _unbin(self, clauses: list[_Clause]) -> None:
+        """Take each binary clause's two entries out of the implication lists.
+
+        One entry per clause and literal, the latest first (a frame's
+        own entries sit at the ends of the lists); lists of dropped
+        variables are gone already, and the entries left keep their
+        order.
+        """
+        bins = self._bins
+        size = len(bins)
+        gone: dict[int, dict[int, int]] = {}
+        for clause in clauses:
+            a, b = clause.lits
+            for lit, other in ((a, b), (b, a)):
+                if lit < size:
+                    counts = gone.setdefault(lit, {})
+                    counts[other] = counts.get(other, 0) + 1
+        for lit, counts in gone.items():
+            kept: list[int] = []
+            for other in reversed(bins[lit]):
+                left = counts.get(other)
+                if left:
+                    counts[other] = left - 1
+                else:
+                    kept.append(other)
+            kept.reverse()
+            bins[lit] = kept
 
     def _unwatch(self, deleted: list[_Clause]) -> None:
         """Filter the just-deleted clauses out of their watch lists.
@@ -369,11 +437,13 @@ class Solver:
         constant-propagates the pins through the shared logic before
         the DIP loop starts paying for them on every conflict.
 
-        Safe inside :meth:`checkpoint` frames: marks snapshot the
+        Each shed clause leaves its own watch or implication-list
+        entries, and a clause stripped to two literals moves from the
+        watches to the implication lists; nothing is rebuilt.  Safe
+        inside :meth:`checkpoint` frames: marks snapshot the
         clause-list *length*, so while any frame is outstanding the
         shed clauses are flagged ``deleted`` in place (export skips
-        them, the watch and implication lists are rebuilt)
-        instead of compacting the list; the next frame-free call
+        them) instead of compacting the list; the next frame-free call
         compacts for real.  Level-0 facts are
         implied by the formula itself — unit learnts are derived by
         resolution, never from assumptions, which live on decision
@@ -402,7 +472,8 @@ class Solver:
             (self._clauses, bool(self._frames)),
             (self._learnts, False),
         )
-        bins_changed = held = False
+        bins = self._bins
+        held = False
         shed: list[_Clause] = []
         for store, in_frame in stores:
             kept: list[_Clause] = []
@@ -414,10 +485,9 @@ class Solver:
                     continue
                 lits = clause.lits
                 if not root_true.isdisjoint(lits):
-                    # Satisfied at root: the watch or implication
-                    # lists are rebuilt below.
+                    # Satisfied at root: it leaves the watch or
+                    # implication lists below.
                     clause.deleted = True
-                    bins_changed |= len(lits) == 2
                     shed.append(clause)
                     if clause.learnt:
                         self.stats.removed += 1
@@ -438,13 +508,14 @@ class Solver:
                                 entry for entry in self._watches[lit]
                                 if entry[1] is not clause
                             ]
-                        bins_changed = True
+                        a, b = stripped
+                        bins[a].append(b)
+                        bins[b].append(a)
                     if len(stripped) >= 2:
                         clause.lits = stripped
                 kept.append(clause)
             store[:] = kept
-        if bins_changed:
-            self._rebuild_bins()
+        self._unbin([clause for clause in shed if len(clause.lits) == 2])
         self._unwatch(shed)
         self._simp_assigns, self._simp_held = len(trail), held
         return True
@@ -455,8 +526,8 @@ class Solver:
     def checkpoint(self) -> tuple[int, int, int]:
         """Snapshot the variable and clause counts for :meth:`rollback`.
 
-        The solver is brought back to decision level 0 first (always
-        true between ``solve()`` calls anyway).  Pair with
+        The solver is brought back to decision level 0 first, dropping
+        any kept assumption prefix (see :meth:`add_clause`).  Pair with
         :meth:`rollback` to use the solver in *frames*: everything
         allocated after the checkpoint — variables, problem clauses,
         learned clauses touching the new variables — can be discarded
@@ -489,8 +560,12 @@ class Solver:
         frame contract of :meth:`checkpoint`: every clause added inside
         a frame must mention a variable allocated after its mark, and
         root facts of surviving variables outlive the rollback.  The
-        binary implication lists and the decision run are rebuilt from
-        what survives.  Frames opened before ``mark`` stay open.
+        solver goes back to decision level 0 (no assumption prefix is
+        kept).  Each dropped binary clause takes its own entries out of
+        the implication lists of its surviving literals, and the
+        dropped variables' lists are cut off; the decision run is
+        rebuilt from what survives.  Frames opened before ``mark`` stay
+        open.
         """
         nvars, nclauses, depth = mark
         if nvars > self._nvars or nclauses > len(self._clauses):
@@ -508,6 +583,9 @@ class Solver:
             else:
                 kept.append(clause)
         self._learnts = kept
+        # A clause simplify() shed in the frame left its lists already;
+        # one it stripped to two literals may mention old variables only.
+        unbin = [c for c in dropped if len(c.lits) == 2 and not c.deleted]
         for clause in dropped:
             clause.deleted = True
         # Root assignments of dropped variables disappear with them;
@@ -517,6 +595,7 @@ class Solver:
         self._trail = [lit for lit in self._trail if lit >> 1 <= nvars]
         self._qhead = len(self._trail)
         del self._litval[2 * (nvars + 1):]
+        del self._bins[2 * (nvars + 1):]
         del self._watches[2 * (nvars + 1):]
         del self._level[nvars + 1:]
         del self._reason[nvars + 1:]
@@ -526,7 +605,7 @@ class Solver:
         del self._queued[nvars + 1:]
         self._nvars = nvars
         self._rebuild_order()
-        self._rebuild_bins()
+        self._unbin(unbin)
         self._unwatch(dropped)
 
     # ------------------------------------------------------------------
@@ -661,7 +740,10 @@ class Solver:
         del self._run_lim[level:]
         order = self._order
         size = len(order) + len(batch)
-        if (level == 0 and size * _RUN_REFRESH >= self._nvars) or (
+        # Refresh at level 0 or the assumption floor, the lowest levels
+        # a backtrack lands on, once the heap holds 1/_RUN_REFRESH of vars.
+        floor = level <= len(self._assumed)
+        if (floor and size * _RUN_REFRESH >= self._nvars) or (
             size > 4 * self._nvars + 1024  # shed accumulated stale entries
         ):
             self._rebuild_order()
@@ -1036,6 +1118,11 @@ class Solver:
         bounds the number of conflicts; exceeding it raises
         :class:`BudgetExhausted`.  A ``0`` assumption raises
         ``ValueError`` before any state changes.
+
+        A call under the same assumption list as the last satisfiable
+        one resumes on its kept prefix (see :meth:`add_clause`); any
+        other list starts from the root, as do a restart, an UNSAT
+        answer and a budget abort.
         """
         assume_internal: list[int] = []
         for ext in assumptions:
@@ -1045,7 +1132,11 @@ class Solver:
         self.stats.solve_calls += 1
         if not self._ok:
             return False
-        self._cancel_until(0)  # leave any previous solution state
+        # Leave any previous solution state, down to the kept prefix
+        # when the assumptions are the ones it holds.
+        keep = len(assume_internal) if assume_internal == self._assumed else 0
+        self._cancel_until(keep)
+        self._assumed = assume_internal
         if assume_internal:
             self._ensure_var(max(assume_internal) >> 1)
 
@@ -1057,7 +1148,12 @@ class Solver:
 
         propagate = self._propagate
         if propagate() is not None:
-            self._ok = False
+            if self._trail_lim:
+                # On the kept prefix: the assumptions fail, maybe not
+                # the formula.
+                self._cancel_until(0)
+            else:
+                self._ok = False
             return False
 
         while True:

@@ -1,6 +1,7 @@
 """SAT-attack tests: recovery, pinning, budgets, oracle accounting."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -593,6 +594,117 @@ class TestDipKeySets:
                 for (enc, _), mark in zip(encoders, marks):
                     enc.rollback(mark)
                 assert same_keys([None, None]) == before
+
+
+def _unskipped_dip_po_lits(enc, values, response):
+    """The cone walk that skips only gates whose fanins are all constant:
+    a gate with a controlling constant fanin goes through ``copy_gate``,
+    which folds it to that constant."""
+    compiled = enc.compiled
+    true = enc.true_var
+    consts = (-true, true)
+    lits = list(enc.key1)
+    for i in enc.cone_idx:
+        fanins = compiled.gate_fanin_slots[i]
+        if not any(lits[s] for s in fanins):
+            continue
+        out = enc.copy_gate(
+            compiled.gate_types[i], [lits[s] or consts[values[s]] for s in fanins]
+        )
+        if out != true and out != -true:
+            lits[compiled.gate_output_slots[i]] = out
+    return [
+        (lits[slot] or consts[values[slot]]) * (1 if response[po] else -1)
+        for po, slot in enc.controlled_pos
+    ]
+
+
+def _copy_tables(enc):
+    return (
+        enc.copy_gates, enc.copy_twin, enc.placeholders, enc.placeholder_vars
+    )
+
+
+def _walks_agree(locked, original, phases, bit):
+    """Feed both cone walks the same DIPs (input bits from ``bit()``) at
+    root, inside a guarded checkpoint frame and after its rollback."""
+    oracle = Oracle(original)
+    skipping, unskipped = (build_miter_encoding(locked) for _ in range(2))
+    walks = ((skipping, _dip_po_lits), (unskipped, _unskipped_dip_po_lits))
+    compiled = skipping.compiled
+    for phase, count in zip(("root", "frame", "after"), phases):
+        guards = [None, None]
+        if phase == "frame":
+            marks = [enc.checkpoint() for enc, _ in walks]
+            guards = [enc.solver.new_var() for enc, _ in walks]
+        for _ in range(count):
+            dip = {net: bit() for net in skipping.input_vars}
+            values = compiled.eval_words(
+                [dip.get(net, 0) for net in compiled.inputs], 1
+            )
+            response = oracle.query(dip)
+            po_lits = [walk(enc, values, response) for enc, walk in walks]
+            assert po_lits[0] == po_lits[1]
+            for (enc, _), lits, guard in zip(walks, po_lits, guards):
+                for lit in lits:
+                    for clause in enc.clauses_for(lit):
+                        enc.solver.add_clause(
+                            clause if guard is None else [-guard, *clause]
+                        )
+            assert _copy_tables(skipping) == _copy_tables(unskipped)
+        if phase == "frame":
+            for (enc, _), mark in zip(walks, marks):
+                enc.rollback(mark)
+            assert _copy_tables(skipping) == _copy_tables(unskipped)
+
+
+#: The NAND-heavy c1908 stand-in's cones, per scheme.
+_C1908_LOCKS = {
+    "lut": {"spec": LutModuleSpec.tiny()},
+    "sarlock": {"key_size": 5},
+    "antisat": {"key_size": 4},
+    "xor": {"key_size": 6},
+}
+
+
+class TestConeWalkParity:
+    """Skipping controlled-constant gates changes nothing a DIP builds.
+
+    Two encodings of one lock take the same random DIPs — at root,
+    inside a guarded checkpoint frame, and after its rollback — one
+    walked by :func:`_dip_po_lits`, one by the unskipped walk.  Each
+    DIP's PO literals are equal, and so are the copy-gate tables after
+    both add the DIP's clauses.
+    """
+
+    @given(
+        seed=st.integers(0, 10_000),
+        num_inputs=st.integers(3, 8),
+        scheme=st.sampled_from(["sarlock", "antisat", "xor", "lut"]),
+        key_size=st.integers(2, 6),
+        phases=st.tuples(*[st.integers(0, 6)] * 3),
+        data=st.data(),
+    )
+    def test_random_carriers(
+        self, seed, num_inputs, scheme, key_size, phases, data
+    ):
+        original = random_netlist(num_inputs, 4 * num_inputs, seed=seed)
+        try:
+            locked = _small_lock(scheme, original, key_size, seed)
+        except LockingError:  # the carrier cannot host this lock
+            assume(False)
+        _walks_agree(
+            locked, original, phases, lambda: data.draw(st.integers(0, 1))
+        )
+
+    @pytest.mark.parametrize("scheme", sorted(_C1908_LOCKS))
+    def test_bench_carrier(self, scheme):
+        from repro.bench_circuits.iscas85 import iscas85_like
+
+        original = iscas85_like("c1908", 0.25)
+        locked = lock_circuit(scheme, original, **_C1908_LOCKS[scheme], seed=1)
+        rng = random.Random(scheme)
+        _walks_agree(locked, original, (10, 10, 10), lambda: rng.randint(0, 1))
 
 
 class TestCopyGate:

@@ -168,16 +168,16 @@ def _sharded_unlock(locked, original, runner):
 #: search differently from the in-process engine's, just as exactly.
 _GOLDEN = {
     "in-process": [
-        (0, 5, 395264, 3307, 102, 525),
-        (1, 6, 13010960, 3896, 109, 487),
-        (2, 8, 13469714, 3714, 87, 562),
-        (3, 6, 8222770, 3693, 90, 464),
+        (0, 5, 395264, 3110, 102, 525),
+        (1, 6, 13010960, 3614, 109, 487),
+        (2, 8, 13469714, 3322, 87, 562),
+        (3, 6, 8222770, 3411, 90, 464),
     ],
     "pool": [
-        (0, 5, 395264, 3307, 102, 525),
-        (1, 7, 12615696, 3827, 112, 591),
-        (2, 7, 13535256, 3542, 85, 521),
-        (3, 8, 14712960, 4106, 114, 615),
+        (0, 5, 395264, 3110, 102, 525),
+        (1, 7, 12615696, 3498, 112, 591),
+        (2, 7, 13535256, 3220, 85, 521),
+        (3, 8, 14712960, 3730, 114, 615),
     ],
 }
 

@@ -33,7 +33,7 @@ _ATTACKS = {
     # SARLock k=8 on the shipped c880: one DIP per wrong key, 3 restarts.
     "sarlock_real_c880": (
         ("real_c880", 1.0, "sarlock", {"key_size": 8}),
-        (255, 0, (167301, 755, 17159, 3, 0, 77)),
+        (255, 0, (167046, 755, 17159, 3, 0, 77)),
     ),
     # The paper-scale LUT lock on the c1908 stand-in: few DIPs, deep trails.
     "lut_c1908": (
@@ -41,7 +41,7 @@ _ATTACKS = {
         (
             96,
             730761969174163671181788574324994159919791236726,
-            (78119, 492, 21089, 0, 0, 461),
+            (78001, 492, 21089, 0, 0, 461),
         ),
     ),
 }

@@ -282,7 +282,7 @@ _SEQ_BASE_VARS = 6
 _SEQ_MAX_VARS = 10
 _SEQ_OPS = (
     "base", "open", "open", "close", "close", "guard", "add", "define",
-    "local", "solve", "simplify", "exchange",
+    "local", "solve", "simplify", "exchange", "dip", "dip",
 )
 
 
@@ -328,7 +328,31 @@ def _watched_exactly_by_first_two(solver) -> bool:
     return watched == expected
 
 
-@settings(max_examples=300)
+def _rebuild_bins(solver) -> list[list[int]]:
+    """The implication lists re-derived from the live binary clauses:
+    the full rebuild that ``rollback`` and ``simplify`` once ran."""
+    bins: list[list[int]] = [[] for _ in range(2 * (solver.num_vars + 1))]
+    for store in (solver._clauses, solver._learnts):
+        for clause in store:
+            if len(clause.lits) == 2 and not clause.deleted:
+                a, b = clause.lits
+                bins[a].append(b)
+                bins[b].append(a)
+    return bins
+
+
+def _bins_match_live_binaries(solver) -> bool:
+    """Every implication list equals, as a multiset, the one the full
+    rebuild gives: each live binary clause has exactly its two entries."""
+    rebuilt = _rebuild_bins(solver)
+    return len(solver._bins) == len(rebuilt) and all(
+        sorted(got) == sorted(want) for got, want in zip(solver._bins, rebuilt)
+    )
+
+
+# Ten times the profile's example count: 300 in tier-1, 3,000 under
+# ``--hypothesis-profile=deep``.
+@settings(max_examples=10 * settings.default.max_examples)
 @given(
     ops=st.lists(st.sampled_from(_SEQ_OPS), min_size=10, max_size=40),
     seed=st.integers(0, 2**16),
@@ -339,8 +363,16 @@ def test_call_sequences_agree_with_brute_force(ops, seed):
     order.  Frames keep the contract :class:`ShardEngine` keeps: every
     clause added inside a frame mentions a variable allocated in that
     frame (its guard, a Tseitin-defined gate, a fresh root fact).
-    Frames may open back to back, so nested marks can be equal.  After
-    every call the watch lists hold exactly the live long clauses."""
+    Frames may open back to back, so nested marks can be equal.
+
+    A ``dip`` replays the DIP loop on the kept assumption prefix: after
+    a satisfiable call under assumptions (it makes one when the last
+    call left none) it adds a guarded clause, a Tseitin AND over
+    literals the prefix assigns, a clause with one free literal, one
+    false at the prefix and a unit, then solves again under exactly the
+    previous assumptions.  After every call the watch lists hold
+    exactly the live long clauses and the implication lists exactly
+    the live binary ones."""
     rng = random.Random(seed)
 
     def lit_over(num_vars: int) -> int:
@@ -358,6 +390,8 @@ def test_call_sequences_agree_with_brute_force(ops, seed):
     solver.add_clauses(base)
     # Open frames, oldest first: [mark, guard or None, clauses added].
     frames: list[list] = []
+    # Assumptions of the last satisfiable solve, for a ``dip`` to repeat.
+    prev: list[int] | None = None
 
     def formula() -> list[list[int]]:
         return base + [c for frame in frames for c in frame[2]]
@@ -365,6 +399,86 @@ def test_call_sequences_agree_with_brute_force(ops, seed):
     def add(clause: list[int]) -> None:
         solver.add_clause(clause)
         frames[-1][2].append(clause)
+
+    def guards() -> list[int]:
+        return [frame[1] for frame in frames if frame[1] is not None]
+
+    def lists_hold() -> bool:
+        return _watched_exactly_by_first_two(solver) and _bins_match_live_binaries(
+            solver
+        )
+
+    def check_solve(assumptions: list[int]) -> bool:
+        num_vars = solver.num_vars
+        got = solver.solve(assumptions=assumptions)
+        clauses = formula() + [[lit] for lit in assumptions]
+        assert got == bool(_models(num_vars, clauses))
+        if got:
+            model = set(solver.model())
+            assert all(any(lit in model for lit in c) for c in clauses)
+        return got
+
+    def dip(assumptions: list[int]) -> bool:
+        """Clauses added on the kept prefix, then the same solve again."""
+        guard = frames[-1][1] if frames else None
+
+        def lit_value(lit: int) -> bool | None:
+            value = solver.model_value(abs(lit))
+            return None if value is None else value == (lit > 0)
+
+        def put(clause: list[int]) -> None:
+            if frames:
+                add(clause)
+            else:
+                solver.add_clause(clause)
+                base.append(clause)
+            assert lists_hold()
+            if solver._trail_lim:  # still on the kept prefix
+                # A clause left one non-false literal implies it at once.
+                open_lits = [lit for lit in clause if lit_value(lit) is not False]
+                assert len(open_lits) != 1 or lit_value(open_lits[0])
+
+        top = _SEQ_BASE_VARS if guard is None else solver.num_vars
+        frame_lit = [] if guard is None else [-guard]
+        # The guarded DIP constraint: the model goes, the prefix stays.
+        width = rng.randint(2 - len(frame_lit), 2)
+        put(frame_lit + [lit_over(top) for _ in range(width)])
+        # The other kinds in random order, each maybe: a clause false at
+        # the prefix, or a unit, sends the solver back to the root, so
+        # those two come up less often.
+        kinds = [
+            kind for kind, odds in (
+                ("and", 0.6), ("one_free", 0.6), ("false", 0.3), ("unit", 0.3)
+            )
+            if rng.random() < odds
+        ]
+        rng.shuffle(kinds)
+        for kind in kinds:
+            value = solver.model_value  # the prefix's assignment, if kept
+            assigned = [
+                v if value(v) else -v for v in range(1, top + 1)
+                if value(v) is not None
+            ]
+            false = [-lit for lit in assigned]
+            free = [v for v in range(1, top + 1) if value(v) is None]
+            room = solver.num_vars < _SEQ_MAX_VARS
+            if kind == "and" and guard is not None and assigned and room:
+                # out = a AND b over assigned literals: on the prefix one
+                # of its clauses implies -out or is satisfied.
+                a, b = rng.choice(assigned), rng.choice(false + assigned)
+                out = solver.new_var()
+                for clause in ([-out, a], [-out, b], [out, -a, -b]):
+                    put(clause)
+            elif kind == "one_free" and free:
+                lit = rng.choice(free) * rng.choice((1, -1))
+                put(frame_lit + rng.sample(false, min(len(false), 2)) + [lit])
+            elif kind == "false" and false and (frame_lit or len(false) > 1):
+                put(frame_lit + rng.sample(false, min(len(false), 2)))
+            elif kind == "unit" and guard is None:
+                put([lit_over(_SEQ_BASE_VARS)])
+            elif kind == "unit" and room:
+                put([solver.new_var()])
+        return check_solve(assumptions)
 
     for op in ops:
         room = solver.num_vars < _SEQ_MAX_VARS
@@ -378,6 +492,7 @@ def test_call_sequences_agree_with_brute_force(ops, seed):
             mark = frames.pop()[0]
             solver.rollback(mark)
             assert solver.num_vars == mark[0]
+            prev = None  # its assumptions may name dropped variables
         elif op == "guard" and frames and frames[-1][1] is None and room:
             frames[-1][1] = solver.new_var()
         elif op == "add" and frames and frames[-1][1] is not None:
@@ -393,16 +508,20 @@ def test_call_sequences_agree_with_brute_force(ops, seed):
         elif op == "local" and frames and room:
             add([solver.new_var()])
         elif op == "solve":
-            assumptions = [f[1] for f in frames if f[1] is not None] + [
+            prev = assumptions = guards() + [
                 lit_over(solver.num_vars) for _ in range(rng.randint(0, 3))
             ]
-            num_vars = solver.num_vars
-            got = solver.solve(assumptions=assumptions)
-            clauses = formula() + [[lit] for lit in assumptions]
-            assert got == bool(_models(num_vars, clauses))
-            if got:
-                model = set(solver.model())
-                assert all(any(lit in model for lit in c) for c in clauses)
+            if not check_solve(assumptions):
+                prev = None
+        elif op == "dip" and (not frames or frames[-1][1]):
+            if not prev:  # no prefix to keep yet: make one
+                prev = assumptions = guards() + [
+                    lit_over(solver.num_vars) for _ in range(rng.randint(1, 3))
+                ]
+                if not check_solve(assumptions):
+                    prev = None
+            if prev and not dip(prev):
+                prev = None
         elif op == "simplify":
             if not solver.simplify():
                 assert not _models(solver.num_vars, formula())
@@ -422,7 +541,7 @@ def test_call_sequences_agree_with_brute_force(ops, seed):
             assert fresh.solve(assumptions=assumptions) == bool(
                 _models(_SEQ_BASE_VARS, base + [[lit] for lit in assumptions])
             )
-        assert _watched_exactly_by_first_two(solver)
+        assert lists_hold()
     while frames:
         solver.rollback(frames.pop()[0])
     assert solver.num_vars == _SEQ_BASE_VARS
