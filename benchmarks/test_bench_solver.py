@@ -15,12 +15,13 @@ entry records the single-key attack's exact counters (decisions,
 conflicts, propagations, and the miter's encoded variables/clauses):
 deterministic for a given backend and code, so a trajectory can gate
 on them instead of on noisy wall-clock ratios.  Before appending, the
-python backend's counters are gated against the last recorded python
-entry of the same workload shape: a pure speed change must leave them
-identical, so a mismatch fails the run.  Entries are stamped with
-the per-DIP copy encoding they ran on (``dip_encoding``, part of the
-shape), so an encoding change starts a fresh gated series instead of
-comparing against counters of another encoding.  The python entry also
+python backend's counters are gated against ``_PINNED``, the values
+pinned here for each workload shape (the default one and
+``REPRO_FULL=1``'s): a pure speed change must leave them identical, so
+a mismatch fails the run, on a fresh checkout too.  A change that
+moves them on purpose (an encoding or search change) re-pins them in
+the same commit.  Entries are stamped with the per-DIP copy encoding
+they ran on (``dip_encoding``).  The python entry also
 records ``order_pops``, the ``heapq.heappop`` calls the solver's
 decision order makes during the single-key attack, gated at
 ``_MAX_POPS_PER_DECISION`` per decision: decisions come from a sorted
@@ -35,7 +36,6 @@ grows with the DIP count, not with its square.
 from __future__ import annotations
 
 import heapq
-import json
 import time
 
 from repro.attacks.sat_attack import sat_attack
@@ -47,7 +47,7 @@ from repro.oracle.oracle import Oracle
 from repro.sat import registered_solvers, solver_info
 from repro.sat import solver as solver_module
 
-from benchmarks.conftest import FULL, REPO_ROOT, append_trajectory
+from benchmarks.conftest import FULL, append_trajectory
 
 _CIRCUIT = "c1908"
 _SCALE = 0.4 if FULL else 0.25
@@ -63,6 +63,11 @@ _EXACT = (
     "dips", "decisions", "conflicts", "propagations",
     "encode_vars", "encode_clauses",
 )
+#: The python backend's exact counters, per workload shape.
+_PINNED = {
+    ("c1908", 0.25, 5, 63, "crunched"): (31, 427, 59, 3_637, 96, 247),
+    ("c1908", 0.4, 6, 104, "crunched"): (63, 1_170, 102, 10_160, 140, 371),
+}
 #: Order-work gate: heap pops per decision of the python backend.
 _MAX_POPS_PER_DECISION = 2
 #: Per-DIP gate: the Table 1 carrier, and its key sizes compared to k=8.
@@ -92,22 +97,6 @@ def _order_pops(locked, original, monkeypatch) -> int:
         patch.setattr(solver_module, "heapq", counter)
         sat_attack(locked, Oracle(original), solver="python")
     return counter.pops
-
-
-def _last_recorded(entry: dict) -> dict | None:
-    """The last python entry of ``entry``'s shape in ``BENCH_solver.json``."""
-    try:
-        history = json.loads((REPO_ROOT / "BENCH_solver.json").read_text())[
-            "trajectory"
-        ]
-    except (OSError, ValueError, KeyError):
-        return None
-    for old in reversed(history):
-        if old.get("backend") == "python" and all(
-            old.get(field) == entry[field] for field in _SHAPE
-        ):
-            return old
-    return None
 
 
 def test_solver_backends(benchmark, monkeypatch):
@@ -183,11 +172,11 @@ def test_solver_backends(benchmark, monkeypatch):
     assert python["order_pops"] <= _MAX_POPS_PER_DECISION * python["decisions"], (
         f"{python['order_pops']} order-heap pops for {python['decisions']} decisions"
     )
-    previous = _last_recorded(python)
-    if previous is not None:
-        assert {field: python[field] for field in _EXACT} == {
-            field: previous[field] for field in _EXACT
-        }, "python backend's exact counters moved since the last recorded entry"
+    shape = tuple(python[field] for field in _SHAPE)
+    assert shape in _PINNED, f"no pinned counters for workload shape {shape}"
+    assert {field: python[field] for field in _EXACT} == dict(
+        zip(_EXACT, _PINNED[shape])
+    ), "python backend's exact counters moved from their pinned values"
 
     append_trajectory("solver", entries)
 

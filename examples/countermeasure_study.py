@@ -73,7 +73,7 @@ def main() -> None:
         print(
             f"  {name:>20}: status={result.status} after "
             f"{result.num_dips} DIPs, est. error "
-            f"{result.estimated_error_rate:.1%}"
+            f"{result.detail['estimated_error_rate']:.1%}"
         )
     print(
         "\nBoth schemes remain vulnerable to approximate attacks — "

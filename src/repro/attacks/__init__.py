@@ -6,46 +6,39 @@ tables.  :mod:`repro.attacks.appsat` is the approximate variant,
 :mod:`repro.attacks.brute_force` enumerates the key space for
 cross-validation on small instances.
 
-:mod:`repro.attacks.registry` unifies them behind one calling
-convention (:class:`~repro.attacks.registry.Attack`) and one result
-shape (:class:`~repro.attacks.registry.AttackOutcome`), so any
+Every attack returns the one result type
+:class:`~repro.attacks.sat_attack.AttackOutcome`, and
+:mod:`repro.attacks.registry` registers each under one calling
+convention (:class:`~repro.attacks.registry.Attack`), so any
 registered attack can serve as the per-sub-space strategy of the
 multi-key attack and as an axis of the scenario matrix.
 """
 
-from repro.attacks.appsat import AppSatResult, appsat_attack
-from repro.attacks.brute_force import (
-    BruteForceResult,
-    brute_force_attack,
-    brute_force_keys,
-)
+from repro.attacks.appsat import appsat_attack
+from repro.attacks.brute_force import brute_force_attack, brute_force_keys
 from repro.attacks.registry import (
-    SUCCESS_STATUSES,
     Attack,
     AttackInfo,
-    AttackOutcome,
     attack_info,
     register_attack,
     registered_attacks,
     run_attack,
 )
 from repro.attacks.sat_attack import (
+    SUCCESS_STATUSES,
     AttackIteration,
-    SatAttackResult,
+    AttackOutcome,
     sat_attack,
     verify_key_against_oracle,
 )
 
 __all__ = [
     "sat_attack",
-    "SatAttackResult",
     "AttackIteration",
     "verify_key_against_oracle",
     "brute_force_keys",
     "brute_force_attack",
-    "BruteForceResult",
     "appsat_attack",
-    "AppSatResult",
     "Attack",
     "AttackInfo",
     "AttackOutcome",

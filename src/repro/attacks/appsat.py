@@ -28,46 +28,19 @@ from __future__ import annotations
 import time
 from functools import reduce
 from operator import or_
-from dataclasses import dataclass, field
 from collections.abc import Mapping
 
 from repro.attacks.sat_attack import (
+    AttackOutcome,
     pinned_miter_encoding,
     run_dip_loop,
     solver_stats_delta,
 )
 from repro.circuit.simulator import random_stimuli_words
-from repro.locking.base import LockedCircuit, key_to_int
+from repro.locking.base import LockedCircuit
 from repro.metrics.engine import key_diffs
 from repro.oracle.oracle import Oracle
 from repro.rng import make_rng
-
-
-@dataclass
-class AppSatResult:
-    """An approximate key plus the evidence it was judged by.
-
-    ``solver_stats`` are the live solver's counter deltas from before
-    the first round to after the last (see
-    :func:`~repro.attacks.sat_attack.solver_stats_delta`).
-    """
-
-    key: dict[str, bool] | None
-    num_dips: int
-    random_queries: int
-    elapsed_seconds: float
-    status: str  # "settled" | "exact" | "timeout" | "dip_limit"
-    estimated_error_rate: float
-    checkpoints: list[float] = field(default_factory=list)
-    key_order: list[str] = field(default_factory=list)
-    pinned: dict[str, bool] = field(default_factory=dict)
-    solver_stats: dict[str, int] = field(default_factory=dict)
-
-    @property
-    def key_int(self) -> int | None:
-        if self.key is None:
-            return None
-        return key_to_int([int(self.key[net]) for net in self.key_order])
 
 
 def appsat_attack(
@@ -82,7 +55,7 @@ def appsat_attack(
     pin: Mapping[str, bool] | None = None,
     max_dips: int | None = None,
     solver: str | None = None,
-) -> AppSatResult:
+) -> AttackOutcome:
     """Run the approximate attack.
 
     Each round resumes the DIP loop for up to ``dips_per_round`` exact
@@ -90,7 +63,8 @@ def appsat_attack(
     solver and measures its error rate on ``queries_per_checkpoint``
     random patterns.  If the rate stays at or below ``error_threshold``
     for ``settle_rounds`` consecutive checkpoints, the candidate is
-    accepted.  If the DIP loop converges first, the result is exact.
+    accepted (status ``"settled"``).  If the DIP loop converges first,
+    the key is exact and the status is ``"ok"``, as for the SAT attack.
     The oracle sees each DIP once plus the checkpoint patterns.
 
     ``pin`` restricts the attack to one input sub-space: DIPs respect
@@ -100,8 +74,21 @@ def appsat_attack(
     ``max_dips`` caps the total DIP budget; when the cap is hit before
     the candidate settles, the last candidate is returned with status
     ``"dip_limit"``.  A ``time_limit`` stop returns no key.
+
+    The outcome's ``detail`` holds the evidence: the accepted key's
+    ``estimated_error_rate``, every ``checkpoints`` rate and the
+    ``random_queries`` spent on them.  ``solver_stats`` are the live
+    solver's counter deltas from before the first round to after the
+    last (see :func:`~repro.attacks.sat_attack.solver_stats_delta`).
     """
+    if dips_per_round < 1:
+        raise ValueError(f"dips_per_round must be positive, got {dips_per_round}")
+    if queries_per_checkpoint < 1:
+        raise ValueError(
+            f"queries_per_checkpoint must be positive, got {queries_per_checkpoint}"
+        )
     start = time.perf_counter()
+    queries_before = oracle.query_count
     pin = dict(pin or {})
     enc = pinned_miter_encoding(locked, pin, solver)
     stats_before = enc.solver.stats.as_dict()
@@ -116,18 +103,23 @@ def appsat_attack(
         net for net in locked.netlist.inputs if net not in locked.key_inputs
     ]
 
-    def finish(key, status: str, rate: float) -> AppSatResult:
-        return AppSatResult(
+    def finish(key, status: str, rate: float) -> AttackOutcome:
+        return AttackOutcome(
+            attack="appsat",
             key=key,
-            num_dips=total_dips,
-            random_queries=random_queries,
-            elapsed_seconds=time.perf_counter() - start,
             status=status,
-            estimated_error_rate=rate,
-            checkpoints=checkpoints,
+            elapsed_seconds=time.perf_counter() - start,
+            # One query per DIP plus the checkpoint patterns.
+            oracle_queries=oracle.query_count - queries_before,
+            num_dips=total_dips,
+            solver_stats=solver_stats_delta(enc.solver, stats_before),
             key_order=list(locked.key_inputs),
             pinned=pin,
-            solver_stats=solver_stats_delta(enc.solver, stats_before),
+            detail={
+                "estimated_error_rate": rate,
+                "checkpoints": checkpoints,
+                "random_queries": random_queries,
+            },
         )
 
     while True:
@@ -146,7 +138,7 @@ def appsat_attack(
         )
         total_dips += result.num_dips
         if result.status == "ok":
-            return finish(result.key, "exact", 0.0)
+            return finish(result.key, "ok", 0.0)
         if result.status == "timeout":
             return finish(None, "timeout", 1.0)
         candidate = result.key

@@ -12,59 +12,30 @@ sub-space exactly when all of its diff words are zero.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 from collections.abc import Mapping
 
+from repro.attacks.sat_attack import AttackOutcome
 from repro.circuit.compiled import exhaustive_words
 from repro.locking.base import LockedCircuit
 from repro.metrics.engine import key_diffs
 from repro.oracle.oracle import Oracle
 
 
-@dataclass
-class BruteForceResult:
-    """Every functionally correct key on a (possibly pinned) sub-space.
-
-    Attributes:
-        keys: All key integers matching the oracle on every input
-            consistent with :attr:`pinned`, in ascending order.
-        elapsed_seconds: Wall-clock time of the enumeration.
-        oracle_queries: Oracle queries issued (one per sub-space input
-            pattern; the golden sweep is batched but still counted
-            per pattern).
-        key_order: Key port names fixing the bit order of each entry
-            in :attr:`keys`.
-        pinned: The sub-space restriction the search ran under.
-    """
-
-    keys: list[int]
-    elapsed_seconds: float
-    oracle_queries: int
-    key_order: list[str] = field(default_factory=list)
-    pinned: dict[str, bool] = field(default_factory=dict)
-
-    @property
-    def key_int(self) -> int | None:
-        """The smallest correct key (``None`` when nothing matched)."""
-        return self.keys[0] if self.keys else None
-
-    @property
-    def num_keys(self) -> int:
-        """How many keys unlock the sub-space."""
-        return len(self.keys)
-
-
 def brute_force_attack(
     locked: LockedCircuit,
     oracle: Oracle,
     pin: Mapping[str, bool] | None = None,
-) -> BruteForceResult:
+) -> AttackOutcome:
     """All keys matching the oracle on every input consistent with ``pin``.
 
     Exhaustive over both the key space and the input space; only
     sensible when ``|I| + |K|`` is small (~20 bits).  The golden
     responses come from ONE bit-parallel oracle sweep over the
     ``2^(|I|-|pin|)`` sub-space patterns, counted as one query each.
+
+    ``all_keys`` lists every correct key integer in ascending order;
+    ``key`` is the smallest of them (status ``"ok"``), or ``None``
+    with status ``"no_key"`` when nothing matched.
     """
     start = time.perf_counter()
     queries_before = oracle.query_count
@@ -84,12 +55,15 @@ def brute_force_attack(
     keys = range(1 << locked.key_size)
     diffs = key_diffs(locked, oracle, keys, stimuli, width)
     good_keys = [key for key, words in zip(keys, diffs) if not any(words)]
-    return BruteForceResult(
-        keys=good_keys,
+    return AttackOutcome(
+        attack="brute_force",
+        key=locked.key_assignment(good_keys[0]) if good_keys else None,
+        status="ok" if good_keys else "no_key",
         elapsed_seconds=time.perf_counter() - start,
         oracle_queries=oracle.query_count - queries_before,
         key_order=list(locked.key_inputs),
         pinned=pin,
+        all_keys=good_keys,
     )
 
 
@@ -99,4 +73,4 @@ def brute_force_keys(
     pin: Mapping[str, bool] | None = None,
 ) -> list[int]:
     """The bare key list of :func:`brute_force_attack` (compat shim)."""
-    return brute_force_attack(locked, oracle, pin=pin).keys
+    return brute_force_attack(locked, oracle, pin=pin).all_keys

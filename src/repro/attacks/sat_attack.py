@@ -27,6 +27,9 @@ The implementation is split into two reusable pieces:
   constraints — which is how :mod:`repro.core.sharded` runs ``2^N``
   sub-space shards against one warm solver without re-encoding.
 
+Both return an :class:`AttackOutcome`, the one result type of every
+attack in :mod:`repro.attacks`.
+
 Implementation notes (all standard, all load-bearing for speed):
 
 * The locked netlist is compiled once (``netlist.compile()``); the DIP
@@ -107,60 +110,72 @@ class AttackIteration:
         return dict(zip(self.inputs, self.dip_bits))
 
 
+#: Statuses that count as a successful (sub-space) attack.  ``"ok"`` is
+#: an exact key; ``"settled"`` is AppSAT's acceptance criterion (the
+#: empirical error rate stayed under threshold) — approximate by
+#: design, still the attack succeeding on its own terms.
+SUCCESS_STATUSES = frozenset({"ok", "settled"})
+
+
 @dataclass
-class SatAttackResult:
-    """Outcome of a (possibly pinned) SAT attack.
+class AttackOutcome:
+    """What every attack returns: the SAT attack, its DIP loop, AppSAT
+    and brute force alike.
 
     Attributes:
-        key: The recovered key (``None`` on a budget stop, unless
-            :func:`run_dip_loop` ran with ``extract_on_budget``).
-        num_dips: DIP iterations executed.
-        elapsed_seconds: Wall-clock time of this attack/shard.
-        status: ``"ok"`` | ``"timeout"`` | ``"dip_limit"`` |
-            ``"no_key"`` (the loop finished but no key satisfied the
-            recorded I/O constraints).
-        oracle_queries: Oracle queries *this attack* issued (a delta,
-            so a shared oracle reports per-shard counts correctly).
+        attack: The registered attack name that produced this outcome.
+        key: The recovered key (``None`` when the attack failed or a
+            budget stopped it without a candidate).
+        status: ``"ok"`` | ``"settled"`` | ``"timeout"`` |
+            ``"dip_limit"`` | ``"no_key"`` (see
+            :data:`SUCCESS_STATUSES`).
+        elapsed_seconds: Wall-clock time of the attack (or shard).
+        oracle_queries: Oracle queries issued by this attack (a delta,
+            so shared oracles report per-attack counts correctly).
+        num_dips: DIP iterations, for DIP-driven attacks (0 otherwise).
+        solver_stats: Solver counter deltas, when a solver was used
+            (see :meth:`repro.sat.solver.SolverStats.as_dict`).
+        key_order: Key port names fixing :attr:`key_int` bit order.
         pinned: The sub-space restriction the attack ran under.
-        iterations: Per-DIP timing when ``record_iterations`` was set.
-        solver_stats: Solver counter deltas for this attack (see
-            :meth:`repro.sat.solver.SolverStats.as_dict`).
-        key_order: Key port names, fixing the bit order of
-            :attr:`key_bits` / :attr:`key_int`.
-        encode_stats: Structural facts about the miter encoding this
-            attack ran on (gate counts pre/post optimization, solver
-            variable/clause counts) — see :func:`build_miter_encoding`.
-            Empty when the caller drove :func:`run_dip_loop` directly.
+        all_keys: Every correct key as an integer, for attacks that
+            enumerate (brute force); ``None`` for attacks that return
+            a single witness.
+        iterations: Per-DIP timing when the SAT attack ran with
+            ``record_iterations``.
+        encode_stats: Structural facts about the miter encoding the
+            SAT attack ran on (gate counts pre/post optimization,
+            solver variable/clause counts) — see
+            :func:`build_miter_encoding`.  Empty when the caller drove
+            :func:`run_dip_loop` directly.
+        detail: Attack-specific extras (e.g. AppSAT's checkpoint error
+            rates) — JSON-serializable, informational only.
     """
 
+    attack: str
     key: dict[str, bool] | None
-    num_dips: int
+    status: str
     elapsed_seconds: float
-    status: str  # "ok" | "timeout" | "dip_limit" | "no_key"
     oracle_queries: int
-    pinned: dict[str, bool] = field(default_factory=dict)
-    iterations: list[AttackIteration] = field(default_factory=list)
+    num_dips: int = 0
     solver_stats: dict[str, int] = field(default_factory=dict)
     key_order: list[str] = field(default_factory=list)
+    pinned: dict[str, bool] = field(default_factory=dict)
+    all_keys: list[int] | None = None
+    iterations: list[AttackIteration] = field(default_factory=list)
     encode_stats: dict = field(default_factory=dict)
+    detail: dict = field(default_factory=dict)
 
     @property
     def succeeded(self) -> bool:
-        """True when the loop ran to completion and produced a key."""
-        return self.status == "ok" and self.key is not None
-
-    @property
-    def key_bits(self) -> tuple[int, ...] | None:
-        """Key as a bit tuple in :attr:`key_order` (None without a key)."""
-        if self.key is None:
-            return None
-        return tuple(int(self.key[net]) for net in self.key_order)
+        """True when the attack met its own success criterion."""
+        return self.status in SUCCESS_STATUSES and self.key is not None
 
     @property
     def key_int(self) -> int | None:
         """Key packed as an integer (bit ``j`` = key port ``j``)."""
-        bits = self.key_bits
-        return None if bits is None else key_to_int(bits)
+        if self.key is None:
+            return None
+        return key_to_int([int(self.key[net]) for net in self.key_order])
 
 
 @dataclass
@@ -658,7 +673,7 @@ def run_dip_loop(
     record_iterations: bool = True,
     extract_on_budget: bool = False,
     start: float | None = None,
-) -> SatAttackResult:
+) -> AttackOutcome:
     """Drive the DIP refinement loop against a pre-built miter encoding.
 
     Args:
@@ -759,16 +774,17 @@ def run_dip_loop(
         elif status == "ok":  # pragma: no cover - k* satisfies everything
             status = "no_key"
 
-    return SatAttackResult(
+    return AttackOutcome(
+        attack="sat",
         key=key,
-        num_dips=num_dips,
-        elapsed_seconds=time.perf_counter() - start,
         status=status,
+        elapsed_seconds=time.perf_counter() - start,
         oracle_queries=oracle.query_count - queries_before,
-        pinned=pin,
-        iterations=iterations,
+        num_dips=num_dips,
         solver_stats=solver_stats_delta(solver, stats_before),
         key_order=list(enc.key_inputs),
+        pinned=pin,
+        iterations=iterations,
     )
 
 
@@ -808,7 +824,7 @@ def sat_attack(
     max_dips: int | None = None,
     record_iterations: bool = True,
     solver: Solver | str | None = None,
-) -> SatAttackResult:
+) -> AttackOutcome:
     """Run the SAT attack on ``locked`` against ``oracle``.
 
     Args:

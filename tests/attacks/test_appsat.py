@@ -1,7 +1,11 @@
 """AppSAT approximate-attack tests."""
 
+import pytest
+
 from repro.attacks.appsat import appsat_attack
+from repro.attacks.registry import run_attack
 from repro.attacks.sat_attack import sat_attack
+from repro.bench_circuits.iscas85 import c17
 from repro.circuit.random_circuits import random_netlist
 from repro.locking.sarlock import sarlock_lock
 from repro.locking.xor_lock import xor_lock
@@ -14,9 +18,9 @@ class TestAppSat:
         original = random_netlist(7, 45, seed=81)
         locked = xor_lock(original, 5, seed=1)
         result = appsat_attack(locked, Oracle(original), dips_per_round=16)
-        assert result.status == "exact"
+        assert result.status == "ok"
         assert locked.verify_key(original, result.key).equivalent
-        assert result.estimated_error_rate == 0.0
+        assert result.detail["estimated_error_rate"] == 0.0
 
     def test_settles_on_sarlock(self):
         """SARLock needs 2^|K| DIPs exactly, but any key surviving a few
@@ -36,8 +40,8 @@ class TestAppSat:
         assert result.status == "settled"
         # Far fewer DIPs than the exact attack's 2^10 - 1.
         assert result.num_dips < 100
-        assert result.estimated_error_rate <= 0.05
-        assert result.checkpoints  # evidence recorded
+        assert result.detail["estimated_error_rate"] <= 0.05
+        assert result.detail["checkpoints"]  # evidence recorded
 
     def test_settled_key_is_approximately_correct(self):
         original = random_netlist(8, 50, seed=83)
@@ -85,3 +89,40 @@ class TestAppSat:
         )
         assert exact.num_dips == 2**9 - 1
         assert approx.num_dips < exact.num_dips
+
+
+class TestRoundSizes:
+    """A round without DIPs never moves the candidate, and a checkpoint
+    without patterns measures nothing: both are rejected up front.
+
+    The time limit only bounds the failure mode: a run that accepted
+    ``dips_per_round=0`` would spin on an unchanging candidate until
+    it ran out, instead of raising at once.
+    """
+
+    def _locked(self):
+        original = c17()
+        return original, xor_lock(original, 4, seed=1)
+
+    def test_zero_dips_per_round_rejected(self):
+        original, locked = self._locked()
+        with pytest.raises(ValueError, match="dips_per_round"):
+            appsat_attack(
+                locked, Oracle(original), dips_per_round=0, time_limit=2
+            )
+
+    def test_zero_queries_per_checkpoint_rejected(self):
+        original, locked = self._locked()
+        with pytest.raises(ValueError, match="queries_per_checkpoint"):
+            appsat_attack(
+                locked, Oracle(original), queries_per_checkpoint=0,
+                time_limit=2,
+            )
+
+    def test_rejected_through_the_registry(self):
+        original, locked = self._locked()
+        with pytest.raises(ValueError, match="dips_per_round"):
+            run_attack(
+                "appsat", locked, Oracle(original), dips_per_round=0,
+                time_limit=2,
+            )

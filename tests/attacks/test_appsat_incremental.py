@@ -56,9 +56,11 @@ class TestOneLiveSolver:
         assert encodings[0] == 1
         # Rounds of 2, 2, 2 and 1 DIPs: the cap holds exactly.
         assert result.num_dips == 7
-        assert len(result.checkpoints) == 4
-        assert result.random_queries == 4 * 16
-        assert oracle.query_count == result.num_dips + result.random_queries
+        assert len(result.detail["checkpoints"]) == 4
+        assert result.detail["random_queries"] == 4 * 16
+        assert oracle.query_count == (
+            result.num_dips + result.detail["random_queries"]
+        )
 
     def test_settled_run_queries_each_dip_once(self, monkeypatch):
         original = random_netlist(10, 60, seed=82)
@@ -74,9 +76,11 @@ class TestOneLiveSolver:
             seed=3,
         )
         assert result.status == "settled"
-        assert len(result.checkpoints) >= 2
+        assert len(result.detail["checkpoints"]) >= 2
         assert encodings[0] == 1
-        assert oracle.query_count == result.num_dips + result.random_queries
+        assert oracle.query_count == (
+            result.num_dips + result.detail["random_queries"]
+        )
 
 
 @given(
@@ -120,13 +124,13 @@ def test_accepted_keys_agree_with_brute_force(
         seed=seed,
         pin=pin,
     )
-    assert result.status in ("exact", "settled")
-    if result.status == "exact":
+    assert result.status in ("ok", "settled")
+    if result.status == "ok":
         assert result.key_int in brute_force_keys(
             locked, Oracle(original), pin=pin
         )
-        assert result.estimated_error_rate == 0.0
+        assert result.detail["estimated_error_rate"] == 0.0
     else:
-        tail = result.checkpoints[-settle_rounds:]
+        tail = result.detail["checkpoints"][-settle_rounds:]
         assert len(tail) == settle_rounds
         assert all(rate <= error_threshold for rate in tail)

@@ -6,10 +6,16 @@ from repro.attacks.brute_force import brute_force_attack, brute_force_keys
 from repro.attacks.appsat import appsat_attack
 from repro.attacks.registry import (
     SUCCESS_STATUSES,
+    AttackOutcome,
     attack_info,
     register_attack,
     registered_attacks,
     run_attack,
+)
+from repro.attacks.sat_attack import (
+    build_miter_encoding,
+    run_dip_loop,
+    sat_attack,
 )
 from repro.circuit.random_circuits import random_netlist
 from repro.locking import (
@@ -97,7 +103,7 @@ class TestAttackRegistry:
         assert outcome.attack == "appsat"
         assert outcome.succeeded
         assert outcome.pinned == pin
-        assert outcome.detail["native_status"] in ("exact", "settled")
+        assert outcome.status in ("ok", "settled")
         good = brute_force_keys(locked, Oracle(original), pin=pin)
         assert outcome.key_int in good
 
@@ -133,6 +139,51 @@ class TestAttackRegistry:
         assert stats["solve_calls"] > outcome.num_dips
         sat = run_attack("sat", locked, Oracle(original))
         assert set(stats) == set(sat.solver_stats)
+
+
+class TestOutcomeContract:
+    """Every attack, called directly or through the registry, returns
+    the one result type, named after itself, with a consistent key."""
+
+    @pytest.mark.parametrize("name", registered_attacks())
+    def test_registered_function_and_run_attack(self, setup, name):
+        original, locked = setup
+        pin = {original.inputs[0]: True}
+        good = brute_force_keys(locked, Oracle(original), pin=pin)
+        direct = attack_info(name).fn(
+            locked, Oracle(original), pin=pin, time_limit=None,
+            max_dips=None, seed=0, solver=None,
+        )
+        via_registry = run_attack(name, locked, Oracle(original), pin=pin)
+        for outcome in (direct, via_registry):
+            assert isinstance(outcome, AttackOutcome)
+            assert outcome.attack == name
+            assert outcome.succeeded
+            assert outcome.pinned == pin
+            assert outcome.key_order == list(locked.key_inputs)
+            assert outcome.key == locked.key_assignment(outcome.key_int)
+            assert outcome.key_int in good
+
+    def test_sat_attack_and_dip_loop_return_outcomes(self, setup):
+        original, locked = setup
+        good = brute_force_keys(locked, Oracle(original))
+        single = sat_attack(locked, Oracle(original))
+        loop = run_dip_loop(build_miter_encoding(locked), Oracle(original))
+        shard = attack_info("sat").shard_fn(
+            build_miter_encoding(locked), Oracle(original), seed=3
+        )
+        for outcome in (single, loop, shard):
+            assert isinstance(outcome, AttackOutcome)
+            assert outcome.attack == "sat"
+            assert outcome.succeeded
+            assert outcome.key_int in good
+        # Only the standalone attack knows its encoding's size, and the
+        # registry's shard function turns the per-DIP log off.
+        assert single.encode_stats["clauses"] > 0
+        assert loop.encode_stats == shard.encode_stats == {}
+        assert len(single.iterations) == single.num_dips
+        assert len(loop.iterations) == loop.num_dips
+        assert shard.iterations == []
 
 
 class TestSchemeRegistry:
@@ -192,9 +243,13 @@ class TestBruteForceResult:
         original, locked = setup
         pin = {original.inputs[1]: False}
         result = brute_force_attack(locked, Oracle(original), pin=pin)
-        assert result.keys == brute_force_keys(locked, Oracle(original), pin=pin)
-        assert result.key_int == result.keys[0]
-        assert result.num_keys == len(result.keys)
+        assert result.attack == "brute_force"
+        assert result.status == "ok"
+        assert result.all_keys == brute_force_keys(
+            locked, Oracle(original), pin=pin
+        )
+        assert result.key_int == result.all_keys[0]
+        assert result.key == locked.key_assignment(result.all_keys[0])
         assert result.elapsed_seconds > 0
         # One counted query per input pattern consistent with the pin.
         assert result.oracle_queries == 1 << (len(original.inputs) - 1)
@@ -226,4 +281,4 @@ class TestAppSatBudget:
     def test_default_behavior_unchanged_without_budget(self, setup):
         original, locked = setup
         capped = appsat_attack(locked, Oracle(original), dips_per_round=32)
-        assert capped.status in ("exact", "settled")
+        assert capped.status in ("ok", "settled")

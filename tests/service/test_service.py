@@ -164,6 +164,22 @@ class TestExperimentJobs:
 
 
 class TestAttackJobs:
+    def test_appsat_round_without_dips_fails_the_job(self):
+        """Attack parameters the attack cannot run end the job with an
+        error at once; the time limit only bounds the failure mode."""
+        request = AttackRequest(
+            circuit="c17",
+            scheme="xor",
+            scheme_params={"key_size": 4},
+            attack="appsat",
+            attack_params={"dips_per_round": 0},
+            effort=1,
+            time_limit_per_task=2,
+        )
+        response = Service().run(request)
+        assert response.status == "error"
+        assert "dips_per_round" in response.error
+
     def test_attack_job_and_text_parity(self):
         from repro.service import render_response
 
