@@ -21,16 +21,13 @@ def test_defense_comparison(benchmark):
         rounds=1,
         iterations=1,
     )
-    by_name = {row.scheme: row for row in result.rows}
+    by_name = {cell.scheme: cell for cell in result.cells}
     assert by_name["entangled"].subspace_keys == 1
     assert by_name["sarlock"].subspace_keys > 1
-    assert (
-        by_name["entangled"].multikey_max_dips
-        >= by_name["sarlock"].multikey_max_dips
-    )
+    assert by_name["entangled"].max_dips >= by_name["sarlock"].max_dips
     benchmark.extra_info["subspace_keys"] = {
-        name: row.subspace_keys for name, row in by_name.items()
+        name: cell.subspace_keys for name, cell in by_name.items()
     }
     benchmark.extra_info["max_dips"] = {
-        name: row.multikey_max_dips for name, row in by_name.items()
+        name: cell.max_dips for name, cell in by_name.items()
     }

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import time
 
-from repro.experiments.table2 import run_table2
+from repro.experiments.table2 import format_table2, run_table2
 from repro.locking.lut_lock import LutModuleSpec
 from repro.runner import ResultCache, Runner
 
@@ -44,9 +44,9 @@ def test_runner_cold_vs_warm(benchmark, tmp_path):
         lambda: _run(ResultCache(cache_dir)), rounds=3, iterations=1
     )
 
-    # The replay is lossless: identical rows, identical formatted table.
-    assert warm.rows == cold.rows
-    assert warm.format() == cold.format()
+    # The replay is lossless: identical cells, identical formatted table.
+    assert warm.cells == cold.cells
+    assert format_table2(warm) == format_table2(cold)
 
     warm_seconds = benchmark.stats.stats.mean
     assert warm_seconds * 5 <= cold_seconds, (
@@ -69,8 +69,8 @@ def test_runner_parallel_cold(benchmark, tmp_path):
         return _run(cache, jobs=2)
 
     fanned = benchmark.pedantic(cold_parallel, rounds=1, iterations=1)
-    assert [r.circuit for r in fanned.rows] == [r.circuit for r in serial.rows]
-    assert [r.dips_per_task for r in fanned.rows] == [
-        r.dips_per_task for r in serial.rows
+    assert [c.circuit for c in fanned.cells] == [c.circuit for c in serial.cells]
+    assert [c.dips_per_task for c in fanned.cells] == [
+        c.dips_per_task for c in serial.cells
     ]
-    assert all(r.composition_equivalent for r in fanned.rows)
+    assert all(c.composition_equivalent for c in fanned.cells)

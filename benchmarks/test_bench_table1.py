@@ -10,7 +10,7 @@ Paper shape being reproduced:
 import pytest
 
 from benchmarks.conftest import TABLE1_KEY_SIZES, TABLE1_SCALE
-from repro.experiments.table1 import run_table1
+from repro.experiments.table1 import format_table1, run_table1
 
 
 @pytest.mark.parametrize("key_size", TABLE1_KEY_SIZES)
@@ -26,11 +26,11 @@ def test_table1_row(benchmark, key_size):
 
     result = benchmark.pedantic(run, rounds=1, iterations=1)
 
-    baseline = result.cell(key_size, 0)
+    baseline = result.cell(key_size=key_size, effort=0)
     assert baseline.max_dips == 2**key_size - 1
     previous = baseline.max_dips
     for effort in (1, 2, 3, 4):
-        cell = result.cell(key_size, effort)
+        cell = result.cell(key_size=key_size, effort=effort)
         assert cell.status == "ok"
         assert cell.max_dips <= previous  # monotone decrease
         # Halving law with slack for the k*-containing sub-space.
@@ -39,7 +39,8 @@ def test_table1_row(benchmark, key_size):
         previous = cell.max_dips
 
     benchmark.extra_info["dips"] = {
-        f"N={n}": result.cell(key_size, n).max_dips for n in range(5)
+        f"N={n}": result.cell(key_size=key_size, effort=n).max_dips
+        for n in range(5)
     }
 
 
@@ -50,4 +51,4 @@ def test_table1_render(benchmark):
         rounds=1,
         iterations=1,
     )
-    assert "Table 1" in result.format()
+    assert "Table 1" in format_table1(result)

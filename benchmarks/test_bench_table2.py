@@ -31,16 +31,16 @@ def test_table2_row(benchmark, circuit):
         )
 
     result = benchmark.pedantic(run, rounds=1, iterations=1)
-    row = result.rows[0]
+    cell = result.cells[0]
 
-    assert row.baseline_status == "ok"
-    assert row.multikey_status == "ok"
-    assert row.composition_equivalent is True
-    assert row.min_seconds <= row.mean_seconds <= row.max_seconds
+    assert cell.baseline_status == "ok"
+    assert cell.status == "ok"
+    assert cell.composition_equivalent is True
+    assert cell.min_seconds <= cell.mean_seconds <= cell.max_seconds
 
-    benchmark.extra_info["baseline_s"] = round(row.baseline_seconds, 3)
-    benchmark.extra_info["min_s"] = round(row.min_seconds, 3)
-    benchmark.extra_info["mean_s"] = round(row.mean_seconds, 3)
-    benchmark.extra_info["max_s"] = round(row.max_seconds, 3)
-    benchmark.extra_info["max_over_baseline"] = round(row.ratio, 4)
-    benchmark.extra_info["baseline_dips"] = row.baseline_dips
+    benchmark.extra_info["baseline_s"] = round(cell.baseline_seconds, 3)
+    benchmark.extra_info["min_s"] = round(cell.min_seconds, 3)
+    benchmark.extra_info["mean_s"] = round(cell.mean_seconds, 3)
+    benchmark.extra_info["max_s"] = round(cell.max_seconds, 3)
+    benchmark.extra_info["max_over_baseline"] = round(cell.ratio, 4)
+    benchmark.extra_info["baseline_dips"] = cell.baseline_dips

@@ -19,28 +19,32 @@ Each module owns one artifact:
 
 Every runner accepts a scale/limits so the same code serves smoke
 tests, the pytest benchmarks and full-scale reproduction runs.  All but
-Figure 1 are one :class:`~repro.scenarios.spec.ScenarioSpec` (or a
-``corruption_cell`` curve) plus a formatter, and submit their cells as
-:mod:`repro.runner` tasks: pass a
+Figure 1 submit their cells as :mod:`repro.runner` tasks: pass a
 configured :class:`repro.runner.Runner` to fan work out across
-processes and reuse cached artifacts.
+processes and reuse cached artifacts.  Table 1, Table 2, D1, A1 and A2
+are each one :class:`~repro.scenarios.spec.ScenarioSpec`: their drivers
+return the :class:`~repro.scenarios.matrix.MatrixResult` of
+:func:`~repro.scenarios.matrix.run_matrix`, and a plain formatter per
+module (:func:`~repro.experiments.table1.format_table1`, ...) renders
+the table from its cells and ``spec``.  Figure 2 is a
+``corruption_cell`` curve with its own result class.
 """
 
-from repro.experiments.defense import DefenseResult, run_defense_experiment
+from repro.experiments.defense import format_defense, run_defense_experiment
 from repro.experiments.figure1 import Figure1Result, run_figure1
 from repro.experiments.figure2 import Figure2Result, run_figure2
-from repro.experiments.table1 import Table1Result, run_table1
-from repro.experiments.table2 import Table2Result, run_table2
+from repro.experiments.table1 import format_table1, run_table1
+from repro.experiments.table2 import format_table2, run_table2
 
 __all__ = [
     "run_table1",
-    "Table1Result",
+    "format_table1",
     "run_table2",
-    "Table2Result",
+    "format_table2",
     "run_figure1",
     "Figure1Result",
     "run_figure2",
     "Figure2Result",
     "run_defense_experiment",
-    "DefenseResult",
+    "format_defense",
 ]

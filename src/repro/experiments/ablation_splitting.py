@@ -14,7 +14,7 @@ Table 2 and D1.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict
 
 from repro.experiments.report import (
     format_table,
@@ -24,62 +24,44 @@ from repro.experiments.report import (
 )
 from repro.locking.lut_lock import LutModuleSpec
 from repro.runner import Runner
-from repro.scenarios.matrix import run_matrix
+from repro.scenarios.matrix import MatrixResult, run_matrix
 from repro.scenarios.spec import ScenarioSpec
 
 
-@dataclass
-class AblationRow:
-    strategy: str
-    mean_gates_after: float | None
-    total_dips: int
-    max_seconds: float
-    mean_seconds: float
-    status: str
-
-
-@dataclass
-class SplittingAblationResult:
-    circuit: str
-    scale: float
-    effort: int
-    rows: list[AblationRow] = field(default_factory=list)
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "SplittingAblationResult":
-        """Rebuild from ``asdict`` output (a JSON round trip is lossless)."""
-        data = dict(payload)
-        data["rows"] = [AblationRow(**row) for row in data.get("rows", [])]
-        return cls(**data)
-
-    def format(self) -> str:
-        headers = [
-            "Selection",
-            "Mean cond. gates",
-            "Total #DIP",
-            "Max task",
-            "Mean task",
-            "Status",
+def format_splitting_ablation(matrix: MatrixResult) -> str:
+    """A1's text: one row per selection strategy; the title comes from
+    ``matrix.spec``."""
+    headers = [
+        "Selection",
+        "Mean cond. gates",
+        "Total #DIP",
+        "Max task",
+        "Mean task",
+        "Status",
+    ]
+    body = [
+        [
+            cell.selection,
+            gates_column(mean_gates(cell.gates_after)),
+            sum(cell.dips_per_task),
+            seconds(cell.max_seconds),
+            seconds(cell.mean_seconds),
+            cell.status,
         ]
-        body = [
-            [
-                row.strategy,
-                gates_column(row.mean_gates_after),
-                row.total_dips,
-                seconds(row.max_seconds),
-                seconds(row.mean_seconds),
-                row.status,
-            ]
-            for row in self.rows
-        ]
-        return format_table(
-            headers,
-            body,
-            title=(
-                f"A1: splitting-input selection on {self.circuit} "
-                f"(scale={self.scale}, N={self.effort})"
-            ),
-        )
+        for cell in matrix.cells
+    ]
+    return format_table(
+        headers, body, title=ablation_title("A1: splitting-input selection", matrix)
+    )
+
+
+def ablation_title(name: str, matrix: MatrixResult) -> str:
+    """An ablation table's title, from ``matrix.spec`` (A1, A2)."""
+    spec = matrix.spec
+    return (
+        f"{name} on {spec.circuits[0]} "
+        f"(scale={spec.scale}, N={spec.efforts[0]})"
+    )
 
 
 def lut_ablation_spec(
@@ -117,22 +99,11 @@ def run_splitting_ablation(
     seed: int = 1,
     time_limit_per_task: float | None = 120.0,
     runner: Runner | None = None,
-) -> SplittingAblationResult:
-    """Compare splitting strategies on one LUT-locked benchmark."""
-    matrix = run_matrix(
+) -> MatrixResult:
+    """Compare splitting strategies on one LUT-locked benchmark (render
+    the grid with :func:`format_splitting_ablation`)."""
+    return run_matrix(
         lut_ablation_spec(circuit, scale, effort, spec or "paper", seed,
                           time_limit_per_task, selections=strategies),
         runner=runner or Runner(),
     )
-    rows = [
-        AblationRow(
-            strategy=cell.selection,
-            mean_gates_after=mean_gates(cell.gates_after),
-            total_dips=sum(cell.dips_per_task),
-            max_seconds=cell.max_seconds,
-            mean_seconds=cell.mean_seconds,
-            status=cell.status,
-        )
-        for cell in matrix.cells
-    ]
-    return SplittingAblationResult(circuit, scale, effort, rows)

@@ -15,9 +15,8 @@ The arms are the ``synthesis`` axis of one
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass, field
 
-from repro.experiments.ablation_splitting import lut_ablation_spec
+from repro.experiments.ablation_splitting import ablation_title, lut_ablation_spec
 from repro.experiments.report import (
     cec_verdict,
     format_table,
@@ -27,66 +26,38 @@ from repro.experiments.report import (
 )
 from repro.locking.lut_lock import LutModuleSpec
 from repro.runner import Runner
-from repro.scenarios.matrix import run_matrix
+from repro.scenarios.matrix import MatrixResult, run_matrix
 
 
-@dataclass
-class SynthesisAblationRow:
-    synthesis: bool
-    mean_gates: float | None
-    total_dips: int
-    max_seconds: float
-    mean_seconds: float
-    status: str
-    composition_equivalent: bool | None = None
-
-
-@dataclass
-class SynthesisAblationResult:
-    circuit: str
-    scale: float
-    effort: int
-    rows: list[SynthesisAblationRow] = field(default_factory=list)
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "SynthesisAblationResult":
-        """Rebuild from ``asdict`` output (a JSON round trip is lossless)."""
-        data = dict(payload)
-        data["rows"] = [
-            SynthesisAblationRow(**row) for row in data.get("rows", [])
+def format_synthesis_ablation(matrix: MatrixResult) -> str:
+    """A2's text: one row per synthesis arm; the title comes from
+    ``matrix.spec``."""
+    headers = [
+        "Cond. synthesis",
+        "Mean gates",
+        "Total #DIP",
+        "Max task",
+        "Mean task",
+        "Status",
+        "CEC",
+    ]
+    body = [
+        [
+            "on" if cell.synthesis else "off",
+            gates_column(mean_gates(cell.gates_after)),
+            sum(cell.dips_per_task),
+            seconds(cell.max_seconds),
+            seconds(cell.mean_seconds),
+            cell.status,
+            cec_verdict(cell.composition_equivalent),
         ]
-        return cls(**data)
-
-    def format(self) -> str:
-        headers = [
-            "Cond. synthesis",
-            "Mean gates",
-            "Total #DIP",
-            "Max task",
-            "Mean task",
-            "Status",
-            "CEC",
-        ]
-        body = [
-            [
-                "on" if row.synthesis else "off",
-                gates_column(row.mean_gates),
-                row.total_dips,
-                seconds(row.max_seconds),
-                seconds(row.mean_seconds),
-                row.status,
-                cec_verdict(row.composition_equivalent),
-            ]
-            for row in self.rows
-        ]
-        return format_table(
-            headers,
-            body,
-            title=(
-                f"A2: conditional-netlist synthesis on {self.circuit} "
-                f"(scale={self.scale}, N={self.effort})"
-            ),
-        )
+        for cell in matrix.cells
+    ]
+    return format_table(
+        headers,
+        body,
+        title=ablation_title("A2: conditional-netlist synthesis", matrix),
+    )
 
 
 def run_synthesis_ablation(
@@ -97,24 +68,12 @@ def run_synthesis_ablation(
     seed: int = 1,
     time_limit_per_task: float | None = 120.0,
     runner: Runner | None = None,
-) -> SynthesisAblationResult:
-    """Run the multi-key attack with and without conditional synthesis."""
-    matrix = run_matrix(
+) -> MatrixResult:
+    """Run the multi-key attack with and without conditional synthesis
+    (render the grid with :func:`format_synthesis_ablation`)."""
+    return run_matrix(
         lut_ablation_spec(circuit, scale, effort, spec or "paper", seed,
                           time_limit_per_task, synthesis=(True, False),
                           verify_composition=True),
         runner=runner or Runner(),
     )
-    rows = [
-        SynthesisAblationRow(
-            synthesis=cell.synthesis,
-            mean_gates=mean_gates(cell.gates_after),
-            total_dips=sum(cell.dips_per_task),
-            max_seconds=cell.max_seconds,
-            mean_seconds=cell.mean_seconds,
-            status=cell.status,
-            composition_equivalent=cell.composition_equivalent,
-        )
-        for cell in matrix.cells
-    ]
-    return SynthesisAblationResult(circuit, scale, effort, rows)

@@ -18,70 +18,45 @@ side under ``--jobs`` and warm re-runs come from the result cache.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from repro.experiments.report import format_table, seconds
 from repro.runner import Runner
-from repro.scenarios.matrix import run_matrix
+from repro.scenarios.matrix import MatrixResult, run_matrix
 from repro.scenarios.spec import ScenarioSpec
 
-@dataclass
-class DefenseRow:
-    scheme: str
-    subspace_keys: int
-    gate_reduction: float
-    baseline_dips: int
-    multikey_max_dips: int
-    multikey_max_seconds: float
-    area_overhead: float
-    status: str
 
-
-@dataclass
-class DefenseResult:
-    circuit: str
-    scale: float
-    key_size: int
-    effort: int
-    rows: list[DefenseRow] = field(default_factory=list)
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "DefenseResult":
-        """Rebuild from ``asdict`` output (a JSON round trip is lossless)."""
-        data = dict(payload)
-        data["rows"] = [DefenseRow(**row) for row in data.get("rows", [])]
-        return cls(**data)
-
-    def format(self) -> str:
-        headers = [
-            "Scheme",
-            "Keys/subspace",
-            "Cond. shrink",
-            "Base #DIP",
-            "N-split max #DIP",
-            "N-split max t",
-            "Area +%",
+def format_defense(matrix: MatrixResult) -> str:
+    """D1's text: one row per scheme; the title comes from ``matrix.spec``."""
+    headers = [
+        "Scheme",
+        "Keys/subspace",
+        "Cond. shrink",
+        "Base #DIP",
+        "N-split max #DIP",
+        "N-split max t",
+        "Area +%",
+    ]
+    body = [
+        [
+            cell.scheme,
+            cell.subspace_keys,
+            f"{cell.gate_reduction:.0%}",
+            cell.baseline_dips,
+            cell.max_dips,
+            seconds(cell.max_seconds),
+            f"{cell.area_overhead * 100:.1f}%",
         ]
-        body = [
-            [
-                row.scheme,
-                row.subspace_keys,
-                f"{row.gate_reduction:.0%}",
-                row.baseline_dips,
-                row.multikey_max_dips,
-                seconds(row.multikey_max_seconds),
-                f"{row.area_overhead * 100:.1f}%",
-            ]
-            for row in self.rows
-        ]
-        return format_table(
-            headers,
-            body,
-            title=(
-                f"D1: multi-key countermeasure on {self.circuit} "
-                f"(scale={self.scale}, |K|={self.key_size}, N={self.effort})"
-            ),
-        )
+        for cell in matrix.cells
+    ]
+    spec = matrix.spec
+    return format_table(
+        headers,
+        body,
+        title=(
+            f"D1: multi-key countermeasure on {spec.circuits[0]} "
+            f"(scale={spec.scale}, |K|={spec.schemes[0][1]['key_size']}, "
+            f"N={spec.efforts[0]})"
+        ),
+    )
 
 
 def defense_spec(
@@ -123,14 +98,15 @@ def run_defense_experiment(
     seed: int = 1,
     time_limit_per_task: float | None = 300.0,
     runner: Runner | None = None,
-) -> DefenseResult:
-    """Compare plain SARLock against the entangled variant.
+) -> MatrixResult:
+    """Compare plain SARLock against the entangled variant (render the
+    grid with :func:`format_defense`).
 
     The default ``key_size`` respects the defense's rank bound
     (``|K| <= |I| - N``) so the guarantee regime is what gets shown;
     push ``key_size`` past it to watch the guarantee degrade.
     """
-    matrix = run_matrix(
+    return run_matrix(
         defense_spec(
             circuit=circuit,
             scale=scale,
@@ -141,20 +117,3 @@ def run_defense_experiment(
         ),
         runner=runner or Runner(),
     )
-    result = DefenseResult(
-        circuit=circuit, scale=scale, key_size=key_size, effort=effort
-    )
-    for cell in matrix.cells:
-        result.rows.append(
-            DefenseRow(
-                scheme=cell.scheme,
-                subspace_keys=cell.subspace_keys,
-                gate_reduction=cell.gate_reduction,
-                baseline_dips=cell.baseline_dips,
-                multikey_max_dips=cell.max_dips,
-                multikey_max_seconds=cell.max_seconds,
-                area_overhead=cell.area_overhead,
-                status=cell.status,
-            )
-        )
-    return result

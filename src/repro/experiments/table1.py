@@ -14,67 +14,41 @@ result cache.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from repro.experiments.report import format_table
 from repro.runner import Runner
-from repro.scenarios.matrix import run_matrix
+from repro.scenarios.matrix import MatrixResult, run_matrix
 from repro.scenarios.spec import ScenarioSpec
 
 
-@dataclass
-class Table1Cell:
-    """One (key size, effort) grid entry."""
+def format_table1(matrix: MatrixResult) -> str:
+    """Table 1's text: one row per key size, one column per effort.
 
-    key_size: int
-    effort: int
-    dips_per_task: list[int]
-    uniform: bool  # paper: "the same #DIP for all the parallelized tasks"
-    max_dips: int
-    status: str
-
-
-@dataclass
-class Table1Result:
-    """The full grid plus provenance."""
-
-    circuit: str
-    scale: float
-    key_sizes: list[int]
-    efforts: list[int]
-    cells: list[Table1Cell] = field(default_factory=list)
-
-    def cell(self, key_size: int, effort: int) -> Table1Cell:
-        for entry in self.cells:
-            if entry.key_size == key_size and entry.effort == effort:
-                return entry
-        raise KeyError((key_size, effort))
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "Table1Result":
-        """Rebuild from ``asdict`` output (a JSON round trip is lossless)."""
-        data = dict(payload)
-        data["cells"] = [Table1Cell(**cell) for cell in data.get("cells", [])]
-        return cls(**data)
-
-    def format(self) -> str:
-        headers = ["|K|"] + [
-            f"N={n}" + (" (baseline)" if n == 0 else "") for n in self.efforts
-        ]
-        rows = []
-        for k in self.key_sizes:
-            row: list[object] = [k]
-            for n in self.efforts:
-                entry = self.cell(k, n)
-                mark = "" if entry.uniform else "*"
-                row.append(f"{entry.max_dips}{mark}")
-            rows.append(row)
-        note = "(#DIP of the parallel tasks; * = tasks disagreed)"
-        title = (
-            f"Table 1: #DIP for SARLock-locked {self.circuit} "
-            f"(scale={self.scale}) {note}"
-        )
-        return format_table(headers, rows, title=title)
+    The title and axes come from ``matrix.spec``, so a partial grid (a
+    cancelled run) still renders; an entry it lacks prints ``-``.
+    """
+    spec = matrix.spec
+    by_entry = {(cell.key_size, cell.effort): cell for cell in matrix.cells}
+    headers = ["|K|"] + [
+        f"N={n}" + (" (baseline)" if n == 0 else "") for n in spec.efforts
+    ]
+    rows = []
+    for _, params in spec.schemes:
+        k = params["key_size"]
+        row: list[object] = [k]
+        for n in spec.efforts:
+            cell = by_entry.get((k, n))
+            if cell is None:
+                row.append("-")
+            else:
+                mark = "" if cell.uniform else "*"
+                row.append(f"{cell.max_dips}{mark}")
+        rows.append(row)
+    note = "(#DIP of the parallel tasks; * = tasks disagreed)"
+    title = (
+        f"Table 1: #DIP for SARLock-locked {spec.circuits[0]} "
+        f"(scale={spec.scale}) {note}"
+    )
+    return format_table(headers, rows, title=title)
 
 
 def table1_spec(
@@ -114,8 +88,8 @@ def run_table1(
     parallel: bool = False,
     runner: Runner | None = None,
     engine: str = "sharded",
-) -> Table1Result:
-    """Regenerate Table 1.
+) -> MatrixResult:
+    """Regenerate Table 1 (render it with :func:`format_table1`).
 
     The paper uses the full-size c7552; ``scale`` shrinks the carrier
     circuit, which does not change SARLock's #DIP (it depends only on
@@ -127,7 +101,7 @@ def run_table1(
     sub-spaces; ``"reference"`` is the literal per-sub-space Algorithm
     1 arm (both report the same #DIP grid).
     """
-    matrix = run_matrix(
+    return run_matrix(
         table1_spec(
             key_sizes=key_sizes,
             efforts=efforts,
@@ -140,21 +114,3 @@ def run_table1(
         runner=runner or Runner(),
         inner_parallel=parallel,
     )
-    result = Table1Result(
-        circuit=circuit,
-        scale=scale,
-        key_sizes=list(key_sizes),
-        efforts=list(efforts),
-    )
-    for cell in matrix.cells:
-        result.cells.append(
-            Table1Cell(
-                key_size=cell.key_size,
-                effort=cell.effort,
-                dips_per_task=cell.dips_per_task,
-                uniform=cell.uniform,
-                max_dips=cell.max_dips,
-                status=cell.status,
-            )
-        )
-    return result

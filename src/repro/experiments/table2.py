@@ -16,12 +16,12 @@ result cache.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict
 
 from repro.experiments.report import cec_verdict, format_table, seconds
 from repro.locking.lut_lock import LutModuleSpec
 from repro.runner import Runner
-from repro.scenarios.matrix import run_matrix
+from repro.scenarios.matrix import MatrixResult, run_matrix
 from repro.scenarios.spec import ScenarioSpec
 
 #: The paper's Table 2 benchmark list.
@@ -37,68 +37,39 @@ TABLE2_CIRCUITS = (
 )
 
 
-@dataclass
-class Table2Row:
-    """One benchmark's baseline-vs-multikey comparison."""
-
-    circuit: str
-    baseline_seconds: float
-    baseline_status: str
-    min_seconds: float
-    mean_seconds: float
-    max_seconds: float
-    multikey_status: str
-    ratio: float  # max sub-task / baseline (the paper's metric)
-    baseline_dips: int
-    dips_per_task: list[int]
-    composition_equivalent: bool | None = None
-
-
-@dataclass
-class Table2Result:
-    scale: float
-    effort: int
-    spec: LutModuleSpec
-    rows: list[Table2Row] = field(default_factory=list)
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "Table2Result":
-        """Rebuild from ``asdict`` output (a JSON round trip is lossless)."""
-        data = dict(payload)
-        data["spec"] = LutModuleSpec(**data["spec"])
-        data["rows"] = [Table2Row(**row) for row in data.get("rows", [])]
-        return cls(**data)
-
-    def format(self) -> str:
-        headers = [
-            "Circuit",
-            "Baseline [5]",
-            "Minimum",
-            "Mean",
-            "Maximum",
-            "Maximum/Baseline",
-            "CEC",
-        ]
-        body = []
-        for row in self.rows:
-            body.append(
-                [
-                    row.circuit,
-                    seconds(row.baseline_seconds)
-                    + ("" if row.baseline_status == "ok" else "!"),
-                    seconds(row.min_seconds),
-                    seconds(row.mean_seconds),
-                    seconds(row.max_seconds)
-                    + ("" if row.multikey_status == "ok" else "!"),
-                    f"{row.ratio:.3f}",
-                    cec_verdict(row.composition_equivalent),
-                ]
-            )
-        title = (
-            f"Table 2: runtime of attacking LUT-based insertion "
-            f"(scale={self.scale}, {self.spec.key_bits}-bit key, N={self.effort})"
+def format_table2(matrix: MatrixResult) -> str:
+    """Table 2's text: one row per circuit, ``!`` marking an arm that
+    did not finish; the title comes from ``matrix.spec``."""
+    headers = [
+        "Circuit",
+        "Baseline [5]",
+        "Minimum",
+        "Mean",
+        "Maximum",
+        "Maximum/Baseline",
+        "CEC",
+    ]
+    body = []
+    for cell in matrix.cells:
+        body.append(
+            [
+                cell.circuit,
+                seconds(cell.baseline_seconds)
+                + ("" if cell.baseline_status == "ok" else "!"),
+                seconds(cell.min_seconds),
+                seconds(cell.mean_seconds),
+                seconds(cell.max_seconds) + ("" if cell.status == "ok" else "!"),
+                f"{cell.ratio:.3f}",
+                cec_verdict(cell.composition_equivalent),
+            ]
         )
-        return format_table(headers, body, title=title)
+    spec = matrix.spec
+    lut = LutModuleSpec.coerce(spec.schemes[0][1]["spec"])
+    title = (
+        f"Table 2: runtime of attacking LUT-based insertion "
+        f"(scale={spec.scale}, {lut.key_bits}-bit key, N={spec.efforts[0]})"
+    )
+    return format_table(headers, body, title=title)
 
 
 def table2_spec(
@@ -145,8 +116,8 @@ def run_table2(
     verify: bool = True,
     runner: Runner | None = None,
     engine: str = "sharded",
-) -> Table2Result:
-    """Regenerate Table 2.
+) -> MatrixResult:
+    """Regenerate Table 2 (render it with :func:`format_table2`).
 
     ``spec`` (a preset name, field mapping or instance) defaults to
     :meth:`LutModuleSpec.paper_scale` (the 14-input two-stage module).
@@ -165,12 +136,11 @@ def run_table2(
     ``2^N`` sub-spaces, ``"reference"`` reproduces the paper's literal
     per-sub-space flow.
     """
-    spec = LutModuleSpec.coerce(spec or "paper")
-    matrix = run_matrix(
+    return run_matrix(
         table2_spec(
             circuits=circuits,
             scale=scale,
-            spec=spec,
+            spec=spec or "paper",
             effort=effort,
             time_limit_per_task=time_limit_per_task,
             seed=seed,
@@ -181,21 +151,3 @@ def run_table2(
         inner_parallel=parallel,
         processes=processes,
     )
-    result = Table2Result(scale=scale, effort=effort, spec=spec)
-    for cell in matrix.cells:
-        result.rows.append(
-            Table2Row(
-                circuit=cell.circuit,
-                baseline_seconds=cell.baseline_seconds,
-                baseline_status=cell.baseline_status,
-                min_seconds=cell.min_seconds,
-                mean_seconds=cell.mean_seconds,
-                max_seconds=cell.max_seconds,
-                multikey_status=cell.status,
-                ratio=cell.ratio,
-                baseline_dips=cell.baseline_dips,
-                dips_per_task=cell.dips_per_task,
-                composition_equivalent=cell.composition_equivalent,
-            )
-        )
-    return result

@@ -363,8 +363,13 @@ class MatrixResult:
         )
 
     def to_json(self) -> str:
-        """The full matrix as JSON (spec summary + every cell)."""
-        return json.dumps(self.to_payload(), indent=2) + "\n"
+        """The full matrix as JSON (spec summary + every cell).
+
+        Keys are sorted at every depth, so a cold run and its warm
+        replay (whose nested ``metrics_detail`` comes back from the
+        cache in sorted order) export the same bytes.
+        """
+        return json.dumps(self.to_payload(), indent=2, sort_keys=True) + "\n"
 
     def csv_columns(self) -> list[str]:
         """The CSV header: fixed columns plus one per requested metric.

@@ -28,6 +28,7 @@ import inspect
 import json
 from collections.abc import Mapping
 from dataclasses import asdict, dataclass, field, fields
+from operator import attrgetter
 from typing import ClassVar
 
 from repro.core.multikey import engine_for
@@ -41,16 +42,18 @@ SCHEMA_VERSION = 1
 RESPONSE_STATUSES = ("ok", "partial", "error", "cancelled")
 
 #: The experiments an ExperimentRequest may name: each is the module
-#: ``repro.experiments.<name>``, here with its driver and result type
-#: (imported on first use, see :func:`experiment_entry`).
+#: ``repro.experiments.<name>``, here with its driver and its text
+#: renderer (imported on first use, see :func:`experiment_entry`).  The
+#: grid experiments' drivers return a MatrixResult that a plain
+#: formatter renders; a figure's result class formats itself.
 EXPERIMENTS = {
-    "figure1": ("run_figure1", "Figure1Result"),
-    "figure2": ("run_figure2", "Figure2Result"),
-    "table1": ("run_table1", "Table1Result"),
-    "table2": ("run_table2", "Table2Result"),
-    "ablation_splitting": ("run_splitting_ablation", "SplittingAblationResult"),
-    "ablation_synthesis": ("run_synthesis_ablation", "SynthesisAblationResult"),
-    "defense": ("run_defense_experiment", "DefenseResult"),
+    "figure1": ("run_figure1", "Figure1Result.format"),
+    "figure2": ("run_figure2", "Figure2Result.format"),
+    "table1": ("run_table1", "format_table1"),
+    "table2": ("run_table2", "format_table2"),
+    "ablation_splitting": ("run_splitting_ablation", "format_splitting_ablation"),
+    "ablation_synthesis": ("run_synthesis_ablation", "format_synthesis_ablation"),
+    "defense": ("run_defense_experiment", "format_defense"),
 }
 
 
@@ -59,10 +62,10 @@ class EnvelopeError(ValueError):
 
 
 def experiment_entry(name: str) -> tuple:
-    """Experiment ``name``'s ``(driver, result type)``, imported now."""
-    driver, result = EXPERIMENTS[name]
+    """Experiment ``name``'s ``(driver, renderer)``, imported now."""
+    driver, renderer = EXPERIMENTS[name]
     module = importlib.import_module(f"repro.experiments.{name}")
-    return getattr(module, driver), getattr(module, result)
+    return getattr(module, driver), attrgetter(renderer)(module)
 
 
 @dataclass
@@ -292,7 +295,11 @@ class Response:
         job_id: The job that produced it (empty outside job context).
         result: Kind-specific JSON payload (see
             :mod:`repro.service.render` for how each renders back to
-            the classic CLI text).
+            the classic CLI text).  An experiment's is
+            ``{"experiment": name, "result": ...}``: Table 1, Table 2,
+            D1, A1 and A2 send their grid's
+            :meth:`~repro.scenarios.matrix.MatrixResult.to_payload`,
+            the figures their result's ``asdict``.
         error: Human-readable failure description when ``status`` is
             ``"error"``.
     """

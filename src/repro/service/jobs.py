@@ -454,32 +454,31 @@ def _execute_matrix(service: Service, job: Job) -> tuple[dict, str]:
         runner=service._runner_for(job),
         inner_parallel=service.inner_parallel,
     )
-    complete = len(result.cells) == spec.size
-    ok = complete and all(map(_unit_ok, result.cells))
-    return result.to_payload(), "ok" if ok else "partial"
+    return result.to_payload(), _matrix_status(result)
 
 
 def _execute_experiment(service: Service, job: Job) -> tuple[dict, str]:
+    from repro.scenarios.matrix import MatrixResult
+
     request: ExperimentRequest = job.request
     driver, _ = experiment_entry(request.experiment)
     job.emit("job_started", {"kind": request.kind, "experiment": request.experiment})
     result = driver(runner=service._runner_for(job), **request.params)
-    status = "ok" if _experiment_rows_ok(result) else "partial"
-    return (
-        {"experiment": request.experiment, "result": asdict(result)},
-        status,
-    )
+    if isinstance(result, MatrixResult):
+        payload, status = result.to_payload(), _matrix_status(result)
+    else:  # a figure: one unit
+        payload, status = asdict(result), "ok" if _unit_ok(result) else "partial"
+    return {"experiment": request.experiment, "result": payload}, status
 
 
-#: Status attributes a matrix cell or experiment row may carry (table2
-#: splits its verdict into a multikey arm and a baseline arm).
-_STATUS_ATTRS = ("status", "multikey_status", "baseline_status")
-#: CEC verdicts a cell, row or result may carry (``None`` = not run).
+#: Status attributes a matrix cell or figure may carry.
+_STATUS_ATTRS = ("status", "baseline_status")
+#: CEC verdicts a cell or figure may carry (``None`` = not run).
 _CEC_ATTRS = ("composition_equivalent", "incorrect_pair_equivalent")
 
 
 def _unit_ok(unit) -> bool:
-    """Did one matrix cell or experiment row fully succeed?
+    """Did one matrix cell or figure fully succeed?
 
     Every status it carries must be a success (``"ok"``, or AppSAT's
     ``"settled"``) and no CEC verdict it carries may be ``False``.
@@ -491,13 +490,12 @@ def _unit_ok(unit) -> bool:
     return all(getattr(unit, attr, None) is not False for attr in _CEC_ATTRS)
 
 
-def _experiment_rows_ok(result) -> bool:
-    """Did every row/cell of an experiment result fully succeed?
-
-    A result without rows (Figure 1) is judged as one unit.
-    """
-    rows = getattr(result, "rows", None) or getattr(result, "cells", None)
-    return all(map(_unit_ok, rows or [result]))
+def _matrix_status(result) -> str:
+    """``ok`` when the grid is complete and every cell is ok, else
+    ``partial``."""
+    complete = len(result.cells) == result.spec.size
+    ok = complete and all(map(_unit_ok, result.cells))
+    return "ok" if ok else "partial"
 
 
 def _execute_attack(service: Service, job: Job) -> tuple[dict, str]:

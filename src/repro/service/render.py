@@ -15,6 +15,8 @@ human-readable is produced here, and only here.  Two entry points:
 
 from __future__ import annotations
 
+from typing import get_type_hints
+
 from repro.runner import progress_line
 from repro.service.envelopes import Response, experiment_entry
 from repro.service.events import Event
@@ -44,10 +46,11 @@ def render_event(event: Event) -> str | None:
 def render_response(response: Response, verbose: bool = True) -> str:
     """The human text of a successful (or partial) response.
 
-    Reconstructs the classic result object from the payload and calls
-    its ``format()``, so service-mediated output cannot drift from the
-    library's own rendering.  Raises ``ValueError`` for error
-    responses — the caller decides how to surface those.
+    Reconstructs the library's result object from the payload and
+    renders it with the library's own formatter, so service-mediated
+    output cannot drift from a direct driver call.  Raises
+    ``ValueError`` for error responses — the caller decides how to
+    surface those.
     """
     if response.status == "error":
         raise ValueError(
@@ -69,8 +72,11 @@ def render_response(response: Response, verbose: bool = True) -> str:
 
         return CorruptionReport.from_payload(payload["report"]).format()
     if response.request_kind == "experiment":
-        _, cls = experiment_entry(payload["experiment"])
-        return cls.from_payload(payload["result"]).format()
+        driver, render = experiment_entry(payload["experiment"])
+        # The driver's declared result type (a grid's MatrixResult, a
+        # figure's own class) rebuilds its payload.
+        result_type = get_type_hints(driver)["return"]
+        return render(result_type.from_payload(payload["result"]))
     if response.request_kind == "attack":
         return _render_attack(payload, verbose=verbose)
     if response.request_kind == "bench":

@@ -6,10 +6,15 @@ from dataclasses import asdict
 import pytest
 
 from repro.experiments.ablation_splitting import (
+    format_splitting_ablation,
     lut_ablation_spec,
     run_splitting_ablation,
 )
-from repro.experiments.ablation_synthesis import run_synthesis_ablation
+from repro.experiments.ablation_synthesis import (
+    format_synthesis_ablation,
+    run_synthesis_ablation,
+)
+from repro.experiments.report import mean_gates
 from repro.experiments.table2 import table2_spec
 from repro.locking.lut_lock import LutModuleSpec
 from repro.runner import ResultCache, Runner
@@ -58,10 +63,11 @@ def test_a2_arms_both_pass_cec():
         spec="tiny",
         time_limit_per_task=60.0,
     )
-    on, off = result.rows
+    on, off = result.cells
     assert on.synthesis and not off.synthesis
     assert on.composition_equivalent is off.composition_equivalent is True
-    assert "CEC" in result.format() and "pass" in result.format()
+    text = format_synthesis_ablation(result)
+    assert "CEC" in text and "pass" in text
 
 
 def _strip_gates_after(cache: ResultCache) -> int:
@@ -75,7 +81,7 @@ def _strip_gates_after(cache: ResultCache) -> int:
     return len(paths)
 
 
-#: Each ablation driver at its smallest, and its row's gates field.
+#: Each ablation driver at its smallest, and its table renderer.
 ABLATIONS = {
     "ablation_splitting": (
         lambda runner: run_splitting_ablation(
@@ -83,14 +89,14 @@ ABLATIONS = {
             strategies=("fanout", "first"), time_limit_per_task=60.0,
             runner=runner,
         ),
-        "mean_gates_after",
+        format_splitting_ablation,
     ),
     "ablation_synthesis": (
         lambda runner: run_synthesis_ablation(
             circuit="c880", scale=0.2, effort=1, spec="tiny",
             time_limit_per_task=60.0, runner=runner,
         ),
-        "mean_gates",
+        format_synthesis_ablation,
     ),
 }
 
@@ -99,13 +105,13 @@ ABLATIONS = {
 def test_cells_cached_without_gates_after_render_a_dash(driver, tmp_path):
     """A cell cached before ``gates_after`` existed replays with its
     gates column missing (``-``) instead of raising."""
-    run, gates_field = ABLATIONS[driver]
+    run, render = ABLATIONS[driver]
     cache = ResultCache(tmp_path)
     cold = run(Runner(cache=cache))
-    assert _strip_gates_after(cache) == len(cold.rows) == 2
+    assert _strip_gates_after(cache) == len(cold.cells) == 2
     warm_cache = ResultCache(tmp_path)
     warm = run(Runner(cache=warm_cache))
     assert warm_cache.misses == 0
-    assert [getattr(row, gates_field) for row in warm.rows] == [None, None]
-    body = warm.format().splitlines()[-2:]
+    assert [mean_gates(cell.gates_after) for cell in warm.cells] == [None, None]
+    body = render(warm).splitlines()[-2:]
     assert all(line.split(" | ")[1].strip() == "-" for line in body)

@@ -1,7 +1,14 @@
 """Ablation runner tests (A1 splitting strategy, A2 synthesis)."""
 
-from repro.experiments.ablation_splitting import run_splitting_ablation
-from repro.experiments.ablation_synthesis import run_synthesis_ablation
+from repro.experiments.ablation_splitting import (
+    format_splitting_ablation,
+    run_splitting_ablation,
+)
+from repro.experiments.ablation_synthesis import (
+    format_synthesis_ablation,
+    run_synthesis_ablation,
+)
+from repro.experiments.report import mean_gates
 from repro.locking.lut_lock import LutModuleSpec
 
 
@@ -15,9 +22,9 @@ class TestSplittingAblation:
             strategies=("fanout", "random"),
             time_limit_per_task=60.0,
         )
-        assert [row.strategy for row in result.rows] == ["fanout", "random"]
-        assert all(row.status == "ok" for row in result.rows)
-        text = result.format()
+        assert [cell.selection for cell in result.cells] == ["fanout", "random"]
+        assert all(cell.status == "ok" for cell in result.cells)
+        text = format_splitting_ablation(result)
         assert "fanout" in text and "random" in text
 
     def test_fanout_not_worse_on_conditional_size(self):
@@ -32,10 +39,10 @@ class TestSplittingAblation:
             strategies=("fanout", "first"),
             time_limit_per_task=60.0,
         )
-        by_name = {row.strategy: row for row in result.rows}
+        by_name = {cell.selection: cell for cell in result.cells}
         assert (
-            by_name["fanout"].mean_gates_after
-            <= by_name["first"].mean_gates_after * 1.05
+            mean_gates(by_name["fanout"].gates_after)
+            <= mean_gates(by_name["first"].gates_after) * 1.05
         )
 
 
@@ -48,9 +55,9 @@ class TestSynthesisAblation:
             spec=LutModuleSpec.tiny(),
             time_limit_per_task=60.0,
         )
-        on, off = result.rows
+        on, off = result.cells
         assert on.synthesis and not off.synthesis
-        assert on.mean_gates < off.mean_gates
+        assert mean_gates(on.gates_after) < mean_gates(off.gates_after)
         assert on.status == off.status == "ok"
 
     def test_format(self):
@@ -61,4 +68,4 @@ class TestSynthesisAblation:
             spec=LutModuleSpec.tiny(),
             time_limit_per_task=60.0,
         )
-        assert "A2" in result.format()
+        assert "A2" in format_synthesis_ablation(result)

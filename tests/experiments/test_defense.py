@@ -1,6 +1,6 @@
 """D1 defense-experiment tests."""
 
-from repro.experiments.defense import run_defense_experiment
+from repro.experiments.defense import format_defense, run_defense_experiment
 
 
 class TestDefenseExperiment:
@@ -15,14 +15,14 @@ class TestDefenseExperiment:
             effort=2,
             time_limit_per_task=120.0,
         )
-        by_name = {row.scheme: row for row in result.rows}
+        by_name = {cell.scheme: cell for cell in result.cells}
         sarlock = by_name["sarlock"]
         entangled = by_name["entangled"]
         # The defense closes the multi-key loophole...
         assert entangled.subspace_keys == 1
         assert sarlock.subspace_keys > 1
         # ... so sub-attacks stop getting cheaper in DIP terms.
-        assert entangled.multikey_max_dips >= sarlock.multikey_max_dips
+        assert entangled.max_dips >= sarlock.max_dips
         assert sarlock.status == entangled.status == "ok"
 
     def test_format(self):
@@ -33,6 +33,6 @@ class TestDefenseExperiment:
             effort=1,
             time_limit_per_task=120.0,
         )
-        text = result.format()
+        text = format_defense(result)
         assert "D1" in text
         assert "sarlock" in text and "entangled" in text

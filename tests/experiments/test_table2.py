@@ -1,6 +1,6 @@
 """Table 2 reproduction tests (tiny configuration for CI speed)."""
 
-from repro.experiments.table2 import TABLE2_CIRCUITS, run_table2
+from repro.experiments.table2 import TABLE2_CIRCUITS, format_table2, run_table2
 from repro.locking.lut_lock import LutModuleSpec
 
 
@@ -14,14 +14,14 @@ class TestTable2:
             parallel=False,
             time_limit_per_task=60.0,
         )
-        assert len(result.rows) == 2
-        for row in result.rows:
-            assert row.baseline_status == "ok"
-            assert row.multikey_status == "ok"
-            assert row.min_seconds <= row.mean_seconds <= row.max_seconds
-            assert row.ratio > 0
-            assert len(row.dips_per_task) == 4
-            assert row.composition_equivalent is True
+        assert len(result.cells) == 2
+        for cell in result.cells:
+            assert cell.baseline_status == "ok"
+            assert cell.status == "ok"
+            assert cell.min_seconds <= cell.mean_seconds <= cell.max_seconds
+            assert cell.ratio > 0
+            assert len(cell.dips_per_task) == 4
+            assert cell.composition_equivalent is True
 
     def test_format_lists_circuits(self):
         result = run_table2(
@@ -33,7 +33,7 @@ class TestTable2:
             time_limit_per_task=60.0,
             verify=False,
         )
-        text = result.format()
+        text = format_table2(result)
         assert "Table 2" in text
         assert "c880" in text
         assert "Maximum/Baseline" in text

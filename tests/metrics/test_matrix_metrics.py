@@ -128,6 +128,15 @@ class TestMatrixMetrics:
         # columns never do.
         assert self._metric_columns(cold) == self._metric_columns(result)
 
+    def test_warm_json_export_is_byte_identical(self, tmp_path):
+        """Nested metric detail comes back from the cache in sorted key
+        order; the export sorts keys, so cold and warm bytes agree."""
+        spec = small_spec()
+        cold = run_matrix(spec, runner=Runner(cache=ResultCache(tmp_path)))
+        warm = run_matrix(spec, runner=Runner(cache=ResultCache(tmp_path)))
+        assert cold.cells[0].metrics_detail
+        assert cold.to_json() == warm.to_json()
+
     def test_opt_levels_agree_through_the_matrix(self, result, unoptimized):
         """Optimized and unoptimized sweeps give the same metric values."""
         with unoptimized():

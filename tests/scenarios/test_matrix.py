@@ -16,7 +16,8 @@ from repro.attacks.brute_force import brute_force_keys
 from repro.circuit.random_circuits import random_netlist
 from repro.core.compose import verify_composition
 from repro.core.multikey import multikey_attack
-from repro.experiments.table1 import Table1Cell, Table1Result, run_table1
+from repro.experiments.report import format_table
+from repro.experiments.table1 import format_table1, run_table1
 from repro.locking import lock_circuit
 from repro.locking.sarlock import sarlock_lock
 from repro.oracle.oracle import Oracle
@@ -374,12 +375,7 @@ class TestTable1MatrixParity:
         # one multikey attack per (|K|, N) cell, same engine default.
         from repro.bench_circuits.iscas85 import iscas85_like
 
-        direct = Table1Result(
-            circuit=circuit,
-            scale=scale,
-            key_sizes=list(key_sizes),
-            efforts=list(efforts),
-        )
+        direct = []
         for key_size in key_sizes:
             for effort in efforts:
                 original = iscas85_like(circuit, scale)
@@ -392,25 +388,38 @@ class TestTable1MatrixParity:
                     engine="sharded",
                 )
                 dips = attack.dips_per_task
-                direct.cells.append(
-                    Table1Cell(
-                        key_size=key_size,
-                        effort=effort,
-                        dips_per_task=dips,
-                        uniform=len(set(dips)) == 1,
-                        max_dips=max(dips) if dips else 0,
-                        status=attack.status,
+                direct.append(
+                    (
+                        key_size,
+                        effort,
+                        dips,
+                        len(set(dips)) == 1,
+                        max(dips) if dips else 0,
+                        attack.status,
                     )
                 )
 
-        assert via_matrix.format() == direct.format()
+        # The classic table layout, rendered from the direct cells.
+        by_entry = {(k, n): (uniform, most) for k, n, _, uniform, most, _ in direct}
+        expected = format_table(
+            ["|K|"] + [f"N={n}" + (" (baseline)" if n == 0 else "") for n in efforts],
+            [
+                [k] + [
+                    f"{by_entry[k, n][1]}{'' if by_entry[k, n][0] else '*'}"
+                    for n in efforts
+                ]
+                for k in key_sizes
+            ],
+            title=(
+                f"Table 1: #DIP for SARLock-locked {circuit} (scale={scale}) "
+                "(#DIP of the parallel tasks; * = tasks disagreed)"
+            ),
+        )
+        assert format_table1(via_matrix) == expected
         assert [
             (c.key_size, c.effort, c.dips_per_task, c.uniform, c.max_dips, c.status)
             for c in via_matrix.cells
-        ] == [
-            (c.key_size, c.effort, c.dips_per_task, c.uniform, c.max_dips, c.status)
-            for c in direct.cells
-        ]
+        ] == direct
 
 
 class TestTable2MatrixParity:
@@ -468,12 +477,12 @@ class TestTable2MatrixParity:
 
         assert [
             (
-                row.circuit,
-                row.baseline_status,
-                row.baseline_dips,
-                row.multikey_status,
-                row.dips_per_task,
-                row.composition_equivalent,
+                cell.circuit,
+                cell.baseline_status,
+                cell.baseline_dips,
+                cell.status,
+                cell.dips_per_task,
+                cell.composition_equivalent,
             )
-            for row in via_matrix.rows
+            for cell in via_matrix.cells
         ] == direct

@@ -343,35 +343,67 @@ class TestReviewHardening:
         assert job.result().status == "ok"
 
     def test_table2_partial_rows_reported_partial(self):
-        from repro.experiments.table2 import Table2Result, Table2Row
-        from repro.locking.lut_lock import LutModuleSpec
-        from repro.service.jobs import _experiment_rows_ok
+        from repro.experiments.table2 import table2_spec
+        from repro.scenarios.matrix import MatrixResult, ScenarioCell
+        from repro.service.jobs import _matrix_status
 
-        def row(multikey_status, baseline_status="ok"):
-            return Table2Row(
+        spec = table2_spec(("c880",), 0.2, "tiny", 1, 60.0, 1, True)
+
+        def grid(status, baseline_status="ok"):
+            cell = ScenarioCell(
+                scheme="lut",
+                scheme_params={},
+                attack="sat",
+                attack_params={},
+                engine="sharded",
+                engine_used="sharded",
                 circuit="c880",
-                baseline_seconds=1.0,
-                baseline_status=baseline_status,
+                scale=0.2,
+                effort=1,
+                seed=1,
+                status=status,
+                key_size=16,
+                gates=100,
+                dips_per_task=[1, 1],
+                max_dips=1,
+                uniform=True,
+                key_ints=[0, 0],
+                oracle_queries=2,
                 min_seconds=0.1,
                 mean_seconds=0.1,
                 max_seconds=0.1,
-                multikey_status=multikey_status,
-                ratio=0.1,
+                wall_seconds=0.2,
+                encode_seconds=0.0,
+                baseline_seconds=1.0,
+                baseline_status=baseline_status,
                 baseline_dips=3,
-                dips_per_task=[1],
+                ratio=0.1,
             )
+            return MatrixResult(spec, [cell])
 
-        spec = LutModuleSpec.tiny()
-        ok = Table2Result(scale=0.2, effort=1, spec=spec, rows=[row("ok")])
-        stalled = Table2Result(
-            scale=0.2, effort=1, spec=spec, rows=[row("partial")]
+        assert _matrix_status(grid("ok")) == "ok"
+        assert _matrix_status(grid("partial")) == "partial"
+        assert _matrix_status(grid("ok", "timeout")) == "partial"
+        assert _matrix_status(MatrixResult(spec, [])) == "partial"
+
+    def test_cancelled_partial_table1_renders_missing_entries(self):
+        from repro.experiments.table1 import run_table1
+        from repro.service import render_response
+
+        payload = run_table1(
+            key_sizes=(3,), efforts=(0, 1), scale=0.12
+        ).to_payload()
+        del payload["cells"][1]  # the run stopped before (3, 1)
+        response = Response(
+            request_kind="experiment",
+            status="cancelled",
+            result={"experiment": "table1", "result": payload},
         )
-        baseline_stalled = Table2Result(
-            scale=0.2, effort=1, spec=spec, rows=[row("ok", "timeout")]
-        )
-        assert _experiment_rows_ok(ok)
-        assert not _experiment_rows_ok(stalled)
-        assert not _experiment_rows_ok(baseline_stalled)
+        lines = render_response(response).splitlines()
+        assert "N=1" in lines[1]
+        assert [entry.strip() for entry in lines[-1].split(" | ")] == [
+            "3", "7", "-",
+        ]
 
     def test_finished_jobs_are_pruned(self):
         service = Service(retain_finished=2)
