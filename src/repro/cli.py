@@ -170,14 +170,19 @@ def _emit(args: argparse.Namespace, response, verbose: bool = True) -> None:
         print(render_response(response, verbose=verbose))
 
 
-def _experiment_request(experiment: str, **params):
-    """Build an ExperimentRequest, mapping envelope errors to exits."""
-    from repro.service import ExperimentRequest
+def _request(kind: str, **fields):
+    """Build a ``kind`` request envelope, mapping its errors to exits."""
+    from repro.service import REQUEST_KINDS
 
     try:
-        return ExperimentRequest(experiment=experiment, params=params)
+        return REQUEST_KINDS[kind](**fields)
     except ValueError as error:
         raise SystemExit(f"repro-lock: error: {error}")
+
+
+def _experiment_request(experiment: str, **params):
+    """Build an ExperimentRequest, mapping envelope errors to exits."""
+    return _request("experiment", experiment=experiment, params=params)
 
 
 def _cmd_figure1(args: argparse.Namespace) -> int:
@@ -242,13 +247,18 @@ def _cmd_defense(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_attack(args: argparse.Namespace) -> int:
-    from repro.service import AttackRequest
+def _scheme_params(args: argparse.Namespace, scheme: str) -> dict:
+    """A scheme's width params from the CLI flags.
 
-    if args.scheme == "lut":
-        scheme_params = {"spec": args.lut_spec, "seed": args.seed}
-    else:
-        scheme_params = {"key_size": args.key_size, "seed": args.seed}
+    The LUT module's key width comes from its ``--lut-spec``; every
+    other registered scheme takes ``--key-size`` directly.
+    """
+    if scheme == "lut":
+        return {"spec": args.lut_spec}
+    return {"key_size": args.key_size}
+
+
+def _cmd_attack(args: argparse.Namespace) -> int:
     if args.parallel and args.jobs <= 1:
         # The classic `attack --parallel` shape: this one-shot service
         # gets a machine-wide budget (a daemon keeps whatever --jobs
@@ -256,21 +266,21 @@ def _cmd_attack(args: argparse.Namespace) -> int:
         import multiprocessing
 
         args.jobs = multiprocessing.cpu_count()
-    try:
-        request = AttackRequest(
-            circuit=args.circuit,
-            scheme=args.scheme,
-            scheme_params=scheme_params,
-            attack=args.attack,
-            engine=args.engine,
-            effort=args.effort,
-            scale=args.scale,
-            seed=args.seed,
-            time_limit_per_task=args.time_limit,
-            parallel=args.parallel,
-        )
-    except ValueError as error:
-        raise SystemExit(f"repro-lock: error: {error}")
+    request = _request(
+        "attack",
+        circuit=args.circuit,
+        scheme=args.scheme,
+        scheme_params={
+            **_scheme_params(args, args.scheme), "seed": args.seed
+        },
+        attack=args.attack,
+        engine=args.engine,
+        effort=args.effort,
+        scale=args.scale,
+        seed=args.seed,
+        time_limit_per_task=args.time_limit,
+        parallel=args.parallel,
+    )
     response = _submit(args, request)
     _emit(args, response, verbose=not args.quiet)
     return 0 if response.status == "ok" else 1
@@ -346,34 +356,26 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
 
     from pathlib import Path
 
-    from repro.service import MatrixRequest
-
-    def scheme_axis(name: str) -> list:
-        # The LUT module's key width comes from its spec, every other
-        # registered scheme takes --key-size directly.
-        if name == "lut":
-            return [name, {"spec": args.lut_spec}]
-        return [name, {"key_size": args.key_size}]
-
-    try:
-        request = MatrixRequest(
-            schemes=[scheme_axis(name) for name in _parse_str_list(args.schemes)],
-            attacks=_parse_str_list(args.attacks),
-            engines=_parse_str_list(args.engines),
-            circuits=_parse_str_list(args.circuits),
-            scale=args.scale,
-            efforts=_parse_int_list(args.efforts),
-            seeds=_parse_int_list(args.seeds),
-            time_limit_per_task=args.time_limit,
-            max_dips_per_task=args.max_dips,
-            include_baseline=args.baseline,
-            verify_composition=args.verify,
-            metrics=_parse_str_list(args.metrics),
-            key_samples=args.key_samples,
-            metrics_seed=args.metrics_seed,
-        )
-    except ValueError as error:
-        raise SystemExit(f"repro-lock: error: {error}")
+    request = _request(
+        "matrix",
+        schemes=[
+            [name, _scheme_params(args, name)]
+            for name in _parse_str_list(args.schemes)
+        ],
+        attacks=_parse_str_list(args.attacks),
+        engines=_parse_str_list(args.engines),
+        circuits=_parse_str_list(args.circuits),
+        scale=args.scale,
+        efforts=_parse_int_list(args.efforts),
+        seeds=_parse_int_list(args.seeds),
+        time_limit_per_task=args.time_limit,
+        max_dips_per_task=args.max_dips,
+        include_baseline=args.baseline,
+        verify_composition=args.verify,
+        metrics=_parse_str_list(args.metrics),
+        key_samples=args.key_samples,
+        metrics_seed=args.metrics_seed,
+    )
     response = _submit(args, request, inner_parallel=args.parallel)
     _emit(args, response)
 
@@ -394,26 +396,18 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
 
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
-    from repro.service import MetricsRequest
-
-    if args.scheme == "lut":
-        scheme_params = {"spec": args.lut_spec}
-    else:
-        scheme_params = {"key_size": args.key_size}
-    try:
-        request = MetricsRequest(
-            circuit=args.circuit,
-            scheme=args.scheme,
-            scheme_params=scheme_params,
-            metrics=_parse_str_list(args.metrics),
-            key_samples=args.key_samples,
-            seed=args.seed,
-            metrics_seed=args.metrics_seed,
-            effort=args.effort,
-            scale=args.scale,
-        )
-    except ValueError as error:
-        raise SystemExit(f"repro-lock: error: {error}")
+    request = _request(
+        "metrics",
+        circuit=args.circuit,
+        scheme=args.scheme,
+        scheme_params=_scheme_params(args, args.scheme),
+        metrics=_parse_str_list(args.metrics),
+        key_samples=args.key_samples,
+        seed=args.seed,
+        metrics_seed=args.metrics_seed,
+        effort=args.effort,
+        scale=args.scale,
+    )
     _emit(args, _submit(args, request))
     return 0
 
@@ -434,12 +428,7 @@ def _cmd_figure2(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.service import BenchRequest
-
-    try:
-        request = BenchRequest(circuit=args.circuit, scale=args.scale)
-    except ValueError as error:
-        raise SystemExit(f"repro-lock: error: {error}")
+    request = _request("bench", circuit=args.circuit, scale=args.scale)
     response = _submit(args, request)
     if args.out:
         # --out always writes, whatever lands on stdout below.

@@ -21,7 +21,12 @@ from collections.abc import Sequence
 
 from repro.circuit.gates import GateType
 from repro.circuit.netlist import Netlist, fresh_net_namer
-from repro.locking.base import LockedCircuit, LockingError, fresh_key_names
+from repro.locking.base import (
+    LockedCircuit,
+    LockingError,
+    checked_taps,
+    fresh_key_names,
+)
 from repro.locking.xor_lock import splice_gate
 
 
@@ -44,9 +49,9 @@ def antisat_lock(
     if tapped_inputs is None:
         tapped_inputs = list(netlist.inputs[:n])
     else:
-        tapped_inputs = list(tapped_inputs)
-        if len(tapped_inputs) != n:
-            raise LockingError("need exactly n tapped inputs")
+        tapped_inputs = checked_taps(
+            tapped_inputs, n, netlist.nets(), "tapped inputs"
+        )
 
     if flip_output is None:
         gate_driven = [o for o in netlist.outputs if o in netlist.gates]

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from collections.abc import Mapping, Sequence
+from collections.abc import Container, Mapping, Sequence
 
 from repro.circuit.equivalence import EquivalenceResult, check_equivalence
 from repro.circuit.gates import GateType
@@ -19,6 +19,21 @@ from repro.circuit.netlist import Netlist
 
 class LockingError(Exception):
     """A locking scheme could not be applied to the given circuit."""
+
+
+def checked_taps(
+    taps: Sequence[str], count: int, known: Container[str], role: str
+) -> list[str]:
+    """``taps`` as a list of ``count`` distinct nets of ``known``."""
+    taps = list(taps)
+    unknown = [net for net in taps if net not in known]
+    if unknown:
+        raise LockingError(f"{role} not in circuit: {unknown}")
+    if len(set(taps)) != len(taps):
+        raise LockingError(f"{role} repeat a net: {taps}")
+    if len(taps) != count:
+        raise LockingError(f"need exactly {count} {role}")
+    return taps
 
 
 def random_key(width: int, seed: int | None = None) -> tuple[int, ...]:

@@ -68,6 +68,21 @@ def lock_circuit(name: str, netlist: Netlist, **params) -> LockedCircuit:
     return scheme_info(name).fn(netlist, **params)
 
 
+def lock_carrier(cell: Mapping) -> tuple[Netlist, LockedCircuit]:
+    """Resolve a cell's carrier circuit and lock it: ``(original, locked)``.
+
+    ``cell`` carries ``scheme``, ``scheme_params``, ``circuit``,
+    ``scale`` and ``seed`` (a grid or metric cell's task params, an
+    attack request's fields).  The seed feeds the scheme unless
+    ``scheme_params`` pins one.
+    """
+    from repro.bench_circuits.corpus import resolve_circuit
+
+    original = resolve_circuit(cell["circuit"], cell["scale"])
+    params = {"seed": cell["seed"], **(cell.get("scheme_params") or {})}
+    return original, lock_circuit(cell["scheme"], original, **params)
+
+
 # ----------------------------------------------------------------------
 # Built-in schemes
 # ----------------------------------------------------------------------

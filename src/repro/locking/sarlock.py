@@ -22,6 +22,7 @@ from repro.circuit.netlist import Netlist, fresh_net_namer
 from repro.locking.base import (
     LockedCircuit,
     LockingError,
+    checked_taps,
     fresh_key_names,
     key_from_int,
 )
@@ -57,12 +58,9 @@ def sarlock_lock(
     if protected_inputs is None:
         protected_inputs = list(netlist.inputs[:key_size])
     else:
-        protected_inputs = list(protected_inputs)
-        unknown = [p for p in protected_inputs if p not in netlist.inputs]
-        if unknown:
-            raise LockingError(f"protected inputs not in circuit: {unknown}")
-    if len(protected_inputs) != key_size:
-        raise LockingError("need exactly key_size protected inputs")
+        protected_inputs = checked_taps(
+            protected_inputs, key_size, netlist.inputs, "protected inputs"
+        )
 
     if correct_key is None:
         correct_key = tuple(random.Random(seed).getrandbits(1) for _ in range(key_size))

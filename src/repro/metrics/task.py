@@ -25,14 +25,10 @@ __all__ = ["corruption_cell_task"]
 @register_task("corruption_cell")
 def _corruption_cell_worker(params: dict) -> dict:
     """Worker: lock the carrier circuit, run the metric sweep."""
-    from repro.bench_circuits.corpus import resolve_circuit
-    from repro.locking.registry import lock_circuit
+    from repro.locking.registry import lock_carrier
     from repro.metrics.engine import evaluate_corruption
 
-    original = resolve_circuit(params["circuit"], params["scale"])
-    scheme_params = dict(params.get("scheme_params") or {})
-    scheme_params.setdefault("seed", params["seed"])
-    locked = lock_circuit(params["scheme"], original, **scheme_params)
+    original, locked = lock_carrier(params)
     report = evaluate_corruption(
         locked,
         original,

@@ -19,11 +19,10 @@ import io
 import json
 from dataclasses import asdict, dataclass, field, replace
 
-from repro.bench_circuits.corpus import resolve_circuit
 from repro.circuit.opt import OPT_LEVEL
 from repro.core.compose import verify_composition
 from repro.core.multikey import multikey_attack
-from repro.locking.registry import lock_circuit
+from repro.locking.registry import lock_carrier
 from repro.runner import Runner, TaskSpec, canonical_json, register_task
 from repro.scenarios.spec import ScenarioSpec
 
@@ -94,10 +93,7 @@ def _scenario_cell_task(params: dict) -> dict:
     effort = params["effort"]
     solver = params.get("solver")
     time_limit = params.get("time_limit_per_task")
-    original = resolve_circuit(params["circuit"], params["scale"])
-    scheme_params = dict(params.get("scheme_params") or {})
-    scheme_params.setdefault("seed", seed)
-    locked = lock_circuit(params["scheme"], original, **scheme_params)
+    original, locked = lock_carrier(params)
 
     baseline_seconds = baseline_status = baseline_dips = ratio = None
     if params.get("include_baseline"):

@@ -14,12 +14,19 @@ a bare registry name (``"sarlock"``), a ``(name, params)`` pair
 (``("sarlock", {"key_size": 8})``) or a mapping with a ``"name"`` key
 (``{"name": "sarlock", "key_size": 8}``) — whatever reads best in the
 calling code.
+
+A spec is also the service's ``matrix`` request envelope
+(:mod:`repro.service.envelopes`): construction coerces every field to
+its JSON-normal form (axis entries become ``[name, params]`` pairs)
+and validates it, so a spec round-trips through the wire unchanged and
+a bad grid is rejected before any job starts.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from collections.abc import Mapping, Sequence
+from typing import ClassVar
 
 from repro.circuit.opt import OPT_LEVEL
 from repro.core.multikey import engine_for
@@ -65,8 +72,9 @@ class ScenarioSpec:
         circuits: Carrier-circuit names — corpus entries (e.g. the
             shipped ``real_c432``) or ISCAS-class stand-ins, resolved
             via :func:`repro.bench_circuits.corpus.resolve_circuit`.
-        scale: Carrier-circuit scale factor.
-        efforts: Splitting efforts ``N`` (``2^N`` sub-spaces each).
+        scale: Carrier-circuit scale factor (positive).
+        efforts: Splitting efforts ``N`` (``2^N`` sub-spaces each,
+            non-negative).
         seeds: Seeds; each feeds the scheme (unless its params pin
             one), the splitting selection and the attack.
         solver: Registered solver backend for every cell (``None`` ->
@@ -103,7 +111,9 @@ class ScenarioSpec:
     labels.
     """
 
-    schemes: Sequence[object]
+    kind: ClassVar[str] = "matrix"
+
+    schemes: Sequence[object] = (("sarlock", {}),)
     attacks: Sequence[object] = ("sat",)
     engines: Sequence[str] = ("sharded",)
     selections: Sequence[str] = ("fanout",)
@@ -123,12 +133,13 @@ class ScenarioSpec:
     metrics_seed: int | None = None
 
     def __post_init__(self) -> None:
-        self.schemes = [normalize_axis(entry) for entry in self.schemes]
-        self.attacks = [normalize_axis(entry) for entry in self.attacks]
-        self.engines = list(self.engines)
+        self.schemes = [list(normalize_axis(entry)) for entry in self.schemes]
+        self.attacks = [list(normalize_axis(entry)) for entry in self.attacks]
+        self.engines = [str(name) for name in self.engines]
         self.selections = [str(name) for name in self.selections]
         self.synthesis = [bool(flag) for flag in self.synthesis]
-        self.circuits = list(self.circuits)
+        self.circuits = [str(name) for name in self.circuits]
+        self.scale = float(self.scale)
         self.efforts = [int(n) for n in self.efforts]
         self.seeds = [int(s) for s in self.seeds]
         # Cells hash the backend that actually runs.
@@ -140,7 +151,8 @@ class ScenarioSpec:
         self.validate()
 
     def validate(self) -> None:
-        """Resolve every axis name now, not inside worker processes."""
+        """Resolve every name and range-check every number now, not
+        inside worker processes."""
         for name, _ in self.schemes:
             scheme_info(name)  # raises with the roster on a miss
         for name, _ in self.attacks:
@@ -159,6 +171,10 @@ class ScenarioSpec:
                 and self.selections and self.synthesis
                 and self.circuits and self.efforts and self.seeds):
             raise ValueError("every ScenarioSpec axis needs at least one entry")
+        if min(self.efforts) < 0:
+            raise ValueError("splitting effort must be non-negative")
+        if self.scale <= 0:
+            raise ValueError("scale must be positive")
         if self.metrics:
             from repro.metrics import metric_info
 
@@ -298,26 +314,6 @@ class ScenarioSpec:
         return cls(**{k: v for k, v in payload.items() if k in known})
 
     def describe(self) -> dict:
-        """JSON-shaped summary (embedded in matrix exports)."""
-        return {
-            "schemes": [[name, params] for name, params in self.schemes],
-            "attacks": [[name, params] for name, params in self.attacks],
-            "engines": list(self.engines),
-            "selections": list(self.selections),
-            "synthesis": list(self.synthesis),
-            "circuits": list(self.circuits),
-            "scale": self.scale,
-            "efforts": list(self.efforts),
-            "seeds": list(self.seeds),
-            "solver": self.solver,
-            "opt": OPT_LEVEL,
-            "time_limit_per_task": self.time_limit_per_task,
-            "max_dips_per_task": self.max_dips_per_task,
-            "include_baseline": self.include_baseline,
-            "verify_composition": self.verify_composition,
-            "measure_resistance": self.measure_resistance,
-            "metrics": list(self.metrics),
-            "key_samples": self.key_samples,
-            "metrics_seed": self.metrics_seed,
-            "size": self.size,
-        }
+        """JSON-shaped summary (embedded in matrix exports): every
+        field, plus the fixed ``opt`` level and the grid ``size``."""
+        return {**asdict(self), "opt": OPT_LEVEL, "size": self.size}

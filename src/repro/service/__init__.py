@@ -5,8 +5,9 @@ Every way of running this system's work — CLI subcommands, the
 
 1. Describe the work as a **request envelope**
    (:mod:`repro.service.envelopes`): versioned, JSON-round-trippable
-   dataclasses validated against the scheme/attack registries at
-   construction time.
+   dataclasses validated at construction time.  A ``matrix`` request
+   is a :class:`~repro.scenarios.ScenarioSpec` (``MatrixRequest``
+   names it), so the grid schema is declared once.
 2. :meth:`Service.submit` it and get a :class:`Job`: a stream of typed
    events (``job_started`` ... ``cell_done`` ... ``job_done``) plus a
    terminal :class:`Response` envelope, with ``cancel()`` and

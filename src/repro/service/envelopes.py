@@ -2,11 +2,17 @@
 
 Every way of asking this system for work — a scenario-matrix grid, a
 single multi-key attack, one of the paper's experiments, a benchmark
-emission — is a small dataclass here with ``to_json``/``from_json``
-and **fail-fast validation**: scheme, attack and engine names resolve
-against the live registries at construction time, so a typo raises
+emission — is a small dataclass with ``to_json``/``from_json`` and
+**fail-fast validation**: names resolve against the live registries
+and numbers are range-checked at construction time, so a typo raises
 with the roster before any job starts (and before a daemon accepts the
 request), never inside a worker process.
+
+The grid schema is declared once, in
+:class:`~repro.scenarios.ScenarioSpec`: it *is* the ``matrix``
+envelope (``MatrixRequest`` names it), and the single-cell ``attack``
+and ``metrics`` requests validate by building the one-point spec they
+describe.
 
 The wire shape is one JSON object per envelope::
 
@@ -29,11 +35,9 @@ import json
 from collections.abc import Mapping
 from dataclasses import asdict, dataclass, field, fields
 from operator import attrgetter
-from typing import ClassVar
+from typing import ClassVar, Union
 
-from repro.core.multikey import engine_for
-from repro.sat.registry import resolve_solver_name
-from repro.scenarios.spec import ScenarioSpec, normalize_axis
+from repro.scenarios.spec import ScenarioSpec
 
 #: The envelope schema generation.  Decoders reject other versions.
 SCHEMA_VERSION = 1
@@ -68,75 +72,37 @@ def experiment_entry(name: str) -> tuple:
     return getattr(module, driver), attrgetter(renderer)(module)
 
 
-@dataclass
-class MatrixRequest:
-    """Evaluate a ``scheme x attack x engine x circuit`` scenario grid.
+#: The ``matrix`` envelope is the scenario grid itself.
+MatrixRequest = ScenarioSpec
 
-    Mirrors :class:`repro.scenarios.ScenarioSpec` field-for-field, but
-    in a JSON-normal form: scheme/attack axes are ``[name, params]``
-    pairs (any :func:`~repro.scenarios.spec.normalize_axis` shape is
-    accepted on input).  ``to_spec()`` produces the validated spec.
-    ``circuits`` accepts corpus names (e.g. ``real_c432``) next to
-    stand-ins; ``scale`` applies to stand-ins only.
+
+def _point_spec(request, **axes) -> ScenarioSpec:
+    """The validated one-point grid a single-cell ``request`` describes.
+
+    The request is rejected, as :class:`EnvelopeError`, for exactly
+    what would reject that grid.
     """
-
-    kind: ClassVar[str] = "matrix"
-
-    schemes: list = field(default_factory=lambda: [["sarlock", {}]])
-    attacks: list = field(default_factory=lambda: [["sat", {}]])
-    engines: list = field(default_factory=lambda: ["sharded"])
-    selections: list = field(default_factory=lambda: ["fanout"])
-    synthesis: list = field(default_factory=lambda: [True])
-    circuits: list = field(default_factory=lambda: ["c432"])
-    scale: float = 0.25
-    efforts: list = field(default_factory=lambda: [1])
-    seeds: list = field(default_factory=lambda: [0])
-    solver: str | None = None
-    time_limit_per_task: float | None = None
-    max_dips_per_task: int | None = None
-    include_baseline: bool = False
-    verify_composition: bool = False
-    measure_resistance: bool = False
-    metrics: list = field(default_factory=list)
-    key_samples: int = 64
-    metrics_seed: int | None = None
-
-    def __post_init__(self) -> None:
-        self.schemes = [
-            [name, dict(params)]
-            for name, params in (normalize_axis(e) for e in self.schemes)
-        ]
-        self.attacks = [
-            [name, dict(params)]
-            for name, params in (normalize_axis(e) for e in self.attacks)
-        ]
-        self.engines = [str(e) for e in self.engines]
-        self.selections = [str(s) for s in self.selections]
-        self.synthesis = [bool(flag) for flag in self.synthesis]
-        self.circuits = [str(c) for c in self.circuits]
-        self.scale = float(self.scale)
-        self.efforts = [int(n) for n in self.efforts]
-        self.seeds = [int(s) for s in self.seeds]
-        self.metrics = [str(m) for m in self.metrics]
-        self.key_samples = int(self.key_samples)
-        if self.metrics_seed is not None:
-            self.metrics_seed = int(self.metrics_seed)
-        self.to_spec()  # fail-fast: registry + axis validation
-
-    def to_spec(self) -> ScenarioSpec:
-        """The validated :class:`ScenarioSpec` this request describes."""
-        return ScenarioSpec.from_payload(asdict(self))
+    try:
+        return ScenarioSpec(
+            schemes=[(request.scheme, request.scheme_params)],
+            circuits=[request.circuit],
+            scale=request.scale,
+            efforts=[request.effort],
+            seeds=[request.seed],
+            **axes,
+        )
+    except ValueError as error:
+        raise EnvelopeError(str(error)) from None
 
 
 @dataclass
 class AttackRequest:
     """Lock one carrier circuit and run the multi-key attack on it.
 
-    The service-level twin of the CLI ``attack`` subcommand: scheme and
-    attack names resolve against the registries at construction.
-    ``circuit`` resolves corpus-first (``real_c432`` names the genuine
-    ``.bench`` file; ``c432`` the stand-in) and ``scale`` only applies
-    to stand-ins.
+    The service-level twin of the CLI ``attack`` subcommand, validated
+    as the one-point grid it describes.  ``circuit`` resolves
+    corpus-first (``real_c432`` names the genuine ``.bench`` file;
+    ``c432`` the stand-in) and ``scale`` only applies to stand-ins.
     """
 
     kind: ClassVar[str] = "attack"
@@ -155,25 +121,17 @@ class AttackRequest:
     parallel: bool = False
 
     def __post_init__(self) -> None:
-        from repro.attacks.registry import attack_info
-        from repro.locking.registry import scheme_info
-
-        scheme_info(self.scheme)
-        attack_info(self.attack)
-        resolve_solver_name(self.solver)  # raises with the roster on a miss
-        try:
-            engine_for(self.engine, self.attack, self.solver)
-        except ValueError as error:
-            raise EnvelopeError(str(error)) from None
         self.scheme_params = dict(self.scheme_params)
         self.attack_params = dict(self.attack_params)
         self.effort = int(self.effort)
         self.seed = int(self.seed)
         self.scale = float(self.scale)
-        if self.effort < 0:
-            raise EnvelopeError("effort must be non-negative")
-        if self.scale <= 0:
-            raise EnvelopeError("scale must be positive")
+        _point_spec(
+            self,
+            attacks=[(self.attack, self.attack_params)],
+            engines=[self.engine],
+            solver=self.solver,
+        )
 
 
 @dataclass
@@ -186,8 +144,8 @@ class MetricsRequest:
     feeds the scheme (unless ``scheme_params`` pins one);
     ``metrics_seed`` feeds the sample streams and defaults to ``seed``.
     ``effort`` is the splitting effort ``N`` the ``subspace`` metric
-    partitions on.  Metric and scheme names resolve against the live
-    registries at construction.
+    partitions on.  The request is the metric cell of the one-point
+    grid :meth:`spec` returns, and validates as that grid.
     """
 
     kind: ClassVar[str] = "metrics"
@@ -203,34 +161,26 @@ class MetricsRequest:
     scale: float = 0.25
 
     def __post_init__(self) -> None:
-        from repro.bench_circuits.corpus import circuit_names, known_circuit
-        from repro.locking.registry import scheme_info
-        from repro.metrics import metric_info
-
-        scheme_info(self.scheme)
-        self.metrics = [str(m) for m in self.metrics]
-        if not self.metrics:
-            raise EnvelopeError("metrics request needs at least one metric")
-        for name in self.metrics:
-            metric_info(name)  # raises with the roster on a miss
-        if not known_circuit(self.circuit):
-            raise EnvelopeError(
-                f"unknown circuit {self.circuit!r} (known: "
-                f"{', '.join(circuit_names())})"
-            )
         self.scheme_params = dict(self.scheme_params)
+        self.metrics = [str(m) for m in self.metrics]
         self.key_samples = int(self.key_samples)
         self.seed = int(self.seed)
         if self.metrics_seed is not None:
             self.metrics_seed = int(self.metrics_seed)
         self.effort = int(self.effort)
         self.scale = float(self.scale)
-        if self.key_samples < 0:
-            raise EnvelopeError("key_samples must be non-negative")
-        if self.effort < 0:
-            raise EnvelopeError("effort must be non-negative")
-        if self.scale <= 0:
-            raise EnvelopeError("scale must be positive")
+        if not self.metrics:
+            raise EnvelopeError("metrics request needs at least one metric")
+        self.spec()
+
+    def spec(self) -> ScenarioSpec:
+        """The one-point grid whose single metric cell this request is."""
+        return _point_spec(
+            self,
+            metrics=self.metrics,
+            key_samples=self.key_samples,
+            metrics_seed=self.metrics_seed,
+        )
 
 
 @dataclass
@@ -276,9 +226,14 @@ class BenchRequest:
     scale: float = 1.0
 
     def __post_init__(self) -> None:
+        from repro.bench_circuits.corpus import circuit_names, known_circuit
+
         self.scale = float(self.scale)
-        if not self.circuit:
-            raise EnvelopeError("bench request needs a circuit name")
+        if not known_circuit(self.circuit):
+            raise EnvelopeError(
+                f"unknown circuit {self.circuit!r} (known: "
+                f"{', '.join(circuit_names())})"
+            )
         if self.scale <= 0:
             raise EnvelopeError("scale must be positive")
 
@@ -326,7 +281,7 @@ class Response:
 
 #: Every request kind a daemon/service accepts, by wire name.
 REQUEST_KINDS = {
-    MatrixRequest.kind: MatrixRequest,
+    ScenarioSpec.kind: ScenarioSpec,
     AttackRequest.kind: AttackRequest,
     MetricsRequest.kind: MetricsRequest,
     ExperimentRequest.kind: ExperimentRequest,
@@ -335,14 +290,8 @@ REQUEST_KINDS = {
 
 _ENVELOPE_KINDS = {**REQUEST_KINDS, Response.kind: Response}
 
-#: Union type for documentation purposes.
-Request = (
-    MatrixRequest
-    | AttackRequest
-    | MetricsRequest
-    | ExperimentRequest
-    | BenchRequest
-)
+#: Any request envelope: the union of :data:`REQUEST_KINDS`.
+Request = Union[tuple(REQUEST_KINDS.values())]
 
 
 def to_dict(envelope) -> dict:
@@ -361,10 +310,9 @@ def from_dict(payload: Mapping):
     """Decode a wire dict into its envelope (or :class:`Event`).
 
     Raises :class:`EnvelopeError` for non-mappings, missing/mismatched
-    ``schema_version``, unknown ``kind`` or missing required fields;
-    registry validation errors (unknown scheme/attack names) propagate
-    as the registries' own ``ValueError`` with the roster attached.
-    Unknown fields are ignored.
+    ``schema_version``, unknown ``kind`` or missing required fields,
+    and ``ValueError`` (with the roster, for a name) for a field the
+    envelope's own validation rejects.  Unknown fields are ignored.
     """
     if not isinstance(payload, Mapping):
         raise EnvelopeError(

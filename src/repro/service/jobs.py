@@ -32,12 +32,12 @@ from dataclasses import asdict
 
 from repro.attacks.registry import SUCCESS_STATUSES
 from repro.runner import ResultCache, Runner, TaskResult, TaskSpec
+from repro.scenarios.spec import ScenarioSpec
 from repro.service.envelopes import (
     AttackRequest,
     BenchRequest,
     EnvelopeError,
     ExperimentRequest,
-    MatrixRequest,
     MetricsRequest,
     Response,
     experiment_entry,
@@ -444,11 +444,8 @@ class Service:
 def _execute_matrix(service: Service, job: Job) -> tuple[dict, str]:
     from repro.scenarios.matrix import run_matrix
 
-    request: MatrixRequest = job.request
-    spec = request.to_spec()
-    job.emit(
-        "job_started", {"kind": request.kind, "total": spec.total_tasks}
-    )
+    spec: ScenarioSpec = job.request
+    job.emit("job_started", {"kind": spec.kind, "total": spec.total_tasks})
     result = run_matrix(
         spec,
         runner=service._runner_for(job),
@@ -499,10 +496,9 @@ def _matrix_status(result) -> str:
 
 
 def _execute_attack(service: Service, job: Job) -> tuple[dict, str]:
-    from repro.bench_circuits.corpus import resolve_circuit
     from repro.core.compose import verify_composition
     from repro.core.multikey import multikey_attack
-    from repro.locking.registry import lock_circuit
+    from repro.locking.registry import lock_carrier
 
     request: AttackRequest = job.request
     job.emit(
@@ -514,10 +510,7 @@ def _execute_attack(service: Service, job: Job) -> tuple[dict, str]:
             "total": 1 << request.effort,
         },
     )
-    original = resolve_circuit(request.circuit, request.scale)
-    scheme_params = dict(request.scheme_params)
-    scheme_params.setdefault("seed", request.seed)
-    locked = lock_circuit(request.scheme, original, **scheme_params)
+    original, locked = lock_carrier(vars(request))
 
     # A parallel attack on either engine fans out through the service
     # runner, never a private cpu_count pool, so it stays inside the
@@ -558,8 +551,6 @@ def _execute_attack(service: Service, job: Job) -> tuple[dict, str]:
 
 
 def _execute_metrics(service: Service, job: Job) -> tuple[dict, str]:
-    from repro.metrics import corruption_cell_task
-
     request: MetricsRequest = job.request
     job.emit(
         "job_started",
@@ -570,18 +561,7 @@ def _execute_metrics(service: Service, job: Job) -> tuple[dict, str]:
             "total": 1,
         },
     )
-    task = corruption_cell_task(
-        scheme=request.scheme,
-        scheme_params=request.scheme_params,
-        circuit=request.circuit,
-        scale=request.scale,
-        effort=request.effort,
-        seed=request.seed,
-        metrics=request.metrics,
-        key_samples=request.key_samples,
-        metrics_seed=request.metrics_seed,
-    )
-    results = service._runner_for(job).run([task])
+    results = service._runner_for(job).run(request.spec().expand_metrics())
     if not results:
         return {"completed": job.snapshot()["completed"]}, "cancelled"
     return {"report": results[0].artifact}, "ok"
@@ -598,7 +578,7 @@ def _execute_bench(service: Service, job: Job) -> tuple[dict, str]:
 
 
 _EXECUTORS = {
-    MatrixRequest: _execute_matrix,
+    ScenarioSpec: _execute_matrix,
     ExperimentRequest: _execute_experiment,
     AttackRequest: _execute_attack,
     MetricsRequest: _execute_metrics,

@@ -91,6 +91,11 @@ class TestSarlock:
         with pytest.raises(LockingError):
             sarlock_lock(small_circuit, 2, protected_inputs=["pi0", "ghost"])
 
+    def test_repeated_protected_input_rejected(self, small_circuit):
+        pin = small_circuit.inputs[0]
+        with pytest.raises(LockingError, match="repeat"):
+            sarlock_lock(small_circuit, 2, protected_inputs=[pin, pin])
+
     def test_explicit_flip_output(self, small_circuit):
         target = small_circuit.outputs[-1]
         lk = sarlock_lock(small_circuit, 3, flip_output=target)
@@ -127,6 +132,22 @@ class TestAntisat:
 
     def test_key_size_is_2n(self, small_circuit):
         assert antisat_lock(small_circuit, 5).key_size == 10
+
+    def test_unknown_tapped_input_rejected(self, small_circuit):
+        pin = small_circuit.inputs[0]
+        with pytest.raises(LockingError, match="ghost"):
+            antisat_lock(small_circuit, 2, tapped_inputs=[pin, "ghost"])
+
+    def test_repeated_tapped_input_rejected(self, small_circuit):
+        pin = small_circuit.inputs[0]
+        with pytest.raises(LockingError, match="repeat"):
+            antisat_lock(small_circuit, 2, tapped_inputs=[pin, pin])
+
+    def test_explicit_tapped_inputs(self, small_circuit):
+        tapped = list(reversed(small_circuit.inputs[:3]))
+        lk = antisat_lock(small_circuit, 3, tapped_inputs=tapped, seed=1)
+        assert lk.meta["tapped_inputs"] == tapped
+        assert lk.verify_key(small_circuit, lk.correct_key).equivalent
 
 
 class TestLutLock:

@@ -52,10 +52,9 @@ class TestMetricsRequest:
             key_samples=0,
             metrics_seed=5,
         )
-        spec = request.to_spec()
-        assert tuple(spec.metrics) == ("corruption",)
-        assert spec.key_samples == 0
-        assert spec.metrics_seed == 5
+        assert tuple(request.metrics) == ("corruption",)
+        assert request.key_samples == 0
+        assert request.metrics_seed == 5
         assert from_json(to_json(request)) == request
 
 
@@ -103,7 +102,7 @@ class TestMetricsJobs:
         job = Service().submit(request)
         events = list(job.events())
         started = next(e for e in events if e.type == "job_started")
-        assert started.data["total"] == request.to_spec().total_tasks == 2
+        assert started.data["total"] == request.total_tasks == 2
         response = job.result()
         assert response.status == "ok"
         cells = response.result["cells"]

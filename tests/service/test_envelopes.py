@@ -67,15 +67,22 @@ ENVELOPES = [
 ]
 
 
+def _envelope_name(envelope) -> str:
+    """A test id: the matrix envelope goes by its service name."""
+    if envelope.kind == "matrix":
+        return "MatrixRequest"
+    return type(envelope).__name__
+
+
 class TestRoundTrips:
     @pytest.mark.parametrize(
-        "envelope", ENVELOPES, ids=lambda e: type(e).__name__
+        "envelope", ENVELOPES, ids=_envelope_name
     )
     def test_json_round_trip_is_identity(self, envelope):
         assert from_json(to_json(envelope)) == envelope
 
     @pytest.mark.parametrize(
-        "envelope", ENVELOPES, ids=lambda e: type(e).__name__
+        "envelope", ENVELOPES, ids=_envelope_name
     )
     def test_wire_shape_is_versioned_and_json_pure(self, envelope):
         payload = json.loads(to_json(envelope))
@@ -135,14 +142,51 @@ def _cache_keys(spec: ScenarioSpec) -> list[str]:
     return [task.cache_key for task in spec.expand() + spec.expand_metrics()]
 
 
-class TestMatrixMirrorsSpec:
-    """``MatrixRequest`` carries every ``ScenarioSpec`` field, so no
-    axis is dropped on its way from the wire to the grid."""
+#: A grid with every field off its default (``solver`` names the one
+#: registered backend, which is also what the default resolves to).
+_EVERY_FIELD_SET = dict(
+    schemes=[["sarlock", {"key_size": 3}], ["xor", {"key_size": 2}]],
+    attacks=["sat", ["appsat", {"error_threshold": 0.0}]],
+    engines=["reference"],
+    selections=["random", "first"],
+    synthesis=[False],
+    circuits=["c17", "real_c432"],
+    scale=0.2,
+    efforts=[0, 2],
+    seeds=[3, 4],
+    solver="python",
+    time_limit_per_task=30.0,
+    max_dips_per_task=50,
+    include_baseline=True,
+    verify_composition=True,
+    measure_resistance=True,
+    metrics=["corruption", "subspace"],
+    key_samples=8,
+    metrics_seed=5,
+)
 
-    def test_field_names_equal_the_specs(self):
-        assert [f.name for f in fields(MatrixRequest)] == [
+
+class TestMatrixMirrorsSpec:
+    """The ``matrix`` envelope is the ``ScenarioSpec`` itself, so no
+    axis can be dropped on its way from the wire to the grid."""
+
+    def test_matrix_request_names_the_spec(self):
+        assert MatrixRequest is ScenarioSpec
+        assert ScenarioSpec.kind == "matrix"
+
+    def test_every_field_survives_the_wire(self, monkeypatch):
+        monkeypatch.delenv("REPRO_SOLVER", raising=False)
+        assert set(_EVERY_FIELD_SET) == {f.name for f in fields(ScenarioSpec)}
+        spec = ScenarioSpec(**_EVERY_FIELD_SET)
+        default = ScenarioSpec()
+        assert [
             f.name for f in fields(ScenarioSpec)
-        ]
+            if getattr(spec, f.name) == getattr(default, f.name)
+        ] == ["solver"]
+        decoded = from_json(to_json(spec))
+        assert decoded == spec
+        assert _cache_keys(decoded) == _cache_keys(spec)
+        assert decoded.describe() == spec.describe()
 
     def test_selection_and_synthesis_axes_survive_from_dict(self):
         payload = {
@@ -151,11 +195,10 @@ class TestMatrixMirrorsSpec:
             "engines": ["reference"], "circuits": ["c17"],
             "selections": ["random", "first"], "synthesis": [False],
         }
-        request = from_dict(payload)
-        spec = request.to_spec()
+        spec = from_dict(payload)
         assert spec.selections == ["random", "first"]
         assert spec.synthesis == [False]
-        assert from_dict(to_dict(request)) == request
+        assert from_dict(to_dict(spec)) == spec
         assert {
             (task.params["selection"], task.params["run_synthesis"])
             for task in spec.expand()
@@ -185,7 +228,7 @@ class TestTolerance:
             assert old == request
             if kind != "matrix":
                 return  # equal envelopes run the same job
-            spec, decoded = request.to_spec(), old.to_spec()
+            spec, decoded = request, old
         assert _cache_keys(decoded) == _cache_keys(spec)
 
     def test_unknown_event_data_keys_survive(self):
@@ -233,6 +276,41 @@ class TestFailFastValidation:
         with pytest.raises(ValueError, match="unknown engine"):
             MatrixRequest(engines=["warp"])
 
+    @pytest.mark.parametrize(
+        "bad, match",
+        [
+            ({"efforts": [-1]}, "effort must be non-negative"),
+            ({"scale": 0}, "scale must be positive"),
+        ],
+    )
+    def test_matrix_out_of_range_numbers(self, bad, match):
+        with pytest.raises(ValueError, match=match):
+            MatrixRequest(**bad)
+
+    def test_bad_matrix_post_starts_no_job(self, service, http_daemon):
+        from tests.service.conftest import matrix_request
+        from tests.service.test_http import http_request
+
+        before = service.job_count()
+        for field_name, value in (("efforts", [-1]), ("scale", 0)):
+            bad = {**matrix_request("bad"), field_name: value}
+            status, _, text = http_request(
+                http_daemon.server_address, "POST", "/v1/jobs", body=bad
+            )
+            assert status == 400
+            assert json.loads(text)["status"] == "error"
+        assert service.job_count() == before
+
+    def test_attack_unknown_circuit(self):
+        with pytest.raises(EnvelopeError, match="unknown circuit 'nope'"):
+            AttackRequest(circuit="nope")
+
+    def test_attack_out_of_range_numbers(self):
+        with pytest.raises(EnvelopeError, match="effort must be non-negative"):
+            AttackRequest(effort=-1)
+        with pytest.raises(EnvelopeError, match="scale must be positive"):
+            AttackRequest(scale=0)
+
     def test_attack_unknown_names(self):
         with pytest.raises(ValueError, match="unknown locking scheme"):
             AttackRequest(scheme="nope")
@@ -254,6 +332,8 @@ class TestFailFastValidation:
     def test_bench_validation(self):
         with pytest.raises(EnvelopeError, match="circuit"):
             BenchRequest(circuit="")
+        with pytest.raises(EnvelopeError, match="unknown circuit 'nope'"):
+            BenchRequest(circuit="nope")
         with pytest.raises(EnvelopeError, match="scale"):
             BenchRequest(scale=0)
 

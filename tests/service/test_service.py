@@ -50,7 +50,7 @@ class TestMatrixJobs:
         service = Service()
         job = service.submit(request)
         events = list(job.events())
-        total = request.to_spec().size
+        total = request.size
         assert total == 4
         assert sum(e.type == "cell_done" for e in events) == total
         started = next(e for e in events if e.type == "job_started")
@@ -72,9 +72,7 @@ class TestMatrixJobs:
         # ... and its payload reconstructs a MatrixResult equal to a
         # direct library run replayed from the same cache.
         rebuilt = MatrixResult.from_payload(response.result)
-        direct = run_matrix(
-            request.to_spec(), runner=Runner(cache=service.cache)
-        )
+        direct = run_matrix(request, runner=Runner(cache=service.cache))
         assert rebuilt == direct
 
     def test_partial_status_on_budget_stopped_cells(self):

@@ -237,6 +237,101 @@ class TestServiceSurface:
         assert response.status == "ok"
 
 
+#: The envelopes ``attack``, ``metrics`` and ``matrix`` build from
+#: their default flags for ``--scheme lut`` and ``--scheme sarlock``,
+#: as ``to_json`` writes them.  ``attack`` also pins the seed in the
+#: scheme params; a matrix envelope carries its resolved solver.
+_CLI_ENVELOPES = [
+    (
+        "attack", "lut",
+        '{"attack": "sat", "attack_params": {}, "circuit": "c432",'
+        ' "effort": 2, "engine": "sharded", "kind": "attack",'
+        ' "parallel": false, "scale": 0.25, "schema_version": 1,'
+        ' "scheme": "lut", "scheme_params": {"seed": 0,'
+        ' "spec": "small"}, "seed": 0, "solver": null,'
+        ' "time_limit_per_task": null}',
+    ),
+    (
+        "attack", "sarlock",
+        '{"attack": "sat", "attack_params": {}, "circuit": "c432",'
+        ' "effort": 2, "engine": "sharded", "kind": "attack",'
+        ' "parallel": false, "scale": 0.25, "schema_version": 1,'
+        ' "scheme": "sarlock", "scheme_params": {"key_size": 8,'
+        ' "seed": 0}, "seed": 0, "solver": null,'
+        ' "time_limit_per_task": null}',
+    ),
+    (
+        "metrics", "lut",
+        '{"circuit": "c432", "effort": 0, "key_samples": 64,'
+        ' "kind": "metrics", "metrics": ["corruption", "bit_flip",'
+        ' "avalanche", "subspace"], "metrics_seed": null,'
+        ' "scale": 0.25, "schema_version": 1, "scheme": "lut",'
+        ' "scheme_params": {"spec": "small"}, "seed": 0}',
+    ),
+    (
+        "metrics", "sarlock",
+        '{"circuit": "c432", "effort": 0, "key_samples": 64,'
+        ' "kind": "metrics", "metrics": ["corruption", "bit_flip",'
+        ' "avalanche", "subspace"], "metrics_seed": null,'
+        ' "scale": 0.25, "schema_version": 1, "scheme": "sarlock",'
+        ' "scheme_params": {"key_size": 8}, "seed": 0}',
+    ),
+    (
+        "matrix", "lut",
+        '{"attacks": [["sat", {}]], "circuits": ["c432"],'
+        ' "efforts": [1], "engines": ["sharded"],'
+        ' "include_baseline": false, "key_samples": 64,'
+        ' "kind": "matrix", "max_dips_per_task": null,'
+        ' "measure_resistance": false, "metrics": [],'
+        ' "metrics_seed": null, "scale": 0.25, "schema_version": 1,'
+        ' "schemes": [["lut", {"spec": "tiny"}]], "seeds": [0],'
+        ' "selections": ["fanout"], "solver": "python",'
+        ' "synthesis": [true], "time_limit_per_task": null,'
+        ' "verify_composition": false}',
+    ),
+    (
+        "matrix", "sarlock",
+        '{"attacks": [["sat", {}]], "circuits": ["c432"],'
+        ' "efforts": [1], "engines": ["sharded"],'
+        ' "include_baseline": false, "key_samples": 64,'
+        ' "kind": "matrix", "max_dips_per_task": null,'
+        ' "measure_resistance": false, "metrics": [],'
+        ' "metrics_seed": null, "scale": 0.25, "schema_version": 1,'
+        ' "schemes": [["sarlock", {"key_size": 4}]], "seeds": [0],'
+        ' "selections": ["fanout"], "solver": "python",'
+        ' "synthesis": [true], "time_limit_per_task": null,'
+        ' "verify_composition": false}',
+    ),
+]
+
+
+class TestSchemeParams:
+    """Every subcommand maps ``--scheme`` to the same width params."""
+
+    @pytest.mark.parametrize(
+        "cmd, scheme, expected", _CLI_ENVELOPES, ids=lambda v: str(v)[:8]
+    )
+    def test_envelope_bytes(self, cmd, scheme, expected, monkeypatch):
+        import repro.cli as cli
+        from repro.service import to_json
+
+        class Built(Exception):
+            pass
+
+        def capture(args, request, inner_parallel=False):
+            raise Built(to_json(request))
+
+        monkeypatch.delenv("REPRO_SOLVER", raising=False)
+        monkeypatch.setattr(cli, "_submit", capture)
+        many = cmd == "matrix"
+        with pytest.raises(Built) as built:
+            main([
+                cmd, "--schemes" if many else "--scheme", scheme,
+                "--circuits" if many else "--circuit", "c432",
+            ])
+        assert built.value.args[0] == expected
+
+
 class TestLeverFlags:
     """``--solver`` is the one lever flag left; the others are gone."""
 
