@@ -93,7 +93,11 @@ def test_sampled_sweep_throughput(benchmark):
 
 
 def test_matrix_with_metrics_cold_vs_warm(benchmark, tmp_path):
-    """Warm matrix-with-metrics replay must be at least 5x faster."""
+    """Warm matrix-with-metrics replay must be at least 5x faster.
+
+    The 5x floor is a wall-clock ratio (``perf_counter`` seconds of the
+    cold run against the warm rounds' mean), so it moves with host load.
+    """
     spec = _bench_spec()
     cache_dir = tmp_path / "cache"
 

@@ -46,7 +46,11 @@ def _bench_spec() -> ScenarioSpec:
 
 
 def test_matrix_cold_vs_warm(benchmark, tmp_path):
-    """Warm-cache matrix replay must be at least 5x faster than cold."""
+    """Warm-cache matrix replay must be at least 5x faster than cold.
+
+    The 5x floor is a wall-clock ratio (``perf_counter`` seconds of the
+    cold run against the warm rounds' mean), so it moves with host load.
+    """
     spec = _bench_spec()
     cache_dir = tmp_path / "cache"
 

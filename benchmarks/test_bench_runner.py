@@ -33,7 +33,11 @@ def _run(cache: ResultCache, jobs: int = 1):
 
 
 def test_runner_cold_vs_warm(benchmark, tmp_path):
-    """Warm-cache replay must be at least 5x faster than the cold run."""
+    """Warm-cache replay must be at least 5x faster than the cold run.
+
+    The 5x floor is a wall-clock ratio (``perf_counter`` seconds of the
+    cold run against the warm rounds' mean), so it moves with host load.
+    """
     cache_dir = tmp_path / "cache"
 
     start = time.perf_counter()

@@ -44,7 +44,11 @@ def _median_seconds(fn, rounds: int = 5) -> float:
 
 
 def test_compiled_vs_legacy_simulation(benchmark):
-    """Compiled evaluation must be >=3x the legacy patterns/sec."""
+    """Compiled evaluation must be >=3x the legacy patterns/sec.
+
+    The 3x floor is a wall-clock ratio (median seconds per sweep), so
+    it moves with host load; it gates no exact work counter.
+    """
     prepared = []
     for name, scale, width in _CASES:
         netlist = iscas85_like(name, scale, match_interface=False)

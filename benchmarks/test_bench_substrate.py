@@ -83,6 +83,8 @@ def test_evaluate_pattern_scratch_reuse(benchmark):
     against one bit-parallel batch over the same patterns: parity
     exactly, and wall-clock within a bound loose enough for machine
     noise but tight enough to catch per-call setup creeping back in.
+    The x30 floor is a wall-clock ratio (fastest per-pattern round
+    against one timed batch), so it moves with host load.
     """
     import time as _time
 

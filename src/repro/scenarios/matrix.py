@@ -450,8 +450,15 @@ def run_matrix(
     When the spec requests metrics, the deduplicated
     ``corruption_cell`` tasks ride the same runner submission (same
     pool, same cache) and their values land on every matching cell.
+
+    A one-cell grid runs in the calling process (``jobs=1``, with the
+    runner's cache, hooks and slots): its cell and its single metric
+    task are not worth forking a pool for, and with metrics requested
+    the cell's own sub-attacks stay the one place parallelism lives.
     """
     runner = runner or Runner()
+    if spec.size == 1:
+        runner = replace(runner, jobs=1)
     specs = spec.expand()
     if inner_parallel and (
         runner.jobs <= 1 or runner.pending_count(specs) <= 1

@@ -42,7 +42,6 @@ import threading
 
 from repro.service.envelopes import (
     REQUEST_KINDS,
-    EnvelopeError,
     Response,
     from_dict,
     to_dict,
@@ -171,10 +170,6 @@ def handle_stream(service: Service, rfile, wfile) -> bool:
         job_id = str(job_id) if job_id is not None else None
         try:
             request = from_dict(obj)
-            if type(request) not in REQUEST_KINDS.values():
-                raise EnvelopeError(
-                    f"envelope kind {kind!r} is not submittable"
-                )
             job = service.submit(request, job_id=job_id)
         except QueueFullError as full:
             writer.write(

@@ -52,7 +52,6 @@ from repro.service.daemon import (
 )
 from repro.service.envelopes import (
     REQUEST_KINDS,
-    EnvelopeError,
     Response,
     from_dict,
     to_dict,
@@ -190,10 +189,6 @@ class _GatewayHandler(BaseHTTPRequestHandler):
         job_id = str(job_id) if job_id is not None else None
         try:
             request = from_dict(obj)
-            if type(request) not in REQUEST_KINDS.values():
-                raise EnvelopeError(
-                    f"envelope kind {kind!r} is not submittable"
-                )
             job = self.service.submit(request, job_id=job_id)
         except QueueFullError as full:
             self._send_json(

@@ -7,6 +7,7 @@ these tests never race the serve loop's startup.
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import subprocess
@@ -15,6 +16,7 @@ import threading
 from pathlib import Path
 
 from repro.service import SCHEMA_VERSION
+from repro.service.daemon import handle_stream
 
 from tests.service.conftest import matrix_request, talk
 
@@ -122,6 +124,18 @@ class TestTcpDaemon:
 
 
 class TestStdioDaemon:
+    def test_response_envelope_is_an_error_line(self, service):
+        """The stdio handler refuses a non-request envelope as HTTP does."""
+        out = io.StringIO()
+        line = {"schema_version": SCHEMA_VERSION, "kind": "response", "id": "r"}
+        handle_stream(service, io.StringIO(json.dumps(line) + "\n"), out)
+        [reply] = [json.loads(text) for text in out.getvalue().splitlines()]
+        assert reply["kind"] == "response"
+        assert reply["status"] == "error"
+        assert reply["error"] == "not a request envelope: Response"
+        assert reply["job_id"] == "r"
+        assert service.job_count() == 0
+
     def test_subprocess_smoke(self, tmp_path):
         """`repro serve` over stdio: submit, stream, shut down."""
         env = dict(os.environ)

@@ -173,6 +173,22 @@ class TestEndpoints:
         assert "unknown locking scheme" in error["error"]
         assert error["job_id"] == "bad"
 
+    def test_response_envelope_is_400_not_a_request(self, http_daemon, service):
+        """A decodable non-request envelope is refused by ``submit``."""
+        before = service.job_count()
+        status, _, text = http_request(
+            http_daemon.server_address,
+            "POST",
+            "/v1/jobs",
+            body={"schema_version": SCHEMA_VERSION, "kind": "response", "id": "r"},
+        )
+        assert status == 400
+        error = json.loads(text)
+        assert error["status"] == "error"
+        assert error["error"] == "not a request envelope: Response"
+        assert error["job_id"] == "r"
+        assert service.job_count() == before
+
     def test_oversized_body_is_413(self, http_daemon):
         """An absurd Content-Length is refused before the body is read."""
         host, port = http_daemon.server_address[:2]
