@@ -75,12 +75,14 @@ def test_bit_parallel_simulation(benchmark):
 
 
 def test_evaluate_pattern_scratch_reuse(benchmark):
-    """Per-pattern queries must not re-allocate their word lists.
+    """Per-pattern queries must stay cheap next to one batch sweep.
 
-    ``evaluate_pattern`` is the oracle's ``query_int`` hot path; it now
-    refills a per-circuit scratch list instead of rebuilding python
-    lists per call.  The guard compares 4096 single-pattern queries
-    against one bit-parallel batch over the same patterns: parity
+    ``evaluate_pattern`` is the oracle's ``query_int`` hot path.  It
+    allocates its input bits and slot values per call (a shared
+    circuit is evaluated from several threads, so it keeps no scratch
+    on the instance); the name is historical.  The guard compares
+    4096 single-pattern queries against one bit-parallel batch over
+    the same patterns: parity
     exactly, and wall-clock within a bound loose enough for machine
     noise but tight enough to catch per-call setup creeping back in.
     The x30 floor is a wall-clock ratio (fastest per-pattern round

@@ -638,10 +638,12 @@ def _add_dip_copies(
     point-function DIP (SARLock, Anti-SAT: "the flip AND is 0") is one
     clause over key literals.  ``key2``'s clauses are ``key1``'s mapped
     through :attr:`~MiterEncoding.copy_twin`.  Only these clauses — the
-    one part that depends on the response — are guarded.
+    one part that depends on the response — are guarded.  POs that
+    fold to the same literal (shared logic, or one constant) add their
+    clauses once.
     """
     clauses = []
-    for lit in _dip_po_lits(enc, values, response):
+    for lit in dict.fromkeys(_dip_po_lits(enc, values, response)):
         clauses += enc.clauses_for(lit)
     twin = enc.copy_twin
     clauses += [[twin[lit] for lit in clause] for clause in clauses]

@@ -24,6 +24,13 @@ Registration invariants
   (``real_c432``, ``real_c499``, ``real_c880``).
 * **Loads are fresh.**  :func:`load_corpus` re-parses per call so
   callers can mutate (lock, rename) without poisoning the registry.
+* **Resolves are prepared once.**  :func:`resolve_circuit` keeps a
+  small per-process LRU of parsed-and-compiled carriers and hands out
+  a fresh copy per call that adopts the one shared, immutable
+  :class:`~repro.circuit.compiled.CompiledCircuit` — so its
+  optimized form is computed once per process.  Corpus entries are
+  keyed by the file's current text, so an edited file is parsed again
+  and fails the content-hash check exactly like :func:`load_corpus`.
 * **Scale does not apply.**  Real netlists are fixed-size artifacts;
   :func:`resolve_circuit` ignores the ``scale`` knob for corpus names
   and only applies it to stand-ins.
@@ -48,10 +55,12 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 
 from repro.bench_circuits.iscas85 import ISCAS85_PROFILES, c17, iscas85_like
 from repro.circuit.bench import parse_bench
+from repro.circuit.compiled import CompiledCircuit
 from repro.circuit.netlist import Netlist
 
 _DATA_DIR = Path(__file__).resolve().parent / "data"
@@ -59,6 +68,9 @@ _DATA_DIR = Path(__file__).resolve().parent / "data"
 #: Stand-in names resolvable next to the corpus (c17 is genuine but
 #: embedded, not file-backed).
 _STANDIN_NAMES = frozenset(ISCAS85_PROFILES) | {"c17"}
+
+#: Carriers kept by :func:`resolve_circuit`'s per-process memo.
+_MEMO_SIZE = 4
 
 
 @dataclass(frozen=True)
@@ -153,8 +165,17 @@ def load_corpus(name: str) -> Netlist:
     file edited after registration fails loudly instead of silently
     shipping a different circuit under a cached identity.
     """
+    return _parse_checked(name, _read(name))
+
+
+def _read(name: str) -> str:
+    return Path(corpus_entry(name).path).read_text()
+
+
+def _parse_checked(name: str, text: str) -> Netlist:
+    """Parse ``text`` as corpus circuit ``name``, checking its hash."""
     entry = corpus_entry(name)
-    netlist = parse_bench(Path(entry.path).read_text(), name=name)
+    netlist = parse_bench(text, name=name)
     if netlist.compile().content_hash() != entry.content_hash:
         raise CorpusError(
             f"corpus file {entry.path!r} changed on disk since "
@@ -179,16 +200,40 @@ def resolve_circuit(name: str, scale: float = 1.0) -> Netlist:
     Corpus circuits are fixed-size real netlists, so ``scale`` is
     ignored for them (see the module docstring); stand-ins receive it
     unchanged.
+
+    Each carrier is parsed (or generated) and compiled once per
+    process: a bounded LRU keeps it under ``(name, file text)`` for
+    corpus entries and ``(name, scale)`` for stand-ins.  Every call
+    returns a fresh :meth:`~repro.circuit.netlist.Netlist.copy` that
+    adopts the shared compiled form, so callers may mutate their copy
+    (the compile cache drops the adopted form on structural change)
+    while oracles and encoders reuse one cached ``optimized()``.
     """
     if name in _REGISTRY:
-        return load_corpus(name)
+        netlist, compiled = _prepared(name, _read(name))
+    elif name in _STANDIN_NAMES:
+        netlist, compiled = _prepared(name, scale)
+    else:
+        raise CorpusError(
+            f"unknown circuit {name!r}; choose from {circuit_names()}"
+        )
+    dup = netlist.copy()
+    dup.adopt_compiled(compiled)
+    return dup
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _prepared(name: str, source: str | float) -> tuple[Netlist, CompiledCircuit]:
+    """The memoized carrier: ``source`` is a corpus file's text or a
+    stand-in's scale.  Never handed out; :func:`resolve_circuit`
+    returns copies."""
     if name == "c17":
-        return c17()
-    if name in ISCAS85_PROFILES:
-        return iscas85_like(name, scale)
-    raise CorpusError(
-        f"unknown circuit {name!r}; choose from {circuit_names()}"
-    )
+        netlist = c17()
+    elif name in ISCAS85_PROFILES:
+        netlist = iscas85_like(name, source)
+    else:
+        netlist = _parse_checked(name, source)
+    return netlist, netlist.compile()
 
 
 def _register_builtin() -> None:

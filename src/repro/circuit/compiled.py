@@ -117,8 +117,14 @@ class CompiledCircuit:
     """Immutable, integer-indexed form of a combinational netlist.
 
     Treat every attribute as read-only; the instance is shared by the
-    owning netlist's compile cache and by any consumer that captured it
-    (oracles, encoders, the runner cache).
+    owning netlist's compile cache, by every copy that adopted it (the
+    per-process carrier memos of ``resolve_circuit`` and
+    ``lock_carrier``), and by any consumer that captured it (oracles,
+    encoders, the runner cache) — across threads too, since a service
+    runs jobs on several.  So evaluation keeps no state on the
+    instance: every call allocates its own slot storage.  The lazily
+    filled caches (fanout, driver, taint, hash, optimized form) are
+    deterministic, so a race on them at worst computes one twice.
     """
 
     __slots__ = (
@@ -134,8 +140,6 @@ class CompiledCircuit:
         "gate_output_slots",
         "gate_fanin_slots",
         "_program",
-        "_scratch",
-        "_pattern_words",
         "_fanout_slots",
         "_driver",
         "_content_hash",
@@ -231,8 +235,6 @@ class CompiledCircuit:
                 gate_types, gate_output_slots, gate_fanin_slots
             )
         )
-        self._scratch = [0] * self.num_slots
-        self._pattern_words = [0] * len(inputs)
         self._fanout_slots: tuple[tuple[int, ...], ...] | None = None
         self._driver: tuple[int, ...] | None = None
         self._content_hash: str | None = None
@@ -385,17 +387,11 @@ class CompiledCircuit:
             >>> bin(values[compiled.slot_of["x"]])
             '0b110'
         """
-        values = [0] * self.num_slots
-        self._eval_into(values, input_words, mask)
-        return values
-
-    def _eval_into(
-        self, values: list[int], input_words: Sequence[int], mask: int
-    ) -> None:
         if len(input_words) != len(self.inputs):
             raise ValueError(
                 f"expected {len(self.inputs)} input words, got {len(input_words)}"
             )
+        values = [0] * self.num_slots
         for slot, word in enumerate(input_words):  # input slot i == i
             values[slot] = word & mask
         for op, out, operands in self._program:
@@ -444,6 +440,7 @@ class CompiledCircuit:
                 for s in operands:
                     acc ^= values[s]
                 values[out] = acc if op == _XOR_N else acc ^ mask
+        return values
 
     def eval_single(
         self, input_bits: Mapping[str, int] | Sequence[int]
@@ -472,33 +469,25 @@ class CompiledCircuit:
         return dict(zip(self.outputs, self.eval_outputs(words, 1)))
 
     def eval_outputs(self, input_words: Sequence[int], mask: int) -> list[int]:
-        """Like :meth:`eval_words` but returns only primary-output words.
-
-        Uses the preallocated scratch slot list — nothing escapes — so
-        repeated calls allocate no per-call slot storage.
-        """
-        scratch = self._scratch
-        self._eval_into(scratch, input_words, mask)
-        return [scratch[s] for s in self.output_slots]
+        """Like :meth:`eval_words` but returns only primary-output words."""
+        values = self.eval_words(input_words, mask)
+        return [values[s] for s in self.output_slots]
 
     def evaluate_pattern(self, pattern: int) -> int:
         """Single pattern, packed: bit *j* of ``pattern`` drives input *j*;
         bit *k* of the result is output *k*.
 
-        Shares the preallocated scratch of :meth:`eval_outputs` — the
-        unpacked input bits land in a reused word list, so repeated
-        calls (the DIP loop queries one pattern per iteration) allocate
-        no per-call storage.  ``benchmarks/test_bench_substrate.py``
-        guards the per-call cost.
+        The DIP loop queries one pattern per iteration, so the per-call
+        cost is two small list allocations (the input bits and the slot
+        values) on top of the sweep; ``benchmarks/test_bench_substrate.py``
+        guards it against the bit-parallel batch.
         """
-        words = self._pattern_words
-        for j in range(len(words)):
-            words[j] = (pattern >> j) & 1
-        scratch = self._scratch
-        self._eval_into(scratch, words, 1)
+        values = self.eval_words(
+            [(pattern >> j) & 1 for j in range(len(self.inputs))], 1
+        )
         packed = 0
         for k, s in enumerate(self.output_slots):
-            if scratch[s]:
+            if values[s]:
                 packed |= 1 << k
         return packed
 
@@ -519,9 +508,7 @@ class CompiledCircuit:
                 if (pattern >> j) & 1:
                     word |= 1 << lane
             words.append(word)
-        scratch = self._scratch
-        self._eval_into(scratch, words, mask)
-        out_words = [scratch[s] for s in self.output_slots]
+        out_words = self.eval_outputs(words, mask)
         results = []
         for lane in range(width):
             packed = 0

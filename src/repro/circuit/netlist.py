@@ -194,7 +194,8 @@ class Netlist:
 
     def adopt_compiled(self, compiled: "CompiledCircuit") -> None:
         """Seed the compile cache with ``compiled``, a compiled form of
-        this very netlist from another process (pickling drops it)."""
+        this very netlist: one from another process (pickling drops
+        it), or the shared form a carrier memo hands to each copy."""
         self._compiled = (self._structure_guard(), compiled)
 
     def invalidate_compiled(self) -> None:

@@ -21,10 +21,14 @@ Adding a scheme::
 
 from __future__ import annotations
 
+import copy
+import json
 from collections.abc import Callable, Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import lru_cache
 from operator import attrgetter
 
+from repro.circuit.compiled import CompiledCircuit
 from repro.circuit.netlist import Netlist
 from repro.locking.antisat import antisat_lock
 from repro.locking.base import LockedCircuit, LockingError
@@ -33,6 +37,9 @@ from repro.locking.lut_lock import LutModuleSpec, lut_lock
 from repro.locking.sarlock import sarlock_lock
 from repro.locking.xor_lock import xor_lock
 from repro.registry import Registry
+
+#: Locked carriers kept by :func:`lock_carrier`'s per-process memo.
+_MEMO_SIZE = 4
 
 
 @dataclass(frozen=True)
@@ -75,12 +82,50 @@ def lock_carrier(cell: Mapping) -> tuple[Netlist, LockedCircuit]:
     ``scale`` and ``seed`` (a grid or metric cell's task params, an
     attack request's fields).  The seed feeds the scheme unless
     ``scheme_params`` pins one.
+
+    This is the one seam behind ``scenario_cell``, ``corruption_cell``
+    and the attack job, so a cell task and its metric task lock once:
+    a bounded per-process LRU keyed by scheme, params (seed included),
+    circuit and scale keeps each locked carrier with its compiled
+    form.  Every call returns a fresh :class:`LockedCircuit` whose
+    netlist is a copy adopting that shared compiled form (see
+    :func:`repro.bench_circuits.corpus.resolve_circuit`, which memoizes
+    the original the same way).
     """
     from repro.bench_circuits.corpus import resolve_circuit
 
     original = resolve_circuit(cell["circuit"], cell["scale"])
     params = {"seed": cell["seed"], **(cell.get("scheme_params") or {})}
-    return original, lock_circuit(cell["scheme"], original, **params)
+    locked, compiled = _locked(
+        cell["scheme"],
+        json.dumps(params, sort_keys=True),
+        cell["circuit"],
+        cell["scale"],
+    )
+    netlist = locked.netlist.copy()
+    netlist.adopt_compiled(compiled)
+    return original, replace(
+        locked,
+        netlist=netlist,
+        key_inputs=list(locked.key_inputs),
+        original_inputs=list(locked.original_inputs),
+        meta=copy.deepcopy(locked.meta),
+    )
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _locked(
+    scheme: str, params: str, circuit: str, scale: float
+) -> tuple[LockedCircuit, CompiledCircuit]:
+    """The memoized locked carrier (never handed out; see
+    :func:`lock_carrier`).  ``params`` is the scheme's keyword
+    arguments as sorted JSON."""
+    from repro.bench_circuits.corpus import resolve_circuit
+
+    locked = lock_circuit(
+        scheme, resolve_circuit(circuit, scale), **json.loads(params)
+    )
+    return locked, locked.netlist.compile()
 
 
 # ----------------------------------------------------------------------

@@ -21,6 +21,7 @@ from repro.bench_circuits.corpus import (
     resolve_circuit,
 )
 from repro.circuit.bench import format_bench, parse_bench
+from repro.circuit.gates import GateType
 from repro.circuit.random_circuits import random_netlist
 from repro.core.compose import verify_composition
 from repro.core.multikey import multikey_attack
@@ -63,6 +64,22 @@ class TestShippedCorpus:
         assert known_circuit("c432")  # stand-ins still resolve
         assert not known_circuit("c9999")
         assert set(SHIPPED) <= set(circuit_names())
+
+    @pytest.mark.parametrize(
+        ("name", "scale"), [("real_c432", 1.0), ("c432", 0.25)]
+    )
+    def test_resolved_copies_do_not_share_mutation(self, name, scale):
+        """Resolves share one compiled form, never one netlist."""
+        first = resolve_circuit(name, scale)
+        expected = first.compile().content_hash()
+        gates = first.num_gates
+        first.add_gate("extra", GateType.NOT, [first.inputs[0]])
+        first.add_output("extra")
+        assert first.compile().content_hash() != expected
+        second = resolve_circuit(name, scale)
+        assert second is not first
+        assert second.num_gates == gates
+        assert second.compile().content_hash() == expected
 
     def test_scale_ignored_for_corpus(self):
         assert (
@@ -140,6 +157,16 @@ class TestRegistration:
         path.write_text(format_bench(netlist))
         with pytest.raises(CorpusError, match="changed on disk"):
             load_corpus("editme")
+
+    def test_edited_file_fails_loudly_on_resolve(self, tmp_path):
+        """The resolve memo keys on file text: an edit after a memoized
+        resolve is parsed again and fails the content-hash check."""
+        path = self._write(tmp_path, "editme_resolved")
+        register_corpus_file(path)
+        assert resolve_circuit("editme_resolved").num_gates == 25
+        path.write_text(format_bench(random_netlist(5, 26, seed=9)))
+        with pytest.raises(CorpusError, match="changed on disk"):
+            resolve_circuit("editme_resolved")
 
     def test_unknown_names_list_choices(self):
         with pytest.raises(CorpusError, match="real_c432"):

@@ -7,6 +7,9 @@ cache's invalidation rules and the content-hash identity used for
 result-cache keys.
 """
 
+import sys
+import threading
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -146,7 +149,7 @@ class TestParity:
 
 
 class TestEvaluatePattern:
-    """evaluate_pattern shares the scratch/normalize path."""
+    """evaluate_pattern agrees with the name-keyed single-pattern path."""
 
     @given(seed=st.integers(0, 5_000), pattern=st.integers(0, 63))
     def test_matches_eval_single(self, seed, pattern):
@@ -163,6 +166,56 @@ class TestEvaluatePattern:
         first = [compiled.evaluate_pattern(p) for p in range(32)]
         second = [compiled.evaluate_pattern(p) for p in range(32)]
         assert first == second
+
+
+def test_shared_circuit_evaluates_correctly_across_threads():
+    """Two threads evaluating one shared circuit get single-threaded answers.
+
+    The carrier memos hand one ``CompiledCircuit`` to every job of a
+    service, and the service runs jobs on threads.  A tiny switch
+    interval makes the interpreter swap threads mid-sweep, so any
+    evaluation storage kept on the instance would mix the two threads'
+    values.
+    """
+    from repro.bench_circuits.corpus import load_corpus
+
+    compiled = load_corpus("real_c432").compile()
+    width = compiled.num_inputs
+    patterns = [(p * 0x9E3779B97F4A7C15) % (1 << width) for p in range(600)]
+    expected = [compiled.evaluate_pattern(p) for p in patterns]
+    expected_batch = compiled.eval_batch(patterns[:64])
+    barrier = threading.Barrier(2)
+    results: dict[int, tuple] = {}
+
+    def work(index: int) -> None:
+        mine = patterns[index::2]
+        barrier.wait()
+        singles = [compiled.evaluate_pattern(p) for p in mine]
+        outputs = [
+            compiled.eval_outputs([(p >> j) & 1 for j in range(width)], 1)
+            for p in mine
+        ]
+        batch = compiled.eval_batch(patterns[:64])
+        results[index] = (singles, outputs, batch)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in (0, 1)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+    finally:
+        sys.setswitchinterval(interval)
+    for index in (0, 1):
+        singles, outputs, batch = results[index]
+        assert singles == expected[index::2]
+        packed = [
+            sum(bit << k for k, bit in enumerate(words)) for words in outputs
+        ]
+        assert packed == expected[index::2]
+        assert batch == expected_batch
 
 
 class TestCompileSeam:
