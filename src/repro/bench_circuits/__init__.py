@@ -22,7 +22,6 @@ from repro.bench_circuits.generators import (
     priority_controller,
     ripple_carry_adder,
     simple_alu,
-    word_comparator,
 )
 from repro.bench_circuits.corpus import (
     CorpusEntry,
@@ -56,7 +55,6 @@ __all__ = [
     "array_multiplier",
     "simple_alu",
     "hamming_sec_corrector",
-    "word_comparator",
     "priority_controller",
     "c17",
     "iscas85_like",

@@ -201,22 +201,6 @@ def hamming_sec_corrector(
     return netlist
 
 
-def word_comparator(width: int, name: str | None = None) -> Netlist:
-    """Magnitude comparator: eq / lt / gt outputs."""
-    netlist = Netlist(name or f"cmp{width}")
-    a = _inputs(netlist, "a", width)
-    b = _inputs(netlist, "b", width)
-    bb = BlockBuilder(netlist, "cmp")
-    eq = bb.equality(a, b)
-    lt = bb.less_than(a, b)
-    netlist.add_gate("eq", GateType.BUF, [eq])
-    netlist.add_gate("lt", GateType.BUF, [lt])
-    netlist.add_gate("gt", GateType.NOR, [eq, lt])
-    netlist.set_outputs(["eq", "lt", "gt"])
-    netlist.validate()
-    return netlist
-
-
 def priority_controller(
     channels: int, width: int, name: str | None = None
 ) -> Netlist:

@@ -10,9 +10,7 @@ SAT-based combinational equivalence checking.
 
 from repro.circuit.analysis import (
     fanin_cone,
-    fanin_support,
     fanout_cone,
-    key_controlled_gates,
     levelize,
     rank_inputs_by_key_influence,
 )
@@ -46,8 +44,6 @@ __all__ = [
     "levelize",
     "fanin_cone",
     "fanout_cone",
-    "fanin_support",
-    "key_controlled_gates",
     "rank_inputs_by_key_influence",
     "encode_gate",
     "encode_gates",

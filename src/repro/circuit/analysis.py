@@ -17,7 +17,7 @@ unless a valid compiled form is already cached.
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 
 from repro.circuit.compiled import CompiledCircuit
 from repro.circuit.netlist import Netlist
@@ -65,11 +65,6 @@ def fanin_cone(netlist: Netlist, net: str) -> set[str]:
     return cone
 
 
-def fanin_support(netlist: Netlist, net: str) -> set[str]:
-    """Primary inputs in the transitive fanin of ``net``."""
-    return fanin_cone(netlist, net) & set(netlist.inputs)
-
-
 def fanout_cone(netlist: Netlist, net: str) -> set[str]:
     """All gate outputs transitively depending on ``net`` (exclusive)."""
     compiled = _cached_compiled(netlist)
@@ -88,23 +83,6 @@ def fanout_cone(netlist: Netlist, net: str) -> set[str]:
         cone.add(current)
         queue.extend(fanout_map.get(current, ()))
     return cone
-
-
-def key_controlled_gates(netlist: Netlist, key_inputs: Iterable[str]) -> set[str]:
-    """Gate outputs whose fanin cone contains at least one key input.
-
-    Computed as a single taint-propagation sweep over the compiled gate
-    arrays.
-    """
-    compiled = netlist.compile()
-    slot_of = compiled.slot_of
-    tainted = compiled.tainted_slots(slot_of[net] for net in key_inputs)
-    names = compiled.net_names
-    return {
-        names[out]
-        for out in compiled.gate_output_slots
-        if tainted[out]
-    }
 
 
 def rank_inputs_by_key_influence(

@@ -93,16 +93,3 @@ def format_bench(netlist: Netlist, header_comments: tuple[str, ...] = ()) -> str
         args = ", ".join(gate.inputs)
         lines.append(f"{gate.output} = {gate.gtype.value}({args})")
     return "\n".join(lines) + "\n"
-
-
-def read_bench_file(path: str, name: str | None = None) -> Netlist:
-    with open(path) as handle:
-        text = handle.read()
-    import os
-
-    return parse_bench(text, name=name or os.path.basename(path))
-
-
-def write_bench_file(netlist: Netlist, path: str) -> None:
-    with open(path, "w") as handle:
-        handle.write(format_bench(netlist))

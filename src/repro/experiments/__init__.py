@@ -26,13 +26,17 @@ are each one :class:`~repro.scenarios.spec.ScenarioSpec`: their drivers
 return the :class:`~repro.scenarios.matrix.MatrixResult` of
 :func:`~repro.scenarios.matrix.run_matrix`, and a plain formatter per
 module (:func:`~repro.experiments.table1.format_table1`, ...) renders
-the table from its cells and ``spec``.  Figure 2 is a
-``corruption_cell`` curve with its own result class.
+the table from its cells and ``spec``.  Figure 2 is a metrics-only
+spec: its driver returns the spec with the
+:class:`~repro.metrics.CorruptionReport` of each ``corruption_cell``,
+and :func:`~repro.experiments.figure2.format_figure2` renders them.
+Figure 1, a worked example rather than a grid, keeps its own result
+class.
 """
 
 from repro.experiments.defense import format_defense, run_defense_experiment
 from repro.experiments.figure1 import Figure1Result, run_figure1
-from repro.experiments.figure2 import Figure2Result, run_figure2
+from repro.experiments.figure2 import format_figure2, run_figure2
 from repro.experiments.table1 import format_table1, run_table1
 from repro.experiments.table2 import format_table2, run_table2
 
@@ -44,7 +48,7 @@ __all__ = [
     "run_figure1",
     "Figure1Result",
     "run_figure2",
-    "Figure2Result",
+    "format_figure2",
     "run_defense_experiment",
     "format_defense",
 ]

@@ -8,111 +8,106 @@ per-sub-space corruption of a wrong key falls and the fraction of
 (wrong key, sub-space) pairs that the key unlocks *exactly* rises —
 the one-key premise dissolving into per-sub-space correctness.
 
-The driver is a thin spec over the ``corruption_cell`` task
-(:mod:`repro.metrics.task`): one cached cell per effort, all riding
-the shared runner — parity with direct
+The curve is a metrics-only :class:`~repro.scenarios.spec.ScenarioSpec`
+(one scheme, one circuit, one seed, the efforts as its ``N`` points):
+:meth:`~repro.scenarios.spec.ScenarioSpec.expand_metrics` turns it into
+one cached ``corruption_cell`` task per effort on the shared runner,
+and :func:`format_figure2` renders the returned
+:class:`~repro.metrics.CorruptionReport` values.  Parity with direct
 :func:`repro.metrics.evaluate_corruption` calls is pinned by
-``tests/metrics/test_figure2.py``.
+``tests/metrics/test_service_metrics.py``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.runner import Runner, TaskSpec
-
-
-@dataclass
-class Figure2Row:
-    """One point on the curve: splitting effort ``N`` -> corruption."""
-
-    effort: int
-    num_subspaces: int
-    splitting_inputs: list[str]
-    corruption: float
-    subspace_rate: float
-    subspace_min: float
-    subspace_max: float
-    unlock_fraction: float
+from repro.experiments.report import format_table
+from repro.metrics import CorruptionReport
+from repro.runner import Runner
+from repro.scenarios.spec import ScenarioSpec
 
 
 @dataclass
 class Figure2Result:
-    """The corruption-vs-sub-spaces curve for one locked circuit."""
+    """Figure 2's spec and its reports, one per effort in spec order."""
 
-    circuit: str
-    scheme: str
-    key_size: int
-    scale: float
-    key_samples: int
-    keys_sampled: int
-    exhaustive_keys: bool
-    input_samples: int
-    seed: int
-    rows: list[Figure2Row] = field(default_factory=list)
+    spec: ScenarioSpec
+    reports: list[CorruptionReport] = field(default_factory=list)
 
     @classmethod
     def from_payload(cls, payload: dict) -> "Figure2Result":
-        data = dict(payload)
-        data["rows"] = [
-            row if isinstance(row, Figure2Row) else Figure2Row(**row)
-            for row in data.get("rows", [])
-        ]
-        return cls(**data)
-
-    def format(self) -> str:
-        from repro.experiments.report import format_table
-
-        headers = [
-            "N", "2^N", "corruption", "subspace rate",
-            "min", "max", "unlocked pairs",
-        ]
-        rows = [
-            [
-                row.effort,
-                row.num_subspaces,
-                f"{row.corruption:.4g}",
-                f"{row.subspace_rate:.4g}",
-                f"{row.subspace_min:.4g}",
-                f"{row.subspace_max:.4g}",
-                f"{row.unlock_fraction:.1%}",
-            ]
-            for row in self.rows
-        ]
-        title = (
-            f"Figure 2: per-sub-space corruption, {self.scheme} on "
-            f"{self.circuit} (|K|={self.key_size}, {self.keys_sampled} "
-            f"wrong keys{' exhaustive' if self.exhaustive_keys else ''}, "
-            f"{self.input_samples} patterns)"
+        return cls(
+            spec=ScenarioSpec.from_payload(payload["spec"]),
+            reports=[CorruptionReport.from_payload(r) for r in payload["reports"]],
         )
-        return format_table(headers, rows, title=title)
 
 
-def figure2_tasks(
+def format_figure2(result: Figure2Result) -> str:
+    """Figure 2's text: one row per effort ``N``.
+
+    The scheme and circuit come from ``result.spec`` (a report names
+    the netlist it locked, not the requested circuit); the key and
+    sample counts from the first report, when there is one.
+    """
+    headers = [
+        "N", "2^N", "corruption", "subspace rate",
+        "min", "max", "unlocked pairs",
+    ]
+    rows = []
+    for report in result.reports:
+        subspace = report.detail("subspace")
+        rows.append([
+            report.effort,
+            subspace["num_subspaces"],
+            f"{report.value('corruption'):.4g}",
+            f"{report.value('subspace'):.4g}",
+            f"{subspace['min']:.4g}",
+            f"{subspace['max']:.4g}",
+            f"{subspace['unlock_fraction']:.1%}",
+        ])
+    spec = result.spec
+    title = (
+        f"Figure 2: per-sub-space corruption, {spec.schemes[0][0]} on "
+        f"{spec.circuits[0]}"
+    )
+    if result.reports:
+        first = result.reports[0]
+        title += (
+            f" (|K|={first.key_size}, {first.keys_sampled} wrong keys"
+            f"{' exhaustive' if first.exhaustive_keys else ''}, "
+            f"{first.input_samples} patterns)"
+        )
+    return format_table(headers, rows, title=title)
+
+
+def figure2_spec(
     circuit: str,
     scheme: str,
-    scheme_params: dict,
+    scheme_params: dict | None,
+    key_size: int,
     scale: float,
     efforts: tuple[int, ...],
     key_samples: int,
     seed: int,
-) -> list[TaskSpec]:
-    """One ``corruption_cell`` task per effort point."""
-    from repro.metrics import corruption_cell_task
+) -> ScenarioSpec:
+    """Figure 2 as a metrics-only scenario grid.
 
-    return [
-        corruption_cell_task(
-            scheme=scheme,
-            scheme_params=scheme_params,
-            circuit=circuit,
-            scale=scale,
-            effort=effort,
-            seed=seed,
-            metrics=("corruption", "subspace"),
-            key_samples=key_samples,
-        )
-        for effort in efforts
-    ]
+    ``key_size`` is merged into ``scheme_params`` unless they pin one;
+    the spec's attack axes are never expanded, only
+    :meth:`~repro.scenarios.spec.ScenarioSpec.expand_metrics`.
+    """
+    params = dict(scheme_params or {})
+    params.setdefault("key_size", int(key_size))
+    return ScenarioSpec(
+        schemes=[(scheme, params)],
+        circuits=[circuit],
+        scale=scale,
+        efforts=efforts,
+        seeds=[seed],
+        metrics=("corruption", "subspace"),
+        key_samples=key_samples,
+    )
 
 
 def run_figure2(
@@ -126,52 +121,24 @@ def run_figure2(
     seed: int = 0,
     runner: Runner | None = None,
 ) -> Figure2Result:
-    """Regenerate the corruption-vs-sub-spaces curve.
+    """Regenerate the corruption-vs-sub-spaces curve (render it with
+    :func:`format_figure2`).
 
-    ``key_size`` is a convenience merged into ``scheme_params`` when
-    the params do not pin one (matching the other drivers' shape);
-    ``efforts`` are the ``N`` points of the curve.  Every point is one
+    ``efforts`` are the ``N`` points of the curve; every point is one
     cached ``corruption_cell`` task on the shared runner.
     """
-    runner = runner or Runner()
-    params = dict(scheme_params or {})
-    params.setdefault("key_size", int(key_size))
-    efforts = tuple(int(n) for n in efforts)
-    tasks = figure2_tasks(
+    spec = figure2_spec(
         circuit=circuit,
         scheme=scheme,
-        scheme_params=params,
+        scheme_params=scheme_params,
+        key_size=key_size,
         scale=scale,
         efforts=efforts,
-        key_samples=int(key_samples),
-        seed=int(seed),
+        key_samples=key_samples,
+        seed=seed,
     )
-    reports = [task.artifact for task in runner.run(tasks)]
-    rows = []
-    for report in reports:
-        subspace = report["metrics"]["subspace"]["detail"]
-        rows.append(
-            Figure2Row(
-                effort=report["effort"],
-                num_subspaces=subspace["num_subspaces"],
-                splitting_inputs=list(subspace["splitting_inputs"]),
-                corruption=report["metrics"]["corruption"]["value"],
-                subspace_rate=report["metrics"]["subspace"]["value"],
-                subspace_min=subspace["min"],
-                subspace_max=subspace["max"],
-                unlock_fraction=subspace["unlock_fraction"],
-            )
-        )
-    first = reports[0]
+    results = (runner or Runner()).run(spec.expand_metrics())
     return Figure2Result(
-        circuit=circuit,
-        scheme=scheme,
-        key_size=first["key_size"],
-        scale=float(scale),
-        key_samples=int(key_samples),
-        keys_sampled=first["keys_sampled"],
-        exhaustive_keys=first["exhaustive_keys"],
-        input_samples=first["input_samples"],
-        seed=int(seed),
-        rows=rows,
+        spec=spec,
+        reports=[CorruptionReport.from_payload(r.artifact) for r in results],
     )

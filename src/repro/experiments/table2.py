@@ -110,7 +110,6 @@ def run_table2(
     spec: str | Mapping | LutModuleSpec | None = None,
     effort: int = 4,
     parallel: bool = True,
-    processes: int | None = None,
     time_limit_per_task: float | None = 300.0,
     seed: int = 1,
     verify: bool = True,
@@ -149,5 +148,4 @@ def run_table2(
         ),
         runner=runner or Runner(),
         inner_parallel=parallel,
-        processes=processes,
     )

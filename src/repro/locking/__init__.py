@@ -10,7 +10,7 @@ and the CLI can reference schemes declaratively.
 """
 
 from repro.locking.antisat import antisat_lock
-from repro.locking.base import LockedCircuit, LockingError, random_key
+from repro.locking.base import LockedCircuit, LockingError
 from repro.locking.defense import (
     SplittingResistance,
     entangled_sarlock,
@@ -30,7 +30,6 @@ from repro.locking.xor_lock import xor_lock
 __all__ = [
     "LockedCircuit",
     "LockingError",
-    "random_key",
     "xor_lock",
     "sarlock_lock",
     "antisat_lock",

@@ -8,7 +8,6 @@ Notation follows the paper: the original circuit ``C`` computes
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from collections.abc import Container, Mapping, Sequence
 
@@ -34,12 +33,6 @@ def checked_taps(
     if len(taps) != count:
         raise LockingError(f"need exactly {count} {role}")
     return taps
-
-
-def random_key(width: int, seed: int | None = None) -> tuple[int, ...]:
-    """A uniformly random key as a bit tuple (index 0 = first key port)."""
-    rng = random.Random(seed)
-    return tuple(rng.getrandbits(1) for _ in range(width))
 
 
 def key_from_int(value: int, width: int) -> tuple[int, ...]:

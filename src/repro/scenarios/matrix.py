@@ -118,7 +118,6 @@ def _scenario_cell_task(params: dict) -> dict:
         selection=selection,
         run_synthesis=run_synthesis,
         parallel=params.get("parallel", False),
-        processes=params.get("processes"),
         time_limit_per_task=time_limit,
         max_dips_per_task=params.get("max_dips_per_task"),
         seed=seed,
@@ -214,7 +213,6 @@ def scenario_cell_task(
     verify: bool = False,
     measure_resistance: bool = False,
     parallel: bool = False,
-    processes: int | None = None,
 ) -> TaskSpec:
     """The :class:`TaskSpec` for one matrix cell.
 
@@ -257,7 +255,7 @@ def scenario_cell_task(
     return TaskSpec(
         kind="scenario_cell",
         params=params,
-        context={"parallel": parallel, "processes": processes},
+        context={"parallel": parallel},
         label=label,
     )
 
@@ -438,7 +436,6 @@ def run_matrix(
     spec: ScenarioSpec,
     runner: Runner | None = None,
     inner_parallel: bool = False,
-    processes: int | None = None,
 ) -> MatrixResult:
     """Evaluate every cell of ``spec`` through the shared runner.
 
@@ -464,10 +461,7 @@ def run_matrix(
         runner.jobs <= 1 or runner.pending_count(specs) <= 1
     ):
         specs = [
-            replace(
-                task,
-                context={**task.context, "parallel": True, "processes": processes},
-            )
+            replace(task, context={**task.context, "parallel": True})
             for task in specs
         ]
     result = MatrixResult(spec=spec)

@@ -48,11 +48,12 @@ RESPONSE_STATUSES = ("ok", "partial", "error", "cancelled")
 #: The experiments an ExperimentRequest may name: each is the module
 #: ``repro.experiments.<name>``, here with its driver and its text
 #: renderer (imported on first use, see :func:`experiment_entry`).  The
-#: grid experiments' drivers return a MatrixResult that a plain
-#: formatter renders; a figure's result class formats itself.
+#: grid experiments' drivers return a MatrixResult, Figure 2's its
+#: metrics-only spec and reports, and a plain formatter renders each;
+#: Figure 1's result class formats itself.
 EXPERIMENTS = {
     "figure1": ("run_figure1", "Figure1Result.format"),
-    "figure2": ("run_figure2", "Figure2Result.format"),
+    "figure2": ("run_figure2", "format_figure2"),
     "table1": ("run_table1", "format_table1"),
     "table2": ("run_table2", "format_table2"),
     "ablation_splitting": ("run_splitting_ablation", "format_splitting_ablation"),
@@ -254,7 +255,8 @@ class Response:
             ``{"experiment": name, "result": ...}``: Table 1, Table 2,
             D1, A1 and A2 send their grid's
             :meth:`~repro.scenarios.matrix.MatrixResult.to_payload`,
-            the figures their result's ``asdict``.
+            the figures their result's ``asdict`` (Figure 2's is its
+            spec's fields and its ``corruption_cell`` reports).
         error: Human-readable failure description when ``status`` is
             ``"error"``.
     """

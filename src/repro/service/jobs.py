@@ -463,7 +463,7 @@ def _execute_experiment(service: Service, job: Job) -> tuple[dict, str]:
     result = driver(runner=service._runner_for(job), **request.params)
     if isinstance(result, MatrixResult):
         payload, status = result.to_payload(), _matrix_status(result)
-    else:  # a figure: one unit
+    else:  # a figure: Figure 1's one unit, Figure 2's spec and reports
         payload, status = asdict(result), "ok" if _unit_ok(result) else "partial"
     return {"experiment": request.experiment, "result": payload}, status
 

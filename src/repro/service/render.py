@@ -73,8 +73,9 @@ def render_response(response: Response, verbose: bool = True) -> str:
         return CorruptionReport.from_payload(payload["report"]).format()
     if response.request_kind == "experiment":
         driver, render = experiment_entry(payload["experiment"])
-        # The driver's declared result type (a grid's MatrixResult, a
-        # figure's own class) rebuilds its payload.
+        # The driver's declared result type (a grid's MatrixResult,
+        # Figure 2's spec-and-reports, Figure 1's own class) rebuilds
+        # its payload.
         result_type = get_type_hints(driver)["return"]
         return render(result_type.from_payload(payload["result"]))
     if response.request_kind == "attack":

@@ -8,10 +8,10 @@ package provides:
   the repository's one optimizer: pinned inputs are tied to constants
   and the full fold/strash/cone pipeline runs to a fixpoint;
 * decomposition to bounded-arity gates and a Nangate-45nm-flavoured
-  cell library for area/delay estimation.
+  cell library for area estimation.
 """
 
-from repro.synth.library import CellLibrary, NANGATE45ish, estimate_area, estimate_delay
+from repro.synth.library import CellLibrary, NANGATE45ish, estimate_area
 from repro.synth.mapping import decompose_to_max_arity
 from repro.synth.optimize import SynthesisResult, synthesize
 
@@ -22,5 +22,4 @@ __all__ = [
     "CellLibrary",
     "NANGATE45ish",
     "estimate_area",
-    "estimate_delay",
 ]

@@ -1,17 +1,16 @@
-"""Standard-cell library model and area/delay estimation.
+"""Standard-cell library model and area estimation.
 
 The paper maps its netlists onto the Nangate 45 nm Open Cell Library.
 That library is not redistributable here, so :data:`NANGATE45ish`
 carries cell areas (um^2) and unit delays (ns) in the same ballpark as
 the public datasheet.  Estimation first decomposes wide gates to each
-cell's maximum arity, then sums areas and propagates arrival times.
+cell's maximum arity, then sums the mapped cells' areas.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.circuit.analysis import levelize
 from repro.circuit.gates import GateType
 from repro.circuit.netlist import Netlist
 from repro.synth.mapping import decompose_to_max_arity
@@ -104,18 +103,3 @@ def estimate_area(netlist: Netlist, library: CellLibrary = NANGATE45ish) -> floa
             )
         total += cell.area
     return total
-
-
-def estimate_delay(netlist: Netlist, library: CellLibrary = NANGATE45ish) -> float:
-    """Critical-path delay (ns): longest arrival time at any output."""
-    mapped = _mapped(netlist, library)
-    arrival: dict[str, float] = {net: 0.0 for net in mapped.inputs}
-    for gate in mapped.topological_order():
-        cell = library.lookup(gate.gtype, len(gate.inputs))
-        if cell is None:
-            cell = library.lookup(gate.gtype, library.max_arity(gate.gtype))
-        delay = cell.delay if cell is not None else 0.03
-        arrival[gate.output] = delay + max(
-            (arrival[src] for src in gate.inputs), default=0.0
-        )
-    return max((arrival[out] for out in mapped.outputs), default=0.0)

@@ -2,7 +2,7 @@
 
 Real cell libraries top out at 3- or 4-input cells; this pass rewrites
 wide AND/OR/XOR trees into balanced trees of bounded-arity gates so
-area/delay estimation and LUT insertion have realistic structure to
+area estimation and LUT insertion have realistic structure to
 work with.
 """
 

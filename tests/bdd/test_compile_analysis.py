@@ -119,13 +119,16 @@ class TestExactKeyCounting:
     def test_beyond_brute_force_scale(self):
         """12 protected bits + 12 key bits + 20 free inputs: far beyond
         the 22-bit brute-force cap, exact via BDDs.  Pinning p of the
-        protected inputs leaves 2^p keys able to err, so the unlock
-        count is 2^|K| - 2^(|K|-p) + 1."""
+        protected inputs leaves the 2^(|K|-p) keys that agree with the
+        pins able to err, except the correct key when it agrees too, so
+        the unlock count is 2^|K| - 2^(|K|-p), plus one when k* agrees
+        with the pins."""
         original = random_netlist(20, 60, seed=76)
         locked = sarlock_lock(original, 12, seed=4)
         pinned = {net: False for net in locked.meta["protected_inputs"][:4]}
         count = count_keys_unlocking_subspace(locked, original, pinned)
-        assert count == 2**12 - 2**8 + 1
+        correct_key_agrees = not any(locked.correct_key[:4])
+        assert count == 2**12 - 2**8 + correct_key_agrees
 
     def test_matches_metric_module(self):
         original = random_netlist(5, 20, seed=77)

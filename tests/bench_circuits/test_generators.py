@@ -10,9 +10,10 @@ from repro.bench_circuits.generators import (
     priority_controller,
     ripple_carry_adder,
     simple_alu,
-    word_comparator,
 )
+from repro.bench_circuits.blocks import BlockBuilder
 from repro.circuit.gates import GateType
+from repro.circuit.netlist import Netlist
 from repro.circuit.simulator import evaluate, truth_table
 
 
@@ -51,10 +52,27 @@ class TestMultiplier:
         assert len(n.outputs) == 32
 
 
+def _comparator(width: int) -> Netlist:
+    """A magnitude comparator (eq/lt/gt) from the blocks the c7552
+    stand-in builds its comparator with."""
+    netlist = Netlist(f"cmp{width}")
+    a = netlist.add_inputs([f"a{i}" for i in range(width)])
+    b = netlist.add_inputs([f"b{i}" for i in range(width)])
+    bb = BlockBuilder(netlist, "cmp")
+    eq = bb.equality(a, b)
+    lt = bb.less_than(a, b)
+    netlist.add_gate("eq", GateType.BUF, [eq])
+    netlist.add_gate("lt", GateType.BUF, [lt])
+    netlist.add_gate("gt", GateType.NOR, [eq, lt])
+    netlist.set_outputs(["eq", "lt", "gt"])
+    netlist.validate()
+    return netlist
+
+
 class TestComparator:
     @given(a=st.integers(0, 63), b=st.integers(0, 63))
     def test_magnitude(self, a, b):
-        n = word_comparator(6)
+        n = _comparator(6)
         outs = evaluate(n, {**_word("a", a, 6), **_word("b", b, 6)})
         assert outs["eq"] == int(a == b)
         assert outs["lt"] == int(a < b)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.circuit.bench import format_bench, parse_bench, read_bench_file, write_bench_file
+from repro.circuit.bench import format_bench, parse_bench
 from repro.circuit.gates import GateType
 from repro.circuit.netlist import NetlistError
 from repro.circuit.random_circuits import random_netlist
@@ -77,13 +77,3 @@ class TestRoundTrip:
         text = format_bench(n, header_comments=("generated for test",))
         assert "# generated for test" in text
         parse_bench(text)
-
-    def test_file_io(self, tmp_path):
-        n = random_netlist(4, 10, seed=2)
-        path = tmp_path / "c.bench"
-        write_bench_file(n, str(path))
-        back = read_bench_file(str(path))
-        assert back.name == "c.bench"
-        assert truth_table(back) == {
-            k: v for k, v in truth_table(n).items()
-        }

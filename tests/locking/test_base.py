@@ -12,7 +12,6 @@ from repro.locking.base import (
     fresh_key_names,
     key_from_int,
     key_to_int,
-    random_key,
 )
 from repro.locking.sarlock import sarlock_lock
 from repro.locking.xor_lock import xor_lock
@@ -32,10 +31,6 @@ class TestKeyConversions:
             key_from_int(4, 2)
         with pytest.raises(ValueError):
             key_from_int(-1, 2)
-
-    def test_random_key_deterministic_by_seed(self):
-        assert random_key(16, seed=3) == random_key(16, seed=3)
-        assert len(random_key(16, seed=3)) == 16
 
 
 class TestLockedCircuit:

@@ -111,8 +111,9 @@ class TestMetricsJobs:
 
 class TestFigure2:
     def test_rows_match_direct_evaluation(self):
+        """Each report (one figure row) equals a direct evaluation."""
         from repro.bench_circuits.corpus import resolve_circuit
-        from repro.experiments.figure2 import run_figure2
+        from repro.experiments.figure2 import format_figure2, run_figure2
         from repro.locking.registry import lock_circuit
         from repro.metrics import evaluate_corruption
 
@@ -123,26 +124,34 @@ class TestFigure2:
             efforts=(0, 1),
             key_samples=0,
         )
-        assert [row.num_subspaces for row in result.rows] == [1, 2]
+        assert [
+            report.detail("subspace")["num_subspaces"]
+            for report in result.reports
+        ] == [1, 2]
         original = resolve_circuit("c432", 0.12)
         locked = lock_circuit("sarlock", original, key_size=3, seed=0)
-        for row in result.rows:
+        for report in result.reports:
             direct = evaluate_corruption(
                 locked,
                 original,
                 metrics=("corruption", "subspace"),
                 key_samples=0,
-                effort=row.effort,
+                effort=report.effort,
             )
-            assert row.corruption == direct.value("corruption")
-            assert row.subspace_rate == direct.value("subspace")
-            assert row.unlock_fraction == (
+            assert report.value("corruption") == direct.value("corruption")
+            assert report.value("subspace") == direct.value("subspace")
+            assert report.detail("subspace")["unlock_fraction"] == (
                 direct.detail("subspace")["unlock_fraction"]
             )
-        assert "sub-spaces" in result.format() or "N" in result.format()
+        text = format_figure2(result)
+        assert "sub-spaces" in text or "N" in text
 
     def test_service_figure2_round_trips(self):
-        from repro.experiments.figure2 import Figure2Result, run_figure2
+        from repro.experiments.figure2 import (
+            Figure2Result,
+            format_figure2,
+            run_figure2,
+        )
         from repro.service import ExperimentRequest
 
         request = ExperimentRequest(
@@ -162,8 +171,28 @@ class TestFigure2:
             circuit="c432", key_size=3, scale=0.12, efforts=(0, 1),
             key_samples=0,
         )
-        assert rebuilt.rows == direct.rows
-        assert render_response(response) == direct.format()
+        assert [report.metrics for report in rebuilt.reports] == [
+            report.metrics for report in direct.reports
+        ]
+        assert render_response(response) == format_figure2(direct)
+
+    def test_run_without_reports_still_renders(self):
+        """A run cancelled before its first point keeps the spec's title."""
+        from repro.experiments.figure2 import (
+            Figure2Result,
+            figure2_spec,
+            format_figure2,
+        )
+
+        spec = figure2_spec(
+            circuit="c432", scheme="sarlock", scheme_params=None,
+            key_size=3, scale=0.12, efforts=(0, 1), key_samples=0, seed=0,
+        )
+        text = format_figure2(Figure2Result(spec=spec))
+        assert text.splitlines()[0] == (
+            "Figure 2: per-sub-space corruption, sarlock on c432"
+        )
+        assert len(text.splitlines()) == 3  # title, header, rule
 
 
 class TestCli:

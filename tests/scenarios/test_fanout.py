@@ -63,9 +63,7 @@ def test_one_cell_with_metrics_forks_no_pool(pool_log):
 
 
 def test_inner_parallel_one_cell_forks_only_its_own_pool(pool_log):
-    result = run_matrix(
-        _spec(), runner=Runner(jobs=2), inner_parallel=True, processes=2
-    )
+    result = run_matrix(_spec(), runner=Runner(jobs=2), inner_parallel=True)
     assert [cell.status for cell in result.cells] == ["ok"]
     assert result.cells[0].metrics is not None
     assert pool_log() == [os.getpid()]

@@ -10,7 +10,6 @@ from repro.synth.library import (
     CellLibrary,
     NANGATE45ish,
     estimate_area,
-    estimate_delay,
 )
 
 
@@ -40,11 +39,6 @@ class TestEstimates:
         big = ripple_carry_adder(16)
         assert 0 < estimate_area(small) < estimate_area(big)
 
-    def test_delay_grows_with_ripple_length(self):
-        assert estimate_delay(ripple_carry_adder(4)) < estimate_delay(
-            ripple_carry_adder(32)
-        )
-
     def test_wide_gates_are_decomposed_not_rejected(self):
         n = Netlist()
         n.add_inputs([f"i{k}" for k in range(12)])
@@ -57,7 +51,6 @@ class TestEstimates:
         n.add_input("a")
         n.set_outputs(["a"])
         assert estimate_area(n) == 0.0
-        assert estimate_delay(n) == 0.0
 
     def test_custom_library_missing_cell_raises(self):
         tiny = CellLibrary(
