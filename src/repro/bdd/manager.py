@@ -35,10 +35,6 @@ class BddManager:
     def num_vars(self) -> int:
         return self._num_vars
 
-    @property
-    def num_nodes(self) -> int:
-        return len(self._var)
-
     def new_var(self) -> int:
         """Declare the next variable in the global order; returns its
         *level* (0-based), not a node."""

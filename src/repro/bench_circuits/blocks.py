@@ -75,11 +75,6 @@ class BlockBuilder:
     def word_not(self, a: list[str]) -> list[str]:
         return [self.gate(GateType.NOT, [x], "wn") for x in a]
 
-    def word_mux(self, sel: str, d1: list[str], d0: list[str]) -> list[str]:
-        if len(d1) != len(d0):
-            raise ValueError("mux operand widths differ")
-        return [self.mux2(sel, x, y) for x, y in zip(d1, d0)]
-
     def reduce(self, gtype: GateType, nets: list[str], fan: int = 2) -> str:
         """Balanced reduction tree (e.g. wide AND/OR/XOR)."""
         if not nets:

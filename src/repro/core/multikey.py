@@ -103,11 +103,6 @@ class SubTaskResult:
         return self.elapsed_seconds + self.synthesis_seconds
 
     @classmethod
-    def from_payload(cls, payload: dict) -> "SubTaskResult":
-        """Rebuild from ``asdict`` output (a JSON round trip is lossless)."""
-        return cls(**payload)
-
-    @classmethod
     def from_outcome(
         cls, outcome, index: int, conditional: ConditionalNetlist, attack: str
     ) -> "SubTaskResult":
@@ -251,25 +246,6 @@ class MultiKeyResult:
                 else:
                     totals[name] = totals.get(name, 0) + value
         return totals
-
-    def to_payload(self) -> dict:
-        """The result as one JSON-shaped dict (the service's wire form)."""
-        return asdict(self)
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "MultiKeyResult":
-        """Rebuild from :meth:`to_payload` output.
-
-        The round trip is lossless: every derived metric (``status``,
-        ``max_subtask_seconds``, ``solver_stats`` aggregation, ...) is
-        a property over the stored fields, so a result reconstructed
-        from a daemon response reports identical numbers.
-        """
-        data = dict(payload)
-        data["subtasks"] = [
-            SubTaskResult.from_payload(task) for task in data["subtasks"]
-        ]
-        return cls(**data)
 
 
 def _circuit_params(locked: LockedCircuit, oracle_netlist: Netlist) -> dict:

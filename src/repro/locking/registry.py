@@ -79,12 +79,12 @@ def lock_carrier(cell: Mapping) -> tuple[Netlist, LockedCircuit]:
     """Resolve a cell's carrier circuit and lock it: ``(original, locked)``.
 
     ``cell`` carries ``scheme``, ``scheme_params``, ``circuit``,
-    ``scale`` and ``seed`` (a grid or metric cell's task params, an
-    attack request's fields).  The seed feeds the scheme unless
-    ``scheme_params`` pins one.
+    ``scale`` and ``seed`` (a grid or metric cell's task params).  The
+    seed feeds the scheme unless ``scheme_params`` pins one.
 
-    This is the one seam behind ``scenario_cell``, ``corruption_cell``
-    and the attack job, so a cell task and its metric task lock once:
+    This is the one seam behind ``scenario_cell`` (which attack jobs
+    run too) and ``corruption_cell``, so a cell task and its metric
+    task lock once:
     a bounded per-process LRU keyed by scheme, params (seed included),
     circuit and scale keeps each locked carrier with its compiled
     form.  Every call returns a fresh :class:`LockedCircuit` whose

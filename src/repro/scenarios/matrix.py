@@ -82,11 +82,23 @@ class ScenarioCell:
     selection: str = "fanout"
     synthesis: bool = True
     gates_after: list[int] | None = None
+    # Defaults cover payloads recorded before these fields.  ``exact``
+    # says every sub-task's key is exact (the CEC precondition);
+    # ``subtask_stats`` holds each sub-task's ``seconds`` (attack plus
+    # synthesis) and ``solver_stats`` counters, in index order.
+    splitting_inputs: list[str] | None = None
+    exact: bool | None = None
+    subtask_stats: list[dict] | None = None
 
 
-@register_task("scenario_cell")
-def _scenario_cell_task(params: dict) -> dict:
-    """Worker: evaluate one (scheme, attack, engine, circuit, N) cell."""
+def evaluate_cell(params: dict, runner: Runner | None = None) -> ScenarioCell:
+    """Evaluate one (scheme, attack, engine, circuit, N) cell.
+
+    ``params`` are a ``scenario_cell`` task's worker params.  ``runner``
+    is where the cell's ``2^N`` sub-attacks fan out (see
+    :func:`repro.core.multikey.multikey_attack`); without one they run
+    serially, or on a private pool when ``params["parallel"]`` is set.
+    """
     seed = params["seed"]
     selection = params.get("selection", "fanout")
     run_synthesis = params.get("run_synthesis", True)
@@ -125,6 +137,7 @@ def _scenario_cell_task(params: dict) -> dict:
         attack=params["attack"],
         attack_params=params.get("attack_params") or {},
         solver=solver,
+        runner=runner,
     )
     if baseline_seconds is not None:
         ratio = attack.max_subtask_seconds / max(baseline_seconds, 1e-9)
@@ -152,46 +165,57 @@ def _scenario_cell_task(params: dict) -> dict:
         )
 
     dips = attack.dips_per_task
-    return asdict(
-        ScenarioCell(
-            scheme=params["scheme"],
-            scheme_params=dict(params.get("scheme_params") or {}),
-            attack=params["attack"],
-            attack_params=dict(params.get("attack_params") or {}),
-            engine=params["engine"],
-            engine_used=attack.engine,
-            circuit=params["circuit"],
-            scale=params["scale"],
-            effort=effort,
-            seed=seed,
-            status=attack.status,
-            key_size=locked.key_size,
-            gates=locked.netlist.num_gates,
-            dips_per_task=dips,
-            max_dips=max(dips) if dips else 0,
-            uniform=len(set(dips)) == 1,
-            key_ints=attack.key_ints,
-            oracle_queries=sum(t.oracle_queries for t in attack.subtasks),
-            min_seconds=attack.min_subtask_seconds,
-            mean_seconds=attack.mean_subtask_seconds,
-            max_seconds=attack.max_subtask_seconds,
-            wall_seconds=attack.wall_seconds,
-            encode_seconds=attack.encode_seconds,
-            baseline_seconds=baseline_seconds,
-            baseline_status=baseline_status,
-            baseline_dips=baseline_dips,
-            ratio=ratio,
-            composition_equivalent=equivalent,
-            subspace_keys=subspace_keys,
-            gate_reduction=gate_reduction,
-            area_overhead=area_overhead,
-            solver=attack.solver,
-            opt=OPT_LEVEL,
-            selection=selection,
-            synthesis=run_synthesis,
-            gates_after=[task.gates_after for task in attack.subtasks],
-        )
+    return ScenarioCell(
+        scheme=params["scheme"],
+        scheme_params=dict(params.get("scheme_params") or {}),
+        attack=params["attack"],
+        attack_params=dict(params.get("attack_params") or {}),
+        engine=params["engine"],
+        engine_used=attack.engine,
+        circuit=params["circuit"],
+        scale=params["scale"],
+        effort=effort,
+        seed=seed,
+        status=attack.status,
+        key_size=locked.key_size,
+        gates=locked.netlist.num_gates,
+        dips_per_task=dips,
+        max_dips=max(dips) if dips else 0,
+        uniform=len(set(dips)) == 1,
+        key_ints=attack.key_ints,
+        oracle_queries=sum(t.oracle_queries for t in attack.subtasks),
+        min_seconds=attack.min_subtask_seconds,
+        mean_seconds=attack.mean_subtask_seconds,
+        max_seconds=attack.max_subtask_seconds,
+        wall_seconds=attack.wall_seconds,
+        encode_seconds=attack.encode_seconds,
+        baseline_seconds=baseline_seconds,
+        baseline_status=baseline_status,
+        baseline_dips=baseline_dips,
+        ratio=ratio,
+        composition_equivalent=equivalent,
+        subspace_keys=subspace_keys,
+        gate_reduction=gate_reduction,
+        area_overhead=area_overhead,
+        solver=attack.solver,
+        opt=OPT_LEVEL,
+        selection=selection,
+        synthesis=run_synthesis,
+        gates_after=[task.gates_after for task in attack.subtasks],
+        splitting_inputs=attack.splitting_inputs,
+        exact=attack.exact,
+        subtask_stats=[
+            {"seconds": task.total_seconds,
+             "solver_stats": task.solver_stats}
+            for task in attack.subtasks
+        ],
     )
+
+
+@register_task("scenario_cell")
+def _scenario_cell_task(params: dict) -> dict:
+    """Worker: evaluate one grid cell (:func:`evaluate_cell`)."""
+    return asdict(evaluate_cell(params))
 
 
 def scenario_cell_task(

@@ -100,10 +100,14 @@ def _point_spec(request, **axes) -> ScenarioSpec:
 class AttackRequest:
     """Lock one carrier circuit and run the multi-key attack on it.
 
-    The service-level twin of the CLI ``attack`` subcommand, validated
-    as the one-point grid it describes.  ``circuit`` resolves
-    corpus-first (``real_c432`` names the genuine ``.bench`` file;
-    ``c432`` the stand-in) and ``scale`` only applies to stand-ins.
+    The service-level twin of the CLI ``attack`` subcommand: the one
+    cell of the grid :meth:`spec` returns, which it validates as and
+    answers with (the job's ``result`` is that one-cell
+    ``MatrixResult`` payload).  ``circuit`` resolves corpus-first
+    (``real_c432`` names the genuine ``.bench`` file; ``c432`` the
+    stand-in) and ``scale`` only applies to stand-ins.  ``parallel``
+    fans the ``2^N`` sub-attacks out through the service's runner; it
+    does not change the cell.
     """
 
     kind: ClassVar[str] = "attack"
@@ -127,11 +131,18 @@ class AttackRequest:
         self.effort = int(self.effort)
         self.seed = int(self.seed)
         self.scale = float(self.scale)
-        _point_spec(
+        self.spec()
+
+    def spec(self) -> ScenarioSpec:
+        """The one-point grid whose single cell this request is, with
+        the composed keys checked by CEC."""
+        return _point_spec(
             self,
             attacks=[(self.attack, self.attack_params)],
             engines=[self.engine],
             solver=self.solver,
+            time_limit_per_task=self.time_limit_per_task,
+            verify_composition=True,
         )
 
 

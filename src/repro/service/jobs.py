@@ -252,7 +252,14 @@ class Service:
         cache: The shared result cache (``None`` disables caching).
         inner_parallel: Let a job's ``2^N`` sub-attacks use their own
             pool when the outer runner will not fan out (mirrors the
-            drivers' ``parallel=`` flag).
+            drivers' ``parallel=`` flag).  That pool, like the
+            drivers', is ``cpu_count`` wide and not bounded by
+            ``jobs``: a one-circuit ``table2`` experiment on
+            ``Service(jobs=1)`` forks a 2-worker pool on a 2-CPU
+            machine.  A parallel ``attack`` job is the exception: its
+            sub-attacks fan out through the job's runner, inside the
+            slot budget.  A pool owned by the service is ROADMAP
+            item 2.
         retain_finished: How many finished jobs to keep around for
             late ``job(id)`` lookups; older finished jobs are pruned
             on submit so a long-lived daemon's memory stays bounded
@@ -496,9 +503,7 @@ def _matrix_status(result) -> str:
 
 
 def _execute_attack(service: Service, job: Job) -> tuple[dict, str]:
-    from repro.core.compose import verify_composition
-    from repro.core.multikey import multikey_attack
-    from repro.locking.registry import lock_carrier
+    from repro.scenarios.matrix import MatrixResult, evaluate_cell
 
     request: AttackRequest = job.request
     job.emit(
@@ -510,44 +515,21 @@ def _execute_attack(service: Service, job: Job) -> tuple[dict, str]:
             "total": 1 << request.effort,
         },
     )
-    original, locked = lock_carrier(vars(request))
-
+    spec = request.spec()
+    (task,) = spec.expand()
     # A parallel attack on either engine fans out through the service
     # runner, never a private cpu_count pool, so it stays inside the
     # shared worker budget (serial on a `--jobs 1` daemon; the CLI
     # widens its one-shot service for `attack --parallel`).  A serial
     # attack gets no runner: multikey_attack fans the sharded engine
     # out whenever it has one, and runs every shard in-process without.
+    # The cell itself is not cached, as a grid cell would be.
     runner = service._runner_for(job) if request.parallel else None
-    result = multikey_attack(
-        locked,
-        original,
-        effort=request.effort,
-        parallel=request.parallel,
-        time_limit_per_task=request.time_limit_per_task,
-        seed=request.seed,
-        engine=request.engine,
-        attack=request.attack,
-        attack_params=request.attack_params,
-        solver=request.solver,
-        runner=runner,
+    cell = evaluate_cell(
+        {**task.worker_params, "parallel": request.parallel}, runner
     )
-
-    exact = result.exact
-    equivalent = None
-    if exact:
-        equivalent = bool(
-            verify_composition(
-                locked, result.splitting_inputs, result.keys, original
-            )
-        )
-    payload = {
-        "locked": str(locked),
-        "result": result.to_payload(),
-        "exact": exact,
-        "composition_equivalent": equivalent,
-    }
-    return payload, result.status
+    result = MatrixResult(spec, [cell])
+    return result.to_payload(), _matrix_status(result)
 
 
 def _execute_metrics(service: Service, job: Job) -> tuple[dict, str]:

@@ -88,48 +88,49 @@ def render_response(response: Response, verbose: bool = True) -> str:
 
 
 def _render_attack(payload: dict, verbose: bool = True) -> str:
-    from repro.core.multikey import MultiKeyResult
+    from repro.scenarios.matrix import MatrixResult
 
-    result = MultiKeyResult.from_payload(payload["result"])
-    lines = [f"locked: {payload['locked']}"]
-    lines.append(
-        f"engine={result.engine} attack={result.attack} status={result.status} "
-        f"splitting={result.splitting_inputs} dips/task={result.dips_per_task}"
-    )
-    lines.append(
-        f"max task {result.max_subtask_seconds:.2f}s, "
-        f"mean {result.mean_subtask_seconds:.2f}s, "
-        f"wall {result.wall_seconds:.2f}s"
+    (cell,) = MatrixResult.from_payload(payload).cells
+    lines = [
+        f"locked: LockedCircuit({cell.scheme}, |K|={cell.key_size}, "
+        f"gates={cell.gates})",
+        f"engine={cell.engine_used} attack={cell.attack} status={cell.status} "
+        f"splitting={cell.splitting_inputs} dips/task={cell.dips_per_task}",
+        f"max task {cell.max_seconds:.2f}s, "
+        f"mean {cell.mean_seconds:.2f}s, "
+        f"wall {cell.wall_seconds:.2f}s"
         + (
-            f" (one-time encode {result.encode_seconds:.2f}s)"
-            if result.engine == "sharded"
+            f" (one-time encode {cell.encode_seconds:.2f}s)"
+            if cell.engine_used == "sharded"
             else ""
+        ),
+    ]
+    tasks = cell.subtask_stats or []
+    if verbose and any(task["solver_stats"] for task in tasks):
+        total = {
+            name: sum(task["solver_stats"].get(name, 0) for task in tasks)
+            for name in ("conflicts", "decisions", "learned")
+        }
+        lines.append(
+            f"solver totals: {total['conflicts']} conflicts, "
+            f"{total['decisions']} decisions, "
+            f"{total['learned']} learned clauses"
         )
-    )
-    if verbose:
-        stats = result.solver_stats
-        if stats:
+        for index, (task, dips) in enumerate(zip(tasks, cell.dips_per_task)):
+            s = task["solver_stats"]
             lines.append(
-                "solver totals: "
-                f"{stats.get('conflicts', 0)} conflicts, "
-                f"{stats.get('decisions', 0)} decisions, "
-                f"{stats.get('learned', 0)} learned clauses"
+                f"  shard {index}: #DIP={dips} "
+                f"conflicts={s.get('conflicts', 0)} "
+                f"decisions={s.get('decisions', 0)} "
+                f"learned={s.get('learned', 0)} "
+                f"t={task['seconds']:.2f}s"
             )
-            for task in result.subtasks:
-                s = task.solver_stats
-                lines.append(
-                    f"  shard {task.index}: #DIP={task.num_dips} "
-                    f"conflicts={s.get('conflicts', 0)} "
-                    f"decisions={s.get('decisions', 0)} "
-                    f"learned={s.get('learned', 0)} "
-                    f"t={task.total_seconds:.2f}s"
-                )
-    if payload.get("exact"):
+    if cell.exact:
         lines.append(
             "multi-key composition equivalent: "
-            f"{bool(payload.get('composition_equivalent'))}"
+            f"{bool(cell.composition_equivalent)}"
         )
-    elif result.status == "ok":
+    elif cell.status == "ok":
         # Settled (approximate) keys cannot pass CEC by design.
         lines.append(
             "multi-key composition: skipped (approximate sub-space keys)"

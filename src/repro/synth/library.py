@@ -2,8 +2,8 @@
 
 The paper maps its netlists onto the Nangate 45 nm Open Cell Library.
 That library is not redistributable here, so :data:`NANGATE45ish`
-carries cell areas (um^2) and unit delays (ns) in the same ballpark as
-the public datasheet.  Estimation first decomposes wide gates to each
+carries cell areas (um^2) in the same ballpark as the public
+datasheet.  Estimation first decomposes wide gates to each
 cell's maximum arity, then sums the mapped cells' areas.
 """
 
@@ -24,7 +24,6 @@ class Cell:
     gtype: GateType
     arity: int
     area: float  # um^2
-    delay: float  # ns, input-to-output
 
 
 @dataclass
@@ -49,27 +48,21 @@ class CellLibrary:
 
 def _nangate_cells() -> list[Cell]:
     cells = [
-        Cell("INV_X1", GateType.NOT, 1, 0.532, 0.010),
-        Cell("BUF_X1", GateType.BUF, 1, 0.798, 0.015),
-        Cell("MUX2_X1", GateType.MUX, 3, 1.862, 0.040),
-        Cell("XOR2_X1", GateType.XOR, 2, 1.596, 0.045),
-        Cell("XNOR2_X1", GateType.XNOR, 2, 1.596, 0.045),
-        Cell("CONST0", GateType.CONST0, 0, 0.0, 0.0),
-        Cell("CONST1", GateType.CONST1, 0, 0.0, 0.0),
+        Cell("INV_X1", GateType.NOT, 1, 0.532),
+        Cell("BUF_X1", GateType.BUF, 1, 0.798),
+        Cell("MUX2_X1", GateType.MUX, 3, 1.862),
+        Cell("XOR2_X1", GateType.XOR, 2, 1.596),
+        Cell("XNOR2_X1", GateType.XNOR, 2, 1.596),
+        Cell("CONST0", GateType.CONST0, 0, 0.0),
+        Cell("CONST1", GateType.CONST1, 0, 0.0),
     ]
-    for arity, suffix_area in ((2, 0.0), (3, 0.266), (4, 0.532)):
-        cells.append(
-            Cell(f"NAND{arity}_X1", GateType.NAND, arity, 0.798 + suffix_area, 0.020)
-        )
-        cells.append(
-            Cell(f"NOR{arity}_X1", GateType.NOR, arity, 0.798 + suffix_area, 0.022)
-        )
-        cells.append(
-            Cell(f"AND{arity}_X1", GateType.AND, arity, 1.064 + suffix_area, 0.030)
-        )
-        cells.append(
-            Cell(f"OR{arity}_X1", GateType.OR, arity, 1.064 + suffix_area, 0.032)
-        )
+    for arity, extra in ((2, 0.0), (3, 0.266), (4, 0.532)):
+        cells += [
+            Cell(f"NAND{arity}_X1", GateType.NAND, arity, 0.798 + extra),
+            Cell(f"NOR{arity}_X1", GateType.NOR, arity, 0.798 + extra),
+            Cell(f"AND{arity}_X1", GateType.AND, arity, 1.064 + extra),
+            Cell(f"OR{arity}_X1", GateType.OR, arity, 1.064 + extra),
+        ]
     return cells
 
 

@@ -8,6 +8,7 @@ unexercised by any multi-key test — is attacked through
 ``multikey_attack`` as a tier-1 scenario.
 """
 
+import json
 import pickle
 
 import pytest
@@ -207,6 +208,42 @@ class TestRunMatrix:
         warm = run_matrix(spec, runner=Runner(cache=ResultCache(tmp_path)))
         assert warm.cells == cold.cells
         assert warm.format() == cold.format()
+
+    def test_cells_cached_without_subtask_fields_replay_unchanged(
+        self, tmp_path
+    ):
+        """A cell cached before ``splitting_inputs``, ``exact`` and
+        ``subtask_stats`` existed replays with ``None`` for them, and
+        the matrix text and CSV do not change."""
+        spec = ScenarioSpec(
+            schemes=[("sarlock", {"key_size": 3})],
+            attacks=("sat",),
+            circuits=("c432",),
+            scale=0.12,
+            efforts=(0, 1),
+            verify_composition=True,
+        )
+        added = ("splitting_inputs", "exact", "subtask_stats")
+        cold = run_matrix(spec, runner=Runner(cache=ResultCache(tmp_path)))
+        assert all(
+            getattr(cell, name) is not None
+            for cell in cold.cells for name in added
+        )
+        paths = sorted((tmp_path / "scenario_cell").glob("*.json"))
+        for path in paths:
+            entry = json.loads(path.read_text())
+            for name in added:
+                del entry["artifact"][name]
+            path.write_text(json.dumps(entry))
+        warm_cache = ResultCache(tmp_path)
+        warm = run_matrix(spec, runner=Runner(cache=warm_cache))
+        assert warm_cache.misses == 0 and len(paths) == len(warm.cells) == 2
+        assert all(
+            getattr(cell, name) is None
+            for cell in warm.cells for name in added
+        )
+        assert warm.format() == cold.format()
+        assert warm.to_csv() == cold.to_csv()
 
     def test_select_and_cell_filters(self, small_matrix):
         _, result = small_matrix

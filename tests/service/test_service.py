@@ -124,22 +124,25 @@ class TestExperimentJobs:
         assert response.status == "ok", response.error
         assert render_response(response)
 
-    @pytest.mark.parametrize("experiment, params, module", [
-        ("table2", {"circuits": ["c880"], "scale": 0.2, "effort": 1,
-                    "spec": "tiny"}, "repro.scenarios.matrix"),
-        ("figure1", {}, "repro.experiments.figure1"),
-    ], ids=["table2", "figure1"])
+    @pytest.mark.parametrize("request_, module", [
+        (ExperimentRequest(experiment="table2", params={
+            "circuits": ["c880"], "scale": 0.2, "effort": 1, "spec": "tiny",
+        }), "repro.scenarios.matrix"),
+        (ExperimentRequest(experiment="figure1"), "repro.experiments.figure1"),
+        (AttackRequest(
+            circuit="c1908", scheme="sarlock", scheme_params={"key_size": 4},
+            effort=1, scale=0.2,
+        ), "repro.scenarios.matrix"),
+    ], ids=["table2", "figure1", "attack"])
     def test_failed_composition_cec_is_partial(
-        self, experiment, params, module, monkeypatch
+        self, request_, module, monkeypatch
     ):
         # Every attack succeeds; only the CEC verdict says the composed
         # keys are wrong, and that alone must mark the job partial.
         monkeypatch.setattr(
             module + ".verify_composition", lambda *args, **kwargs: False
         )
-        response = Service(cache=ResultCache(None)).run(
-            ExperimentRequest(experiment=experiment, params=params)
-        )
+        response = Service(cache=ResultCache(None)).run(request_)
         assert response.status == "partial", response.error
 
     def test_unhandled_worker_error_is_an_error_response(self):
@@ -190,8 +193,8 @@ class TestAttackJobs:
         )
         response = Service().run(request)
         assert response.status == "ok"
-        assert response.result["exact"] is True
-        assert response.result["composition_equivalent"] is True
+        assert response.result["cells"][0]["exact"] is True
+        assert response.result["cells"][0]["composition_equivalent"] is True
         text = render_response(response)
         assert text.startswith("locked: LockedCircuit(sarlock")
         assert "multi-key composition equivalent: True" in text
@@ -199,6 +202,30 @@ class TestAttackJobs:
         quiet = render_response(response, verbose=False)
         assert "shard 0" not in quiet and "solver totals" not in quiet
         assert "multi-key composition equivalent: True" in quiet
+
+    def test_verbose_attack_text_keeps_the_solver_lines(self):
+        from repro.service import render_response
+
+        response = Service().run(AttackRequest(
+            circuit="c1908",
+            scheme="sarlock",
+            scheme_params={"key_size": 4},
+            effort=1,
+            scale=0.2,
+        ))
+        cell = response.result["cells"][0]
+        lines = render_response(response).splitlines()
+        totals = [line for line in lines if line.startswith("solver totals: ")]
+        assert len(totals) == 1
+        conflicts = sum(
+            task["solver_stats"]["conflicts"] for task in cell["subtask_stats"]
+        )
+        assert totals[0].startswith(f"solver totals: {conflicts} conflicts, ")
+        shards = [line for line in lines if line.startswith("  shard ")]
+        assert len(shards) == 2
+        assert shards[0].startswith(
+            f"  shard 0: #DIP={cell['dips_per_task'][0]} "
+        )
 
 
 class TestBenchJobs:
@@ -451,7 +478,7 @@ class TestSecondReviewHardening:
         )
         response = Service(jobs=1).run(request)
         assert response.status == "ok"
-        assert response.result["composition_equivalent"] is True
+        assert response.result["cells"][0]["composition_equivalent"] is True
 
     def test_render_cancelled_partial_payload(self):
         from repro.service import render_response

@@ -1,4 +1,4 @@
-"""Cell library / area / delay estimation tests."""
+"""Cell library / area estimation tests."""
 
 import pytest
 
@@ -54,7 +54,7 @@ class TestEstimates:
 
     def test_custom_library_missing_cell_raises(self):
         tiny = CellLibrary(
-            "tiny", [Cell("INV", GateType.NOT, 1, 1.0, 0.01)]
+            "tiny", [Cell("INV", GateType.NOT, 1, 1.0)]
         )
         n = Netlist()
         n.add_inputs(["a", "b"])

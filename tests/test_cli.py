@@ -223,6 +223,24 @@ class TestServiceSurface:
         assert code == 1
         assert "status=partial" in capsys.readouterr().out
 
+    def test_attack_exit_code_nonzero_on_failed_cec(
+        self, capsys, monkeypatch
+    ):
+        # Every sub-attack succeeds; only the composition CEC fails.
+        monkeypatch.setattr(
+            "repro.scenarios.matrix.verify_composition",
+            lambda *args, **kwargs: False,
+        )
+        code = main([
+            "attack", "--circuit", "c1908", "--scheme", "sarlock",
+            "--key-size", "4", "-N", "1", "--scale", "0.2",
+            "--no-cache", "--quiet",
+        ])
+        assert code == 1
+        out = capsys.readouterr().out
+        assert "status=ok" in out
+        assert "multi-key composition equivalent: False" in out
+
     def test_bench_envelope_with_out_still_writes_file(self, capsys, tmp_path):
         from repro.service import from_json
 
