@@ -69,7 +69,9 @@ def _write_atomic(path: Path, entry: dict) -> None:
     )
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            json.dump(entry, handle, indent=1, sort_keys=True)
+            # One write: json.dump would push every encoder chunk
+            # through the text file separately.
+            handle.write(json.dumps(entry, indent=1, sort_keys=True))
         os.replace(tmp_name, path)
     except BaseException:
         try:

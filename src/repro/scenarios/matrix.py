@@ -17,14 +17,14 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 
 from repro.circuit.opt import OPT_LEVEL
 from repro.core.compose import verify_composition
 from repro.core.multikey import multikey_attack
 from repro.locking.registry import lock_carrier
 from repro.runner import Runner, TaskSpec, canonical_json, register_task
-from repro.scenarios.spec import ScenarioSpec
+from repro.scenarios.spec import ScenarioSpec, field_values
 
 
 @dataclass
@@ -215,7 +215,7 @@ def evaluate_cell(params: dict, runner: Runner | None = None) -> ScenarioCell:
 @register_task("scenario_cell")
 def _scenario_cell_task(params: dict) -> dict:
     """Worker: evaluate one grid cell (:func:`evaluate_cell`)."""
-    return asdict(evaluate_cell(params))
+    return field_values(evaluate_cell(params))
 
 
 def scenario_cell_task(
@@ -369,7 +369,7 @@ class MatrixResult:
         """
         return {
             "spec": self.spec.describe(),
-            "cells": [asdict(cell) for cell in self.cells],
+            "cells": [field_values(cell) for cell in self.cells],
         }
 
     @classmethod
@@ -409,7 +409,7 @@ class MatrixResult:
         columns = self.csv_columns()
         writer.writerow(columns)
         for cell in self.cells:
-            record = asdict(cell)
+            record = field_values(cell)
             row = []
             for column in columns:
                 if column.startswith("metric_"):

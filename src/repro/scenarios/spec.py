@@ -24,7 +24,7 @@ a bad grid is rejected before any job starts.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from collections.abc import Mapping, Sequence
 from typing import ClassVar
 
@@ -51,6 +51,16 @@ def normalize_axis(entry) -> tuple[str, dict]:
         return str(name), params
     name, params = entry
     return str(name), dict(params)
+
+
+def field_values(record) -> dict:
+    """A dataclass's fields as a dict that shares their values.
+
+    Specs, cells and service envelopes hold plain JSON data in every
+    field, so their JSON-shaped dicts need no ``asdict`` deep copy
+    (which cost a warm matrix job more than its JSON encoding).
+    """
+    return {f.name: getattr(record, f.name) for f in fields(record)}
 
 
 @dataclass
@@ -316,4 +326,4 @@ class ScenarioSpec:
     def describe(self) -> dict:
         """JSON-shaped summary (embedded in matrix exports): every
         field, plus the fixed ``opt`` level and the grid ``size``."""
-        return {**asdict(self), "opt": OPT_LEVEL, "size": self.size}
+        return {**field_values(self), "opt": OPT_LEVEL, "size": self.size}

@@ -89,12 +89,13 @@ def _pump(job: Job, writer: _LineWriter) -> None:
     writer.write(to_dict(job.result()))
 
 
-def _error_response(
+def error_response(
     job_id: str,
     message: str,
     request_kind: str = "",
     result: dict | None = None,
 ) -> dict:
+    """The wire dict of an error ``Response`` (every transport's)."""
     return to_dict(
         Response(
             request_kind=request_kind,
@@ -115,7 +116,7 @@ def queue_full_response(
     ``result.retry_after_seconds`` carries the service's backoff hint —
     the JSON-lines twin of the HTTP gateway's 503 + ``Retry-After``.
     """
-    return _error_response(
+    return error_response(
         job_id,
         f"queue_full: {full}",
         request_kind=request_kind,
@@ -140,7 +141,7 @@ def handle_stream(service: Service, rfile, wfile) -> bool:
             continue
         if len(line) > MAX_LINE_CHARS:
             writer.write(
-                _error_response(
+                error_response(
                     "",
                     f"oversized request line ({len(line)} chars > "
                     f"{MAX_LINE_CHARS})",
@@ -150,10 +151,10 @@ def handle_stream(service: Service, rfile, wfile) -> bool:
         try:
             obj = json.loads(line)
         except json.JSONDecodeError as error:
-            writer.write(_error_response("", f"not valid JSON: {error}"))
+            writer.write(error_response("", f"not valid JSON: {error}"))
             continue
         if not isinstance(obj, dict):
-            writer.write(_error_response("", "envelope must be a JSON object"))
+            writer.write(error_response("", "envelope must be a JSON object"))
             continue
         kind = obj.get("kind")
         if kind == "shutdown":
@@ -164,7 +165,7 @@ def handle_stream(service: Service, rfile, wfile) -> bool:
             try:
                 service.job(job_id).cancel()
             except KeyError:
-                writer.write(_error_response(job_id, f"no such job {job_id!r}"))
+                writer.write(error_response(job_id, f"no such job {job_id!r}"))
             continue
         job_id = obj.pop("id", None)
         job_id = str(job_id) if job_id is not None else None
@@ -182,7 +183,7 @@ def handle_stream(service: Service, rfile, wfile) -> bool:
             continue
         except ValueError as error:  # EnvelopeError + registry misses
             writer.write(
-                _error_response(
+                error_response(
                     job_id or "",
                     str(error),
                     request_kind=kind if kind in REQUEST_KINDS else "",

@@ -33,11 +33,11 @@ import importlib
 import inspect
 import json
 from collections.abc import Mapping
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from operator import attrgetter
 from typing import ClassVar, Union
 
-from repro.scenarios.spec import ScenarioSpec
+from repro.scenarios.spec import ScenarioSpec, field_values
 
 #: The envelope schema generation.  Decoders reject other versions.
 SCHEMA_VERSION = 1
@@ -308,9 +308,10 @@ Request = Union[tuple(REQUEST_KINDS.values())]
 
 
 def to_dict(envelope) -> dict:
-    """The wire shape of any envelope (version + kind + fields)."""
+    """The wire shape of any envelope (version + kind + fields), sharing
+    the field values (:func:`~repro.scenarios.spec.field_values`)."""
     payload = {"schema_version": SCHEMA_VERSION, "kind": envelope.kind}
-    payload.update(asdict(envelope))
+    payload.update(field_values(envelope))
     return payload
 
 

@@ -47,32 +47,13 @@ import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from repro.service.daemon import (
-    encode_line,
-    queue_full_response,
+    encode_line, error_response, queue_full_response,
 )
-from repro.service.envelopes import (
-    REQUEST_KINDS,
-    Response,
-    from_dict,
-    to_dict,
-)
+from repro.service.envelopes import REQUEST_KINDS, from_dict, to_dict
 from repro.service.jobs import QueueFullError, Service
 
 #: Largest accepted request body, in bytes (413 past this).
 MAX_BODY_BYTES = 8_000_000
-
-
-def _error_payload(
-    job_id: str, message: str, request_kind: str = ""
-) -> dict:
-    return to_dict(
-        Response(
-            request_kind=request_kind,
-            status="error",
-            job_id=job_id,
-            error=message,
-        )
-    )
 
 
 class _GatewayHandler(BaseHTTPRequestHandler):
@@ -113,12 +94,12 @@ class _GatewayHandler(BaseHTTPRequestHandler):
                 job = self.service.job(job_id)
             except KeyError:
                 self._send_json(
-                    404, _error_payload(job_id, f"no such job {job_id!r}")
+                    404, error_response(job_id, f"no such job {job_id!r}")
                 )
                 return
             self._send_json(200, job.snapshot())
             return
-        self._send_json(404, _error_payload("", f"no such path {self.path!r}"))
+        self._send_json(404, error_response("", f"no such path {self.path!r}"))
 
     def do_POST(self) -> None:
         if self.path == "/v1/jobs":
@@ -134,12 +115,12 @@ class _GatewayHandler(BaseHTTPRequestHandler):
                 self.service.job(job_id).cancel()
             except KeyError:
                 self._send_json(
-                    404, _error_payload(job_id, f"no such job {job_id!r}")
+                    404, error_response(job_id, f"no such job {job_id!r}")
                 )
                 return
             self._send_json(200, {"job_id": job_id, "cancelled": True})
             return
-        self._send_json(404, _error_payload("", f"no such path {self.path!r}"))
+        self._send_json(404, error_response("", f"no such path {self.path!r}"))
 
     def _job_path_id(self, suffix: str = "") -> str | None:
         prefix = "/v1/jobs/"
@@ -156,14 +137,15 @@ class _GatewayHandler(BaseHTTPRequestHandler):
         try:
             length = int(self.headers.get("Content-Length", ""))
         except ValueError:
-            self._send_json(
-                411, _error_payload("", "Content-Length required")
-            )
+            self._send_json(411, error_response("", "Content-Length required"))
+            return
+        if length < 0:  # rfile.read(-1) would block until the client closes
+            self._send_json(400, error_response("", "negative Content-Length"))
             return
         if length > MAX_BODY_BYTES:
             self._send_json(
                 413,
-                _error_payload(
+                error_response(
                     "",
                     f"request body too large ({length} bytes > "
                     f"{MAX_BODY_BYTES})",
@@ -175,12 +157,12 @@ class _GatewayHandler(BaseHTTPRequestHandler):
             obj = json.loads(body)
         except (ValueError, UnicodeDecodeError) as error:
             self._send_json(
-                400, _error_payload("", f"not valid JSON: {error}")
+                400, error_response("", f"not valid JSON: {error}")
             )
             return
         if not isinstance(obj, dict):
             self._send_json(
-                400, _error_payload("", "envelope must be a JSON object")
+                400, error_response("", "envelope must be a JSON object")
             )
             return
         kind = obj.get("kind")
@@ -206,7 +188,7 @@ class _GatewayHandler(BaseHTTPRequestHandler):
         except ValueError as error:  # EnvelopeError + registry misses
             self._send_json(
                 400,
-                _error_payload(
+                error_response(
                     job_id or "", str(error), request_kind=request_kind
                 ),
             )
@@ -236,11 +218,9 @@ class _GatewayHandler(BaseHTTPRequestHandler):
             self.close_connection = True
 
     def _write_chunk(self, text: str) -> None:
+        """One chunk in one (unbuffered) socket write."""
         data = text.encode("utf-8")
-        self.wfile.write(f"{len(data):X}\r\n".encode("ascii"))
-        self.wfile.write(data)
-        self.wfile.write(b"\r\n")
-        self.wfile.flush()
+        self.wfile.write(b"%X\r\n%s\r\n" % (len(data), data))
 
     def _send_json(
         self, status: int, payload: dict, headers: dict | None = None

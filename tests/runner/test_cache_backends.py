@@ -143,6 +143,33 @@ class TestOnDiskLayouts:
         path.write_text(json.dumps({"version": 999, "artifact": {}}))
         assert cache.load(spec) is None
 
+    def test_store_writes_the_sorted_indented_entry(self, tmp_path, monkeypatch):
+        """The file is ``json.dumps(entry, indent=1, sort_keys=True)``,
+        byte for byte: what ``json.dump`` wrote, in one write."""
+        from types import SimpleNamespace
+
+        from repro.runner import cache as cache_module
+        from repro.runner.task import CACHE_FORMAT_VERSION
+
+        monkeypatch.setattr(
+            cache_module, "time", SimpleNamespace(time=lambda: 1700000000.25)
+        )
+        spec = _spec(7)
+        artifact = {"z": [1, 2.5, None], "a": {"n\u00e9t": True, "b": "x"}}
+        path = _cache(tmp_path).store(spec, artifact, elapsed_seconds=0.125)
+        entry = {
+            "version": CACHE_FORMAT_VERSION,
+            "kind": spec.kind,
+            "key": spec.cache_key,
+            "params": spec.params,
+            "elapsed_seconds": 0.125,
+            "created_unix": 1700000000.25,
+            "artifact": artifact,
+        }
+        assert path.read_text(encoding="utf-8") == json.dumps(
+            entry, indent=1, sort_keys=True
+        )
+
     def test_no_temp_droppings_after_stores(self, tmp_path):
         cache = _cache(tmp_path)
         for value in range(5):

@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 import json
-from dataclasses import fields
+from dataclasses import asdict, fields
 
 import pytest
 
+from repro.circuit.opt import OPT_LEVEL
+from repro.runner import task_worker
 from repro.scenarios import ScenarioSpec
+from repro.scenarios import matrix as matrix_module
+from repro.scenarios.matrix import MatrixResult
 from repro.service import (
     SCHEMA_VERSION,
     AttackRequest,
@@ -18,6 +22,7 @@ from repro.service import (
     MatrixRequest,
     MetricsRequest,
     Response,
+    Service,
     from_dict,
     from_json,
     to_dict,
@@ -123,6 +128,123 @@ class TestRoundTrips:
         b = MatrixRequest(schemes=[("sarlock", {})])
         c = MatrixRequest(schemes=[{"name": "sarlock"}])
         assert a == b == c
+
+
+# ----------------------------------------------------------------------
+# Shared field values against a test-local ``asdict`` reference
+# ----------------------------------------------------------------------
+
+
+def _asdict_wire(envelope) -> dict:
+    """Reference ``to_dict``: the envelope's fields deep-copied."""
+    return {
+        "schema_version": SCHEMA_VERSION, "kind": envelope.kind,
+        **asdict(envelope),
+    }
+
+
+def _asdict_describe(spec: ScenarioSpec) -> dict:
+    """Reference ``ScenarioSpec.describe``."""
+    return {**asdict(spec), "opt": OPT_LEVEL, "size": spec.size}
+
+
+def _asdict_payload(result: MatrixResult) -> dict:
+    """Reference ``MatrixResult.to_payload``."""
+    return {
+        "spec": _asdict_describe(result.spec),
+        "cells": [asdict(cell) for cell in result.cells],
+    }
+
+
+def _same_json(new, reference) -> None:
+    """Equal, and the same bytes both with and without sorted keys."""
+    assert new == reference
+    assert json.dumps(new) == json.dumps(reference)
+    assert json.dumps(new, sort_keys=True) == json.dumps(
+        reference, sort_keys=True
+    )
+
+
+#: A one-cell grid with every optional cell block filled in.
+_FULL_CELL_GRID = dict(
+    schemes=[["sarlock", {"key_size": 3}]],
+    circuits=["c432"],
+    scale=0.12,
+    efforts=[1],
+    include_baseline=True,
+    verify_composition=True,
+    measure_resistance=True,
+    metrics=["corruption", "subspace", "bit_flip", "avalanche"],
+    key_samples=4,
+)
+
+
+@pytest.fixture(scope="module")
+def real_responses() -> dict:
+    """A real matrix, attack and ``figure2`` response, run once."""
+    service = Service()
+    return {
+        "matrix": service.run(MatrixRequest(**_FULL_CELL_GRID)),
+        "attack": service.run(
+            AttackRequest(
+                circuit="c432", scheme_params={"key_size": 3}, effort=1,
+                scale=0.12,
+            )
+        ),
+        "figure2": service.run(
+            ExperimentRequest(
+                experiment="figure2",
+                params={"key_size": 3, "scale": 0.12, "efforts": [0, 1],
+                        "key_samples": 4},
+            )
+        ),
+    }
+
+
+class TestSharedFieldsMatchAsdict:
+    """``to_dict``, ``describe``, ``to_payload`` and the ``scenario_cell``
+    worker share field values where ``asdict`` deep-copied them.  Every
+    field holds plain JSON data, so the JSON they build must not move:
+    a nested dataclass in a field would fail here."""
+
+    @pytest.mark.parametrize("envelope", ENVELOPES, ids=_envelope_name)
+    def test_envelope_wire_shape(self, envelope):
+        _same_json(to_dict(envelope), _asdict_wire(envelope))
+        assert to_json(envelope) == json.dumps(
+            _asdict_wire(envelope), sort_keys=True
+        )
+        if isinstance(envelope, ScenarioSpec):
+            _same_json(envelope.describe(), _asdict_describe(envelope))
+
+    @pytest.mark.parametrize("kind", ["matrix", "attack", "figure2"])
+    def test_real_response(self, real_responses, kind):
+        response = real_responses[kind]
+        assert response.status == "ok"
+        _same_json(to_dict(response), _asdict_wire(response))
+        if kind != "figure2":
+            result = MatrixResult.from_payload(response.result)
+            _same_json(result.to_payload(), _asdict_payload(result))
+            _same_json(result.spec.describe(), _asdict_describe(result.spec))
+
+    def test_matrix_cell_carries_every_block(self, real_responses):
+        [cell] = real_responses["matrix"].result["cells"]
+        assert None not in (
+            cell["metrics"], cell["metrics_detail"], cell["ratio"],
+            cell["composition_equivalent"], cell["subspace_keys"],
+        )
+
+    def test_scenario_cell_artifact(self, monkeypatch):
+        evaluated = []
+
+        def recording(params, runner=None):
+            evaluated.append(evaluate(params, runner))
+            return evaluated[-1]
+
+        evaluate = matrix_module.evaluate_cell
+        monkeypatch.setattr(matrix_module, "evaluate_cell", recording)
+        [task] = MatrixRequest(**_FULL_CELL_GRID).expand()
+        artifact = task_worker("scenario_cell")(task.worker_params)
+        _same_json(artifact, asdict(evaluated[0]))
 
 
 #: One small grid, as a spec and as a matrix request.

@@ -20,7 +20,11 @@ import pytest
 from repro.runner import ResultCache
 from repro.service import SCHEMA_VERSION, Service
 from repro.service.daemon import handle_stream
-from repro.service.http import MAX_BODY_BYTES, create_http_server
+from repro.service.http import (
+    MAX_BODY_BYTES,
+    _GatewayHandler,
+    create_http_server,
+)
 
 from tests.service.conftest import (
     bench_request,
@@ -210,6 +214,75 @@ class TestEndpoints:
             reply = data.decode("utf-8", "replace")
         assert reply.startswith("HTTP/1.1 413")
         assert "request body too large" in reply
+
+    def test_negative_content_length_is_400(self, http_daemon):
+        """A negative Content-Length is refused, not read until EOF
+        (the socket timeout fails a handler that waits instead)."""
+        host, port = http_daemon.server_address[:2]
+        with socket.create_connection((host, port), timeout=10) as conn:
+            conn.sendall(
+                (
+                    "POST /v1/jobs HTTP/1.1\r\n"
+                    f"Host: {host}\r\n"
+                    "Content-Length: -1\r\n"
+                    "\r\n"
+                ).encode("ascii")
+            )
+            data = b""
+            while b"negative Content-Length" not in data:
+                chunk = conn.recv(65536)
+                if not chunk:
+                    break
+                data += chunk
+            reply = data.decode("utf-8", "replace")
+        assert reply.startswith("HTTP/1.1 400")
+        assert '"status": "error"' in reply
+
+
+class _CountingWriter:
+    """A handler's ``wfile`` that records each write (one socket send
+    each: the gateway's writer is unbuffered)."""
+
+    def __init__(self, inner, sends: list) -> None:
+        self._inner = inner
+        self._sends = sends
+
+    def write(self, data) -> int:
+        self._sends.append(bytes(data))
+        return self._inner.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+
+class TestWriteCounts:
+    def test_warm_job_sends_one_write_per_line(self, http_daemon, monkeypatch):
+        """Headers, one write per streamed line, the terminator."""
+        sends: list[bytes] = []
+        setup = _GatewayHandler.setup
+
+        def counting_setup(handler):
+            setup(handler)
+            handler.wfile = _CountingWriter(handler.wfile, sends)
+
+        monkeypatch.setattr(_GatewayHandler, "setup", counting_setup)
+        request = {**matrix_request("cold"), "metrics": ["corruption"],
+                   "key_samples": 4}
+        submit_http(http_daemon.server_address, request)
+        sends.clear()
+        status, _, replies, raw_lines = submit_http(
+            http_daemon.server_address, {**request, "id": "warm"}
+        )
+        assert status == 200 and replies[-1]["status"] == "ok"
+        assert [r["data"].get("cached") for r in replies
+                if r.get("type") == "cell_done"] == [True, True]
+        assert len(raw_lines) == 7
+        assert len(sends) == 9
+        assert sends[0].startswith(b"HTTP/1.1 200")
+        assert [send.split(b"\r\n", 1)[1] for send in sends[1:-1]] == [
+            line.encode("utf-8") + b"\r\n" for line in raw_lines
+        ]
+        assert sends[-1] == b"0\r\n\r\n"
 
 
 class TestBackpressure:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.runner import ResultCache
@@ -85,6 +87,27 @@ class TestMatrixJobs:
         )
         response = Service().run(request)
         assert response.status == "partial"
+
+    def test_warm_replays_share_no_nested_values(self, tmp_path):
+        """A response shares its cell's values rather than copying
+        them, but every warm replay reads its own cache entries: a
+        client mutating one response cannot reach the next job's."""
+        request = MatrixRequest(
+            **_TINY_MATRIX, metrics=["corruption", "subspace"], key_samples=4
+        )
+        service = Service(cache=ResultCache(tmp_path))
+        service.run(request)  # cold: fills the cache
+        first = service.run(request)
+        original = json.dumps(first.result, sort_keys=True)
+        [cell] = first.result["cells"]
+        cell["metrics"]["corruption"] = -1.0
+        cell["metrics_detail"]["corruption"]["per_key"].append(-1.0)
+        cell["key_ints"].append(-1)
+        cell["subtask_stats"][0]["solver_stats"]["mutated"] = 1
+        assert json.dumps(first.result, sort_keys=True) != original
+        second = service.run(request)
+        assert second.status == "ok"
+        assert json.dumps(second.result, sort_keys=True) == original
 
 
 class TestExperimentJobs:
